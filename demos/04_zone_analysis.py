@@ -10,8 +10,6 @@ still deliver a hijack to it without crossing the zone.
 
 import random
 
-import numpy as np
-
 from zonesim import (
     GrowthOrder,
     Topology,
@@ -63,7 +61,7 @@ for order in GrowthOrder:
 
 # Local regions for the attached customers of a 6-member zone.
 dist = local_region_distribution(topo, [6])
-sizes = np.array([s for _, _, s in dist.rows])
+sizes = [s for _, _, s in dist.rows]
 summary = dist.summaries[0]
 print(f"\nlocal regions at zone size 6: n={len(sizes)}, "
       f"p10/p50/p90 = {summary.p10:g}/{summary.p50:g}/{summary.p90:g}, "

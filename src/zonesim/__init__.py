@@ -63,7 +63,6 @@ from .vipzone import (
     ZoneConfig,
     ZoneValidationError,
     load_zone_config,
-    member_export,
     member_import,
     member_preference,
     validate_zone,

@@ -14,8 +14,7 @@ import ipaddress
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from ._lines import read_lines
 from .registry import Prefix, RegistrySet, Roa
 from .routing import Origination, PolicyHooks, PreferenceOrder, propagate
 from .topology import Rel, Topology, customer_cone
@@ -33,6 +32,11 @@ class ZoneDerivation:
     input_roster: frozenset[int]
     connected_members: frozenset[int]
     attached_customers: frozenset[int]
+
+
+def load_roster(source: str) -> list[int]:
+    """Parse a roster file: one ASN per line."""
+    return read_lines(source, int, AnalysisError)
 
 
 def derive_connected_zone(topo: Topology, roster: Iterable[int]) -> ZoneDerivation:
@@ -196,7 +200,6 @@ class RegionSummary:
     p50: float
     p90: float
     frac_leq_1: float
-    histogram: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -234,18 +237,23 @@ def local_region_distribution(
             rows.append((size, cust, len(region)))
             sizes.append(len(region))
         if sizes:
-            arr = np.asarray(sizes, dtype=float)
-            p10, p50, p90 = (float(q) for q in np.percentile(arr, [10, 50, 90]))
-            frac = float(np.mean(arr <= 1))
-            counts, edges = np.histogram(arr, bins=min(10, max(1, len(set(sizes)))))
-            hist = tuple(
-                (int(edges[i]), int(counts[i])) for i in range(len(counts))
-            )
+            sizes.sort()
+            p10, p50, p90 = (_percentile(sizes, q) for q in (10, 50, 90))
+            frac = sum(1 for s in sizes if s <= 1) / len(sizes)
         else:
             p10 = p50 = p90 = frac = 0.0
-            hist = ()
-        summaries.append(RegionSummary(size, p10, p50, p90, frac, hist))
+        summaries.append(RegionSummary(size, p10, p50, p90, frac))
     return LocalRegionDistribution(tuple(rows), tuple(summaries))
+
+
+def _percentile(ordered: Sequence[int], q: float) -> float:
+    """Linearly interpolated percentile of sorted values, numpy.percentile's
+    default; stepping from the nearer neighbor reproduces its floats."""
+    pos = (len(ordered) - 1) * (q / 100)
+    lo = int(pos)
+    t = pos - lo
+    a, b = ordered[lo], ordered[min(lo + 1, len(ordered) - 1)]
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
 
 
 @dataclass(frozen=True)

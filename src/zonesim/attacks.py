@@ -16,6 +16,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from ._lines import read_lines
 from .registry import Prefix, RegistrySet, parse_prefix
 from .routing import (
     Origination,
@@ -313,9 +314,16 @@ def harm_csv(reports: Sequence[HarmReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_SCENARIO_KEYS = {
-    "kind", "attacker", "victim_prefix", "victim_origin", "forged_path", "leaked_from",
+# Scenario file keys, named after the AttackScenario fields they set.
+_SCENARIO_FIELDS = {
+    "kind": AttackKind,
+    "attacker": int,
+    "victim_prefix": parse_prefix,
+    "victim_origin": int,
+    "forged_path": lambda v: tuple(int(a) for a in v.split()) or None,
+    "leaked_from": int,
 }
+_REQUIRED_FIELDS = ("kind", "attacker", "victim_prefix", "victim_origin")
 
 
 def load_scenario(source: str) -> AttackScenario:
@@ -324,28 +332,17 @@ def load_scenario(source: str) -> AttackScenario:
     Keys: kind, attacker, victim_prefix, victim_origin, forged_path
     (space-separated, origin last), leaked_from.
     """
-    fields: dict[str, str] = {}
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    fields = {}
+
+    def parse(line: str) -> None:
         key, sep, value = line.partition("=")
         key = key.strip()
-        if not sep or key not in _SCENARIO_KEYS:
-            raise ScenarioError(f"line {lineno}: malformed scenario line {raw!r}")
-        fields[key] = value.strip()
-    try:
-        kind = AttackKind(fields["kind"])
-        forged = fields.get("forged_path", "")
-        return AttackScenario(
-            kind=kind,
-            attacker=int(fields["attacker"]),
-            victim_prefix=parse_prefix(fields["victim_prefix"]),
-            victim_origin=int(fields["victim_origin"]),
-            forged_path=tuple(int(a) for a in forged.split()) if forged else None,
-            leaked_from=int(fields["leaked_from"]) if "leaked_from" in fields else None,
-        )
-    except KeyError as exc:
-        raise ScenarioError(f"scenario file missing field {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise ScenarioError(f"scenario file: {exc}") from exc
+        if not sep or key not in _SCENARIO_FIELDS:
+            raise ScenarioError(f"malformed scenario line {line!r}")
+        fields[key] = _SCENARIO_FIELDS[key](value.strip())
+
+    read_lines(source, parse, ScenarioError)
+    for key in _REQUIRED_FIELDS:
+        if key not in fields:
+            raise ScenarioError(f"scenario file missing field {key!r}")
+    return AttackScenario(**fields)

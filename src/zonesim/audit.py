@@ -28,8 +28,11 @@ import logging
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .registry import Prefix, RegistrySet, RovState, AspaState, aspa_pair_valid, rov_validate
-from .routing import Rib, Route, parse_rib_dump
+from ._lines import read_lines
+from .registry import (
+    Prefix, RegistrySet, RovState, AspaState, aspa_pair_valid, parse_prefix, rov_validate,
+)
+from .routing import Rib, Route, _prefix_sort_key, parse_rib_dump
 from .topology import Rel, Topology
 from .vipzone import ZoneConfig
 
@@ -99,13 +102,26 @@ def register_exception(cfg: ZoneConfig, member: int, prefix: Prefix, note: str =
     return Waiver(member, prefix, note)
 
 
+def load_waivers(source: str, cfg: ZoneConfig) -> list[Waiver]:
+    """Parse waiver CSV ``member,prefix,note``; the note may hold commas."""
+
+    def parse(line: str) -> Waiver:
+        parts = [p.strip() for p in line.split(",", 2)]
+        if len(parts) < 2:
+            raise AuditError("expected member,prefix[,note]")
+        note = parts[2] if len(parts) > 2 else ""
+        return register_exception(cfg, int(parts[0]), parse_prefix(parts[1]), note)
+
+    return read_lines(source, parse, AuditError, header="member,prefix,note")
+
+
 def views_from_rib(rib: Rib, cfg: ZoneConfig, snapshot_id: str = "default") -> list[MemberView]:
     """Rule 7: every member exports its best routes to the collector."""
     views = []
     for member in sorted(cfg.members):
         entries = rib.entries(member)
         routes = tuple(
-            entries[p].best for p in sorted(entries, key=_prefix_key)
+            entries[p].best for p in sorted(entries, key=_prefix_sort_key)
         )
         views.append(MemberView(member, routes, snapshot_id))
     return views
@@ -121,10 +137,6 @@ def load_member_view(text: str, snapshot_id: str = "default") -> MemberView:
         raise AuditError(f"view file mixes rows for ASes {sorted(owners)}")
     member = owners.pop()
     return MemberView(member, tuple(r for _, r in rows), snapshot_id)
-
-
-def _prefix_key(prefix: Prefix):
-    return (prefix.version, int(prefix.network_address), prefix.prefixlen)
 
 
 def _entry_member(path: Sequence[int], members: frozenset[int], owner: int) -> tuple[int, tuple[int, ...]]:
@@ -170,7 +182,7 @@ def audit_views(
     found: dict[tuple, AuditFinding] = {}
 
     def record(rule: AuditRule, culprit: int, observed_at: int, route: Route, canonical: tuple):
-        key = (rule, culprit, _prefix_key(route.prefix), canonical)
+        key = (rule, culprit, _prefix_sort_key(route.prefix), canonical)
         existing = found.get(key)
         if existing is None or observed_at < existing.observed_at:
             found[key] = AuditFinding(rule, culprit, observed_at, route)
@@ -230,7 +242,7 @@ def audit_views(
         key=lambda f: (
             f.rule.value,
             f.culprit,
-            _prefix_key(f.evidence.prefix),
+            _prefix_sort_key(f.evidence.prefix),
             f.evidence.as_path,
         )
     )

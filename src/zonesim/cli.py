@@ -4,12 +4,14 @@ Every subcommand reads local files, writes its results plus a run manifest
 into --out-dir, and signals findings through the exit code:
 
   0  clean run
-  1  input or parse error (message on stderr, file:line where known)
+  1  input or parse error; a malformed line in any input file is reported
+     on stderr as <file>: line N: <reason>
   2  scenario misdirection detected and --fail-on-harm was set
   3  audit produced non-waived findings
 
 Outputs are deterministic: identical inputs produce byte-identical files
-regardless of --workers.
+regardless of --workers.  The manifest is written last, so a run that
+fails leaves none in --out-dir.
 """
 
 from __future__ import annotations
@@ -56,8 +58,11 @@ class _Run:
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
         out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "manifest.json").unlink(missing_ok=True)
 
-    def read(self, path: str | Path) -> str:
+    def parse(self, path: str | Path, parser):
+        """Read, record and parse one input, annotating errors with the file
+        path so messages read file: line N: ..."""
         data = Path(path).read_bytes()
         name = Path(path).name
         digest = _sha256(data)
@@ -67,14 +72,8 @@ class _Run:
                 suffix += 1
             name = f"{name}#{suffix}"
         self.inputs[name] = digest
-        return data.decode("utf-8")
-
-    def parse(self, path: str | Path, parser):
-        """Read and parse one input, annotating errors with the file path
-        so messages read file: line N: ..."""
-        text = self.read(path)
         try:
-            return parser(text)
+            return parser(data.decode("utf-8"))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
@@ -109,39 +108,6 @@ def _load_zone(run: _Run, topo: topology.Topology, path: str) -> vipzone.ZoneCon
     for asn in cfg.honor_verified_non_members:
         topo._require(asn)
     return cfg
-
-
-def _load_originations(text: str) -> list[routing.Origination]:
-    origs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if lineno == 1 and line == "asn,prefix":
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 2:
-            raise routing.RoutingError(f"originations line {lineno}: expected asn,prefix")
-        try:
-            origs.append(
-                routing.Origination(int(parts[0]), registry.parse_prefix(parts[1]))
-            )
-        except ValueError as exc:
-            raise routing.RoutingError(f"originations line {lineno}: {exc}") from exc
-    return origs
-
-
-def _load_asn_list(text: str) -> list[int]:
-    asns = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            asns.append(int(line))
-        except ValueError as exc:
-            raise ValueError(f"roster line {lineno}: malformed ASN {raw!r}") from exc
-    return asns
 
 
 def _json_rows(header: str, csv_text: str) -> str:
@@ -180,7 +146,7 @@ def cmd_simulate(args) -> int:
     topo = run.parse(args.topology, topology.load_topology)
     reg = _load_registries(run, args)
     registry.check_kyc_adjacency(reg, topo)
-    origs = run.parse(args.originations, _load_originations)
+    origs = run.parse(args.originations, routing.load_originations)
     if args.zone:
         cfg = _load_zone(run, topo, args.zone)
         hooks = vipzone.zone_policy(topo, cfg, reg)
@@ -213,7 +179,7 @@ def cmd_zone(args) -> int:
         Path(args.out_dir),
     )
     topo = run.parse(args.topology, topology.load_topology)
-    roster = run.parse(args.roster, _load_asn_list)
+    roster = run.parse(args.roster, analysis.load_roster)
     derivation = analysis.derive_connected_zone(topo, roster)
     rows = ["asn,role"]
     rows += [f"{a},member" for a in sorted(derivation.connected_members)]
@@ -348,21 +314,7 @@ def cmd_audit(args) -> int:
     views = [run.parse(p, audit.load_member_view) for p in args.views]
     waivers = []
     if args.waivers:
-        for lineno, raw in enumerate(run.read(args.waivers).splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line == "member,prefix,note":
-                continue
-            parts = [p.strip() for p in line.split(",", 2)]
-            if len(parts) < 2:
-                raise audit.AuditError(f"waivers line {lineno}: expected member,prefix[,note]")
-            waivers.append(
-                audit.register_exception(
-                    cfg,
-                    int(parts[0]),
-                    registry.parse_prefix(parts[1]),
-                    parts[2] if len(parts) > 2 else "",
-                )
-            )
+        waivers = run.parse(args.waivers, lambda text: audit.load_waivers(text, cfg))
     findings = audit.audit_views(cfg, topo, reg, views, waivers)
     _emit(
         run,

@@ -6,13 +6,13 @@ All lookups are total functions over an immutable :class:`RegistrySet`.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 import ipaddress
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
+
+from ._lines import read_lines
 
 log = logging.getLogger(__name__)
 
@@ -254,60 +254,49 @@ def verify_customer_origin(
     return OriginVerdict.UNKNOWN
 
 
-def _rows(source: str, expected_header: str, what: str) -> Iterable[tuple[int, list[str]]]:
-    reader = csv.reader(io.StringIO(source))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise RegistryError(f"empty {what} file") from None
-    if [h.strip() for h in header] != expected_header.split(","):
-        raise RegistryError(f"{what} file: expected header {expected_header!r}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not f.strip() for f in row):
-            continue
-        yield lineno, [f.strip() for f in row]
+def _load_csv(source: str, header: str, parse: Callable[[list[str]], object]) -> list:
+    """Parse each row of a registry CSV with a required header, fields stripped."""
+    width = header.count(",") + 1
+
+    def row(line: str):
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) < width:
+            raise RegistryError(f"expected {width} fields ({header})")
+        return parse(fields)
+
+    return read_lines(source, row, RegistryError, header, header_required=True)
 
 
 def load_roas(source: str) -> tuple[Roa, ...]:
     """Parse ROA CSV: ``prefix,maxlen,asn``; empty maxlen means absent."""
-    roas = []
-    for lineno, row in _rows(source, "prefix,maxlen,asn", "ROA"):
-        try:
-            prefix = parse_prefix(row[0])
-            maxlen = int(row[1]) if row[1] else None
-            roas.append(Roa(prefix, int(row[2]), maxlen))
-        except (RegistryError, ValueError, IndexError) as exc:
-            raise RegistryError(f"ROA file line {lineno}: {exc}") from exc
-    return tuple(roas)
+
+    def roa(row: list[str]) -> Roa:
+        return Roa(parse_prefix(row[0]), int(row[2]), int(row[1]) if row[1] else None)
+
+    return tuple(_load_csv(source, "prefix,maxlen,asn", roa))
 
 
 def load_aspas(source: str) -> dict[int, frozenset[int]]:
     """Parse ASPA CSV: ``customer_asn,provider_asns`` with ``;``-separated providers."""
-    records = {}
-    for lineno, row in _rows(source, "customer_asn,provider_asns", "ASPA"):
-        try:
-            rec = AspaRecord(
-                int(row[0]),
-                frozenset(int(p) for p in row[1].split(";") if p),
-            )
-        except (RegistryError, ValueError, IndexError) as exc:
-            raise RegistryError(f"ASPA file line {lineno}: {exc}") from exc
+    records: dict[int, frozenset[int]] = {}
+
+    def record(row: list[str]) -> None:
+        rec = AspaRecord(int(row[0]), frozenset(int(p) for p in row[1].split(";") if p))
         if rec.customer_asn in records:
-            raise RegistryError(
-                f"ASPA file line {lineno}: duplicate record for AS{rec.customer_asn}"
-            )
+            raise RegistryError(f"duplicate record for AS{rec.customer_asn}")
         records[rec.customer_asn] = rec.provider_asns
+
+    _load_csv(source, "customer_asn,provider_asns", record)
     return records
 
 
 def load_irr(source: str) -> dict[int, frozenset[Prefix]]:
     """Parse IRR CSV: ``asn,prefix``."""
     irr: dict[int, set[Prefix]] = {}
-    for lineno, row in _rows(source, "asn,prefix", "IRR"):
-        try:
-            irr.setdefault(int(row[0]), set()).add(parse_prefix(row[1]))
-        except (RegistryError, ValueError, IndexError) as exc:
-            raise RegistryError(f"IRR file line {lineno}: {exc}") from exc
+    for asn, prefix in _load_csv(
+        source, "asn,prefix", lambda row: (int(row[0]), parse_prefix(row[1]))
+    ):
+        irr.setdefault(asn, set()).add(prefix)
     return {a: frozenset(s) for a, s in irr.items()}
 
 
@@ -316,21 +305,18 @@ def load_kyc(source: str) -> dict[tuple[int, int], KycEntry]:
 
     The list fields are ``;``-separated; an empty list means absent.
     """
-    kyc = {}
-    for lineno, row in _rows(
-        source, "member_asn,neighbor_asn,allowed_asns,allowed_prefixes", "KYC"
-    ):
-        try:
-            key = (int(row[0]), int(row[1]))
-            entry = KycEntry(
-                frozenset(int(a) for a in row[2].split(";") if a),
-                frozenset(parse_prefix(p) for p in row[3].split(";") if p),
-            )
-        except (RegistryError, ValueError, IndexError) as exc:
-            raise RegistryError(f"KYC file line {lineno}: {exc}") from exc
+    kyc: dict[tuple[int, int], KycEntry] = {}
+
+    def entry(row: list[str]) -> None:
+        key = (int(row[0]), int(row[1]))
         if key in kyc:
-            raise RegistryError(f"KYC file line {lineno}: duplicate entry for {key}")
-        kyc[key] = entry
+            raise RegistryError(f"duplicate entry for {key}")
+        kyc[key] = KycEntry(
+            frozenset(int(a) for a in row[2].split(";") if a),
+            frozenset(parse_prefix(p) for p in row[3].split(";") if p),
+        )
+
+    _load_csv(source, "member_asn,neighbor_asn,allowed_asns,allowed_prefixes", entry)
     return kyc
 
 

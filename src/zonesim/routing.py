@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
+from ._lines import read_lines
 from .registry import Prefix, parse_prefix
 from .topology import Rel, Topology
 
@@ -417,24 +418,29 @@ def dump_rib(rib: Rib) -> str:
 
 def parse_rib_dump(text: str) -> list[tuple[int, Route]]:
     """Parse dump lines back into (holder asn, Route) rows."""
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("|")
-        if len(parts) != 5:
-            raise RoutingError(f"line {lineno}: malformed RIB row {raw!r}")
-        try:
-            asn = int(parts[0])
-            prefix = parse_prefix(parts[1])
-            path = tuple(int(a) for a in parts[2].split())
-            communities = frozenset(c for c in parts[3].split(";") if c)
-            rel = Rel(parts[4])
-        except (ValueError, KeyError) as exc:
-            raise RoutingError(f"line {lineno}: malformed RIB row {raw!r}") from exc
-        if not path:
-            raise RoutingError(f"line {lineno}: empty AS path")
-        learned_from = None if rel is Rel.SELF else path[0]
-        rows.append((asn, Route(prefix, path, communities, learned_from, rel)))
-    return rows
+    return read_lines(text, _parse_rib_row, RoutingError)
+
+
+def _parse_rib_row(line: str) -> tuple[int, Route]:
+    parts = line.split("|")
+    if len(parts) != 5:
+        raise RoutingError(f"malformed RIB row {line!r}")
+    path = tuple(int(a) for a in parts[2].split())
+    if not path:
+        raise RoutingError("empty AS path")
+    rel = Rel(parts[4])
+    learned_from = None if rel is Rel.SELF else path[0]
+    communities = frozenset(c for c in parts[3].split(";") if c)
+    return int(parts[0]), Route(parse_prefix(parts[1]), path, communities, learned_from, rel)
+
+
+def load_originations(text: str) -> list[Origination]:
+    """Parse originations CSV: ``asn,prefix`` with an optional header."""
+    return read_lines(text, _parse_origination, RoutingError, header="asn,prefix")
+
+
+def _parse_origination(line: str) -> Origination:
+    parts = [p.strip() for p in line.split(",")]
+    if len(parts) != 2:
+        raise RoutingError("expected asn,prefix")
+    return Origination(int(parts[0]), parse_prefix(parts[1]))

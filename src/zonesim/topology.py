@@ -13,6 +13,8 @@ import logging
 from collections import defaultdict
 from typing import Iterable, Mapping
 
+from ._lines import read_lines
+
 log = logging.getLogger(__name__)
 
 MAX_ASN = 2**32 - 1
@@ -27,6 +29,9 @@ class Relationship(enum.IntEnum):
 
     P2C = -1
     P2P = 0
+
+
+_CODES = frozenset(Relationship)
 
 
 class Rel(str, enum.Enum):
@@ -46,6 +51,15 @@ def _check_asn(asn: int) -> int:
     if not isinstance(asn, int) or isinstance(asn, bool) or not 0 < asn <= MAX_ASN:
         raise TopologyError(f"invalid ASN {asn!r}: must be a positive 32-bit integer")
     return asn
+
+
+def _check_record(a: int, b: int, code: int) -> None:
+    _check_asn(a)
+    _check_asn(b)
+    if a == b:
+        raise TopologyError(f"self-loop on AS{a}")
+    if code not in _CODES:
+        raise TopologyError(f"unknown relationship code {code}")
 
 
 class Topology:
@@ -81,15 +95,19 @@ class Topology:
         Rejects self-loops, duplicate edges between the same ASN pair, and
         cycles in the provider-customer subgraph.
         """
+        records = list(records)
+        for a, b, code in records:
+            _check_record(a, b, code)
+        return cls._from_checked(records, ix_memberships)
+
+    @classmethod
+    def _from_checked(cls, records, ix_memberships=None) -> "Topology":
+        # from_records minus the per-record checks load_topology runs per line.
         providers: dict[int, set[int]] = defaultdict(set)
         customers: dict[int, set[int]] = defaultdict(set)
         peers: dict[int, set[int]] = defaultdict(set)
         seen_pairs: set[frozenset[int]] = set()
         for a, b, code in records:
-            _check_asn(a)
-            _check_asn(b)
-            if a == b:
-                raise TopologyError(f"self-loop on AS{a}")
             pair = frozenset((a, b))
             if pair in seen_pairs:
                 if code == Relationship.P2C and a in customers.get(b, ()):
@@ -101,11 +119,9 @@ class Topology:
             if code == Relationship.P2C:
                 customers[a].add(b)
                 providers[b].add(a)
-            elif code == Relationship.P2P:
+            else:
                 peers[a].add(b)
                 peers[b].add(a)
-            else:
-                raise TopologyError(f"unknown relationship code {code}")
             for asn in (a, b):
                 providers.setdefault(asn, set())
                 customers.setdefault(asn, set())
@@ -216,26 +232,21 @@ def _check_c2p_acyclic(customers: Mapping[int, set[int]]) -> None:
 def load_topology(source: str | bytes) -> Topology:
     """Parse AS-relationship text into a validated Topology.
 
-    Lines starting with ``#`` are comments.  Data lines are
-    ``asnA|asnB|code`` with code -1 (asnA provider of asnB) or 0 (peers).
-    Parse errors report the 1-based line number.
+    Data lines are ``asnA|asnB|code`` with code -1 (asnA provider of asnB)
+    or 0 (peers).  Per-record errors report the 1-based line number.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8")
-    records = []
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("|")
-        if len(parts) < 3:
-            raise TopologyError(f"line {lineno}: malformed record {raw!r}")
-        try:
-            a, b, code = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise TopologyError(f"line {lineno}: malformed record {raw!r}") from exc
-        records.append((a, b, code))
-    return Topology.from_records(records)
+    return Topology._from_checked(read_lines(source, _parse_record, TopologyError))
+
+
+def _parse_record(line: str) -> tuple[int, int, int]:
+    parts = line.split("|")
+    if len(parts) < 3:
+        raise TopologyError(f"malformed record {line!r}")
+    a, b, code = int(parts[0]), int(parts[1]), int(parts[2])
+    _check_record(a, b, code)
+    return a, b, code
 
 
 def serialize_topology(topo: Topology) -> str:
@@ -244,21 +255,18 @@ def serialize_topology(topo: Topology) -> str:
 
 
 def load_ix_memberships(source: str) -> dict[str, frozenset[int]]:
-    """Parse IX membership text: lines ``ix-id|asn``; ``#`` comments ignored."""
+    """Parse IX membership text: lines ``ix-id|asn``."""
     members: dict[str, set[int]] = defaultdict(set)
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("|")
-        if len(parts) != 2:
-            raise TopologyError(f"line {lineno}: malformed IX record {raw!r}")
-        try:
-            asn = int(parts[1])
-        except ValueError as exc:
-            raise TopologyError(f"line {lineno}: malformed IX record {raw!r}") from exc
-        members[parts[0]].add(_check_asn(asn))
+    for ix, asn in read_lines(source, _parse_ix_member, TopologyError):
+        members[ix].add(asn)
     return {ix: frozenset(s) for ix, s in members.items()}
+
+
+def _parse_ix_member(line: str) -> tuple[str, int]:
+    parts = line.split("|")
+    if len(parts) != 2:
+        raise TopologyError(f"malformed IX record {line!r}")
+    return parts[0], _check_asn(int(parts[1]))
 
 
 def customer_cone(topo: Topology, asn: int) -> frozenset[int]:

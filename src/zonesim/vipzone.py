@@ -27,6 +27,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Iterable
 
+from ._lines import read_lines
 from .registry import (
     AspaState,
     OriginVerdict,
@@ -163,12 +164,6 @@ def member_import(
     return VerificationOutcome(Outcome.FORWARD_UNVERIFIED, "R6"), route
 
 
-def member_export(cfg: ZoneConfig, member: int, to_neighbor: int, route: Route) -> Route:
-    """Exports keep the VERIFIED tag for members and non-members alike;
-    export scoping is the routing engine's job."""
-    return route
-
-
 def member_preference(cfg: ZoneConfig, asn: int) -> PreferenceOrder:
     """Members and opted-in non-members rank VERIFIED routes first."""
     verified_first = asn in cfg.members or asn in cfg.honor_verified_non_members
@@ -190,49 +185,38 @@ def zone_policy(topo: Topology, cfg: ZoneConfig, reg: RegistrySet) -> PolicyHook
             return replace(route, communities=route.communities - {tag})
         return route
 
-    def export_route(
-        exporter: int, neighbor: int, rel: Rel, route: Route, gr_allows: bool
-    ) -> Route | None:
-        if not gr_allows:
-            return None
-        if exporter in members:
-            return member_export(cfg, exporter, neighbor, route)
-        return route
-
     def preference_for(asn: int) -> PreferenceOrder:
         return member_preference(cfg, asn)
 
-    return PolicyHooks(import_route, export_route, preference_for)
+    return PolicyHooks(import_route=import_route, preference_for=preference_for)
 
 
 def load_zone_config(source: str) -> ZoneConfig:
     """Parse a zone config file: one member ASN per line plus key-value
     header lines (``aspa_extension=true|false``, optional
-    ``honor_verified=<asn;asn;...>``).  ``#`` comments ignored.
+    ``honor_verified=<asn;asn;...>``).
     """
     members: set[int] = set()
     aspa_extension = False
     honor: frozenset[int] = frozenset()
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" in line:
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "aspa_extension":
-                if value not in ("true", "false"):
-                    raise ValueError(f"line {lineno}: aspa_extension must be true|false")
-                aspa_extension = value == "true"
-            elif key == "honor_verified":
-                honor = frozenset(int(a) for a in value.split(";") if a)
-            else:
-                raise ValueError(f"line {lineno}: unknown zone config key {key!r}")
-            continue
-        try:
+
+    def parse(line: str) -> None:
+        nonlocal aspa_extension, honor
+        if "=" not in line:
             members.add(int(line))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: malformed zone member {raw!r}") from exc
+            return
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key == "aspa_extension":
+            if value not in ("true", "false"):
+                raise ValueError("aspa_extension must be true|false")
+            aspa_extension = value == "true"
+        elif key == "honor_verified":
+            honor = frozenset(int(a) for a in value.split(";") if a)
+        else:
+            raise ValueError(f"unknown zone config key {key!r}")
+
+    read_lines(source, parse, ValueError)
     return ZoneConfig(
         members=frozenset(members),
         aspa_extension=aspa_extension,

@@ -11,6 +11,7 @@ from zonesim.analysis import (
     local_region,
     local_region_distribution,
     protected_count,
+    region_summary_csv,
     routing_exceptions,
     synthetic_prefix,
     zone_growth_curve,
@@ -249,6 +250,20 @@ class TestLocalRegionDistribution:
         topo = load_topology("1|2|-1\n2|3|-1\n1|4|-1")
         dist = local_region_distribution(topo, [1, 2])
         assert {z for z, _, _ in dist.rows} == {1, 2}
+
+    def test_summary_csv_bytes(self):
+        # Linearly interpolated quantiles between region sizes, and an
+        # empty zone with no attached customers, formatted as shipped.
+        topo = random_topology(random.Random(5), 40, 12)
+        dist = local_region_distribution(topo, [0, 2, 4, 8, 16])
+        assert region_summary_csv(dist) == (
+            "zone_size,p10,p50,p90,frac_leq_1\n"
+            "0,0,0,0,0\n"
+            "2,2,11,15.4,0\n"
+            "4,0,2.5,13.3,0.277778\n"
+            "8,0,2,4,0.4\n"
+            "16,0,0,2.1,0.85\n"
+        )
 
 
 class TestRoutingExceptions:

@@ -12,6 +12,7 @@ SCENARIO = (
     "kind=ForgedOriginPathHijack\nattacker=30\nvictim_prefix=192.0.2.0/24\n"
     "victim_origin=20\nforged_path=20\n"
 )
+VIEW = "1|192.0.2.0/24|2 20|VERIFIED:1|customer\n"
 
 
 @pytest.fixture
@@ -23,6 +24,7 @@ def inputs(tmp_path):
         "originations.csv": ORIGINATIONS,
         "roas.csv": ROAS,
         "scenario.txt": SCENARIO,
+        "view.txt": VIEW,
     }.items():
         p = tmp_path / name
         p.write_text(text)
@@ -138,6 +140,51 @@ class TestSimulate:
         assert outs[0] == outs[1]
 
 
+SIMULATE = ["simulate", "--topology", "topo.txt", "--originations", "originations.csv"]
+AUDIT = ["audit", "--topology", "topo.txt", "--zone", "zone.txt"]
+
+# (flag, file name, text, malformed line, rest of the command); names in
+# the command refer to the well-formed inputs.
+MALFORMED = [
+    ("--topology", "topo.txt", TOPO + "7|7|0\n", 6, ["curve", "--sizes", "1"]),
+    ("--topology", "topo.txt", "1|2|-1\n\n2|3|5\n", 3, ["curve", "--sizes", "1"]),
+    ("--topology", "topo.txt", "# asn 0\n0|2|-1\n", 2, ["curve", "--sizes", "1"]),
+    ("--ix", "ix.txt", "ix1|2\nix1|0\n", 2,
+     ["local-region", "--topology", "topo.txt", "--sizes", "1"]),
+    ("--zone", "zone.txt", "1\nhonor_verified=1;x\n", 2,
+     ["exceptions", "--topology", "topo.txt"]),
+    ("--scenario", "scenario.txt", SCENARIO.replace("attacker=30", "attacker=x"), 2,
+     SIMULATE),
+    ("--originations", "originations.csv", ORIGINATIONS + "20,nonsense\n", 3,
+     ["simulate", "--topology", "topo.txt"]),
+    ("--roster", "roster.txt", "1\n# two\nx\n", 3, ["zone", "--topology", "topo.txt"]),
+    ("--roas", "roas.csv", "prefix,maxlen,asn\n192.0.2.0/24,,x\n", 2, SIMULATE),
+    ("--aspas", "aspas.csv", "customer_asn,provider_asns\n20,2\n20,3\n", 3, SIMULATE),
+    ("--irr", "irr.csv", "asn,prefix\n20,192.0.2.1/24\n", 2, SIMULATE),
+    ("--kyc", "kyc.csv", "member_asn,neighbor_asn,allowed_asns,allowed_prefixes\n2,20\n",
+     2, SIMULATE),
+    ("--views", "view.txt", VIEW + "2|bad\n", 2, AUDIT),
+    ("--waivers", "waivers.csv", "member,prefix,note\n40,192.0.2.0/24,x\n", 2,
+     AUDIT + ["--views", "view.txt"]),
+    ("--waivers", "waivers.csv", "3\n", 1, AUDIT + ["--views", "view.txt"]),
+]
+
+
+@pytest.mark.parametrize(
+    "flag,name,text,lineno,command",
+    MALFORMED,
+    ids=[f"{flag[2:]}-{i}" for i, (flag, *_) in enumerate(MALFORMED)],
+)
+def test_malformed_line_exit_1(inputs, tmp_path, capsys, flag, name, text, lineno, command):
+    bad = tmp_path / "bad" / name
+    bad.parent.mkdir()
+    bad.write_text(text)
+    argv = [inputs.get(a, a) for a in command]
+    code = run(argv + [flag, str(bad), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert f"{name}: line {lineno}: " in capsys.readouterr().err
+
+
 class TestZone:
     def test_report_and_counts(self, inputs, tmp_path, capsys):
         roster = tmp_path / "roster.txt"
@@ -158,6 +205,18 @@ class TestZone:
         assert "1,member" in report and "2,member" in report
         assert "20,attached_customer" in report
         assert "40,attached_customer" not in report
+
+    def test_failed_run_removes_stale_manifest(self, inputs, tmp_path):
+        roster = tmp_path / "roster.txt"
+        roster.write_text("1\n")
+        out = tmp_path / "out"
+        argv = ["zone", "--roster", str(roster), "--out-dir", str(out)]
+        assert run(argv + ["--topology", inputs["topo.txt"]]) == 0
+        assert (out / "manifest.json").exists()
+        bad = tmp_path / "loop.txt"
+        bad.write_text("1|1|0\n")
+        assert run(argv + ["--topology", str(bad)]) == 1
+        assert not (out / "manifest.json").exists()
 
 
 class TestCurve:

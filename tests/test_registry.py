@@ -258,6 +258,14 @@ class TestLoaders:
         with pytest.raises(RegistryError, match="line 2"):
             load_roas("prefix,maxlen,asn\nnot-a-prefix,24,64500\n")
 
+    def test_comments_and_blank_lines(self):
+        text = "# exported snapshot\nprefix,maxlen,asn\n\n# ours\n192.0.30.0/23,24,64500\n"
+        assert load_roas(text) == (Roa(P("192.0.30.0/23"), 64500, 24),)
+        with pytest.raises(RegistryError, match="line 6"):
+            load_roas(text + "192.0.40.0/24\n")
+        with pytest.raises(RegistryError, match="header"):
+            load_roas("# header missing\n")
+
     def test_aspa_csv(self):
         aspas = load_aspas("customer_asn,provider_asns\n20,10;11\n")
         assert aspas == {20: frozenset({10, 11})}

@@ -17,7 +17,6 @@ from zonesim.vipzone import (
     ZoneConfig,
     ZoneValidationError,
     load_zone_config,
-    member_export,
     member_import,
     member_preference,
     validate_zone,
@@ -226,14 +225,14 @@ class TestAspaExtension:
 
 class TestExportAndPreference:
     def test_export_keeps_tag(self):
+        # Members export routes unchanged: the tag is neither removed nor
+        # added, and export scoping stays the engine's economic rule.
+        topo = load_topology("1|30|-1")
         cfg = ZoneConfig(members=frozenset({1}))
-        tagged = route([20], communities={VERIFIED})
-        assert member_export(cfg, 1, 30, tagged) == tagged
-
-    def test_export_adds_nothing(self):
-        cfg = ZoneConfig(members=frozenset({1}))
-        plain = route([20])
-        assert member_export(cfg, 1, 30, plain).communities == frozenset()
+        export = zone_policy(topo, cfg, RegistrySet.build()).export_route
+        for r in (route([20], communities={VERIFIED}), route([20])):
+            assert export(1, 30, Rel.CUSTOMER, r, True) == r
+            assert export(1, 30, Rel.CUSTOMER, r, False) is None
 
     def test_member_prefers_verified_over_relationship(self):
         cfg = ZoneConfig(members=frozenset({1}))
