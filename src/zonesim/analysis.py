@@ -267,8 +267,10 @@ class RoutingExceptions:
 
 
 def synthetic_prefix(asn: int) -> Prefix:
-    """Deterministic per-AS probe prefix used by whole-topology analyses."""
-    return ipaddress.IPv6Network((0x20010DB8 << 96) | (asn << 16), 112)
+    """Deterministic per-AS probe prefix used by whole-topology analyses:
+    a /112 in 2001:db8::/32 with the ASN in address bits 16-47, so distinct
+    ASNs never overlap (AS5 gets 2001:db8::5:0/112)."""
+    return ipaddress.IPv6Network(((0x20010DB8 << 96) | (asn << 16), 112))
 
 
 def routing_exceptions(

@@ -8,6 +8,8 @@ into --out-dir, and signals findings through the exit code:
      on stderr as <file>: line N: <reason>
   2  scenario misdirection detected and --fail-on-harm was set
   3  audit produced non-waived findings
+  4  no stable routing state: propagation did not converge; the message
+     names each prefix and the ASes still changing in it
 
 Outputs are deterministic: identical inputs produce byte-identical files
 regardless of --workers.  The manifest is written last, so a run that
@@ -393,6 +395,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except routing.NonConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,14 +1,24 @@
 """Deterministic per-prefix route propagation under export-policy routing.
 
-The engine runs synchronous rounds: in each round every AS imports its
-neighbors' previous-round best routes (through pluggable policy hooks),
-selects one best route per prefix under a total preference order, and the
-resulting bests become the next round's exports.  Export scope follows the
-standard economic rule: routes learned from a customer (or originated
-locally) are exported to all neighbors; routes learned from a peer or
-provider are exported to customers only.  Because every AS updates from the
-same previous-round snapshot, the fixpoint is independent of iteration
-order, and repeated runs are bit-identical.
+The engine solves one prefix at a time in synchronous rounds: in each round
+every AS imports its neighbors' previous-round best routes (through
+pluggable policy hooks), selects one best route under a total preference
+order, and the resulting bests become the next round's exports.  Export
+scope follows the standard economic rule: routes learned from a customer
+(or originated locally) are exported to all neighbors; routes learned from
+a peer or provider are exported to customers only.  Because every AS
+updates from the same previous-round snapshot, the fixpoint is independent
+of iteration order, and repeated runs are bit-identical.
+
+Rounds are edge-incremental.  What an AS holds from one neighbor depends
+only on that neighbor's current best, so each AS keeps one cached
+(preference key, route) entry per neighbor, the result of export, loop
+check and import over that edge.  A round re-evaluates only the edges out
+of ASes whose best changed in the previous round and re-ranks only the
+ASes whose entries changed.  A route's preference key is computed once,
+when it is admitted, and ranking compares keys alone.  Propagation stops
+when a round changes no best; a prefix still changing after 2*|ASes|+10
+rounds is reported with the ASes that changed in the last round.
 
 Hooks can drop or transform routes on import (community edits), replace the
 per-AS preference order, and veto or force exports.  The default hook set
@@ -21,7 +31,8 @@ import enum
 import ipaddress
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from operator import itemgetter, neg
+from typing import Callable, Iterable, Mapping
 
 from ._lines import read_lines
 from .registry import Prefix, parse_prefix
@@ -33,11 +44,19 @@ class RoutingError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Propagation failed to reach a fixpoint within the round cap."""
+    """Propagation failed to reach a fixpoint within the round cap.
 
-    def __init__(self, prefixes: Sequence[Prefix]):
-        self.prefixes = tuple(prefixes)
-        names = ", ".join(str(p) for p in self.prefixes)
+    oscillating maps each failed prefix to the sorted ASNs whose best route
+    still changed in the last round; prefixes lists the failed prefixes.
+    """
+
+    def __init__(self, oscillating: Mapping[Prefix, tuple[int, ...]]):
+        self.oscillating = dict(oscillating)
+        self.prefixes = tuple(self.oscillating)
+        names = "; ".join(
+            f"{p} (oscillating: {', '.join(f'AS{a}' for a in asns)})"
+            for p, asns in self.oscillating.items()
+        )
         super().__init__(f"propagation did not converge for: {names}")
 
 
@@ -85,10 +104,10 @@ class PreferenceOrder:
         return (
             route.learned_rel is Rel.SELF,
             verified,
-            _REL_RANK[route.learned_rel] if route.learned_rel is not Rel.SELF else 0,
+            _REL_RANK[route.learned_rel],
             -len(route.as_path),
             -(route.learned_from if route.learned_from is not None else 0),
-            tuple(-a for a in route.as_path),
+            tuple(map(neg, route.as_path)),
         )
 
     def best(self, candidates: Iterable[Route]) -> Route:
@@ -226,8 +245,8 @@ def propagate(
     Distinct prefixes are independent and may be computed by parallel
     workers; results are identical for any worker count.
 
-    Raises NonConvergenceError naming every oscillating prefix if any
-    prefix exceeds 2*|ASes|+10 rounds.
+    Raises NonConvergenceError naming every oscillating prefix, and the
+    ASes still changing in it, if any prefix exceeds 2*|ASes|+10 rounds.
     """
     hooks = hooks or gao_rexford_hooks()
     origs = _normalize_originations(topo, originations)
@@ -235,20 +254,19 @@ def propagate(
     for orig in origs:
         by_prefix.setdefault(orig.prefix, []).append(orig)
 
-    # Deterministic adjacency: (neighbor, rel-of-neighbor-from-asn) pairs.
-    adjacency = {
-        asn: [(n, topo.rel_from(asn, n)) for n in sorted(topo.neighbors_of(asn))]
-        for asn in sorted(topo.asns)
-    }
-    order = {asn: hooks.preference_for(asn) for asn in adjacency}
+    # Deterministic adjacency, exporter-side: (neighbor, what the neighbor
+    # is to the exporter, what the exporter is to the neighbor).
+    adjacency = {}
+    for asn in sorted(topo.asns):
+        rels = [(n, topo.rel_from(asn, n)) for n in sorted(topo.neighbors_of(asn))]
+        adjacency[asn] = [(n, rel, _REVERSE[rel]) for n, rel in rels]
+    keys = {asn: hooks.preference_for(asn).key for asn in adjacency}
 
     prefixes = sorted(by_prefix, key=_prefix_sort_key)
     cap = 2 * len(topo.asns) + 10
 
     def solve(prefix: Prefix):
-        return _propagate_prefix(
-            adjacency, order, hooks, prefix, by_prefix[prefix], cap
-        )
+        return _propagate_prefix(adjacency, keys, hooks, prefix, by_prefix[prefix], cap)
 
     if workers > 1 and len(prefixes) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -256,9 +274,9 @@ def propagate(
     else:
         results = [solve(p) for p in prefixes]
 
-    failed = [p for p, r in zip(prefixes, results) if r is None]
-    if failed:
-        raise NonConvergenceError(failed)
+    oscillating = {p: r for p, r in zip(prefixes, results) if isinstance(r, tuple)}
+    if oscillating:
+        raise NonConvergenceError(oscillating)
 
     per_as: dict[int, dict[Prefix, RibEntry]] = {asn: {} for asn in adjacency}
     for prefix, state in zip(prefixes, results):
@@ -267,79 +285,96 @@ def propagate(
     return Rib(per_as)
 
 
+_first = itemgetter(0)
+_second = itemgetter(1)
+
+
 def _propagate_prefix(
-    adjacency: dict[int, list[tuple[int, Rel]]],
-    order: dict[int, PreferenceOrder],
+    adjacency: dict[int, list[tuple[int, Rel, Rel]]],
+    keys: dict[int, Callable[[Route], object]],
     hooks: PolicyHooks,
     prefix: Prefix,
     origs: list[Origination],
     cap: int,
-) -> dict[int, RibEntry] | None:
-    local: dict[int, list[Route]] = {}
-    for orig in origs:
-        local.setdefault(orig.asn, []).append(orig.route())
-
+) -> dict[int, RibEntry] | tuple[int, ...]:
+    """Solve one prefix; return its RIB entries, or the sorted ASNs whose
+    best route still changed in round `cap` if it did not converge."""
     export_route = hooks.export_route
     import_route = hooks.import_route
-    keys = {asn: order[asn].key for asn in adjacency}
 
-    best: dict[int, Route] = {}
-    candidates: dict[int, tuple[Route, ...]] = {}
-    # An AS's candidate set is a function of its locals and its neighbors'
-    # current bests, so each round only ASes adjacent to a best-change can
-    # move: recomputing exactly those is the same synchronous iteration
-    # with the provably-unchanged work skipped.
-    dirty = set(local)
-    for _ in range(cap + 1):
-        if not dirty:
-            return {
-                asn: RibEntry(best[asn], candidates[asn]) for asn in best
-            }
-        updates: list[tuple[int, Route, tuple[Route, ...]]] = []
-        for asn in dirty:
-            cands: set[Route] = set(local.get(asn, ()))
-            for neighbor, rel in adjacency[asn]:
-                offered = best.get(neighbor)
-                if offered is None:
+    # Candidates are (preference key, route) pairs, keyed once on admission
+    # and ranked by the key alone.
+    local: dict[int, list[tuple[object, Route]]] = {}
+    for asn, route in dict.fromkeys((o.asn, o.route()) for o in origs):
+        local.setdefault(asn, []).append((keys[asn](route), route))
+    # learned[asn][neighbor]: what `neighbor`'s current best yields at `asn`
+    # after export, loop check and import.
+    learned: dict[int, dict[int, tuple[object, Route]]] = {asn: {} for asn in adjacency}
+
+    best = {asn: max(cands, key=_first)[1] for asn, cands in local.items()}
+    changed = set(best)
+    rounds = 1
+    while changed:
+        if rounds == cap:
+            return tuple(sorted(changed))
+        rounds += 1
+        # Synchronous round: every edge out of an AS whose best changed is
+        # re-evaluated against the previous round's bests, so the fixpoint
+        # is independent of iteration order.
+        touched = set()
+        for exporter in changed:
+            offered = best.get(exporter)
+            for asn, rel_back, rel in adjacency[exporter]:
+                # rel is what `exporter` is to `asn`; rel_back, what `asn`
+                # is to `exporter`, drives the export rule.
+                entry = None
+                if offered is not None:
+                    gr_allows = (
+                        offered.learned_rel in _EXPORT_ANYWHERE or rel_back is Rel.CUSTOMER
+                    )
+                    sent = export_route(exporter, asn, rel_back, offered, gr_allows)
+                    if sent is not None:
+                        path = sent.as_path
+                        if path[0] != exporter:
+                            path = (exporter,) + path
+                        if asn not in path:
+                            admitted = import_route(
+                                asn, exporter, rel,
+                                Route(prefix, path, sent.communities, exporter, rel),
+                            )
+                            if admitted is not None:
+                                entry = (keys[asn](admitted), admitted)
+                slots = learned[asn]
+                if entry is None:
+                    if slots.pop(exporter, None) is None:
+                        continue
+                elif slots.get(exporter) == entry:
                     continue
-                # rel is what `neighbor` is to `asn`; the reverse edge view
-                # (what `asn` is to `neighbor`) drives the export rule.
-                rel_back = _REVERSE[rel]
-                gr_allows = (
-                    offered.learned_rel in (Rel.CUSTOMER, Rel.SELF)
-                    or rel_back is Rel.CUSTOMER
-                )
-                sent = export_route(neighbor, asn, rel_back, offered, gr_allows)
-                if sent is None:
-                    continue
-                path = sent.as_path
-                if path[0] != neighbor:
-                    path = (neighbor,) + path
-                if asn in path:
-                    continue
-                incoming = Route(prefix, path, sent.communities, neighbor, rel)
-                admitted = import_route(asn, neighbor, rel, incoming)
-                if admitted is not None:
-                    cands.add(admitted)
-            ranked = tuple(sorted(cands, key=keys[asn], reverse=True))
-            if ranked != candidates.get(asn, ()):
-                updates.append((asn, ranked[0] if ranked else None, ranked))
-        # Apply after the sweep: every recomputation above read the
-        # previous round's bests, keeping the update synchronous.
-        dirty = set()
-        for asn, new_best, ranked in updates:
-            if ranked:
-                candidates[asn] = ranked
-            else:
-                candidates.pop(asn, None)
-            if new_best != best.get(asn):
+                else:
+                    slots[exporter] = entry
+                touched.add(asn)
+        # Bests are replaced only after every edge has read the old ones.
+        changed = set()
+        for asn in touched:
+            cands = local.get(asn, []) + list(learned[asn].values())
+            new_best = max(cands, key=_first)[1] if cands else None
+            old_best = best.get(asn)
+            if new_best is not old_best and new_best != old_best:
+                changed.add(asn)
                 if new_best is None:
-                    best.pop(asn, None)
+                    del best[asn]
                 else:
                     best[asn] = new_best
-                # only a best-change is visible to neighbors
-                dirty.update(n for n, _ in adjacency[asn])
-    return None
+    entries = {}
+    for asn in best:
+        cands = local.get(asn, []) + list(learned[asn].values())
+        cands.sort(key=_first, reverse=True)
+        ranked = tuple(map(_second, cands))
+        entries[asn] = RibEntry(ranked[0], ranked)
+    return entries
+
+
+_EXPORT_ANYWHERE = (Rel.CUSTOMER, Rel.SELF)
 
 
 _REVERSE = {Rel.CUSTOMER: Rel.PROVIDER, Rel.PROVIDER: Rel.CUSTOMER, Rel.PEER: Rel.PEER}
@@ -397,21 +432,23 @@ def dump_rib(rib: Rib) -> str:
     path space-separated (origin last) and communities ``;``-separated.
     A member's route-collector view is this dump filtered to its own rows.
     """
+    # Sort key and text of each prefix object, computed once per dump;
+    # keyed by identity, since hashing an ip_network is a Python call too.
+    formatted: dict[int, tuple[tuple[int, int, int], str]] = {}
     lines = []
     for asn in sorted(rib.per_as):
-        entries = rib.per_as[asn]
-        for prefix in sorted(entries, key=_prefix_sort_key):
-            route = entries[prefix].best
+        rows = []
+        for prefix, entry in rib.per_as[asn].items():
+            shown = formatted.get(id(prefix))
+            if shown is None:
+                shown = formatted[id(prefix)] = (_prefix_sort_key(prefix), str(prefix))
+            rows.append((shown, entry.best))
+        rows.sort(key=_first)
+        head = f"{asn}|"
+        for (_, text), route in rows:
             lines.append(
-                "|".join(
-                    (
-                        str(asn),
-                        str(prefix),
-                        " ".join(str(a) for a in route.as_path),
-                        ";".join(sorted(route.communities)),
-                        route.learned_rel.value,
-                    )
-                )
+                f"{head}{text}|{' '.join(map(str, route.as_path))}"
+                f"|{';'.join(sorted(route.communities))}|{route.learned_rel.value}"
             )
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -71,6 +71,17 @@ def random_connected_members(rng: random.Random, topo: Topology) -> frozenset[in
     return derive_connected_zone(topo, roster).connected_members
 
 
+def random_zone_instance(seed: int) -> tuple[Topology, frozenset[int]]:
+    """One seeded topology of 8-40 ASes and a connected zone on it.
+
+    Seeds 33 (member 2) and 24 (member 17) give zones on which
+    routing_exceptions' mixed-preference solve does not converge.
+    """
+    rng = random.Random(seed)
+    topo = random_topology(rng, rng.randint(8, 40), rng.randint(0, 40))
+    return topo, random_connected_members(rng, topo)
+
+
 def random_registry(rng: random.Random, topo: Topology, members, origs):
     """Registries exercising every verification source, honest and not.
 

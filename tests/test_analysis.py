@@ -17,7 +17,7 @@ from zonesim.analysis import (
     zone_growth_curve,
 )
 from zonesim.registry import RegistrySet, Roa
-from zonesim.routing import Origination, PolicyHooks, PreferenceOrder
+from zonesim.routing import NonConvergenceError, Origination, PolicyHooks, PreferenceOrder
 from zonesim.topology import Rel, Topology, customer_cone, load_topology
 from zonesim.vipzone import ZoneConfig, zone_policy
 
@@ -26,6 +26,7 @@ from oracles import (
     oracle_fixpoint,
     random_connected_members,
     random_topology,
+    random_zone_instance,
 )
 
 
@@ -288,6 +289,27 @@ class TestRoutingExceptions:
         cfg = ZoneConfig(members=frozenset({1}))
         with pytest.raises(AnalysisError, match="member"):
             routing_exceptions(topo, cfg, 2)
+
+    def test_synthetic_prefix_is_a_disjoint_112_per_as(self):
+        asns = (1, 2, 14, 65535, 65536, 4_200_000_000)
+        prefixes = [synthetic_prefix(a) for a in asns]
+        assert all(p.prefixlen == 112 for p in prefixes)
+        assert str(synthetic_prefix(5)) == "2001:db8::5:0/112"
+        for i, a in enumerate(prefixes):
+            for b in prefixes[i + 1:]:
+                assert not a.overlaps(b)
+
+    @pytest.mark.parametrize("seed,member,destination", [(33, 2, 14), (24, 17, 1)])
+    def test_nonconvergent_zone_reports_one_prefix(self, seed, member, destination):
+        # Toggling one member's preference leaves one destination's probe
+        # prefix without a stable state; only that prefix is reported.
+        topo, members = random_zone_instance(seed)
+        with pytest.raises(NonConvergenceError) as excinfo:
+            routing_exceptions(topo, ZoneConfig(members=members), member)
+        prefix = synthetic_prefix(destination)
+        assert excinfo.value.prefixes == (prefix,)
+        assert excinfo.value.oscillating[prefix]
+        assert set(excinfo.value.oscillating[prefix]) <= topo.asns
 
     def test_matches_double_oracle_recomputation(self):
         # Recompute both runs with the independent path-universe solver

@@ -4,6 +4,8 @@ import pytest
 
 from zonesim.cli import main
 
+from oracles import random_zone_instance
+
 TOPO = "1|2|-1\n1|3|-1\n2|20|-1\n3|30|-1\n3|40|-1\n"
 ZONE = "aspa_extension=false\n1\n2\n3\n"
 ORIGINATIONS = "asn,prefix\n20,192.0.2.0/24\n"
@@ -319,6 +321,30 @@ class TestExceptions:
         assert code == 0
         lines = (out / "exceptions.csv").read_text().splitlines()
         assert lines == ["member,exception_count,destination_asns", "7,1,20"]
+
+
+    @pytest.mark.parametrize("seed,member", [(33, 2), (24, 17)])
+    def test_no_stable_state_exit_4(self, tmp_path, capsys, seed, member):
+        topo, members = random_zone_instance(seed)
+        topo_file = tmp_path / "topo.txt"
+        topo_file.write_text("".join(f"{a}|{b}|{r}\n" for a, b, r in topo.records()))
+        zone = tmp_path / "zone.txt"
+        zone.write_text("".join(f"{a}\n" for a in sorted(members)))
+        out = tmp_path / "out"
+        code = run(
+            [
+                "exceptions",
+                "--topology", str(topo_file),
+                "--zone", str(zone),
+                "--member", str(member),
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: propagation did not converge for: 2001:db8::")
+        assert "oscillating: AS" in err
+        assert not (out / "manifest.json").exists()
 
 
 class TestAudit:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from zonesim.attacks import AttackKind, AttackScenario, _leak_hooks
 from zonesim.registry import parse_prefix
 from zonesim.routing import (
     NonConvergenceError,
@@ -17,8 +18,17 @@ from zonesim.routing import (
     propagate,
 )
 from zonesim.topology import Rel, Topology, load_topology
+from zonesim.vipzone import ZoneConfig, zone_policy
 
-from oracles import oracle_fixpoint, random_originations, random_topology, rib_as_cells
+from oracles import (
+    PREFIX_POOL,
+    oracle_fixpoint,
+    random_connected_members,
+    random_originations,
+    random_registry,
+    random_topology,
+    rib_as_cells,
+)
 
 P = parse_prefix
 PFX = P("10.0.0.0/24")
@@ -194,6 +204,106 @@ class TestInvariants:
             assert rib_as_cells(rib) == oracle
 
 
+def _differential_corpus(seed, count=260):
+    rng = random.Random(seed)
+    for _ in range(count):
+        topo = random_topology(rng, rng.randint(4, 12), rng.randint(0, 6))
+        members = random_connected_members(rng, topo)
+        origs = random_originations(rng, topo)
+        yield rng, topo, members, origs, random_registry(rng, topo, members, origs)
+
+
+def _check_against_oracle(topo, origs, hooks):
+    """Engine equals the path-universe oracle (both converge or both fail)
+    and does not depend on the worker count; returns the RIB or None."""
+    oracle = oracle_fixpoint(topo, origs, hooks)
+    if oracle is None:
+        with pytest.raises(NonConvergenceError):
+            propagate(topo, origs, hooks)
+        return None
+    rib = propagate(topo, origs, hooks)
+    assert rib_as_cells(rib) == oracle
+    assert propagate(topo, origs, hooks, workers=4) == rib
+    return rib
+
+
+class TestEdgeIncrementalDifferential:
+    """Policies whose edge results change after first being set: withdrawn
+    forced exports, opted-in non-members, duplicate and forged origins."""
+
+    def test_leak_hooks_over_zone_policy(self):
+        solved = withdrawn = 0
+        for rng, topo, members, origs, reg in _differential_corpus(301):
+            leakers = sorted(a for a in topo.asns if len(topo.providers_of(a)) >= 2)
+            if not leakers:
+                continue
+            leaker = rng.choice(leakers)
+            leaked_from = rng.choice(sorted(topo.providers_of(leaker)))
+            victim = origs[0]
+            scenario = AttackScenario(
+                AttackKind.ROUTE_LEAK, leaker, victim.prefix, victim.asn,
+                leaked_from=leaked_from,
+            )
+            base = zone_policy(topo, ZoneConfig(members=members), reg)
+            leak = _leak_hooks(topo, base, scenario)
+            forced = []
+
+            def export_route(exporter, neighbor, rel, route, gr_allows):
+                sent = leak.export_route(exporter, neighbor, rel, route, gr_allows)
+                if sent is not None and not gr_allows:
+                    forced.append(exporter)
+                return sent
+
+            hooks = PolicyHooks(leak.import_route, export_route, leak.preference_for)
+            rib = _check_against_oracle(topo, origs, hooks)
+            if rib is None:
+                continue
+            solved += 1
+            final = rib.best(leaker, victim.prefix)
+            if forced and (final is None or final.learned_from != leaked_from):
+                withdrawn += 1
+        assert solved >= 200
+        assert withdrawn > 0
+
+    def test_honor_verified_stub_customers_of_members(self):
+        solved = opted_in = 0
+        for rng, topo, members, origs, reg in _differential_corpus(302):
+            stubs = frozenset(
+                a for a in topo.asns - members
+                if not topo.customers_of(a) and topo.providers_of(a) & members
+            )
+            cfg = ZoneConfig(
+                members=members,
+                aspa_extension=rng.random() < 0.5,
+                honor_verified_non_members=stubs,
+            )
+            if _check_against_oracle(topo, origs, zone_policy(topo, cfg, reg)):
+                solved += 1
+                opted_in += bool(stubs)
+        assert solved >= 200
+        assert opted_in >= 50
+
+    def test_duplicate_originations_and_forged_injection(self):
+        solved = 0
+        for rng, topo, members, origs, reg in _differential_corpus(303):
+            victim = origs[0]
+            others = sorted(topo.asns - {victim.asn})
+            attacker = rng.choice(others)
+            forged = (attacker, rng.choice([a for a in others if a != attacker]), victim.asn)
+            extra = [
+                victim,
+                Origination(rng.choice(others), victim.prefix),
+                Origination(attacker, victim.prefix, forged),
+            ]
+            if rng.random() < 0.5:
+                extra.append(Origination(attacker, rng.choice(PREFIX_POOL)))
+            cfg = ZoneConfig(members=members)
+            hooks = zone_policy(topo, cfg, reg)
+            if _check_against_oracle(topo, list(origs) + extra, hooks):
+                solved += 1
+        assert solved >= 200
+
+
 class TestNonConvergence:
     def test_peer_over_customer_preference_oscillates(self):
         # DISAGREE gadget: 1 and 2 peer, both provide transit to 0.  A
@@ -215,6 +325,39 @@ class TestNonConvergence:
         with pytest.raises(NonConvergenceError) as excinfo:
             propagate(topo, [(10, PFX)], hooks)
         assert PFX in excinfo.value.prefixes
+        # The DISAGREE pair is still flipping when the cap is hit; the
+        # origin's own route never changes.
+        assert excinfo.value.oscillating[PFX] == (1, 2)
+        assert "AS1, AS2" in str(excinfo.value)
+
+
+class TestPreferenceKeyCalls:
+    def test_key_computed_once_per_admitted_route(self):
+        # Every candidate's preference key is computed when the route is
+        # admitted (or originated) and cached; ranking never recomputes it.
+        calls = []
+
+        class Counting(PreferenceOrder):
+            def key(self, route):
+                calls.append(route)
+                return super().key(route)
+
+        admitted = []
+
+        def import_route(importer, neighbor, rel, route):
+            admitted.append(route)
+            return route
+
+        hooks = PolicyHooks(import_route=import_route, preference_for=lambda asn: Counting())
+        topo = load_topology(
+            "1|2|-1\n1|3|-1\n2|4|-1\n3|4|-1\n2|3|0\n4|5|-1\n3|5|-1\n1|6|0"
+        )
+        origs = [(5, PFX), (6, PFX), (4, P("10.1.0.0/24")), (4, P("10.1.0.0/24"))]
+        rib = propagate(topo, origs, hooks)
+        local_routes = 3  # the duplicate origination is one route
+        assert admitted
+        assert len(calls) <= len(admitted) + local_routes
+        assert rib == propagate(topo, origs, PolicyHooks())
 
 
 class TestTrace:
