@@ -5,11 +5,16 @@ at least one member transit provider; peering-only attachment does not
 count.  A customer's local region is every AS that could deliver an
 announcement to it without the announcement crossing a zone member --
 its residual attack surface.
+
+Zone derivation and cone sizes are single passes over the graph (cone
+sizes as bottom-up bitsets), and the greedy growth curve is a lazy heap:
+nothing rescans every AS at every step.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 import ipaddress
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -17,7 +22,7 @@ from typing import Iterable, Sequence
 from ._lines import read_lines
 from .registry import Prefix, RegistrySet, Roa
 from .routing import Origination, PolicyHooks, PreferenceOrder, propagate
-from .topology import Rel, Topology, customer_cone
+from .topology import Rel, Topology
 from .vipzone import ZoneConfig, zone_policy
 
 
@@ -42,22 +47,21 @@ def load_roster(source: str) -> list[int]:
 def derive_connected_zone(topo: Topology, roster: Iterable[int]) -> ZoneDerivation:
     """Reduce a membership roster to its connected core.
 
-    Seeds with the provider-free roster members, then repeatedly admits any
-    roster member that already has an admitted provider, to fixpoint.
-    Attached customers are all non-members with at least one provider in
-    the connected core.
+    A roster member is connected when a chain of roster members links it
+    down from a provider-free roster member: one walk down customer edges
+    from those seeds, never leaving the roster.  Attached customers are all
+    non-members with at least one provider in the connected core.
     """
     roster_set = frozenset(roster)
     for asn in roster_set:
         topo._require(asn)
-    connected = {a for a in roster_set if not topo.providers_of(a)}
-    frontier = True
-    while frontier:
-        frontier = False
-        for asn in roster_set - connected:
-            if topo.providers_of(asn) & connected:
-                connected.add(asn)
-                frontier = True
+    connected = {a for a in roster_set if not topo.providers[a]}
+    stack = list(connected)
+    while stack:
+        for cust in topo.customers[stack.pop()]:
+            if cust in roster_set and cust not in connected:
+                connected.add(cust)
+                stack.append(cust)
     attached = attached_customers(topo, connected)
     return ZoneDerivation(roster_set, frozenset(connected), attached)
 
@@ -82,9 +86,47 @@ class GrowthOrder(enum.Enum):
     GREEDY_PROTECTED_GAIN = "greedy_protected_gain"
 
 
+def _cone_sizes(topo: Topology) -> dict[int, int]:
+    """Every AS's customer-cone size, from one bottom-up pass.
+
+    ASes are numbered in topological order, each after all of its customers,
+    so a cone is the union of its customers' bits and cones: a Python-int
+    bitset no wider than the AS's own number.  A cone is dropped once every
+    provider has read it; no per-AS set is built.
+    """
+    customers, providers = topo.customers, topo.providers
+    waiting = {a: len(c) for a, c in customers.items()}  # customers not yet numbered
+    ready = [a for a, n in waiting.items() if not n]
+    number: dict[int, int] = {}
+    cones: dict[int, int] = {}
+    unread: dict[int, int] = {}  # providers that have not yet read a kept cone
+    sizes: dict[int, int] = {}
+    while ready:
+        asn = ready.pop()
+        number[asn] = len(number)
+        cone = 0
+        for cust in customers[asn]:
+            cone |= 1 << number[cust]
+            if cust in cones:
+                cone |= cones[cust]
+                unread[cust] -= 1
+                if not unread[cust]:
+                    del cones[cust], unread[cust]
+        sizes[asn] = cone.bit_count()
+        if cone and providers[asn]:
+            cones[asn] = cone
+            unread[asn] = len(providers[asn])
+        for prov in providers[asn]:
+            waiting[prov] -= 1
+            if not waiting[prov]:
+                ready.append(prov)
+    return sizes
+
+
 def cone_size_order(topo: Topology) -> list[int]:
     """All ASNs by descending customer-cone size, ties broken by lower ASN."""
-    return sorted(topo.asns, key=lambda a: (-len(customer_cone(topo, a)), a))
+    sizes = _cone_sizes(topo)
+    return sorted(topo.asns, key=lambda a: (-sizes[a], a))
 
 
 def zone_growth_curve(
@@ -95,34 +137,51 @@ def zone_growth_curve(
     BY_CONE_SIZE admits ASes in descending cone-size order.
     GREEDY_PROTECTED_GAIN admits, at each step, the AS with the largest
     marginal protected count (ties: larger cone, then lower ASN).
-    Sizes beyond the AS count are clamped.
+    Sizes must be non-negative and ascending; sizes beyond the AS count
+    are clamped.
+
+    Both orders grow one protected set, members plus their customers,
+    whose size is protected_count of the zone so far.  The greedy order is
+    lazy (CELF): a gain only shrinks as the zone grows, so heap entries
+    keyed (-gain, -cone size, ASN) hold upper bounds, and the top entry
+    whose re-scored gain is unchanged is the exact maximum.
     """
-    if list(steps) != sorted(steps):
+    steps = list(steps)
+    if steps != sorted(steps):
         raise AnalysisError("zone sizes must be ascending")
+    if steps and steps[0] < 0:
+        raise AnalysisError("zone sizes must be non-negative")
     n = len(topo.asns)
     targets = [min(s, n) for s in steps]
+    customers = topo.customers
+    protected: set[int] = set()
     curve = []
     if order is GrowthOrder.BY_CONE_SIZE:
         ranked = cone_size_order(topo)
+        admitted = 0
         for size in targets:
-            zone = ranked[:size]
-            curve.append((size, protected_count(topo, zone)))
+            for asn in ranked[admitted:size]:
+                protected.add(asn)
+                protected |= customers[asn]
+            admitted = size
+            curve.append((size, len(protected)))
         return curve
 
-    zone: set[int] = set()
-    protected: set[int] = set()
-    remaining = set(topo.asns)
-
-    def gain_key(cand: int):
-        gain = len(({cand} | set(topo.customers_of(cand))) - protected)
-        return (gain, len(customer_cone(topo, cand)), -cand)
-
+    sizes = _cone_sizes(topo)
+    heap = [(-1 - len(customers[a]), -sizes[a], a) for a in topo.asns]
+    heapq.heapify(heap)
+    admitted = 0
     for size in targets:
-        while len(zone) < size:
-            chosen = max(remaining, key=gain_key)
-            zone.add(chosen)
-            remaining.discard(chosen)
-            protected |= {chosen} | set(topo.customers_of(chosen))
+        while admitted < size:
+            bound, neg_cone, asn = heap[0]
+            gain = (asn not in protected) + len(customers[asn] - protected)
+            if gain == -bound:
+                heapq.heappop(heap)
+                protected.add(asn)
+                protected |= customers[asn]
+                admitted += 1
+            else:
+                heapq.heapreplace(heap, (-gain, neg_cone, asn))
         curve.append((size, len(protected)))
     return curve
 
@@ -224,6 +283,8 @@ def local_region_distribution(
     """
     from .topology import augment_with_ix_peering
 
+    if any(size < 0 for size in zone_sizes):
+        raise AnalysisError("zone sizes must be non-negative")
     work_topo = augment_with_ix_peering(topo) if with_ix_augmentation else topo
     ranked = cone_size_order(work_topo)
     rows: list[tuple[int, int, int]] = []

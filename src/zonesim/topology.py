@@ -32,6 +32,7 @@ class Relationship(enum.IntEnum):
 
 
 _CODES = frozenset(Relationship)
+_EMPTY: frozenset[int] = frozenset()
 
 
 class Rel(str, enum.Enum):
@@ -106,28 +107,26 @@ class Topology:
         providers: dict[int, set[int]] = defaultdict(set)
         customers: dict[int, set[int]] = defaultdict(set)
         peers: dict[int, set[int]] = defaultdict(set)
-        seen_pairs: set[frozenset[int]] = set()
+        pairs: set[tuple[int, int]] = set()
         for a, b, code in records:
-            pair = frozenset((a, b))
-            if pair in seen_pairs:
+            seen = len(pairs)
+            pairs.add((a, b) if a < b else (b, a))
+            if len(pairs) == seen:
                 if code == Relationship.P2C and a in customers.get(b, ()):
                     raise TopologyError(
                         f"provider-customer cycle through AS{a} and AS{b}"
                     )
                 raise TopologyError(f"duplicate edge between AS{a} and AS{b}")
-            seen_pairs.add(pair)
-            if code == Relationship.P2C:
+            if code:  # P2C: a provides b
                 customers[a].add(b)
                 providers[b].add(a)
             else:
                 peers[a].add(b)
                 peers[b].add(a)
-            for asn in (a, b):
-                providers.setdefault(asn, set())
-                customers.setdefault(asn, set())
-                peers.setdefault(asn, set())
-
-        _check_c2p_acyclic(customers)
+        # Every ASN in order of first appearance (a before b); the acyclicity
+        # check starts its walks in this order, which fixes its message.
+        asns = dict.fromkeys(asn for a, b, _ in records for asn in (a, b))
+        _check_c2p_acyclic(asns, customers)
 
         ix = {}
         if ix_memberships is not None:
@@ -135,12 +134,10 @@ class Topology:
                 mset = frozenset(_check_asn(m) for m in members)
                 ix[str(ix_id)] = mset
 
-        return cls(
-            {a: frozenset(s) for a, s in providers.items()},
-            {a: frozenset(s) for a, s in customers.items()},
-            {a: frozenset(s) for a, s in peers.items()},
-            ix,
-        )
+        def freeze(adjacency):
+            return {a: frozenset(adjacency[a]) if a in adjacency else _EMPTY for a in asns}
+
+        return cls(freeze(providers), freeze(customers), freeze(peers), ix)
 
     def providers_of(self, asn: int) -> frozenset[int]:
         self._require(asn)
@@ -202,12 +199,13 @@ class Topology:
         return f"Topology({len(self.asns)} ASes, {n_p2c} p2c, {n_p2p} p2p)"
 
 
-def _check_c2p_acyclic(customers: Mapping[int, set[int]]) -> None:
-    # Iterative three-color DFS over provider->customer edges.
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {asn: WHITE for asn in customers}
-    for root in customers:
-        if color[root] != WHITE:
+def _check_c2p_acyclic(asns: Iterable[int], customers: Mapping[int, set[int]]) -> None:
+    # Iterative three-color DFS over provider->customer edges, rooted in
+    # `asns` order; an AS without a color is white.
+    GRAY, BLACK = 1, 2
+    color: dict[int, int] = {}
+    for root in asns:
+        if root in color or root not in customers:
             continue
         stack: list[tuple[int, Iterable[int]]] = [(root, iter(sorted(customers[root])))]
         color[root] = GRAY
@@ -215,11 +213,12 @@ def _check_c2p_acyclic(customers: Mapping[int, set[int]]) -> None:
             node, it = stack[-1]
             advanced = False
             for nxt in it:
-                if color.get(nxt, WHITE) == GRAY:
+                state = color.get(nxt)
+                if state == GRAY:
                     raise TopologyError(
                         f"provider-customer cycle through AS{nxt} and AS{node}"
                     )
-                if color.get(nxt, WHITE) == WHITE:
+                if state is None:
                     color[nxt] = GRAY
                     stack.append((nxt, iter(sorted(customers.get(nxt, ())))))
                     advanced = True
@@ -233,7 +232,10 @@ def load_topology(source: str | bytes) -> Topology:
     """Parse AS-relationship text into a validated Topology.
 
     Data lines are ``asnA|asnB|code`` with code -1 (asnA provider of asnB)
-    or 0 (peers).  Per-record errors report the 1-based line number.
+    or 0 (peers); fields after the third (a source tag) are ignored.
+    Per-record errors report the 1-based line number.  The text is read in
+    one pass: each record is range-checked as its line is parsed, and the
+    graph checks (duplicate pairs, provider cycles) run once on the records.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8")
@@ -245,7 +247,8 @@ def _parse_record(line: str) -> tuple[int, int, int]:
     if len(parts) < 3:
         raise TopologyError(f"malformed record {line!r}")
     a, b, code = int(parts[0]), int(parts[1]), int(parts[2])
-    _check_record(a, b, code)
+    if not (0 < a <= MAX_ASN and 0 < b <= MAX_ASN and a != b and -1 <= code <= 0):
+        _check_record(a, b, code)  # raises with the precise reason
     return a, b, code
 
 

@@ -155,6 +155,35 @@ def dfs_customer_cone(topo: Topology, asn: int) -> frozenset[int]:
     return frozenset(walk(asn, set()))
 
 
+def dfs_cone_order(topo: Topology) -> list[int]:
+    """All ASNs by descending cone size (one DFS per AS), ties by lower ASN."""
+    return sorted(topo.asns, key=lambda a: (-len(dfs_customer_cone(topo, a)), a))
+
+
+def greedy_curve_oracle(topo: Topology, sizes) -> list[tuple[int, int]]:
+    """Greedy protected-AS curve by full rescans: every step re-scores every
+    remaining AS by (marginal protected gain, cone size, -ASN) and admits the
+    maximum.  Sizes beyond the AS count are clamped."""
+    cone = {a: len(dfs_customer_cone(topo, a)) for a in topo.asns}
+    zone: set[int] = set()
+    protected: set[int] = set()
+    remaining = set(topo.asns)
+
+    def gain_key(cand: int):
+        gain = len(({cand} | set(topo.customers_of(cand))) - protected)
+        return (gain, cone[cand], -cand)
+
+    curve = []
+    for size in (min(s, len(topo.asns)) for s in sizes):
+        while len(zone) < size:
+            chosen = max(remaining, key=gain_key)
+            zone.add(chosen)
+            remaining.discard(chosen)
+            protected |= {chosen} | set(topo.customers_of(chosen))
+        curve.append((size, len(protected)))
+    return curve
+
+
 def enumerate_route_universe(topo: Topology, originations, hooks: PolicyHooks):
     """All routes any AS could ever hold, with their upstream parent route.
 

@@ -23,6 +23,8 @@ from zonesim.vipzone import ZoneConfig, zone_policy
 
 from oracles import (
     brute_force_local_region,
+    dfs_cone_order,
+    greedy_curve_oracle,
     oracle_fixpoint,
     random_connected_members,
     random_topology,
@@ -138,6 +140,59 @@ class TestGrowthCurve:
         topo = load_topology("1|2|-1")
         assert zone_growth_curve(topo, GrowthOrder.BY_CONE_SIZE, [5]) == [(2, 2)]
 
+    @pytest.mark.parametrize("order", list(GrowthOrder))
+    def test_negative_sizes_rejected(self, order):
+        topo = load_topology("1|2|-1\n1|3|-1\n3|4|-1")
+        with pytest.raises(AnalysisError, match="non-negative"):
+            zone_growth_curve(topo, order, [-2, 1])
+        assert zone_growth_curve(topo, order, [0]) == [(0, 0)]
+
+
+def tied_topology(rng: random.Random) -> Topology:
+    """A random hierarchy of 50-400 ASes plus groups of identical hub-and-stub
+    stars, so many candidates tie on gain and cone size and some stubs are
+    shared between hubs."""
+    base = random_topology(rng, rng.randint(42, 250), rng.randint(0, 150))
+    records = base.records()
+    parents = sorted(base.asns)
+    asn = len(parents)
+    for _ in range(rng.randint(2, 6)):
+        stubs = rng.randint(1, 4)
+        hubs = []
+        for _ in range(rng.randint(2, 5)):
+            asn += 1
+            hubs.append(asn)
+            records.append((rng.choice(parents), asn, -1))
+            for _ in range(stubs):
+                asn += 1
+                records.append((hubs[-1], asn, -1))
+        if rng.random() < 0.5:
+            # one stub of the first hub also buys transit from the second
+            records.append((hubs[1], hubs[0] + 1, -1))
+    return Topology.from_records(records)
+
+
+class TestAnalysisOracles:
+    def test_cone_size_order_matches_dfs_order(self):
+        rng = random.Random(83)
+        for _ in range(20):
+            topo = tied_topology(rng)
+            n = len(topo.asns)
+            ranked = dfs_cone_order(topo)
+            assert cone_size_order(topo) == ranked
+            sizes = sorted(rng.sample(range(n + 5), 8))
+            assert zone_growth_curve(topo, GrowthOrder.BY_CONE_SIZE, sizes) == [
+                (min(s, n), protected_count(topo, ranked[: min(s, n)])) for s in sizes
+            ]
+
+    def test_greedy_matches_rescan_oracle(self):
+        rng = random.Random(89)
+        for _ in range(12):
+            topo = tied_topology(rng)
+            sizes = list(range(1, len(topo.asns) + 1))
+            curve = zone_growth_curve(topo, GrowthOrder.GREEDY_PROTECTED_GAIN, sizes)
+            assert curve == greedy_curve_oracle(topo, sizes)
+
 
 class TestLocalRegion:
     def fig_topology(self):
@@ -246,6 +301,11 @@ class TestLocalRegionDistribution:
             assert size == len(brute_force_local_region(topo, cfg.members, cust))
         summary = dist.summaries[0]
         assert 0 < summary.frac_leq_1 < 1
+
+    def test_negative_sizes_rejected(self):
+        topo = load_topology("1|2|-1\n2|3|-1\n1|4|-1")
+        with pytest.raises(AnalysisError, match="non-negative"):
+            local_region_distribution(topo, [1, -1])
 
     def test_zone_sizes_use_cone_order(self):
         topo = load_topology("1|2|-1\n2|3|-1\n1|4|-1")

@@ -255,6 +255,23 @@ class TestCurve:
         assert (out / "growth.csv").read_text().splitlines()[1] == "1,3"
 
 
+    @pytest.mark.parametrize("order", ["by_cone_size", "greedy"])
+    def test_negative_size_exit_1(self, inputs, tmp_path, capsys, order):
+        out = tmp_path / "out"
+        code = run(
+            [
+                "curve",
+                "--topology", inputs["topo.txt"],
+                "--order", order,
+                "--sizes=-2,1",
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 1
+        assert "zone sizes must be non-negative" in capsys.readouterr().err
+        assert not (out / "growth.csv").exists()
+
+
 class TestLocalRegion:
     def test_single_customer(self, inputs, tmp_path):
         out = tmp_path / "out"
@@ -285,6 +302,20 @@ class TestLocalRegion:
         assert rows[0] == "zone_size,customer_asn,region_size"
         summary = (out / "region_summary.csv").read_text().splitlines()
         assert summary[0] == "zone_size,p10,p50,p90,frac_leq_1"
+
+    def test_negative_size_exit_1(self, inputs, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run(
+            [
+                "local-region",
+                "--topology", inputs["topo.txt"],
+                "--sizes=-1",
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 1
+        assert "zone sizes must be non-negative" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_json_format(self, inputs, tmp_path):
         out = tmp_path / "out"

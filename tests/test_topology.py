@@ -62,6 +62,81 @@ class TestLoadTopology:
         with pytest.raises(TopologyError, match="ASN"):
             load_topology("0|2|-1")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1|2|-1\nbogus\n", "line 2: malformed record 'bogus'"),
+            ("1|2\n", "line 1: malformed record '1|2'"),
+            ("1|x|-1\n", "line 1: invalid literal for int() with base 10: 'x'"),
+            ("# c\n0|2|-1\n", "line 2: invalid ASN 0: must be a positive 32-bit integer"),
+            ("1|4294967296|-1\n",
+             "line 1: invalid ASN 4294967296: must be a positive 32-bit integer"),
+            ("-1|2|0\n", "line 1: invalid ASN -1: must be a positive 32-bit integer"),
+            ("0|0|7\n", "line 1: invalid ASN 0: must be a positive 32-bit integer"),
+            ("1|2|-1\n\n3|3|0\n", "line 3: self-loop on AS3"),
+            ("1|2|7\n", "line 1: unknown relationship code 7"),
+            ("1|1|7\n", "line 1: self-loop on AS1"),
+        ],
+    )
+    def test_per_line_error_text(self, text, message):
+        with pytest.raises(TopologyError) as excinfo:
+            load_topology(text)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1|2|-1\n2|1|0", "duplicate edge between AS2 and AS1"),
+            ("1|2|-1\n2|3|-1\n1|2|0", "duplicate edge between AS1 and AS2"),
+            ("1|2|-1\n2|1|-1", "provider-customer cycle through AS2 and AS1"),
+            ("1|2|-1\n2|3|-1\n3|1|-1", "provider-customer cycle through AS1 and AS3"),
+            # the walk starts at the first AS to appear, not the lowest
+            ("3|1|-1\n1|2|-1\n2|3|-1", "provider-customer cycle through AS3 and AS2"),
+        ],
+    )
+    def test_graph_error_text(self, text, message):
+        for build in (load_topology, lambda t: Topology.from_records(
+            tuple(int(f) for f in line.split("|")) for line in t.splitlines()
+        )):
+            with pytest.raises(TopologyError) as excinfo:
+                build(text)
+            assert str(excinfo.value) == message
+
+    def test_fourth_field_and_spaces_ignored(self):
+        topo = load_topology(" 1 | 2 | -1 |bgp\n2|3|0|mlp\n")
+        assert topo == Topology.from_records([(1, 2, -1), (2, 3, 0)])
+
+    def test_matches_from_records_on_random_topologies(self):
+        # Shuffled record order, either direction for peerings, and an
+        # optional source field: the parsed text and the record list must
+        # build the same graph, and bad graphs must fail with the same text.
+        rng = random.Random(97)
+        for trial in range(200):
+            base = random_topology(rng, rng.randint(2, 300), rng.randint(0, 300))
+            records = [
+                (b, a, code) if code == 0 and rng.random() < 0.5 else (a, b, code)
+                for a, b, code in base.records()
+            ]
+            rng.shuffle(records)
+            if trial % 10 == 9:
+                a, b, code = rng.choice(records)
+                records.insert(rng.randrange(len(records) + 1), (b, a, rng.choice((-1, 0))))
+            lines = [
+                "|".join(map(str, rec)) + rng.choice(("", "", "|bgp", "|mlp"))
+                for rec in records
+            ]
+            text = "# serial-1\n" + "\n".join(lines) + "\n"
+            try:
+                want = Topology.from_records(records)
+            except TopologyError as exc:
+                with pytest.raises(TopologyError) as excinfo:
+                    load_topology(text)
+                assert str(excinfo.value) == str(exc)
+                continue
+            got = load_topology(text)
+            assert got == want
+            assert got.customers == want.customers
+
     def test_roundtrip(self):
         topo = load_topology("1|2|-1\n2|3|-1\n4|2|0\n3|5|-1\n4|5|0")
         assert load_topology(serialize_topology(topo)) == topo
