@@ -346,8 +346,19 @@ def routing_exceptions(
     the network is then solved twice, toggling only this member's
     preference order, and the member's best-route relationships diffed.
     """
-    if member not in cfg.members:
-        raise AnalysisError(f"AS{member} is not a zone member")
+    return _routing_exceptions(topo, cfg, [member], workers=workers)[0]
+
+
+def _routing_exceptions(
+    topo: Topology, cfg: ZoneConfig, members: Sequence[int], *, workers: int = 1
+) -> list[RoutingExceptions]:
+    """routing_exceptions for each of `members` in order, sharing one
+    verified solve: N members cost N+1 solves."""
+    for member in members:
+        if member not in cfg.members:
+            raise AnalysisError(f"AS{member} is not a zone member")
+    if not members:
+        return []
     originations = [Origination(a, synthetic_prefix(a)) for a in sorted(topo.asns)]
     reg = RegistrySet.build(roas=[Roa(synthetic_prefix(a), a) for a in sorted(topo.asns)])
 
@@ -357,30 +368,32 @@ def routing_exceptions(
     # The member keeps applying zone import/export duties in both runs; only
     # its preference order is toggled.
     plain_order = PreferenceOrder(verified_first=False, verified_tag=cfg.verified_tag)
+    results = []
+    for member in members:
 
-    def mixed_preference(asn: int) -> PreferenceOrder:
-        return plain_order if asn == member else base_policy.preference_for(asn)
+        def mixed_preference(asn: int, member=member) -> PreferenceOrder:
+            return plain_order if asn == member else base_policy.preference_for(asn)
 
-    plain_rib = propagate(
-        topo,
-        originations,
-        PolicyHooks(base_policy.import_route, base_policy.export_route, mixed_preference),
-        workers=workers,
-    )
-
-    exceptions = []
-    for asn in sorted(topo.asns):
-        prefix = synthetic_prefix(asn)
-        with_v = verified_rib.best(member, prefix)
-        without_v = plain_rib.best(member, prefix)
-        if with_v is None or without_v is None:
-            continue
-        if with_v.learned_rel is Rel.PROVIDER and without_v.learned_rel in (
-            Rel.CUSTOMER,
-            Rel.PEER,
-        ):
-            exceptions.append(asn)
-    return RoutingExceptions(member, len(exceptions), tuple(exceptions))
+        plain_rib = propagate(
+            topo,
+            originations,
+            PolicyHooks(base_policy.import_route, base_policy.export_route, mixed_preference),
+            workers=workers,
+        )
+        exceptions = []
+        for asn in sorted(topo.asns):
+            prefix = synthetic_prefix(asn)
+            with_v = verified_rib.best(member, prefix)
+            without_v = plain_rib.best(member, prefix)
+            if with_v is None or without_v is None:
+                continue
+            if with_v.learned_rel is Rel.PROVIDER and without_v.learned_rel in (
+                Rel.CUSTOMER,
+                Rel.PEER,
+            ):
+                exceptions.append(asn)
+        results.append(RoutingExceptions(member, len(exceptions), tuple(exceptions)))
+    return results
 
 
 def growth_csv(curve: Sequence[tuple[int, int]]) -> str:

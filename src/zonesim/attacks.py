@@ -8,6 +8,22 @@ reproducible).  An AS suffers misdirection when its traffic ends up at the
 attacker: for hijacks, when its trace terminates at the attacker; for route
 leaks, when its trace enters the leaker over one of the leaker's provider
 links, i.e. takes the leaked detour.  The attacker itself is never counted.
+
+run_scenario and sweep_attackers solve only what the harm report reads: the
+legitimate originations whose prefix contains the victim address, plus the
+injection (a leak sweep's baseline solves only the victim prefix).  Every
+origination is still validated.  Prefixes are solved independently, and the
+trace, the victim prefix's bests and the sub-prefix check's covering prefix
+all lie among those containing the victim address, so reports are the same
+as from a full solve; a prefix that does not contain it can no longer make
+them raise NonConvergenceError.  scenario_rib, and so ``simulate
+--scenario``, still solves every prefix.
+
+classify_harm follows one next-hop map: a single pass over the RIB gives
+each AS's longest match for the victim address, and each source's walk is
+resolved once, with memoization, to where it ends (delivered to an AS, or
+not delivered on a loop or a missing route) and whether it entered the
+leaker from one of the leaker's providers.
 """
 
 from __future__ import annotations
@@ -23,8 +39,7 @@ from .routing import (
     PolicyHooks,
     Rib,
     Route,
-    TraceOutcome,
-    data_plane_trace,
+    _normalize_originations,
     propagate,
 )
 from .topology import Rel, Topology
@@ -158,11 +173,13 @@ def scenario_rib(
     """Solve the network with the scenario's injection (or leak) in place."""
     if scenario.attacker not in topo.asns:
         raise ScenarioError(f"attacker AS{scenario.attacker} not in topology")
-    legits = list(legitimate_originations)
+    legits = _normalize_originations(topo, legitimate_originations)
     if scenario.kind is AttackKind.SUB_PREFIX_HIJACK:
+        victim = scenario.victim_prefix
         covering = [
-            o for o in _prefixes_of(legits, scenario.victim_origin)
-            if scenario.victim_prefix != o and scenario.victim_prefix.subnet_of(o)
+            o for o in legits
+            if o.asn == scenario.victim_origin and o.prefix.version == victim.version
+            and victim != o.prefix and victim.subnet_of(o.prefix)
         ]
         if not covering:
             raise ScenarioError(
@@ -188,10 +205,19 @@ def run_scenario(
     watch: Iterable[int] | None = None,
     workers: int = 1,
 ) -> HarmReport:
-    """Inject the scenario, solve the network, and classify the harm."""
-    rib = scenario_rib(
-        topo, reg, cfg, legitimate_originations, scenario, workers=workers
-    )
+    """Inject the scenario, solve the network, and classify the harm.
+
+    Only the legitimate originations whose prefix contains the victim
+    address are solved (see the module docstring); all are validated.
+    """
+    if scenario.attacker not in topo.asns:
+        raise ScenarioError(f"attacker AS{scenario.attacker} not in topology")
+    address = scenario.victim_prefix.network_address
+    legits = [
+        o for o in _normalize_originations(topo, legitimate_originations)
+        if o.prefix.version == address.version and address in o.prefix
+    ]
+    rib = scenario_rib(topo, reg, cfg, legits, scenario, workers=workers)
     return classify_harm(topo, rib, scenario, watch=watch)
 
 
@@ -202,22 +228,67 @@ def classify_harm(
     *,
     watch: Iterable[int] | None = None,
 ) -> HarmReport:
-    """Evaluate an already-solved RIB against the scenario."""
-    victim_addr = scenario.victim_prefix.network_address
+    """Evaluate an already-solved RIB against the scenario.
+
+    Misdirection is what data_plane_trace from every AS but the attacker
+    would find, computed from one next-hop map in O(ASes + RIB rows).
+    """
+    address = scenario.victim_prefix.network_address
     attacker = scenario.attacker
     watch_set = frozenset(watch) if watch is not None else topo.asns - {attacker}
 
+    # One pass over the RIB: next_hop[asn] is where the AS's longest match
+    # for the victim address sends traffic, _LOCAL if it is delivered there;
+    # an AS without a match is absent.  Each prefix object is tested once.
+    next_hop: dict[int, object] = {}
+    matches: dict[int, bool] = {}
+    for asn, entries in rib.per_as.items():
+        length = -1
+        for prefix, entry in entries.items():
+            match = matches.get(id(prefix))
+            if match is None:
+                match = matches[id(prefix)] = (
+                    prefix.version == address.version and address in prefix
+                )
+            if match and entry.best.prefix.prefixlen > length:
+                length = entry.best.prefix.prefixlen
+                route = entry.best
+        if length >= 0:
+            next_hop[asn] = _LOCAL if route.learned_rel is Rel.SELF else route.learned_from
+
+    # fate[asn]: (the AS its traffic is delivered to, whether the walk
+    # entered the leaker from one of the leaker's providers), or None when
+    # the walk ends without a route or in a loop.  Each AS is walked once.
+    leak = scenario.kind is AttackKind.ROUTE_LEAK
+    leaker_providers = topo.providers_of(attacker) if leak else frozenset()
+    fate: dict[int, tuple[int, bool] | None] = {}
+    for src in topo.asns:
+        walk = []
+        on_walk = set()
+        asn = src
+        while asn not in fate and asn not in on_walk:
+            if asn not in next_hop:
+                fate[asn] = None
+            elif next_hop[asn] is _LOCAL:
+                fate[asn] = (asn, False)
+            else:
+                walk.append(asn)
+                on_walk.add(asn)
+                asn = next_hop[asn]
+        tail = fate.get(asn)  # None too when `asn` closed a loop
+        for asn in reversed(walk):
+            if tail is not None:
+                detour = next_hop[asn] == attacker and asn in leaker_providers
+                tail = (tail[0], tail[1] or detour)
+            fate[asn] = tail
+
     misdirected = set()
-    for asn in sorted(topo.asns):
-        if asn == attacker:
+    for asn in topo.asns:
+        end = fate[asn]
+        if asn == attacker or end is None:
             continue
-        hops, outcome = data_plane_trace(rib, asn, victim_addr)
-        if outcome is not TraceOutcome.DELIVERED:
-            continue
-        if scenario.kind is AttackKind.ROUTE_LEAK:
-            if _trace_takes_leak_detour(hops, scenario, topo):
-                misdirected.add(asn)
-        elif hops[-1] == attacker:
+        delivered_to, took_detour = end
+        if took_detour if leak else delivered_to == attacker:
             misdirected.add(asn)
 
     per_as_best = {}
@@ -234,23 +305,7 @@ def classify_harm(
     return HarmReport(scenario, owner_harm, frozenset(misdirected), per_as_best)
 
 
-def _trace_takes_leak_detour(
-    hops: Sequence[int], scenario: AttackScenario, topo: Topology
-) -> bool:
-    leaker = scenario.attacker
-    providers = topo.providers_of(leaker)
-    return any(
-        hops[i + 1] == leaker and hops[i] in providers for i in range(len(hops) - 1)
-    )
-
-
-def _prefixes_of(originations: Iterable, asn: int) -> list[Prefix]:
-    prefixes = []
-    for item in originations:
-        orig = item if isinstance(item, Origination) else Origination(*item)
-        if orig.asn == asn:
-            prefixes.append(orig.prefix)
-    return prefixes
+_LOCAL = object()
 
 
 def sweep_attackers(
@@ -281,7 +336,11 @@ def sweep_attackers(
 
     baseline = None
     if kind is AttackKind.ROUTE_LEAK:
-        baseline = propagate(topo, legits, zone_policy(topo, cfg, reg))
+        # The baseline is read only for the victim prefix.
+        victim_legits = [
+            o for o in _normalize_originations(topo, legits) if o.prefix == victim_prefix
+        ]
+        baseline = propagate(topo, victim_legits, zone_policy(topo, cfg, reg))
 
     reports = []
     for attacker in candidates:

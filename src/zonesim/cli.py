@@ -4,8 +4,8 @@ Every subcommand reads local files, writes its results plus a run manifest
 into --out-dir, and signals findings through the exit code:
 
   0  clean run
-  1  input or parse error; a malformed line in any input file is reported
-     on stderr as <file>: line N: <reason>
+  1  usage, input or parse error; a malformed line in any input file is
+     reported on stderr as <file>: line N: <reason>
   2  scenario misdirection detected and --fail-on-harm was set
   3  audit produced non-waived findings
   4  no stable routing state: propagation did not converge; the message
@@ -283,10 +283,7 @@ def cmd_exceptions(args) -> int:
     topo = run.parse(args.topology, topology.load_topology)
     cfg = _load_zone(run, topo, args.zone)
     members = [args.member] if args.member is not None else sorted(cfg.members)
-    results = [
-        analysis.routing_exceptions(topo, cfg, m, workers=args.workers)
-        for m in members
-    ]
+    results = analysis._routing_exceptions(topo, cfg, members, workers=args.workers)
     _emit(
         run,
         "exceptions",
@@ -329,6 +326,26 @@ def cmd_audit(args) -> int:
     return 3 if any(not f.waived for f in findings) else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error with exit code 1, the input-error code; argparse
+    would exit 2, which here means misdirection.  Subparsers inherit it."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(1)
+
+
+def _workers(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--topology", required=True, help="AS-relationship file")
     parser.add_argument("--roas", help="ROA CSV")
@@ -336,13 +353,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--irr", help="IRR CSV")
     parser.add_argument("--kyc", help="KYC CSV")
     parser.add_argument("--zone", help="zone config file")
-    parser.add_argument("--workers", type=int, default=1, help="parallel prefix workers")
+    parser.add_argument(
+        "--workers", type=_workers, default=1, help="parallel prefix workers (at least 1)"
+    )
     parser.add_argument("--out-dir", required=True, help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zonesim",
         description="AS-level routing simulator with verified-route zones of trust",
     )

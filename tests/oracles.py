@@ -16,7 +16,14 @@ from __future__ import annotations
 import random
 
 from zonesim.registry import parse_prefix
-from zonesim.routing import Origination, PolicyHooks, Route, gao_rexford_hooks
+from zonesim.routing import (
+    Origination,
+    PolicyHooks,
+    Route,
+    TraceOutcome,
+    data_plane_trace,
+    gao_rexford_hooks,
+)
 from zonesim.topology import Rel, Topology
 
 REVERSE = {Rel.CUSTOMER: Rel.PROVIDER, Rel.PROVIDER: Rel.CUSTOMER, Rel.PEER: Rel.PEER}
@@ -269,6 +276,47 @@ def oracle_fixpoint(topo: Topology, originations, hooks: PolicyHooks | None = No
             return {cell: (new_best[cell], avail_map[cell]) for cell in new_best}
         best = new_best
     return None
+
+
+def classify_harm_oracle(topo: Topology, rib, scenario, *, watch=None):
+    """attacks.classify_harm by brute force: one data_plane_trace per AS,
+    each hop scanning that AS's whole RIB."""
+    from zonesim.attacks import AttackKind, HarmReport, _is_attacker_route
+
+    victim_addr = scenario.victim_prefix.network_address
+    attacker = scenario.attacker
+    leak = scenario.kind is AttackKind.ROUTE_LEAK
+    watch_set = frozenset(watch) if watch is not None else topo.asns - {attacker}
+    providers = topo.providers_of(attacker)
+
+    misdirected = set()
+    for asn in sorted(topo.asns):
+        if asn == attacker:
+            continue
+        hops, outcome = data_plane_trace(rib, asn, victim_addr)
+        if outcome is not TraceOutcome.DELIVERED:
+            continue
+        if leak:
+            if any(
+                hops[i + 1] == attacker and hops[i] in providers
+                for i in range(len(hops) - 1)
+            ):
+                misdirected.add(asn)
+        elif hops[-1] == attacker:
+            misdirected.add(asn)
+
+    per_as_best = {}
+    owner_harm = False
+    for asn in sorted(topo.asns):
+        best = rib.best(asn, scenario.victim_prefix)
+        if best is None:
+            continue
+        per_as_best[asn] = best
+        if asn in watch_set and asn != attacker and _is_attacker_route(
+            best, scenario, asn, topo
+        ):
+            owner_harm = True
+    return HarmReport(scenario, owner_harm, frozenset(misdirected), per_as_best)
 
 
 def rib_as_cells(rib):

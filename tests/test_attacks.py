@@ -13,11 +13,16 @@ from zonesim.attacks import (
     sweep_attackers,
 )
 from zonesim.registry import KycEntry, RegistrySet, Roa, parse_prefix
-from zonesim.routing import Origination
-from zonesim.topology import load_topology
+from zonesim.routing import Origination, propagate
+from zonesim.topology import Rel, load_topology
 from zonesim.vipzone import VERIFIED, ZoneConfig
 
-from oracles import random_connected_members, random_topology
+from oracles import (
+    classify_harm_oracle,
+    random_connected_members,
+    random_registry,
+    random_topology,
+)
 
 P = parse_prefix
 PFX = P("192.0.2.0/24")
@@ -441,3 +446,201 @@ class TestWatchSet:
             topo, RegistrySet.build(), cfg, [(3, PFX)], scenario, watch={3}
         )
         assert scoped.owner_harm is False  # the victim itself kept its route
+
+
+# Prefixes for the differential corpora: IPv4 and IPv6, with covering and
+# more-specific pairs, so longest-prefix matches can leave the victim prefix.
+POOL = [
+    P("10.0.0.0/16"), P("10.0.0.0/24"), P("10.0.1.0/24"), P("10.0.0.0/25"),
+    P("198.51.100.0/24"),
+    P("2001:db8::/32"), P("2001:db8::/48"), P("2001:db8:1::/48"),
+]
+
+
+def random_scenario_instance(rng):
+    """One seeded network with legitimate originations from the pool and a
+    random scenario of any kind, or None when the draw has no valid one."""
+    topo = random_topology(rng, rng.randint(6, 16), rng.randint(0, 10))
+    members = random_connected_members(rng, topo)
+    asns = sorted(topo.asns)
+    origs = [
+        Origination(asn, prefix)
+        for prefix in rng.sample(POOL, k=rng.randint(2, 6))
+        for asn in rng.sample(asns, k=rng.randint(1, 2))
+    ]
+    reg = random_registry(rng, topo, members, origs)
+    cfg = ZoneConfig(members=members, aspa_extension=rng.random() < 0.5)
+    kind = rng.choice(list(AttackKind))
+    victim = rng.choice(origs)
+    prefix, origin = victim.prefix, victim.asn
+    if kind is AttackKind.SUB_PREFIX_HIJACK:
+        prefix = rng.choice(list(prefix.subnets(prefixlen_diff=rng.randint(1, 2))))
+    if kind is AttackKind.ROUTE_LEAK:
+        leakers = [a for a in asns if len(topo.providers_of(a)) >= 2]
+        if not leakers:
+            return None
+        attacker = rng.choice(leakers)
+        leaked_from = rng.choice(sorted(topo.providers_of(attacker)))
+        scenario = AttackScenario(kind, attacker, prefix, origin, leaked_from=leaked_from)
+    else:
+        attacker = rng.choice([a for a in asns if a != origin])
+        forged = None
+        if kind is AttackKind.FORGED_ORIGIN_PATH_HIJACK:
+            middle = [a for a in asns if a not in (attacker, origin)]
+            forged = (origin,) if rng.random() < 0.5 or not middle else (
+                rng.choice(middle), origin
+            )
+        scenario = AttackScenario(kind, attacker, prefix, origin, forged_path=forged)
+    return topo, reg, cfg, origs, scenario
+
+
+class TestClassifyHarmDifferential:
+    def test_matches_per_as_trace_oracle(self):
+        # classify_harm's next-hop map against one data_plane_trace per AS,
+        # on scenario RIBs with every kind and both IP versions.  A solved
+        # RIB never forwards in a loop (each hop holds the route it offered,
+        # or a longer match), so each instance is also checked on a mixed
+        # snapshot: every (AS, prefix) entry taken from the scenario solve
+        # or the attack-free one, or left out.
+        from zonesim.attacks import classify_harm, scenario_rib
+        from zonesim.routing import NonConvergenceError, Rib, TraceOutcome, data_plane_trace
+        from zonesim.vipzone import zone_policy
+
+        rng = random.Random(2024)
+        outcomes = {o: 0 for o in TraceOutcome}
+        kinds, versions, misdirected = set(), set(), 0
+        for _ in range(300):
+            instance = random_scenario_instance(rng)
+            if instance is None:
+                continue
+            topo, reg, cfg, origs, scenario = instance
+            try:
+                rib = scenario_rib(topo, reg, cfg, origs, scenario)
+                clean = propagate(topo, origs, zone_policy(topo, cfg, reg))
+            except NonConvergenceError:
+                continue
+            mixed = Rib({
+                asn: {
+                    prefix: entry
+                    for prefix in {**rib.per_as[asn], **clean.per_as[asn]}
+                    if (entry := rng.choice([rib, clean]).per_as[asn].get(prefix))
+                    and rng.random() < 0.9
+                }
+                for asn in rib.per_as
+            })
+            for snapshot in (rib, mixed):
+                for watch in (None, rng.sample(sorted(topo.asns), k=3)):
+                    got = classify_harm(topo, snapshot, scenario, watch=watch)
+                    assert got == classify_harm_oracle(topo, snapshot, scenario, watch=watch), (
+                        topo.records(), origs, scenario
+                    )
+                misdirected += len(got.misdirected)
+                for asn in topo.asns:
+                    address = scenario.victim_prefix.network_address
+                    outcomes[data_plane_trace(snapshot, asn, address)[1]] += 1
+            kinds.add(scenario.kind)
+            versions.add(scenario.victim_prefix.version)
+        assert kinds == set(AttackKind) and versions == {4, 6}
+        assert misdirected > 0
+        # The corpus reaches forwarding loops and ASes without a route.
+        assert outcomes[TraceOutcome.LOOP] > 0
+        assert outcomes[TraceOutcome.NO_ROUTE] > 0
+
+    def test_scoped_run_scenario_and_sweep_match_full_solve(self):
+        # run_scenario and sweep_attackers solve only the prefixes holding
+        # the victim address; their reports equal classify_harm on the
+        # full scenario RIB.
+        from zonesim.attacks import classify_harm, scenario_rib
+        from zonesim.routing import NonConvergenceError
+        from zonesim.vipzone import zone_policy
+
+        rng = random.Random(77)
+        checked = swept = 0
+        for _ in range(150):
+            instance = random_scenario_instance(rng)
+            if instance is None:
+                continue
+            topo, reg, cfg, origs, scenario = instance
+            try:
+                full = classify_harm(topo, scenario_rib(topo, reg, cfg, origs, scenario), scenario)
+            except NonConvergenceError:
+                continue
+            assert run_scenario(topo, reg, cfg, origs, scenario) == full
+            checked += 1
+
+            positions = sorted(topo.asns - {scenario.victim_origin})
+            attackers = rng.sample(positions, k=min(4, len(positions)))
+            reports = sweep_attackers(
+                topo, reg, cfg, origs, scenario.kind, scenario.victim_prefix,
+                scenario.victim_origin, attackers=attackers,
+            )
+            if scenario.kind is AttackKind.ROUTE_LEAK:
+                baseline = propagate(topo, origs, zone_policy(topo, cfg, reg))
+                expected = []
+                for a in sorted(attackers):
+                    best = baseline.best(a, scenario.victim_prefix)
+                    multihomed = len(topo.providers_of(a)) >= 2
+                    if multihomed and best and best.learned_rel is Rel.PROVIDER:
+                        expected.append((a, best.learned_from))
+                assert [(r.scenario.attacker, r.scenario.leaked_from) for r in reports] == expected
+            for report in reports:
+                rib = scenario_rib(topo, reg, cfg, origs, report.scenario)
+                assert report == classify_harm(topo, rib, report.scenario)
+                swept += 1
+        assert checked > 100 and swept > 200
+
+    def test_run_scenario_solves_only_prefixes_holding_the_victim_address(self, monkeypatch):
+        import zonesim.attacks as attacks
+
+        solved = []
+        real = attacks.propagate
+
+        def recording(topo, originations, hooks=None, **kwargs):
+            originations = list(originations)
+            solved.append(sorted({str(o.prefix) for o in originations}))
+            return real(topo, originations, hooks, **kwargs)
+
+        monkeypatch.setattr(attacks, "propagate", recording)
+        topo = load_topology("1|2|-1\n1|3|-1\n1|4|-1")
+        origs = [(2, "10.0.0.0/16"), (2, P("10.0.0.0/24")), (3, P("10.0.1.0/24")),
+                 (4, P("2001:db8::/32"))]
+        cfg = ZoneConfig(members=frozenset())
+        scenario = AttackScenario(AttackKind.SUB_PREFIX_HIJACK, 3, P("10.0.0.0/25"), 2)
+        run_scenario(topo, RegistrySet.build(), cfg, origs, scenario)
+        assert solved == [["10.0.0.0/16", "10.0.0.0/24", "10.0.0.0/25"]]
+
+        solved.clear()
+        leak = AttackKind.ROUTE_LEAK
+        sweep_attackers(topo, RegistrySet.build(), cfg, origs, leak, P("10.0.0.0/24"), 2)
+        assert solved == [["10.0.0.0/24"]]  # the baseline; no AS is multihomed
+
+    def test_run_scenario_still_validates_every_origination(self):
+        from zonesim.routing import RoutingError
+
+        topo = load_topology("1|2|-1\n1|3|-1")
+        scenario = AttackScenario(AttackKind.ORIGIN_HIJACK, 3, PFX, 2)
+        cfg = ZoneConfig(members=frozenset())
+        with pytest.raises(RoutingError, match="unknown AS99"):
+            run_scenario(
+                topo, RegistrySet.build(), cfg, [(2, PFX), (99, P("10.9.0.0/16"))], scenario
+            )
+        with pytest.raises(ScenarioError, match="attacker AS42"):
+            run_scenario(
+                topo, RegistrySet.build(), cfg, [(99, PFX)],
+                AttackScenario(AttackKind.ORIGIN_HIJACK, 42, PFX, 2),
+            )
+
+    def test_subprefix_check_skips_other_ip_version(self):
+        # The victim also originates an IPv6 prefix, which the covering
+        # check used to compare with the IPv4 victim prefix (TypeError); a
+        # prefix given as text, like propagate accepts, used to fail too.
+        from zonesim.attacks import scenario_rib
+
+        topo = load_topology("1|2|-1\n1|3|-1")
+        origs = [(2, P("2001:db8::/32")), (2, "10.0.0.0/16")]
+        cfg = ZoneConfig(members=frozenset())
+        scenario = AttackScenario(AttackKind.SUB_PREFIX_HIJACK, 3, P("10.0.0.0/24"), 2)
+        rib = scenario_rib(topo, RegistrySet.build(), cfg, origs, scenario)
+        assert rib.best(1, P("10.0.0.0/24")).origin == 3
+        with pytest.raises(ScenarioError, match="strict supernet"):
+            scenario_rib(topo, RegistrySet.build(), cfg, origs[:1], scenario)

@@ -354,6 +354,49 @@ class TestExceptions:
         assert lines == ["member,exception_count,destination_asns", "7,1,20"]
 
 
+    # exceptions.csv of every member of random_zone_instance(seed), as the
+    # one-member-at-a-time computation wrote it.
+    ALL_MEMBERS = {
+        14: "member,exception_count,destination_asns\n1,0,\n2,0,\n5,3,4;12;13\n"
+            "6,2,12;13\n7,0,\n8,0,\n11,0,\n14,1,13\n",
+        43: "member,exception_count,destination_asns\n1,2,3;9\n4,1,3\n5,0,\n"
+            "6,3,3;9;10\n8,3,3;9;10\n",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(ALL_MEMBERS))
+    def test_all_members_share_one_verified_solve(self, tmp_path, monkeypatch, seed):
+        import zonesim.analysis as analysis
+        from zonesim.vipzone import ZoneConfig
+
+        solves = []
+        real = analysis.propagate
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "propagate", counting)
+        topo, members = random_zone_instance(seed)
+        topo_file = tmp_path / "topo.txt"
+        topo_file.write_text("".join(f"{a}|{b}|{r}\n" for a, b, r in topo.records()))
+        zone = tmp_path / "zone.txt"
+        zone.write_text("".join(f"{a}\n" for a in sorted(members)))
+        out = tmp_path / "out"
+        argv = ["exceptions", "--topology", str(topo_file), "--zone", str(zone)]
+        assert run(argv + ["--out-dir", str(out)]) == 0
+        assert (out / "exceptions.csv").read_text() == self.ALL_MEMBERS[seed]
+        assert len(solves) == len(members) + 1
+        expected = analysis.exceptions_csv(
+            [analysis.routing_exceptions(topo, ZoneConfig(members), m)
+             for m in sorted(members)]
+        )
+        assert (out / "exceptions.csv").read_text() == expected
+
+        solves.clear()
+        member = sorted(members)[0]
+        assert run(argv + ["--member", str(member), "--out-dir", str(out)]) == 0
+        assert len(solves) == 2
+
     @pytest.mark.parametrize("seed,member", [(33, 2), (24, 17)])
     def test_no_stable_state_exit_4(self, tmp_path, capsys, seed, member):
         topo, members = random_zone_instance(seed)
@@ -376,6 +419,36 @@ class TestExceptions:
         assert err.startswith("error: propagation did not converge for: 2001:db8::")
         assert "oscillating: AS" in err
         assert not (out / "manifest.json").exists()
+
+
+class TestUsageErrors:
+    # Exit code 2 means misdirection, so argparse's usage errors exit 1.
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ([], "required: command"),
+            (["simulate", "--originations", "o.csv"], "required: --topology, --out-dir"),
+            (SIMULATE + ["--out-dir", "out", "--bogus"], "unrecognized arguments: --bogus"),
+            (SIMULATE + ["--out-dir", "out", "--workers", "0"], "--workers: must be at least 1"),
+            (SIMULATE + ["--out-dir", "out", "--workers", "-3"], "must be at least 1, got -3"),
+            (SIMULATE + ["--out-dir", "out", "--workers", "x"], "expected an integer, got 'x'"),
+            (["curve", "--topology", "t", "--out-dir", "o", "--sizes", "1", "--order", "z"],
+             "--order: invalid choice"),
+        ],
+    )
+    def test_usage_error_exit_1(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: zonesim")
+        assert "\nerror: " in err and message in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["simulate", "--help"]])
+    def test_help_and_version_exit_0(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
 
 
 class TestAudit:
