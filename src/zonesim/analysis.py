@@ -334,9 +334,7 @@ def synthetic_prefix(asn: int) -> Prefix:
     return ipaddress.IPv6Network(((0x20010DB8 << 96) | (asn << 16), 112))
 
 
-def routing_exceptions(
-    topo: Topology, cfg: ZoneConfig, member: int, *, workers: int = 1
-) -> RoutingExceptions:
+def routing_exceptions(topo: Topology, cfg: ZoneConfig, member: int) -> RoutingExceptions:
     """Count destinations where VERIFIED-first selection at `member` picks a
     provider route while plain economic preference would have used a
     customer or peer route.
@@ -346,11 +344,11 @@ def routing_exceptions(
     the network is then solved twice, toggling only this member's
     preference order, and the member's best-route relationships diffed.
     """
-    return _routing_exceptions(topo, cfg, [member], workers=workers)[0]
+    return _routing_exceptions(topo, cfg, [member])[0]
 
 
 def _routing_exceptions(
-    topo: Topology, cfg: ZoneConfig, members: Sequence[int], *, workers: int = 1
+    topo: Topology, cfg: ZoneConfig, members: Sequence[int]
 ) -> list[RoutingExceptions]:
     """routing_exceptions for each of `members` in order, sharing one
     verified solve: N members cost N+1 solves."""
@@ -363,11 +361,11 @@ def _routing_exceptions(
     reg = RegistrySet.build(roas=[Roa(synthetic_prefix(a), a) for a in sorted(topo.asns)])
 
     base_policy = zone_policy(topo, cfg, reg)
-    verified_rib = propagate(topo, originations, base_policy, workers=workers)
+    verified_rib = propagate(topo, originations, base_policy)
 
     # The member keeps applying zone import/export duties in both runs; only
     # its preference order is toggled.
-    plain_order = PreferenceOrder(verified_first=False, verified_tag=cfg.verified_tag)
+    plain_order = PreferenceOrder(verified_first=False)
     results = []
     for member in members:
 
@@ -378,7 +376,6 @@ def _routing_exceptions(
             topo,
             originations,
             PolicyHooks(base_policy.import_route, base_policy.export_route, mixed_preference),
-            workers=workers,
         )
         exceptions = []
         for asn in sorted(topo.asns):

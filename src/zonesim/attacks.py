@@ -167,8 +167,6 @@ def scenario_rib(
     cfg: ZoneConfig,
     legitimate_originations: Iterable,
     scenario: AttackScenario,
-    *,
-    workers: int = 1,
 ) -> Rib:
     """Solve the network with the scenario's injection (or leak) in place."""
     if scenario.attacker not in topo.asns:
@@ -192,7 +190,7 @@ def scenario_rib(
         hooks = _leak_hooks(topo, hooks, scenario)
     else:
         originations.append(_injection(scenario))
-    return propagate(topo, originations, hooks, workers=workers)
+    return propagate(topo, originations, hooks)
 
 
 def run_scenario(
@@ -203,7 +201,6 @@ def run_scenario(
     scenario: AttackScenario,
     *,
     watch: Iterable[int] | None = None,
-    workers: int = 1,
 ) -> HarmReport:
     """Inject the scenario, solve the network, and classify the harm.
 
@@ -217,7 +214,7 @@ def run_scenario(
         o for o in _normalize_originations(topo, legitimate_originations)
         if o.prefix.version == address.version and address in o.prefix
     ]
-    rib = scenario_rib(topo, reg, cfg, legits, scenario, workers=workers)
+    rib = scenario_rib(topo, reg, cfg, legits, scenario)
     return classify_harm(topo, rib, scenario, watch=watch)
 
 
@@ -322,17 +319,16 @@ def sweep_attackers(
 ) -> list[HarmReport]:
     """Run one scenario per candidate attacker position.
 
-    Defaults to every AS other than the victim origin.  Forged-path sweeps
+    The candidates are `attackers` (by default every AS) less the victim
+    origin, which is skipped, never an error.  Forged-path sweeps
     use the minimal forgery (attacker prepended straight to the victim
     origin).  Leak sweeps only consider multi-homed ASes and leak the
     provider their route actually arrived on; positions without a
     provider-learned route are skipped.
     """
     legits = list(originations)
-    if attackers is None:
-        candidates = sorted(topo.asns - {victim_origin})
-    else:
-        candidates = sorted(attackers)
+    candidates = topo.asns if attackers is None else attackers
+    candidates = sorted(a for a in candidates if a != victim_origin)
 
     baseline = None
     if kind is AttackKind.ROUTE_LEAK:

@@ -32,7 +32,7 @@ from ._lines import read_lines
 from .registry import (
     Prefix, RegistrySet, RovState, AspaState, aspa_pair_valid, parse_prefix, rov_validate,
 )
-from .routing import Rib, Route, _prefix_sort_key, parse_rib_dump
+from .routing import VERIFIED, Rib, Route, _prefix_sort_key, parse_rib_dump
 from .topology import Rel, Topology
 from .vipzone import ZoneConfig
 
@@ -177,7 +177,6 @@ def audit_views(
             raise AuditError(f"view owner AS{view.member} is not a zone member")
 
     by_member = {v.member: v for v in views}
-    tag = cfg.verified_tag
     # keyed by (rule, culprit, prefix, canonical evidence path)
     found: dict[tuple, AuditFinding] = {}
 
@@ -191,7 +190,7 @@ def audit_views(
         for route in view.routes:
             entry, pre = _entry_member(route.as_path, members, view.member)
 
-            if tag in route.communities:
+            if VERIFIED in route.communities:
                 limit = 1
                 if cfg.aspa_extension and len(pre) == 2:
                     if aspa_pair_valid(reg, pre[-1], pre[0]) is AspaState.CONFIRMED:
@@ -206,7 +205,7 @@ def audit_views(
             if (
                 route.learned_rel is not Rel.SELF
                 and neighbor in members
-                and tag not in route.communities
+                and VERIFIED not in route.communities
             ):
                 witness = by_member.get(neighbor)
                 if witness is None:
@@ -221,7 +220,7 @@ def audit_views(
                     if (
                         upstream.prefix == route.prefix
                         and upstream.as_path == suffix
-                        and tag in upstream.communities
+                        and VERIFIED in upstream.communities
                     ):
                         record(
                             AuditRule.R3_TAG_STRIPPED,

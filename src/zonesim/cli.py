@@ -11,9 +11,9 @@ into --out-dir, and signals findings through the exit code:
   4  no stable routing state: propagation did not converge; the message
      names each prefix and the ASes still changing in it
 
-Outputs are deterministic: identical inputs produce byte-identical files
-regardless of --workers.  The manifest is written last, so a run that
-fails leaves none in --out-dir.
+Outputs are deterministic: identical inputs produce byte-identical files.
+The manifest records every flag the run was given and is written last, so
+a run that fails leaves none in --out-dir.
 """
 
 from __future__ import annotations
@@ -42,13 +42,16 @@ _PATH_PARAMS = frozenset(
 
 
 class _Run:
-    """Collects input/output digests and writes the manifest last."""
+    """Collects input/output digests and writes the manifest last.
 
-    def __init__(self, command: str, params: dict, out_dir: Path):
-        self.command = command
+    The manifest's parameters are the parsed flags, less the output
+    directory and those left unset (None, or False for a switch)."""
+
+    def __init__(self, args: argparse.Namespace):
+        self.command = args.command
         self.params = {}
-        for key, value in params.items():
-            if value is None:
+        for key, value in vars(args).items():
+            if key in ("func", "command", "out_dir") or value is None or value is False:
                 continue
             if key in _PATH_PARAMS:
                 if isinstance(value, list):
@@ -56,11 +59,11 @@ class _Run:
                 else:
                     value = Path(value).name
             self.params[key] = value
-        self.out_dir = out_dir
+        self.out_dir = Path(args.out_dir)
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "manifest.json").unlink(missing_ok=True)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        (self.out_dir / "manifest.json").unlink(missing_ok=True)
 
     def parse(self, path: str | Path, parser):
         """Read, record and parse one input, annotating errors with the file
@@ -128,23 +131,7 @@ def _emit(run: _Run, stem: str, header: str, csv_text: str, fmt: str) -> None:
         run.write(f"{stem}.csv", csv_text)
 
 
-def cmd_simulate(args) -> int:
-    run = _Run(
-        "simulate",
-        {
-            "topology": args.topology,
-            "originations": args.originations,
-            "roas": args.roas,
-            "aspas": args.aspas,
-            "irr": args.irr,
-            "kyc": args.kyc,
-            "zone": args.zone,
-            "scenario": args.scenario,
-            "fail_on_harm": args.fail_on_harm or None,
-            "format": args.format,
-        },
-        Path(args.out_dir),
-    )
+def cmd_simulate(run: _Run, args) -> int:
     topo = run.parse(args.topology, topology.load_topology)
     reg = _load_registries(run, args)
     registry.check_kyc_adjacency(reg, topo)
@@ -159,27 +146,20 @@ def cmd_simulate(args) -> int:
     exit_code = 0
     if args.scenario:
         scenario = run.parse(args.scenario, attacks.load_scenario)
-        rib = attacks.scenario_rib(
-            topo, reg, cfg, origs, scenario, workers=args.workers
-        )
+        rib = attacks.scenario_rib(topo, reg, cfg, origs, scenario)
         report = attacks.classify_harm(topo, rib, scenario)
         run.write("rib.txt", routing.dump_rib(rib))
         _emit(run, "harm", attacks.HARM_CSV_HEADER, attacks.harm_csv([report]), args.format)
         if args.fail_on_harm and report.misdirected:
             exit_code = 2
     else:
-        rib = routing.propagate(topo, origs, hooks, workers=args.workers)
+        rib = routing.propagate(topo, origs, hooks)
         run.write("rib.txt", routing.dump_rib(rib))
     run.finish()
     return exit_code
 
 
-def cmd_zone(args) -> int:
-    run = _Run(
-        "zone",
-        {"topology": args.topology, "roster": args.roster, "format": args.format},
-        Path(args.out_dir),
-    )
+def cmd_zone(run: _Run, args) -> int:
     topo = run.parse(args.topology, topology.load_topology)
     roster = run.parse(args.roster, analysis.load_roster)
     derivation = analysis.derive_connected_zone(topo, roster)
@@ -196,17 +176,7 @@ def cmd_zone(args) -> int:
     return 0
 
 
-def cmd_curve(args) -> int:
-    run = _Run(
-        "curve",
-        {
-            "topology": args.topology,
-            "order": args.order,
-            "sizes": args.sizes,
-            "format": args.format,
-        },
-        Path(args.out_dir),
-    )
+def cmd_curve(run: _Run, args) -> int:
     topo = run.parse(args.topology, topology.load_topology)
     order = (
         analysis.GrowthOrder.GREEDY_PROTECTED_GAIN
@@ -220,19 +190,7 @@ def cmd_curve(args) -> int:
     return 0
 
 
-def cmd_local_region(args) -> int:
-    run = _Run(
-        "local-region",
-        {
-            "topology": args.topology,
-            "zone": args.zone,
-            "customer": args.customer,
-            "sizes": args.sizes,
-            "ix": args.ix,
-            "format": args.format,
-        },
-        Path(args.out_dir),
-    )
+def cmd_local_region(run: _Run, args) -> int:
     topo = run.parse(args.topology, topology.load_topology)
     if args.ix:
         ix = run.parse(args.ix, topology.load_ix_memberships)
@@ -269,21 +227,11 @@ def cmd_local_region(args) -> int:
     return 0
 
 
-def cmd_exceptions(args) -> int:
-    run = _Run(
-        "exceptions",
-        {
-            "topology": args.topology,
-            "zone": args.zone,
-            "member": args.member,
-            "format": args.format,
-        },
-        Path(args.out_dir),
-    )
+def cmd_exceptions(run: _Run, args) -> int:
     topo = run.parse(args.topology, topology.load_topology)
     cfg = _load_zone(run, topo, args.zone)
     members = [args.member] if args.member is not None else sorted(cfg.members)
-    results = analysis._routing_exceptions(topo, cfg, members, workers=args.workers)
+    results = analysis._routing_exceptions(topo, cfg, members)
     _emit(
         run,
         "exceptions",
@@ -295,18 +243,7 @@ def cmd_exceptions(args) -> int:
     return 0
 
 
-def cmd_audit(args) -> int:
-    run = _Run(
-        "audit",
-        {
-            "topology": args.topology,
-            "zone": args.zone,
-            "views": list(args.views),
-            "waivers": args.waivers,
-            "format": args.format,
-        },
-        Path(args.out_dir),
-    )
+def cmd_audit(run: _Run, args) -> int:
     topo = run.parse(args.topology, topology.load_topology)
     reg = _load_registries(run, args)
     cfg = _load_zone(run, topo, args.zone)
@@ -336,28 +273,15 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _workers(text: str) -> int:
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
-    return count
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--topology", required=True, help="AS-relationship file")
-    parser.add_argument("--roas", help="ROA CSV")
-    parser.add_argument("--aspas", help="ASPA CSV")
-    parser.add_argument("--irr", help="IRR CSV")
-    parser.add_argument("--kyc", help="KYC CSV")
-    parser.add_argument("--zone", help="zone config file")
-    parser.add_argument(
-        "--workers", type=_workers, default=1, help="parallel prefix workers (at least 1)"
-    )
     parser.add_argument("--out-dir", required=True, help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _add_registries(parser: argparse.ArgumentParser) -> None:
+    for flag, kind in (("--roas", "ROA"), ("--aspas", "ASPA"), ("--irr", "IRR"), ("--kyc", "KYC")):
+        parser.add_argument(flag, help=f"{kind} CSV")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,6 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="propagate routes, optionally under attack")
     _add_common(p)
+    _add_registries(p)
+    p.add_argument("--zone", help="zone config file")
     p.add_argument("--originations", required=True, help="originations CSV (asn,prefix)")
     p.add_argument("--scenario", help="attack scenario file")
     p.add_argument("--fail-on-harm", action="store_true", help="exit 2 on misdirection")
@@ -388,6 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("local-region", help="local-region sizes for attached customers")
     _add_common(p)
+    p.add_argument("--zone", help="zone config file; required with --customer")
     p.add_argument("--customer", type=int, help="report one customer's region")
     p.add_argument("--sizes", help="comma-separated zone sizes for distributions")
     p.add_argument("--ix", help="IX membership file; enables peering augmentation")
@@ -395,11 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exceptions", help="verified-first routing exceptions per member")
     _add_common(p)
+    p.add_argument("--zone", required=True, help="zone config file")
     p.add_argument("--member", type=int, help="restrict to one member")
     p.set_defaults(func=cmd_exceptions)
 
     p = sub.add_parser("audit", help="check member views for rule violations")
     _add_common(p)
+    _add_registries(p)
+    p.add_argument("--zone", required=True, help="zone config file")
     p.add_argument("--views", nargs="+", required=True, help="member view files")
     p.add_argument("--waivers", help="waiver CSV (member,prefix,note)")
     p.set_defaults(func=cmd_audit)
@@ -410,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_Run(args), args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

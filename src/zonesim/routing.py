@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import enum
 import ipaddress
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter, neg
 from typing import Callable, Iterable, Mapping
@@ -47,6 +46,11 @@ from typing import Callable, Iterable, Mapping
 from ._lines import read_lines
 from .registry import Prefix, parse_prefix
 from .topology import Rel, Topology
+
+
+# The community zone members attach to routes verified on entry; an AS that
+# ranks VERIFIED first prefers tagged routes (see vipzone).
+VERIFIED = "VERIFIED:1"
 
 
 class RoutingError(ValueError):
@@ -110,14 +114,13 @@ class PreferenceOrder:
     """
 
     verified_first: bool = False
-    verified_tag: str = "VERIFIED:1"
 
     def key(self, route: Route):
         rel = route.learned_rel
         path = route.as_path
         return (
             rel is _SELF,
-            self.verified_first and self.verified_tag in route.communities,
+            self.verified_first and VERIFIED in route.communities,
             3 if rel is _CUSTOMER else 2 if rel is _PEER else 1 if rel is _PROVIDER else 0,
             -len(path),
             -(route.learned_from or 0),
@@ -249,15 +252,12 @@ def propagate(
     topo: Topology,
     originations: Iterable,
     hooks: PolicyHooks | None = None,
-    *,
-    workers: int = 1,
 ) -> Rib:
     """Run per-prefix propagation to its unique fixpoint.
 
     originations is a sequence of Origination objects or (asn, prefix)
     pairs; injections are Originations with an explicit forged path.
-    Distinct prefixes are independent and may be computed by parallel
-    workers; results are identical for any worker count.
+    Distinct prefixes are independent and are solved one after another.
 
     Raises NonConvergenceError naming every oscillating prefix, and the
     ASes still changing in it, if any prefix exceeds 2*|ASes|+10 rounds.
@@ -288,17 +288,10 @@ def propagate(
 
     prefixes = sorted(by_prefix, key=_prefix_sort_key)
     cap = 2 * len(asns) + 10
-
-    def solve(prefix: Prefix):
-        return _propagate_prefix(
-            asns, index, adjacency, keys, hooks, prefix, by_prefix[prefix], cap
-        )
-
-    if workers > 1 and len(prefixes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve, prefixes))
-    else:
-        results = [solve(p) for p in prefixes]
+    results = [
+        _propagate_prefix(asns, index, adjacency, keys, hooks, p, by_prefix[p], cap)
+        for p in prefixes
+    ]
 
     oscillating = {p: r for p, r in zip(prefixes, results) if isinstance(r, tuple)}
     if oscillating:

@@ -66,8 +66,8 @@ def _check_record(a: int, b: int, code: int) -> None:
 class Topology:
     """Immutable AS graph with provider/customer/peer adjacency.
 
-    Construct via :meth:`from_records` or :func:`load_topology`; instances are
-    safe for concurrent reads.
+    Construct via :meth:`from_records` or :func:`load_topology`; the graph
+    never changes after construction.
     """
 
     def __init__(

@@ -37,10 +37,8 @@ from .registry import (
     rov_validate,
     verify_customer_origin,
 )
-from .routing import PolicyHooks, PreferenceOrder, Route
+from .routing import VERIFIED, PolicyHooks, PreferenceOrder, Route
 from .topology import Rel, Topology
-
-VERIFIED = "VERIFIED:1"
 
 
 class ZoneValidationError(ValueError):
@@ -63,7 +61,6 @@ class ZoneConfig:
 
     members: frozenset[int]
     aspa_extension: bool = False
-    verified_tag: str = VERIFIED
     honor_verified_non_members: frozenset[int] = frozenset()
 
 
@@ -111,12 +108,11 @@ def member_import(
     Returns the decided outcome and the (possibly re-tagged) route, or None
     when dropped.
     """
-    tag = cfg.verified_tag
     in_zone = neighbor in cfg.members
 
     # R1: no tag survives entry from outside the zone.
-    if not in_zone and tag in route.communities:
-        route = replace(route, communities=route.communities - {tag})
+    if not in_zone and VERIFIED in route.communities:
+        route = replace(route, communities=route.communities - {VERIFIED})
 
     # R2: RPKI-invalid origins are dropped no matter the source.
     if rov_validate(reg, route.prefix, route.origin) is RovState.INVALID:
@@ -129,7 +125,7 @@ def member_import(
         return VerificationOutcome(Outcome.DROP, "R3"), None
 
     # R4: trust tags relayed by other members.
-    if in_zone and tag in route.communities:
+    if in_zone and VERIFIED in route.communities:
         return VerificationOutcome(Outcome.FORWARD_VERIFIED, "R4"), route
 
     uniq = len(set(route.as_path))
@@ -144,7 +140,7 @@ def member_import(
             if verdict is OriginVerdict.REJECTED:
                 return VerificationOutcome(Outcome.DROP, "R5"), None
             if verdict is OriginVerdict.VERIFIED:
-                tagged = replace(route, communities=route.communities | {tag})
+                tagged = replace(route, communities=route.communities | {VERIFIED})
                 return VerificationOutcome(Outcome.FORWARD_VERIFIED, "R5"), tagged
         # ASPA-EXT: a two-hop path may be verified when the origin has
         # registered the adjacent AS as a provider; never longer paths.
@@ -157,7 +153,7 @@ def member_import(
             and aspa_pair_valid(reg, route.origin, route.as_path[0])
             is AspaState.CONFIRMED
         ):
-            tagged = replace(route, communities=route.communities | {tag})
+            tagged = replace(route, communities=route.communities | {VERIFIED})
             return VerificationOutcome(Outcome.FORWARD_VERIFIED, "ASPA-EXT"), tagged
 
     # R6: not established as valid; forward without the tag.
@@ -167,22 +163,21 @@ def member_import(
 def member_preference(cfg: ZoneConfig, asn: int) -> PreferenceOrder:
     """Members and opted-in non-members rank VERIFIED routes first."""
     verified_first = asn in cfg.members or asn in cfg.honor_verified_non_members
-    return PreferenceOrder(verified_first=verified_first, verified_tag=cfg.verified_tag)
+    return PreferenceOrder(verified_first=verified_first)
 
 
 def zone_policy(topo: Topology, cfg: ZoneConfig, reg: RegistrySet) -> PolicyHooks:
     """Bundle the zone rules as hooks for the propagation engine."""
     members = cfg.members
     honor = cfg.honor_verified_non_members
-    tag = cfg.verified_tag
 
     def import_route(importer: int, neighbor: int, rel: Rel, route: Route) -> Route | None:
         if importer in members:
             _, admitted = member_import(cfg, reg, importer, neighbor, rel, route)
             return admitted
-        if importer in honor and neighbor not in members and tag in route.communities:
+        if importer in honor and neighbor not in members and VERIFIED in route.communities:
             # Opted-in non-members only trust tags from member sessions.
-            return replace(route, communities=route.communities - {tag})
+            return replace(route, communities=route.communities - {VERIFIED})
         return route
 
     def preference_for(asn: int) -> PreferenceOrder:

