@@ -210,24 +210,39 @@ def local_region(
     prefix-filtered and therefore ignored.
     """
     topo._require(customer)
-    members = cfg.members
-    if customer in members:
+    if customer in cfg.members:
         raise AnalysisError(f"AS{customer} is a zone member")
     filtered = {frozenset(e) for e in filtered_peer_edges}
+    return LocalRegion(customer, _region(topo, cfg.members, customer, filtered, {}))
 
-    def cone_avoiding(root: int) -> set[int]:
-        seen: set[int] = set()
-        stack = [c for c in topo.customers_of(root) if c not in members]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(
-                c for c in topo.customers_of(node) if c not in members and c not in seen
-            )
-        return seen
 
+def _region(
+    topo: Topology,
+    members: frozenset[int],
+    customer: int,
+    filtered: set[frozenset[int]],
+    cones: dict[int, frozenset[int]],
+) -> frozenset[int]:
+    """local_region's walk.  cones memoizes member-avoiding customer cones
+    by root, so the callers for one zone share them."""
+
+    def cone_avoiding(root: int) -> frozenset[int]:
+        cone = cones.get(root)
+        if cone is None:
+            seen: set[int] = set()
+            stack = [c for c in topo.customers[root] if c not in members]
+            while stack:
+                node = stack.pop()
+                if node in seen:
+                    continue
+                seen.add(node)
+                stack.extend(
+                    c for c in topo.customers[node] if c not in members and c not in seen
+                )
+            cone = cones[root] = frozenset(seen)
+        return cone
+
+    # Members never enter the region: every step skips them.
     region: set[int] = set()
     rungs: set[int] = set()
     stack = [customer]
@@ -237,19 +252,18 @@ def local_region(
             continue
         rungs.add(node)
         region |= cone_avoiding(node)
-        for peer in topo.peers_of(node):
-            if peer in members or frozenset((node, peer)) in filtered:
+        for peer in topo.peers[node]:
+            if peer in members or (filtered and frozenset((node, peer)) in filtered):
                 continue
             region.add(peer)
             region |= cone_avoiding(peer)
-        for provider in topo.providers_of(node):
+        for provider in topo.providers[node]:
             if provider not in members:
                 region.add(provider)
                 stack.append(provider)
     region |= rungs
     region.discard(customer)
-    region -= set(members)
-    return LocalRegion(customer, frozenset(region))
+    return frozenset(region)
 
 
 @dataclass(frozen=True)
@@ -291,10 +305,10 @@ def local_region_distribution(
     summaries = []
     for size in zone_sizes:
         members = frozenset(ranked[: min(size, len(ranked))])
-        cfg = ZoneConfig(members=members)
+        cones: dict[int, frozenset[int]] = {}
         sizes = []
         for cust in sorted(attached_customers(work_topo, members)):
-            region = local_region(work_topo, cfg, cust).region
+            region = _region(work_topo, members, cust, set(), cones)
             rows.append((size, cust, len(region)))
             sizes.append(len(region))
         if sizes:

@@ -123,7 +123,8 @@ def _injection(scenario: AttackScenario) -> Origination:
 
 def _leak_hooks(topo: Topology, base: PolicyHooks, scenario: AttackScenario) -> PolicyHooks:
     """Force the leaker to re-export its provider-learned victim route to
-    every other provider; everything else follows the base policy."""
+    every other provider; everything else follows the base policy.  The
+    export hook reads the prefix, so the victim prefix is solved alone."""
     leaker = scenario.attacker
     leaked_from = scenario.leaked_from
     other_providers = topo.providers_of(leaker) - {leaked_from}
@@ -138,7 +139,12 @@ def _leak_hooks(topo: Topology, base: PolicyHooks, scenario: AttackScenario) -> 
             return route
         return base.export_route(exporter, neighbor, rel, route, gr_allows)
 
-    return PolicyHooks(base.import_route, export_route, base.preference_for)
+    def prefix_class(prefix, originations):
+        if prefix == scenario.victim_prefix:
+            return None
+        return base.prefix_class(prefix, originations)
+
+    return PolicyHooks(base.import_route, export_route, base.preference_for, prefix_class)
 
 
 def _is_attacker_route(route: Route, scenario: AttackScenario, holder: int, topo: Topology) -> bool:

@@ -127,9 +127,14 @@ def views_from_rib(rib: Rib, cfg: ZoneConfig, snapshot_id: str = "default") -> l
     return views
 
 
-def load_member_view(text: str, snapshot_id: str = "default") -> MemberView:
-    """Parse a view file: a RIB dump filtered to a single ASN's rows."""
-    rows = parse_rib_dump(text)
+def load_member_view(
+    text: str, snapshot_id: str = "default", prefixes: dict[str, Prefix] | None = None
+) -> MemberView:
+    """Parse a view file: a RIB dump filtered to a single ASN's rows.
+
+    prefixes is parse_rib_dump's memo of parsed prefix texts, shared by
+    the views of one audit."""
+    rows = parse_rib_dump(text, prefixes)
     if not rows:
         raise AuditError("view file contains no routes")
     owners = {asn for asn, _ in rows}

@@ -247,7 +247,11 @@ def cmd_audit(run: _Run, args) -> int:
     topo = run.parse(args.topology, topology.load_topology)
     reg = _load_registries(run, args)
     cfg = _load_zone(run, topo, args.zone)
-    views = [run.parse(p, audit.load_member_view) for p in args.views]
+    prefixes: dict = {}
+    views = [
+        run.parse(p, lambda text: audit.load_member_view(text, prefixes=prefixes))
+        for p in args.views
+    ]
     waivers = []
     if args.waivers:
         waivers = run.parse(args.waivers, lambda text: audit.load_waivers(text, cfg))

@@ -26,9 +26,16 @@ the neighbor's index and ASN and both relationship views.  The export
 rule's half that depends only on the exporter, and the prepended path and
 communities, are computed once per exporter and reused wherever the export
 hook passes the route on unchanged.  Hooks still see ASNs and Routes, and
-routes in flight keep their prefix, because import hooks read it.  Every
-prefix is solved; callers that read only some (attacks.run_scenario) pass
-only those.
+routes in flight keep their prefix, because import hooks may read it.
+Learned routes at one AS each come from a different neighbor, so the stock
+preference order ranks them without its final path tiebreak.
+
+Prefixes are solved once per routing-equivalence class.  The hooks' per-
+prefix step maps a prefix and its originations to a class key; prefixes
+with equal keys are routed identically up to the prefix label, so one
+representative is solved and its rows are relabelled for the others.  A
+prefix whose key is None is solved on its own.  Callers that read only
+some prefixes (attacks.run_scenario) pass only those.
 
 Hooks can drop or transform routes on import (community edits), replace the
 per-AS preference order, and veto or force exports.  The default hook set
@@ -41,7 +48,7 @@ import enum
 import ipaddress
 from dataclasses import dataclass
 from operator import itemgetter, neg
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from ._lines import read_lines
 from .registry import Prefix, parse_prefix
@@ -62,6 +69,8 @@ class NonConvergenceError(RuntimeError):
 
     oscillating maps each failed prefix to the sorted ASNs whose best route
     still changed in the last round; prefixes lists the failed prefixes.
+    Every prefix of a failed routing-equivalence class is listed, with the
+    ASes of the class's solve.
     """
 
     def __init__(self, oscillating: Mapping[Prefix, tuple[int, ...]]):
@@ -116,15 +125,18 @@ class PreferenceOrder:
     verified_first: bool = False
 
     def key(self, route: Route):
+        return self._rank(route) + (tuple(map(neg, route.as_path)),)
+
+    def _rank(self, route: Route):
+        # key() without the path tiebreak: enough to order routes learned
+        # from distinct neighbors, which differ in learned_from.
         rel = route.learned_rel
-        path = route.as_path
         return (
             rel is _SELF,
             self.verified_first and VERIFIED in route.communities,
             3 if rel is _CUSTOMER else 2 if rel is _PEER else 1 if rel is _PROVIDER else 0,
-            -len(path),
+            -len(route.as_path),
             -(route.learned_from or 0),
-            tuple(map(neg, path)),
         )
 
     def best(self, candidates: Iterable[Route]) -> Route:
@@ -134,6 +146,7 @@ class PreferenceOrder:
 ImportHook = Callable[[int, int, Rel, Route], "Route | None"]
 ExportHook = Callable[[int, int, Rel, Route, bool], "Route | None"]
 PreferenceHook = Callable[[int], PreferenceOrder]
+ClassHook = Callable[[Prefix, Sequence["Origination"]], "Hashable | None"]
 
 
 def _default_import(importer: int, neighbor: int, rel: Rel, route: Route) -> Route | None:
@@ -153,26 +166,43 @@ def _default_preference(asn: int) -> PreferenceOrder:
     return _PLAIN_ORDER
 
 
+def _no_class(prefix: Prefix, originations: Sequence["Origination"]) -> None:
+    return None
+
+
+def origination_class(prefix: Prefix, originations: Sequence["Origination"]) -> tuple:
+    """Class key for hooks that never read a route's prefix: the
+    originations' announcements, in order, without the prefix."""
+    return tuple((o.asn, r.as_path, r.communities) for o in originations for r in (o.route(),))
+
+
 @dataclass(frozen=True)
 class PolicyHooks:
     """Per-AS policy plugged into the propagation rounds.
 
     import_route(importer, neighbor, rel-of-neighbor, route) returns the
-    route to admit as a candidate (possibly transformed) or None to drop.
+    route to admit as a candidate (possibly transformed) or None to drop;
+    it keeps the route's learned_from and learned_rel.
     export_route(exporter, neighbor, rel-of-neighbor, route, gr_allows)
     returns the route to offer or None to suppress; gr_allows reports
     whether the standard export rule would send it, so a hook can both
     filter and (for leak scenarios) force an export.
+    prefix_class(prefix, originations) is called once per prefix.  It
+    returns a hashable class key, or None to have the prefix solved on
+    its own (the default).  Prefixes with equal keys must be routed alike
+    up to the prefix label: the key captures their originations and
+    everything the hooks read from a route's prefix.
     """
 
     import_route: ImportHook = _default_import
     export_route: ExportHook = _default_export
     preference_for: PreferenceHook = _default_preference
+    prefix_class: ClassHook = _no_class
 
 
 def gao_rexford_hooks() -> PolicyHooks:
     """Plain economic routing with no community handling."""
-    return PolicyHooks()
+    return PolicyHooks(prefix_class=origination_class)
 
 
 @dataclass(frozen=True)
@@ -257,7 +287,8 @@ def propagate(
 
     originations is a sequence of Origination objects or (asn, prefix)
     pairs; injections are Originations with an explicit forged path.
-    Distinct prefixes are independent and are solved one after another.
+    Distinct prefixes are independent; one prefix per routing-equivalence
+    class (hooks.prefix_class) is solved, one after another.
 
     Raises NonConvergenceError naming every oscillating prefix, and the
     ASes still changing in it, if any prefix exceeds 2*|ASes|+10 rounds.
@@ -267,6 +298,12 @@ def propagate(
     by_prefix: dict[Prefix, list[Origination]] = {}
     for orig in origs:
         by_prefix.setdefault(orig.prefix, []).append(orig)
+    prefixes = sorted(by_prefix, key=_prefix_sort_key)
+    # classes: class key -> its prefixes in order; the first is solved.
+    classes: dict[Hashable, list[Prefix]] = {}
+    for prefix in prefixes:
+        key = hooks.prefix_class(prefix, by_prefix[prefix])
+        classes.setdefault(("prefix", prefix) if key is None else ("class", key), []).append(prefix)
 
     # ASes are interned to dense indices in ascending-ASN order.  Each
     # exporter's adjacency row holds, per neighbor in ascending order:
@@ -284,23 +321,42 @@ def propagate(
             else (index[n], n, _PROVIDER, _CUSTOMER, False)
             for n in sorted(topo.neighbors_of(asn))
         ])
-    keys = [hooks.preference_for(asn).key for asn in asns]
-
-    prefixes = sorted(by_prefix, key=_prefix_sort_key)
-    cap = 2 * len(asns) + 10
-    results = [
-        _propagate_prefix(asns, index, adjacency, keys, hooks, p, by_prefix[p], cap)
-        for p in prefixes
+    # Local routes are ranked by the full preference key.  Learned routes
+    # at one AS come from distinct neighbors, so the stock order ranks them
+    # without the path tiebreak; an order that overrides key() keeps it.
+    orders = [hooks.preference_for(asn) for asn in asns]
+    ranks = [
+        order._rank if type(order).key is PreferenceOrder.key else order.key
+        for order in orders
     ]
 
-    oscillating = {p: r for p, r in zip(prefixes, results) if isinstance(r, tuple)}
+    cap = 2 * len(asns) + 10
+    # solved[prefix]: its class representative and the representative's
+    # (ASN, ranked candidates) rows, or the ASNs still changing if the
+    # class did not converge.
+    solved = {}
+    for members in classes.values():
+        rep = members[0]
+        result = _propagate_prefix(
+            asns, index, adjacency, orders, ranks, hooks, rep, by_prefix[rep], cap
+        )
+        for prefix in members:
+            solved[prefix] = rep, result
+
+    oscillating = {p: solved[p][1] for p in prefixes if isinstance(solved[p][1], tuple)}
     if oscillating:
         raise NonConvergenceError(oscillating)
 
     per_as: dict[int, dict[Prefix, RibEntry]] = {asn: {} for asn in asns}
-    for prefix, state in zip(prefixes, results):
-        for asn, entry in state:
-            per_as[asn][prefix] = entry
+    for prefix in prefixes:
+        rep, rows = solved[prefix]
+        for asn, ranked in rows:
+            if prefix is not rep:
+                ranked = tuple([
+                    _route(prefix, r.as_path, r.communities, r.learned_from, r.learned_rel)
+                    for r in ranked
+                ])
+            per_as[asn][prefix] = RibEntry(ranked[0], ranked)
     return Rib(per_as)
 
 
@@ -329,25 +385,28 @@ def _propagate_prefix(
     asns: list[int],
     index: dict[int, int],
     adjacency: list[list[tuple[int, int, Rel, Rel, bool]]],
-    keys: list[Callable[[Route], object]],
+    orders: list[PreferenceOrder],
+    ranks: list[Callable[[Route], object]],
     hooks: PolicyHooks,
     prefix: Prefix,
     origs: list[Origination],
     cap: int,
-) -> list[tuple[int, RibEntry]] | tuple[int, ...]:
-    """Solve one prefix; return (ASN, RIB entry) pairs, or the sorted ASNs
-    whose best route still changed in round `cap` if it did not converge.
+) -> list[tuple[int, tuple[Route, ...]]] | tuple[int, ...]:
+    """Solve one prefix; return (ASN, candidates best first) pairs, or the
+    sorted ASNs whose best route still changed in round `cap` if it did
+    not converge.
 
     ASes are the dense indices of `asns`; hooks see ASNs."""
     export_route = hooks.export_route
     import_route = hooks.import_route
 
     # Candidates are (preference key, route) pairs, keyed once on admission
-    # and ranked by the key alone.
+    # and ranked by the key alone: locals by orders[i].key, learned routes
+    # by ranks[i].
     local: dict[int, list[tuple[object, Route]]] = {}
     for asn, route in dict.fromkeys((o.asn, o.route()) for o in origs):
         i = index[asn]
-        local.setdefault(i, []).append((keys[i](route), route))
+        local.setdefault(i, []).append((orders[i].key(route), route))
     # learned[i][e]: what AS e's current best yields at AS i after export,
     # loop check and import.
     learned: list[dict[int, tuple[object, Route]]] = [{} for _ in asns]
@@ -400,7 +459,7 @@ def _propagate_prefix(
                             asn, exporter, rel, _route(prefix, path, communities, exporter, rel)
                         )
                         if admitted is not None:
-                            entry = (keys[i](admitted), admitted)
+                            entry = (ranks[i](admitted), admitted)
                 slots = learned[i]
                 if entry is None:
                     if slots.pop(e, None) is None:
@@ -422,14 +481,18 @@ def _propagate_prefix(
             if new_best is not old_best and new_best != old_best:
                 changed.add(i)
                 best[i] = new_best
-    entries = []
+    rows = []
     for i, selected in enumerate(best):
-        if selected is not None:
-            cands = local.get(i, []) + list(learned[i].values())
-            cands.sort(key=_first, reverse=True)
-            ranked = tuple(map(_second, cands))
-            entries.append((asns[i], RibEntry(ranked[0], ranked)))
-    return entries
+        if selected is None:
+            continue
+        slots = learned[i]
+        if i not in local and len(slots) == 1:
+            rows.append((asns[i], (selected[1],)))
+            continue
+        cands = local.get(i, []) + list(slots.values())
+        cands.sort(key=_first, reverse=True)
+        rows.append((asns[i], tuple(map(_second, cands))))
+    return rows
 
 
 class TraceOutcome(enum.Enum):
@@ -505,22 +568,33 @@ def dump_rib(rib: Rib) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_rib_dump(text: str) -> list[tuple[int, Route]]:
-    """Parse dump lines back into (holder asn, Route) rows."""
-    return read_lines(text, _parse_rib_row, RoutingError)
+def parse_rib_dump(
+    text: str, prefixes: dict[str, Prefix] | None = None
+) -> list[tuple[int, Route]]:
+    """Parse dump lines back into (holder asn, Route) rows.
 
+    Each distinct prefix text is parsed once.  prefixes maps texts already
+    parsed to their Prefix and gains the new ones; pass one dict to share
+    that work across the dumps of one run (member views repeat prefixes).
+    """
+    known = {} if prefixes is None else prefixes
 
-def _parse_rib_row(line: str) -> tuple[int, Route]:
-    parts = line.split("|")
-    if len(parts) != 5:
-        raise RoutingError(f"malformed RIB row {line!r}")
-    path = tuple(int(a) for a in parts[2].split())
-    if not path:
-        raise RoutingError("empty AS path")
-    rel = Rel(parts[4])
-    learned_from = None if rel is Rel.SELF else path[0]
-    communities = frozenset(c for c in parts[3].split(";") if c)
-    return int(parts[0]), Route(parse_prefix(parts[1]), path, communities, learned_from, rel)
+    def parse_row(line: str) -> tuple[int, Route]:
+        parts = line.split("|")
+        if len(parts) != 5:
+            raise RoutingError(f"malformed RIB row {line!r}")
+        path = tuple(map(int, parts[2].split()))
+        if not path:
+            raise RoutingError("empty AS path")
+        rel = Rel(parts[4])
+        learned_from = None if rel is Rel.SELF else path[0]
+        communities = frozenset(c for c in parts[3].split(";") if c)
+        prefix = known.get(parts[1])
+        if prefix is None:
+            prefix = known[parts[1]] = parse_prefix(parts[1])
+        return int(parts[0]), Route(prefix, path, communities, learned_from, rel)
+
+    return read_lines(text, parse_row, RoutingError)
 
 
 def load_originations(text: str) -> list[Origination]:

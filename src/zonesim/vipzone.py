@@ -19,6 +19,11 @@ inside the zone.  The import rules applied at each member, in order:
 Exports never remove the tag, so customers of members can see which routes
 were verified on entry.  Rule 7 (route-collector export) is realized by the
 RIB dump in the routing module.
+
+Only R2 and R5 read a route's prefix, and only through the ROV state of its
+origin and the R5 verdict at a member adjacent to the origin.  The zone
+policy's class key is built from those, so prefixes that agree on them are
+solved once (see routing.propagate).
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .registry import (
     rov_validate,
     verify_customer_origin,
 )
-from .routing import VERIFIED, PolicyHooks, PreferenceOrder, Route
+from .routing import VERIFIED, Origination, PolicyHooks, PreferenceOrder, Route
 from .topology import Rel, Topology
 
 
@@ -183,7 +188,23 @@ def zone_policy(topo: Topology, cfg: ZoneConfig, reg: RegistrySet) -> PolicyHook
     def preference_for(asn: int) -> PreferenceOrder:
         return member_preference(cfg, asn)
 
-    return PolicyHooks(import_route=import_route, preference_for=preference_for)
+    def prefix_class(prefix, originations: list[Origination]) -> tuple:
+        # Per origination: its announcement, the ROV state R2 reads, and
+        # the verdict R5 would reach at each member adjacent to the origin
+        # (R2 drops an invalid origin first, so there is none then).
+        key = []
+        for orig in originations:
+            route = orig.route()
+            origin = route.origin
+            rov = rov_validate(reg, prefix, origin)
+            verdicts = () if rov is RovState.INVALID else tuple(
+                verify_customer_origin(reg, member, origin, prefix, origin)
+                for member in sorted(topo.neighbors_of(origin) & members)
+            )
+            key.append((orig.asn, route.as_path, route.communities, rov, verdicts))
+        return tuple(key)
+
+    return PolicyHooks(import_route, preference_for=preference_for, prefix_class=prefix_class)
 
 
 def load_zone_config(source: str) -> ZoneConfig:

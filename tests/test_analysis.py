@@ -302,6 +302,22 @@ class TestLocalRegionDistribution:
         summary = dist.summaries[0]
         assert 0 < summary.frac_leq_1 < 1
 
+    def test_rows_match_path_enumeration_oracle(self):
+        # The customers of one zone share their member-avoiding cones.
+        rng = random.Random(71)
+        for _ in range(30):
+            topo = random_topology(rng, rng.randint(4, 16), rng.randint(0, 10))
+            ranked = cone_size_order(topo)
+            sizes = sorted(rng.sample(range(len(ranked) + 1), k=2))
+            dist = local_region_distribution(topo, sizes)
+            want = [
+                (size, cust, len(brute_force_local_region(topo, members, cust)))
+                for size in sizes
+                for members in [frozenset(ranked[:size])]
+                for cust in sorted(attached_customers(topo, members))
+            ]
+            assert list(dist.rows) == want, topo.records()
+
     def test_negative_sizes_rejected(self):
         topo = load_topology("1|2|-1\n2|3|-1\n1|4|-1")
         with pytest.raises(AnalysisError, match="non-negative"):

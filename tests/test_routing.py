@@ -3,8 +3,9 @@ import random
 import pytest
 
 from zonesim.attacks import AttackKind, AttackScenario, _leak_hooks
-from zonesim.registry import parse_prefix
+from zonesim.registry import RegistrySet, Roa, parse_prefix
 from zonesim.routing import (
+    VERIFIED,
     NonConvergenceError,
     Origination,
     PolicyHooks,
@@ -14,6 +15,7 @@ from zonesim.routing import (
     TraceOutcome,
     data_plane_trace,
     dump_rib,
+    origination_class,
     parse_rib_dump,
     propagate,
 )
@@ -300,6 +302,169 @@ class TestEdgeIncrementalDifferential:
         assert solved >= 200
 
 
+# Prefixes for the class-solving corpus: a covering /16 and /24s under it
+# (so a /16 ROA can make a /24 invalid), and an IPv6 prefix.
+CLASS_POOL = [P("10.0.0.0/16")] + [P(f"10.0.{k}.0/24") for k in range(6)] + [P("2001:db8::/48")]
+
+
+def _class_corpus(seed, count):
+    """Seeded zones where a few origins announce many prefixes, so prefixes
+    share classes or split on their ROV state and R5 verdicts; with
+    duplicate and multi-origin originations and forged-path injections."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        topo = random_topology(rng, rng.randint(4, 14), rng.randint(0, 8))
+        members = random_connected_members(rng, topo)
+        asns = sorted(topo.asns)
+        origins = rng.sample(asns, k=min(len(asns), rng.randint(1, 3)))
+        origs = []
+        for prefix in rng.sample(CLASS_POOL, k=rng.randint(2, len(CLASS_POOL))):
+            origs.append(Origination(rng.choice(origins), prefix))
+            roll = rng.random()
+            if roll < 0.15:
+                origs.append(origs[-1])
+            elif roll < 0.3:
+                origs.append(Origination(rng.choice(asns), prefix))
+        reg = random_registry(rng, topo, members, origs)
+        if len(asns) >= 3 and rng.random() < 0.5:
+            victim = rng.choice(origs)
+            attacker, via = rng.sample([a for a in asns if a != victim.asn], k=2)
+            origs.append(Origination(attacker, victim.prefix, (attacker, via, victim.asn)))
+        stubs = frozenset(
+            a for a in topo.asns - members
+            if not topo.customers_of(a) and topo.providers_of(a) & members
+        )
+        cfg = ZoneConfig(
+            members=members,
+            aspa_extension=rng.random() < 0.5,
+            honor_verified_non_members=stubs if rng.random() < 0.3 else frozenset(),
+        )
+        yield rng, topo, cfg, origs, reg
+
+
+def _per_prefix(hooks):
+    # The same policy without a class key: every prefix solved on its own.
+    return PolicyHooks(hooks.import_route, hooks.export_route, hooks.preference_for)
+
+
+def _solve(topo, origs, hooks):
+    try:
+        return propagate(topo, origs, hooks)
+    except NonConvergenceError as exc:
+        return exc.oscillating
+
+
+def _class_count(topo, origs, hooks):
+    by_prefix = {}
+    for orig in origs:
+        by_prefix.setdefault(orig.prefix, []).append(orig)
+    return len(by_prefix), len({hooks.prefix_class(p, o) for p, o in by_prefix.items()})
+
+
+class TestClassSolving:
+    """One solve per routing-equivalence class, relabelled, equals a solve
+    per prefix: same Rib (candidate order too), same cells, same dump."""
+
+    def _check(self, topo, origs, hooks):
+        classed = _solve(topo, origs, hooks)
+        alone = _solve(topo, origs, _per_prefix(hooks))
+        if isinstance(alone, dict):
+            assert classed == alone
+            return False
+        assert classed == alone
+        assert rib_as_cells(classed) == rib_as_cells(alone)
+        assert dump_rib(classed) == dump_rib(alone)
+        return True
+
+    def test_zone_policy(self):
+        solved = shared = 0
+        for rng, topo, cfg, origs, reg in _class_corpus(701, 240):
+            hooks = zone_policy(topo, cfg, reg)
+            prefixes, classes = _class_count(topo, origs, hooks)
+            solved += self._check(topo, origs, hooks)
+            shared += classes < prefixes
+        assert solved >= 200
+        assert shared >= 100
+
+    def test_leak_hooks(self):
+        solved = 0
+        for rng, topo, cfg, origs, reg in _class_corpus(702, 120):
+            leakers = sorted(a for a in topo.asns if len(topo.providers_of(a)) >= 2)
+            if not leakers:
+                continue
+            leaker = rng.choice(leakers)
+            victim = origs[0]
+            scenario = AttackScenario(
+                AttackKind.ROUTE_LEAK, leaker, victim.prefix, victim.asn,
+                leaked_from=rng.choice(sorted(topo.providers_of(leaker))),
+            )
+            hooks = _leak_hooks(topo, zone_policy(topo, cfg, reg), scenario)
+            assert hooks.prefix_class(victim.prefix, [victim]) is None
+            solved += self._check(topo, origs, hooks)
+        assert solved >= 40
+
+    def test_keys_split_on_what_r2_and_r5_read(self):
+        # Same origin, same announcement: a prefix with a matching ROA and
+        # one without split (R5 verifies only the first); two without share.
+        topo = chain_topology()
+        cfg = ZoneConfig(members=frozenset({1, 2}))
+        a, b, c = P("10.0.1.0/24"), P("10.0.2.0/24"), P("10.0.3.0/24")
+        reg = RegistrySet.build(roas=[Roa(a, 3)])
+        hooks = zone_policy(topo, cfg, reg)
+        key = {p: hooks.prefix_class(p, [Origination(3, p)]) for p in (a, b, c)}
+        assert key[a] != key[b] == key[c]
+        rib = propagate(topo, [(3, a), (3, b), (3, c)], hooks)
+        assert VERIFIED in rib.best(2, a).communities
+        assert rib.best(1, b) == Route(b, (2, 3), frozenset(), 2, Rel.CUSTOMER)
+        assert rib.best(1, c).prefix is c
+
+    def test_non_converging_class_names_every_prefix(self):
+        # The DISAGREE gadget below, for two prefixes of one class.
+        topo = load_topology("1|10|-1\n2|10|-1\n1|2|0")
+
+        class PeerFirst(PreferenceOrder):
+            def key(self, route):
+                return (
+                    route.learned_rel is Rel.SELF,
+                    route.learned_rel is Rel.PEER,
+                    -len(route.as_path),
+                    -(route.learned_from or 0),
+                )
+
+        hooks = PolicyHooks(preference_for=lambda asn: PeerFirst(), prefix_class=origination_class)
+        other = P("10.1.0.0/24")
+        with pytest.raises(NonConvergenceError) as excinfo:
+            propagate(topo, [(10, other), (10, PFX)], hooks)
+        assert excinfo.value.oscillating == {PFX: (1, 2), other: (1, 2)}
+        assert excinfo.value.prefixes == (PFX, other)
+
+
+class TestPathFreeRank:
+    def test_orders_candidates_as_key_does(self):
+        # Within one AS, learned routes come from distinct neighbors and
+        # are ranked without the path tiebreak; local routes keep the full
+        # key.  Relationships, lengths and tags collide often here.
+        rng = random.Random(11)
+        rels = (Rel.CUSTOMER, Rel.PEER, Rel.PROVIDER)
+        for _ in range(500):
+            order = PreferenceOrder(verified_first=rng.random() < 0.5)
+            cands = []
+            for neighbor in rng.sample(range(1, 40), k=rng.randint(1, 8)):
+                path = (neighbor,) + tuple(rng.sample(range(50, 60), k=rng.randint(0, 2)))
+                tags = frozenset({VERIFIED}) if rng.random() < 0.4 else frozenset()
+                cands.append(Route(PFX, path, tags, neighbor, rng.choice(rels)))
+            for _ in range(rng.randint(0, 3)):
+                path = (99,) + tuple(rng.sample(range(50, 60), k=rng.randint(0, 2)))
+                tags = frozenset({VERIFIED}) if rng.random() < 0.4 else frozenset()
+                cands.append(Route(PFX, path, tags))
+            rng.shuffle(cands)
+
+            def engine_key(route):
+                return order.key(route) if route.learned_rel is Rel.SELF else order._rank(route)
+
+            assert sorted(cands, key=engine_key) == sorted(cands, key=order.key)
+
+
 class TestNonConvergence:
     def test_peer_over_customer_preference_oscillates(self):
         # DISAGREE gadget: 1 and 2 peer, both provide transit to 0.  A
@@ -406,6 +571,15 @@ class TestDump:
             parse_rib_dump("not|a|row")
         with pytest.raises(RoutingError, match="line 1"):
             parse_rib_dump("x|10.0.0.0/24|1||self")
+        with pytest.raises(RoutingError, match="line 2: invalid prefix"):
+            parse_rib_dump("1|10.0.0.0/24|1||self\n1|10.0.0.1/24|1||self")
+
+    def test_prefix_texts_parsed_once(self):
+        known = {}
+        first = parse_rib_dump("1|10.0.0.0/24|1||self\n2|10.0.0.0/24|1||customer", known)
+        second = parse_rib_dump("3|10.0.0.0/24|2 1||customer", known)
+        assert list(known) == ["10.0.0.0/24"]
+        assert all(route.prefix is known["10.0.0.0/24"] for _, route in first + second)
 
 
 class TestTraceLoop:

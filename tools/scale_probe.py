@@ -1,0 +1,74 @@
+"""One-shot propagation probe at CAIDA scale (about 75k ASes).
+
+Builds the benchmark generator's CAIDA-like graph
+(``perfbench.gen.build_graph(Random(7), 75000, 16)``), loads it through
+``load_topology`` and solves one prefix under a zone policy, then prints
+one JSON object: graph size, wall-clock seconds of the load and of the
+solve (raw, not calibrated), RIB rows and the peak resident set.
+
+The zone is the connected core of the 300 ASes with the largest customer
+cones; the prefix is the synthetic probe prefix of the lowest-numbered
+stub AS, with a matching ROA.  This probe is not part of the benchmark
+and not run by the tests.
+
+    python3 tools/scale_probe.py            # 75k ASes, ~10 s, ~0.4 GB
+    python3 tools/scale_probe.py --ases 2000
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import resource
+import sys
+from pathlib import Path
+from random import Random
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--ases", type=int, default=75000)
+    args = parser.parse_args(argv)
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+    from perfbench.gen import build_graph
+    from zonesim import (
+        Origination, RegistrySet, Roa, cone_size_order, derive_connected_zone,
+        load_topology, propagate, synthetic_prefix, zone_policy,
+    )
+    from zonesim.vipzone import ZoneConfig
+
+    graph = build_graph(Random(7), args.ases, 16)
+    text = "\n".join(f"{a}|{b}|{code}" for a, b, code in graph.records()) + "\n"
+    t = perf_counter()
+    topo = load_topology(text)
+    load_s = perf_counter() - t
+
+    members = derive_connected_zone(topo, cone_size_order(topo)[:300]).connected_members
+    origin = min(a for a in topo.asns if not topo.customers[a])
+    prefix = synthetic_prefix(origin)
+    reg = RegistrySet.build(roas=[Roa(prefix, origin)])
+    hooks = zone_policy(topo, ZoneConfig(members=members), reg)
+    t = perf_counter()
+    rib = propagate(topo, [Origination(origin, prefix)], hooks)
+    propagate_s = perf_counter() - t
+
+    print(json.dumps({
+        "ases": len(topo.asns),
+        "edges": sum(len(c) for c in topo.customers.values())
+        + sum(len(p) for p in topo.peers.values()) // 2,
+        "members": len(members),
+        "load_s": round(load_s, 3),
+        "propagate_s": round(propagate_s, 3),
+        "rib_rows": sum(len(e) for e in rib.per_as.values()),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "python": platform.python_version(),
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
