@@ -8,7 +8,6 @@ and ``peerA|peerB|0`` for settlement-free peering.
 """
 
 from zonesim import (
-    Topology,
     augment_with_ix_peering,
     customer_cone,
     load_topology,
@@ -49,9 +48,6 @@ print("missing mesh edges:", tier1_mesh_gaps(topo))
 
 # Exchange-point memberships widen the peering fabric: any two ASes at
 # the same IX are assumed to peer.  Transit links are never rewritten.
-topo_ix = Topology(
-    topo.providers, topo.customers, topo.peers, {"IX-A": frozenset({10, 11, 12})}
-)
-augmented = augment_with_ix_peering(topo_ix)
+augmented = augment_with_ix_peering(topo, {"IX-A": {10, 11, 12}})
 for asn in (10, 11, 12):
     print(f"AS{asn} peers after IX closure: {sorted(augmented.peers_of(asn))}")

@@ -288,27 +288,23 @@ class LocalRegionDistribution:
 
 
 def local_region_distribution(
-    topo: Topology, zone_sizes: Sequence[int], with_ix_augmentation: bool = False
+    topo: Topology, zone_sizes: Sequence[int]
 ) -> LocalRegionDistribution:
     """Region-size distribution for attached customers of cone-ordered zones.
 
-    When with_ix_augmentation is set, peering is first closed over shared
-    IX memberships.
+    To count IX peering, pass the result of augment_with_ix_peering.
     """
-    from .topology import augment_with_ix_peering
-
     if any(size < 0 for size in zone_sizes):
         raise AnalysisError("zone sizes must be non-negative")
-    work_topo = augment_with_ix_peering(topo) if with_ix_augmentation else topo
-    ranked = cone_size_order(work_topo)
+    ranked = cone_size_order(topo)
     rows: list[tuple[int, int, int]] = []
     summaries = []
     for size in zone_sizes:
         members = frozenset(ranked[: min(size, len(ranked))])
         cones: dict[int, frozenset[int]] = {}
         sizes = []
-        for cust in sorted(attached_customers(work_topo, members)):
-            region = _region(work_topo, members, cust, set(), cones)
+        for cust in sorted(attached_customers(topo, members)):
+            region = _region(topo, members, cust, set(), cones)
             rows.append((size, cust, len(region)))
             sizes.append(len(region))
         if sizes:

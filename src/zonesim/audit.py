@@ -158,6 +158,15 @@ def _entry_member(path: Sequence[int], members: frozenset[int], owner: int) -> t
     return owner, tuple(dict.fromkeys(path))
 
 
+def _tagged_by_path(view: MemberView) -> dict[tuple[int, ...], list[Prefix]]:
+    """The prefixes of a view's VERIFIED routes, keyed by AS path."""
+    index: dict[tuple[int, ...], list[Prefix]] = {}
+    for route in view.routes:
+        if VERIFIED in route.communities:
+            index.setdefault(route.as_path, []).append(route.prefix)
+    return index
+
+
 def audit_views(
     cfg: ZoneConfig,
     topo: Topology,
@@ -182,6 +191,8 @@ def audit_views(
             raise AuditError(f"view owner AS{view.member} is not a zone member")
 
     by_member = {v.member: v for v in views}
+    # R3 witnesses' _tagged_by_path indexes, built on first consultation.
+    tagged: dict[int, dict[tuple[int, ...], list[Prefix]]] = {}
     # keyed by (rule, culprit, prefix, canonical evidence path)
     found: dict[tuple, AuditFinding] = {}
 
@@ -220,20 +231,11 @@ def audit_views(
                         view.member,
                     )
                     continue
-                suffix = route.as_path[1:]
-                for upstream in witness.routes:
-                    if (
-                        upstream.prefix == route.prefix
-                        and upstream.as_path == suffix
-                        and VERIFIED in upstream.communities
-                    ):
-                        record(
-                            AuditRule.R3_TAG_STRIPPED,
-                            view.member,
-                            neighbor,
-                            route,
-                            route.as_path,
-                        )
+                index = tagged.get(neighbor)
+                if index is None:
+                    index = tagged[neighbor] = _tagged_by_path(witness)
+                if route.prefix in index.get(route.as_path[1:], ()):
+                    record(AuditRule.R3_TAG_STRIPPED, view.member, neighbor, route, route.as_path)
 
     waiver_keys = {(w.member, w.prefix): w for w in waivers}
     findings = []

@@ -41,6 +41,11 @@ _PATH_PARAMS = frozenset(
 )
 
 
+def _set_flags(args: argparse.Namespace) -> dict:
+    """The parsed flags that were set: not None, and not False for a switch."""
+    return {k: v for k, v in vars(args).items() if v is not None and v is not False}
+
+
 class _Run:
     """Collects input/output digests and writes the manifest last.
 
@@ -50,8 +55,8 @@ class _Run:
     def __init__(self, args: argparse.Namespace):
         self.command = args.command
         self.params = {}
-        for key, value in vars(args).items():
-            if key in ("func", "command", "out_dir") or value is None or value is False:
+        for key, value in _set_flags(args).items():
+            if key in ("func", "command", "out_dir"):
                 continue
             if key in _PATH_PARAMS:
                 if isinstance(value, list):
@@ -115,18 +120,17 @@ def _load_zone(run: _Run, topo: topology.Topology, path: str) -> vipzone.ZoneCon
     return cfg
 
 
-def _json_rows(header: str, csv_text: str) -> str:
+def _json_rows(csv_text: str) -> str:
+    """CSV text as a JSON list of objects keyed by its header line."""
+    header, *lines = csv_text.splitlines()
     keys = header.split(",")
-    rows = []
-    for line in csv_text.splitlines()[1:]:
-        parts = line.split(",", len(keys) - 1)
-        rows.append(dict(zip(keys, parts)))
+    rows = [dict(zip(keys, line.split(",", len(keys) - 1))) for line in lines]
     return json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(run: _Run, stem: str, header: str, csv_text: str, fmt: str) -> None:
+def _emit(run: _Run, stem: str, csv_text: str, fmt: str) -> None:
     if fmt == "json":
-        run.write(f"{stem}.json", _json_rows(header, csv_text))
+        run.write(f"{stem}.json", _json_rows(csv_text))
     else:
         run.write(f"{stem}.csv", csv_text)
 
@@ -149,7 +153,7 @@ def cmd_simulate(run: _Run, args) -> int:
         rib = attacks.scenario_rib(topo, reg, cfg, origs, scenario)
         report = attacks.classify_harm(topo, rib, scenario)
         run.write("rib.txt", routing.dump_rib(rib))
-        _emit(run, "harm", attacks.HARM_CSV_HEADER, attacks.harm_csv([report]), args.format)
+        _emit(run, "harm", attacks.harm_csv([report]), args.format)
         if args.fail_on_harm and report.misdirected:
             exit_code = 2
     else:
@@ -166,7 +170,7 @@ def cmd_zone(run: _Run, args) -> int:
     rows = ["asn,role"]
     rows += [f"{a},member" for a in sorted(derivation.connected_members)]
     rows += [f"{a},attached_customer" for a in sorted(derivation.attached_customers)]
-    _emit(run, "zone_report", "asn,role", "\n".join(rows) + "\n", args.format)
+    _emit(run, "zone_report", "\n".join(rows) + "\n", args.format)
     run.finish()
     print(
         f"roster {len(derivation.input_roster)} ASNs; "
@@ -185,44 +189,29 @@ def cmd_curve(run: _Run, args) -> int:
     )
     sizes = [int(s) for s in args.sizes.split(",") if s]
     curve = analysis.zone_growth_curve(topo, order, sizes)
-    _emit(run, "growth", "zone_size,protected_count", analysis.growth_csv(curve), args.format)
+    _emit(run, "growth", analysis.growth_csv(curve), args.format)
     run.finish()
     return 0
 
 
 def cmd_local_region(run: _Run, args) -> int:
     topo = run.parse(args.topology, topology.load_topology)
-    if args.ix:
-        ix = run.parse(args.ix, topology.load_ix_memberships)
-        topo = topology.Topology(topo.providers, topo.customers, topo.peers, ix)
+    ix = run.parse(args.ix, topology.load_ix_memberships) if args.ix else None
+    # The zone is checked against the AS graph alone: an ASN that only the
+    # IX file names is not a valid member.
+    cfg = _load_zone(run, topo, args.zone) if args.customer is not None else None
+    if ix is not None:
+        topo = topology.augment_with_ix_peering(topo, ix)
 
-    if args.customer is not None:
-        if not args.zone:
-            raise ValueError("--customer requires --zone")
-        cfg = _load_zone(run, topo, args.zone)
-        work = topology.augment_with_ix_peering(topo) if args.ix else topo
-        region = analysis.local_region(work, cfg, args.customer)
+    if cfg is not None:
+        region = analysis.local_region(topo, cfg, args.customer)
         rows = "\n".join(str(a) for a in sorted(region.region))
         run.write("region.txt", rows + ("\n" if rows else ""))
     else:
-        if not args.sizes:
-            raise ValueError("provide --sizes for distributions or --customer for one region")
         sizes = [int(s) for s in args.sizes.split(",") if s]
-        dist = analysis.local_region_distribution(topo, sizes, bool(args.ix))
-        _emit(
-            run,
-            "regions",
-            "zone_size,customer_asn,region_size",
-            analysis.region_rows_csv(dist),
-            args.format,
-        )
-        _emit(
-            run,
-            "region_summary",
-            "zone_size,p10,p50,p90,frac_leq_1",
-            analysis.region_summary_csv(dist),
-            args.format,
-        )
+        dist = analysis.local_region_distribution(topo, sizes)
+        _emit(run, "regions", analysis.region_rows_csv(dist), args.format)
+        _emit(run, "region_summary", analysis.region_summary_csv(dist), args.format)
     run.finish()
     return 0
 
@@ -232,13 +221,7 @@ def cmd_exceptions(run: _Run, args) -> int:
     cfg = _load_zone(run, topo, args.zone)
     members = [args.member] if args.member is not None else sorted(cfg.members)
     results = analysis._routing_exceptions(topo, cfg, members)
-    _emit(
-        run,
-        "exceptions",
-        "member,exception_count,destination_asns",
-        analysis.exceptions_csv(results),
-        args.format,
-    )
+    _emit(run, "exceptions", analysis.exceptions_csv(results), args.format)
     run.finish()
     return 0
 
@@ -256,13 +239,7 @@ def cmd_audit(run: _Run, args) -> int:
     if args.waivers:
         waivers = run.parse(args.waivers, lambda text: audit.load_waivers(text, cfg))
     findings = audit.audit_views(cfg, topo, reg, views, waivers)
-    _emit(
-        run,
-        "findings",
-        audit.FINDINGS_CSV_HEADER,
-        audit.findings_csv(findings),
-        args.format,
-    )
+    _emit(run, "findings", audit.findings_csv(findings), args.format)
     run.finish()
     return 3 if any(not f.waived for f in findings) else 0
 
@@ -318,9 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("local-region", help="local-region sizes for attached customers")
     _add_common(p)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--customer", type=int, help="report one customer's region")
+    mode.add_argument("--sizes", help="comma-separated zone sizes for distributions")
     p.add_argument("--zone", help="zone config file; required with --customer")
-    p.add_argument("--customer", type=int, help="report one customer's region")
-    p.add_argument("--sizes", help="comma-separated zone sizes for distributions")
     p.add_argument("--ix", help="IX membership file; enables peering augmentation")
     p.set_defaults(func=cmd_local_region)
 
@@ -340,9 +318,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags a subcommand reads only beside another: (command, flag, needed flag).
+_NEEDS = (
+    ("simulate", "--fail-on-harm", "--scenario"),
+    ("local-region", "--customer", "--zone"),
+    ("local-region", "--zone", "--customer"),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    given = {"--" + key.replace("_", "-") for key in _set_flags(args)}
+    for command, flag, needed in _NEEDS:
+        if args.command == command and flag in given and needed not in given:
+            parser.error(f"argument {flag}: requires {needed}")
     try:
         return args.func(_Run(args), args)
     except (ValueError, OSError) as exc:

@@ -72,9 +72,6 @@ class Roa:
     def effective_max_length(self) -> int:
         return self.max_length if self.max_length is not None else self.prefix.prefixlen
 
-    def covers(self, prefix: Prefix) -> bool:
-        return self.prefix.version == prefix.version and prefix.subnet_of(self.prefix)
-
 
 @dataclass(frozen=True)
 class AspaRecord:

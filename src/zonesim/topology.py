@@ -75,21 +75,14 @@ class Topology:
         providers: Mapping[int, frozenset[int]],
         customers: Mapping[int, frozenset[int]],
         peers: Mapping[int, frozenset[int]],
-        ix_memberships: Mapping[str, frozenset[int]] | None = None,
     ):
         self.providers = dict(providers)
         self.customers = dict(customers)
         self.peers = dict(peers)
         self.asns = frozenset(self.providers)
-        self.ix_memberships = dict(ix_memberships or {})
-        self._cone_cache: dict[int, frozenset[int]] = {}
 
     @classmethod
-    def from_records(
-        cls,
-        records: Iterable[tuple[int, int, int]],
-        ix_memberships: Mapping[str, Iterable[int]] | None = None,
-    ) -> "Topology":
+    def from_records(cls, records: Iterable[tuple[int, int, int]]) -> "Topology":
         """Build and validate a topology from (asnA, asnB, code) records.
 
         Code -1 means asnA is the provider of asnB; 0 means they peer.
@@ -99,10 +92,10 @@ class Topology:
         records = list(records)
         for a, b, code in records:
             _check_record(a, b, code)
-        return cls._from_checked(records, ix_memberships)
+        return cls._from_checked(records)
 
     @classmethod
-    def _from_checked(cls, records, ix_memberships=None) -> "Topology":
+    def _from_checked(cls, records) -> "Topology":
         # from_records minus the per-record checks load_topology runs per line.
         providers: dict[int, set[int]] = defaultdict(set)
         customers: dict[int, set[int]] = defaultdict(set)
@@ -128,16 +121,10 @@ class Topology:
         asns = dict.fromkeys(asn for a, b, _ in records for asn in (a, b))
         _check_c2p_acyclic(asns, customers)
 
-        ix = {}
-        if ix_memberships is not None:
-            for ix_id, members in ix_memberships.items():
-                mset = frozenset(_check_asn(m) for m in members)
-                ix[str(ix_id)] = mset
-
         def freeze(adjacency):
             return {a: frozenset(adjacency[a]) if a in adjacency else _EMPTY for a in asns}
 
-        return cls(freeze(providers), freeze(customers), freeze(peers), ix)
+        return cls(freeze(providers), freeze(customers), freeze(peers))
 
     def providers_of(self, asn: int) -> frozenset[int]:
         self._require(asn)
@@ -187,11 +174,7 @@ class Topology:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Topology):
             return NotImplemented
-        return (
-            self.providers == other.providers
-            and self.peers == other.peers
-            and self.ix_memberships == other.ix_memberships
-        )
+        return self.providers == other.providers and self.peers == other.peers
 
     def __repr__(self) -> str:
         n_p2c = sum(len(c) for c in self.customers.values())
@@ -275,12 +258,9 @@ def _parse_ix_member(line: str) -> tuple[str, int]:
 def customer_cone(topo: Topology, asn: int) -> frozenset[int]:
     """All ASes reachable from `asn` by descending provider->customer edges.
 
-    Excludes `asn` itself.  Results are cached on the topology.
+    Excludes `asn` itself.
     """
     topo._require(asn)
-    cached = topo._cone_cache.get(asn)
-    if cached is not None:
-        return cached
     seen: set[int] = set()
     stack = list(topo.customers[asn])
     while stack:
@@ -289,9 +269,7 @@ def customer_cone(topo: Topology, asn: int) -> frozenset[int]:
             continue
         seen.add(node)
         stack.extend(topo.customers[node] - seen)
-    cone = frozenset(seen)
-    topo._cone_cache[asn] = cone
-    return cone
+    return frozenset(seen)
 
 
 def tier1_clique(topo: Topology) -> frozenset[int]:
@@ -318,18 +296,23 @@ def tier1_mesh_gaps(topo: Topology) -> list[tuple[int, int]]:
     ]
 
 
-def augment_with_ix_peering(topo: Topology) -> Topology:
+def augment_with_ix_peering(
+    topo: Topology, ix_memberships: Mapping[str, Iterable[int]]
+) -> Topology:
     """Add a p2p edge for every co-located IX pair not already connected.
 
-    Existing provider-customer edges are never rewritten: demoting a transit
-    link to peering would corrupt customer cones.  Idempotent.
+    ix_memberships maps an IX id to its member ASNs; a member absent from
+    the graph joins it with no other edges.  Existing provider-customer
+    edges are never rewritten: demoting a transit link to peering would
+    corrupt customer cones.  Idempotent.
     """
-    if not topo.ix_memberships:
-        raise TopologyError("topology has no IX membership data")
+    if not ix_memberships:
+        raise TopologyError("no IX membership data")
     peers = {a: set(s) for a, s in topo.peers.items()}
     providers = dict(topo.providers)
     customers = dict(topo.customers)
-    for members in topo.ix_memberships.values():
+    for members in ix_memberships.values():
+        members = dict.fromkeys(_check_asn(m) for m in members)
         for a in members:
             if a not in providers:
                 providers[a] = frozenset()
@@ -342,9 +325,4 @@ def augment_with_ix_peering(topo: Topology) -> Topology:
                     continue
                 peers[a].add(b)
                 peers[b].add(a)
-    return Topology(
-        providers,
-        customers,
-        {a: frozenset(s) for a, s in peers.items()},
-        topo.ix_memberships,
-    )
+    return Topology(providers, customers, {a: frozenset(s) for a, s in peers.items()})

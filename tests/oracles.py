@@ -365,3 +365,32 @@ def brute_force_local_region(topo: Topology, members: frozenset[int], customer: 
         if valley_free_paths_avoiding(topo, source, customer, members):
             region.add(source)
     return frozenset(region)
+
+
+def r3_witness_scan(members: frozenset[int], views):
+    """R3-TagStripped by the direct scan: every untagged route a view holds
+    from a member is checked against each route in that member's view.
+    Returns (culprit, witness, prefix, path) tuples."""
+    from zonesim.routing import VERIFIED
+
+    by_member = {v.member: v for v in views}
+    found = set()
+    for view in views:
+        for route in view.routes:
+            neighbor = route.as_path[0]
+            witness = by_member.get(neighbor)
+            if (
+                route.learned_rel is Rel.SELF
+                or neighbor not in members
+                or VERIFIED in route.communities
+                or witness is None
+            ):
+                continue
+            for upstream in witness.routes:
+                if (
+                    upstream.prefix == route.prefix
+                    and upstream.as_path == route.as_path[1:]
+                    and VERIFIED in upstream.communities
+                ):
+                    found.add((view.member, neighbor, route.prefix, route.as_path))
+    return found

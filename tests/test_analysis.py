@@ -255,10 +255,9 @@ class TestLocalRegion:
             topo = random_topology(rng, 10, 2)
             asns = sorted(topo.asns)
             ix = {"x": frozenset(rng.sample(asns, k=4))}
-            topo = Topology(topo.providers, topo.customers, topo.peers, ix)
             members = random_connected_members(rng, topo)
             cfg = ZoneConfig(members=members)
-            aug = augment_with_ix_peering(topo)
+            aug = augment_with_ix_peering(topo, ix)
             for customer in sorted(topo.asns - members):
                 plain = local_region(topo, cfg, customer).region
                 wide = local_region(aug, cfg, customer).region

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,7 @@ from zonesim.audit import (
     views_from_rib,
 )
 from zonesim.registry import RegistrySet, Roa, parse_prefix
-from zonesim.routing import Origination, dump_rib, propagate
+from zonesim.routing import VERIFIED, Origination, dump_rib, propagate
 from zonesim.topology import load_topology
 from zonesim.vipzone import ZoneConfig, zone_policy
 
@@ -26,8 +27,10 @@ from fault_injection import (
 )
 from oracles import (
     PREFIX_POOL,
+    r3_witness_scan,
     random_connected_members,
     random_originations,
+    random_registry,
     random_topology,
 )
 
@@ -188,6 +191,45 @@ class TestRandomizedInjection:
             )
             detected += 1
         assert detected == 40
+
+
+class TestR3Differential:
+    def test_path_index_matches_witness_scan(self):
+        # Seeded zones, half of them with no registry data (so nothing is
+        # tagged until a view is perturbed); each view loses some tags,
+        # gains others, and sometimes goes missing.
+        rng = random.Random(1213)
+        hits = untagged_zones = 0
+        for i in range(80):
+            topo = random_topology(rng, rng.randint(6, 16), rng.randint(0, 6))
+            members = random_connected_members(rng, topo)
+            if len(members) < 2:
+                continue
+            cfg = ZoneConfig(members=members)
+            origs = random_originations(rng, topo)
+            if i % 2:
+                reg = random_registry(rng, topo, members, origs)
+            else:
+                reg = RegistrySet()
+                untagged_zones += 1
+            views = []
+            for view in views_from_rib(propagate(topo, origs, zone_policy(topo, cfg, reg)), cfg):
+                if rng.random() < 0.15:
+                    continue
+                routes = tuple(
+                    replace(r, communities=r.communities ^ {VERIFIED})
+                    if rng.random() < 0.25 else r
+                    for r in view.routes
+                )
+                views.append(MemberView(view.member, routes))
+            got = {
+                (f.culprit, f.observed_at, f.evidence.prefix, f.evidence.as_path)
+                for f in audit_views(cfg, topo, reg, views)
+                if f.rule is AuditRule.R3_TAG_STRIPPED
+            }
+            assert got == r3_witness_scan(members, views), (topo.records(), members)
+            hits += len(got)
+        assert untagged_zones >= 10 and hits >= 20
 
 
 class TestWaivers:

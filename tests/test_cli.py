@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -339,6 +340,75 @@ class TestLocalRegion:
         assert all(set(r) == {"zone_size", "customer_asn", "region_size"} for r in rows)
 
 
+class TestLocalRegionIx:
+    # Bytes `local-region --ix` wrote while IX memberships were a Topology
+    # field; AS99 is known only from the IX file, and 21-50 is a transit
+    # link the IX closure must not turn into peering.
+    TOPO = "1|2|-1\n1|3|-1\n2|20|-1\n3|30|-1\n3|40|-1\n2|21|-1\n21|50|-1\n30|60|0\n"
+    IX = "ix1|20\nix1|40\nix1|99\nix2|30\nix2|21\nix2|50\n"
+    CASES = {
+        "customer": (
+            ["--zone", "zone.txt", "--customer", "40"],
+            {"region.txt": "20\n99\n"},
+            "1b988401b0ae03531cf38fe6d5bcf7871fa334a815d6b320945cbc487b05ef24",
+        ),
+        "ix-only-customer": (
+            ["--zone", "zone.txt", "--customer", "99"],
+            {"region.txt": "20\n40\n"},
+            "e3bc22c364ec7d4fac688f13b4fef98ee4f48e34d5dfdcc72c3237ed8cab73fb",
+        ),
+        "sizes": (
+            ["--sizes", "0,1,3"],
+            {
+                "regions.csv": "zone_size,customer_asn,region_size\n1,2,3\n1,3,2\n"
+                               "3,20,2\n3,21,2\n3,30,3\n3,40,2\n",
+                "region_summary.csv": "zone_size,p10,p50,p90,frac_leq_1\n0,0,0,0,0\n"
+                                      "1,2.1,2.5,2.9,0\n3,2,2,2.7,0\n",
+            },
+            "68bec20615c925d28b57178f4dd3074f5b50d8d7b3a1f2f9084d2125aa037fb0",
+        ),
+        "sizes-json": (
+            ["--sizes", "1,3", "--format", "json"],
+            {},
+            "c8cf6dec03df1d186f499557a0ca85cec3dab82bf679dcf82a5bf9d99e8327d7",
+        ),
+    }
+
+    def files(self, tmp_path, **extra):
+        for name, text in {"topo.txt": self.TOPO, "zone.txt": ZONE, "ix.txt": self.IX,
+                           **extra}.items():
+            (tmp_path / name).write_text(text)
+        return ["local-region", "--topology", str(tmp_path / "topo.txt")]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_outputs_pinned(self, tmp_path, case):
+        flags, expected, manifest_sha = self.CASES[case]
+        argv = self.files(tmp_path) + ["--ix", str(tmp_path / "ix.txt")]
+        argv += [str(tmp_path / f) if f.endswith(".txt") else f for f in flags]
+        out = tmp_path / "out"
+        assert run(argv + ["--out-dir", str(out)]) == 0
+        for name, text in expected.items():
+            assert (out / name).read_text() == text
+        # The manifest holds every output's digest, so this pins them all.
+        assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == manifest_sha
+
+    def test_ix_only_zone_member_is_unknown(self, tmp_path, capsys):
+        argv = self.files(tmp_path, **{"zone99.txt": "1\n2\n3\n99\n"})
+        argv += ["--ix", str(tmp_path / "ix.txt"), "--zone", str(tmp_path / "zone99.txt"),
+                 "--customer", "40", "--out-dir", str(tmp_path / "out")]
+        assert run(argv) == 1
+        assert "unknown ASN 99" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [["--sizes", "1"], ["--zone", "zone.txt", "--customer", "40"]])
+    def test_empty_ix_file_exit_1(self, tmp_path, capsys, mode):
+        argv = self.files(tmp_path, **{"empty.txt": "# no IX\n"})
+        argv += ["--ix", str(tmp_path / "empty.txt"), "--out-dir", str(tmp_path / "out")]
+        argv += [str(tmp_path / f) if f.endswith(".txt") else f for f in mode]
+        assert run(argv) == 1
+        assert "IX membership" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 class TestExceptions:
     def test_exceptions_csv(self, tmp_path):
         topo = tmp_path / "topo.txt"
@@ -427,6 +497,9 @@ class TestExceptions:
         assert not (out / "manifest.json").exists()
 
 
+LOCAL_REGION = ["local-region", "--topology", "t", "--out-dir", "o"]
+
+
 class TestUsageErrors:
     # Exit code 2 means misdirection, so argparse's usage errors exit 1.
     @pytest.mark.parametrize(
@@ -447,6 +520,15 @@ class TestUsageErrors:
              "error: the following arguments are required: --zone"),
             (["audit", "--topology", "t", "--out-dir", "o", "--views", "v"],
              "error: the following arguments are required: --zone"),
+            # Flags a mode does not read are rejected, not ignored.
+            (LOCAL_REGION + ["--sizes", "1", "--zone", "missing.txt"],
+             "argument --zone: requires --customer"),
+            (LOCAL_REGION + ["--customer", "20", "--zone", "z.txt", "--sizes", "x,y"],
+             "argument --sizes: not allowed with argument --customer"),
+            (LOCAL_REGION + ["--customer", "20"], "argument --customer: requires --zone"),
+            (LOCAL_REGION, "one of the arguments --customer --sizes is required"),
+            (SIMULATE + ["--out-dir", "out", "--fail-on-harm"],
+             "argument --fail-on-harm: requires --scenario"),
         ],
     )
     def test_usage_error_exit_1(self, capsys, argv, message):
@@ -466,7 +548,8 @@ class TestUsageErrors:
 
 # Every flag each subcommand takes but --out-dir, with its argv value;
 # file names refer to MANIFEST_FILES or the `inputs` fixture, and None
-# marks a switch.
+# marks a switch.  local-region's two modes take different flags, so the
+# distribution mode is its own case.
 ALL_FLAGS = {
     "simulate": {
         "--topology": "topo.txt", "--originations": "originations.csv",
@@ -480,7 +563,10 @@ ALL_FLAGS = {
     },
     "local-region": {
         "--topology": "topo.txt", "--zone": "zone.txt", "--customer": "40",
-        "--sizes": "1,2", "--ix": "ix.txt", "--format": "json",
+        "--ix": "ix.txt", "--format": "json",
+    },
+    "local-region-sizes": {
+        "--topology": "topo.txt", "--sizes": "1,2", "--ix": "ix.txt", "--format": "json",
     },
     "exceptions": {
         "--topology": "topo.txt", "--zone": "zone.txt", "--member": "2", "--format": "json",
@@ -507,7 +593,7 @@ def test_manifest_records_every_flag(inputs, tmp_path, command):
     for name, text in MANIFEST_FILES.items():
         (tmp_path / name).write_text(text)
         paths[name] = str(tmp_path / name)
-    argv, expected = [command], {}
+    argv, expected = [command.removesuffix("-sizes")], {}
     for flag, value in ALL_FLAGS[command].items():
         key = flag[2:].replace("-", "_")
         if value is None:

@@ -209,27 +209,37 @@ class TestTier1:
 
 class TestIxAugmentation:
     def test_pairwise_closure(self):
-        topo = Topology.from_records(
-            [(1, 2, -1), (1, 3, -1), (1, 4, -1), (2, 3, 0)],
-            ix_memberships={"ix1": [2, 3, 4]},
-        )
-        out = augment_with_ix_peering(topo)
+        topo = Topology.from_records([(1, 2, -1), (1, 3, -1), (1, 4, -1), (2, 3, 0)])
+        out = augment_with_ix_peering(topo, {"ix1": [2, 3, 4]})
         assert out.peers_of(2) == {3, 4}
         assert out.peers_of(3) == {2, 4}
         assert out.peers_of(4) == {2, 3}
 
     def test_c2p_never_overwritten(self):
-        topo = Topology.from_records(
-            [(2, 3, -1)], ix_memberships={"ix1": [2, 3]}
-        )
-        out = augment_with_ix_peering(topo)
+        topo = Topology.from_records([(2, 3, -1)])
+        out = augment_with_ix_peering(topo, {"ix1": [2, 3]})
         assert out.customers_of(2) == {3}
         assert out.peers_of(2) == frozenset()
 
     def test_requires_memberships(self):
         topo = Topology.from_records([(1, 2, -1)])
         with pytest.raises(TopologyError, match="IX"):
-            augment_with_ix_peering(topo)
+            augment_with_ix_peering(topo, {})
+
+    @pytest.mark.parametrize("bad", [0, -5, 2**32, True, "7"])
+    def test_invalid_member_asn_rejected(self, bad):
+        topo = Topology.from_records([(1, 2, -1)])
+        with pytest.raises(TopologyError, match="invalid ASN"):
+            augment_with_ix_peering(topo, {"ix1": [1, bad]})
+
+    def test_ix_only_member_joins_without_other_edges(self):
+        topo = Topology.from_records([(1, 2, -1)])
+        out = augment_with_ix_peering(topo, {"ix1": [2, 99], "ix2": [77]})
+        assert out.asns == {1, 2, 77, 99}
+        assert out.peers_of(99) == {2}
+        assert not out.providers_of(99) and not out.customers_of(99)
+        assert not out.neighbors_of(77)
+        assert topo.asns == {1, 2}
 
     def test_idempotent(self):
         rng = random.Random(11)
@@ -240,10 +250,8 @@ class TestIxAugmentation:
                 f"ix{i}": rng.sample(asns, k=rng.randint(2, 5))
                 for i in range(rng.randint(1, 3))
             }
-            topo = Topology(topo.providers, topo.customers, topo.peers,
-                            {k: frozenset(v) for k, v in ix.items()})
-            once = augment_with_ix_peering(topo)
-            twice = augment_with_ix_peering(once)
+            once = augment_with_ix_peering(topo, ix)
+            twice = augment_with_ix_peering(once, ix)
             assert once == twice
 
     def test_edge_count_matches_pair_enumeration(self):
@@ -255,8 +263,7 @@ class TestIxAugmentation:
                 f"ix{i}": frozenset(rng.sample(asns, k=rng.randint(2, 6)))
                 for i in range(rng.randint(1, 3))
             }
-            topo = Topology(topo.providers, topo.customers, topo.peers, ix)
-            out = augment_with_ix_peering(topo)
+            out = augment_with_ix_peering(topo, ix)
 
             # Brute-force pair enumeration over every IX.
             expected_new = set()

@@ -9,7 +9,7 @@ solve (raw, not calibrated), RIB rows and the peak resident set.
 The zone is the connected core of the 300 ASes with the largest customer
 cones; the prefix is the synthetic probe prefix of the lowest-numbered
 stub AS, with a matching ROA.  This probe is not part of the benchmark
-and not run by the tests.
+or the tests; CI runs it at 2000 ASes and requires a non-empty RIB.
 
     python3 tools/scale_probe.py            # 75k ASes, ~10 s, ~0.4 GB
     python3 tools/scale_probe.py --ases 2000
