@@ -1,8 +1,12 @@
 """The line format shared by every input file.
 
-Blank lines and lines starting with ``#`` carry no data.  A CSV header, if
-any, is the first data line.  A ``ValueError`` raised while data line N is
-handled is re-raised as the loader's own error class as ``line N: <reason>``.
+Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, the line ends ``open()``
+translates; other characters ``str.splitlines`` breaks on (form feed,
+``\\x85``, ``\\u2028`` and the like) stay inside their line.  Each line is
+stripped of surrounding whitespace; blank lines and lines starting with
+``#`` carry no data.  A CSV header, if any, is the first data line.  A
+``ValueError`` raised while data line N is handled is re-raised as the
+loader's own error class as ``line N: <reason>``.
 """
 
 from __future__ import annotations
@@ -10,6 +14,17 @@ from __future__ import annotations
 from typing import Callable, TypeVar
 
 T = TypeVar("T")
+
+
+def _split(source: str) -> list[str]:
+    if "\r" in source:
+        source = source.replace("\r\n", "\n").replace("\r", "\n")
+    return source.split("\n")
+
+
+def data_lines(source: str) -> list[str]:
+    """The stripped data lines of `source`, in order, without line numbers."""
+    return [line for line in map(str.strip, _split(source)) if line and line[0] != "#"]
 
 
 def read_lines(
@@ -26,7 +41,7 @@ def read_lines(
     """
     results = []
     expect_header = header is not None
-    for lineno, raw in enumerate(source.splitlines(), start=1):
+    for lineno, raw in enumerate(_split(source), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

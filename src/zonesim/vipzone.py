@@ -165,10 +165,18 @@ def member_import(
     return VerificationOutcome(Outcome.FORWARD_UNVERIFIED, "R6"), route
 
 
+_PLAIN_ORDER = PreferenceOrder(verified_first=False)
+_VERIFIED_FIRST_ORDER = PreferenceOrder(verified_first=True)
+
+
 def member_preference(cfg: ZoneConfig, asn: int) -> PreferenceOrder:
-    """Members and opted-in non-members rank VERIFIED routes first."""
-    verified_first = asn in cfg.members or asn in cfg.honor_verified_non_members
-    return PreferenceOrder(verified_first=verified_first)
+    """Members and opted-in non-members rank VERIFIED routes first.
+
+    Orders are frozen, so every AS shares one of the two.
+    """
+    if asn in cfg.members or asn in cfg.honor_verified_non_members:
+        return _VERIFIED_FIRST_ORDER
+    return _PLAIN_ORDER
 
 
 def zone_policy(topo: Topology, cfg: ZoneConfig, reg: RegistrySet) -> PolicyHooks:

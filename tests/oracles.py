@@ -14,7 +14,9 @@ export-the-best constraint without reusing any engine code.)
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 
+from zonesim._lines import read_lines
 from zonesim.registry import parse_prefix
 from zonesim.routing import (
     Origination,
@@ -24,7 +26,14 @@ from zonesim.routing import (
     data_plane_trace,
     gao_rexford_hooks,
 )
-from zonesim.topology import Rel, Topology
+from zonesim.topology import (
+    Rel,
+    Relationship,
+    Topology,
+    TopologyError,
+    _check_c2p_acyclic,
+    _parse_record,
+)
 
 REVERSE = {Rel.CUSTOMER: Rel.PROVIDER, Rel.PROVIDER: Rel.CUSTOMER, Rel.PEER: Rel.PEER}
 
@@ -147,6 +156,40 @@ def random_registry(rng: random.Random, topo: Topology, members, origs):
             kyc[(member, neighbor)] = KycEntry(allowed_asns, allowed_prefixes)
 
     return RegistrySet.build(roas=roas, aspas=aspas, irr=irr, kyc=kyc)
+
+
+def oracle_load_topology(source: str | bytes) -> Topology:
+    """The per-line topology loader: every data line parsed and checked on
+    its own, then the records walked in order into adjacency sets, with a
+    pair set that catches the first duplicate (or 2-cycle) as it is added.
+    """
+    if isinstance(source, bytes):
+        source = source.decode("utf-8")
+    records = read_lines(source, _parse_record, TopologyError)
+    providers: dict[int, set[int]] = defaultdict(set)
+    customers: dict[int, set[int]] = defaultdict(set)
+    peers: dict[int, set[int]] = defaultdict(set)
+    pairs: set[tuple[int, int]] = set()
+    for a, b, code in records:
+        pair = (a, b) if a < b else (b, a)
+        if pair in pairs:
+            if code == Relationship.P2C and a in customers.get(b, ()):
+                raise TopologyError(f"provider-customer cycle through AS{a} and AS{b}")
+            raise TopologyError(f"duplicate edge between AS{a} and AS{b}")
+        pairs.add(pair)
+        if code:
+            customers[a].add(b)
+            providers[b].add(a)
+        else:
+            peers[a].add(b)
+            peers[b].add(a)
+    asns = dict.fromkeys(asn for a, b, _ in records for asn in (a, b))
+    _check_c2p_acyclic(asns, customers)
+
+    def freeze(adjacency):
+        return {a: frozenset(adjacency.get(a, ())) for a in asns}
+
+    return Topology(freeze(providers), freeze(customers), freeze(peers))
 
 
 def dfs_customer_cone(topo: Topology, asn: int) -> frozenset[int]:

@@ -266,6 +266,15 @@ class TestLoaders:
         with pytest.raises(RegistryError, match="header"):
             load_roas("# header missing\n")
 
+    def test_only_newlines_end_a_line(self):
+        # A form feed or NEL inside a comment does not start a data line
+        # (here it would have been taken for the header); CR and CRLF do.
+        text = "# exported\x0cby tool\r\nprefix,maxlen,asn\r# c\x85d\n192.0.30.0/23,24,64500\r\n"
+        assert load_roas(text) == (Roa(P("192.0.30.0/23"), 64500, 24),)
+        with pytest.raises(RegistryError) as excinfo:
+            load_roas(text + "# x\x0cy\rbad\n")
+        assert str(excinfo.value).startswith("line 6: ")
+
     def test_aspa_csv(self):
         aspas = load_aspas("customer_asn,provider_asns\n20,10;11\n")
         assert aspas == {20: frozenset({10, 11})}

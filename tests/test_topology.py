@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from zonesim.topology import (
     tier1_mesh_gaps,
 )
 
-from oracles import dfs_customer_cone, random_topology
+from oracles import dfs_customer_cone, oracle_load_topology, random_topology
 
 
 class TestLoadTopology:
@@ -76,6 +77,11 @@ class TestLoadTopology:
             ("1|2|-1\n\n3|3|0\n", "line 3: self-loop on AS3"),
             ("1|2|7\n", "line 1: unknown relationship code 7"),
             ("1|1|7\n", "line 1: self-loop on AS1"),
+            # only \n, \r\n and \r end a line
+            ("1|2|-1\r\nbogus\r\n", "line 2: malformed record 'bogus'"),
+            ("1|2|-1\rbogus\r", "line 2: malformed record 'bogus'"),
+            ("1|2|-1\r\r\n\nbogus\n", "line 4: malformed record 'bogus'"),
+            ("# x\x0cy\x85z\n1|2|-1\nbogus\n", "line 3: malformed record 'bogus'"),
         ],
     )
     def test_per_line_error_text(self, text, message):
@@ -137,6 +143,62 @@ class TestLoadTopology:
             assert got == want
             assert got.customers == want.customers
 
+    @pytest.mark.parametrize(
+        "text",
+        ["# exported by tool\x0cv2\n1|2|-1\n", "# c\x85omment\n1|2|-1\n",
+         "# a\u2028b\x1cc\x1dd\x1ee\x0bf\u2029g\n1|2|-1\n"],
+    )
+    def test_only_newlines_end_a_line(self, text):
+        # Form feed, NEL and the other breaks str.splitlines knows stay
+        # inside the comment they appear in.
+        assert load_topology(text) == Topology.from_records([(1, 2, -1)])
+
+    def test_matches_per_line_oracle(self):
+        # The bulk loader against the per-line one on seeded texts: the
+        # same Topology (down to the maps' key order) or the same error.
+        rng = random.Random(2024)
+        kinds = ["valid", "valid", "fields", "non-int", "asn 0", "asn 2**32",
+                 "self-loop", "code", "duplicate", "reversed p2c", "cycle"]
+        for trial in range(330):
+            kind = kinds[trial % len(kinds)]
+            faults = [] if kind == "valid" else [kind]
+            if faults and rng.random() < 0.25:
+                faults.append(rng.choice(kinds[2:]))  # which one is reported first
+            text = _render(rng, _records(rng, *faults), empty=trial % 30 == 0)
+            source = text.encode() if rng.random() < 0.2 else text
+            try:
+                want = oracle_load_topology(source)
+            except TopologyError as exc:
+                with pytest.raises(TopologyError) as excinfo:
+                    load_topology(source)
+                assert str(excinfo.value) == str(exc), (kind, text)
+                continue
+            got = load_topology(source)
+            assert got == want, (kind, text)
+            for name in ("providers", "customers", "peers"):
+                assert list(getattr(got, name).items()) == list(getattr(want, name).items())
+
+    @pytest.mark.parametrize(
+        "text", ["1|2|-1\n2|3|0\n", "1|2|-1\nbogus\n", "1|2|-1\n2|1|-1\n", ""]
+    )
+    def test_collector_state_is_restored(self, text):
+        was_enabled = gc.isenabled()
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                try:
+                    load_topology(text)
+                except TopologyError:
+                    pass
+                assert gc.isenabled() is enabled
+                try:
+                    Topology.from_records([(1, 2, -1), (2, 1, -1)])
+                except TopologyError:
+                    pass
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
     def test_roundtrip(self):
         topo = load_topology("1|2|-1\n2|3|-1\n4|2|0\n3|5|-1\n4|5|0")
         assert load_topology(serialize_topology(topo)) == topo
@@ -146,6 +208,65 @@ class TestLoadTopology:
         for _ in range(20):
             topo = random_topology(rng, rng.randint(2, 20), rng.randint(0, 8))
             assert load_topology(serialize_topology(topo)) == topo
+
+
+def _records(rng: random.Random, *faults: str) -> list[list[str]]:
+    """Seeded serial-1 records as field lists, with one line of each fault
+    kind inserted at a random position."""
+    topo = random_topology(rng, rng.randint(2, 40), rng.randint(0, 25))
+    records = [
+        [b, a, code] if code == 0 and rng.random() < 0.5 else [a, b, code]
+        for a, b, code in topo.records()
+    ]
+    rng.shuffle(records)
+    fields = [list(map(str, rec)) for rec in records]
+    for kind in faults:
+        a, b, code = rng.choice(records)
+        bad = [a, b, code]
+        if kind == "fields":
+            bad = bad[: rng.randint(1, 2)]
+        elif kind == "non-int":
+            bad[rng.randrange(3)] = rng.choice(("x", "1.5", "", "AS7"))
+        elif kind in ("asn 0", "asn 2**32"):
+            bad[rng.randrange(2)] = 0 if kind == "asn 0" else 2**32
+        elif kind == "self-loop":
+            bad = [a, a, rng.choice((-1, 0))]
+        elif kind == "code":
+            bad[2] = 7
+        elif kind == "duplicate":
+            bad = [*rng.choice(((a, b), (b, a))), rng.choice((-1, 0))]
+        elif kind == "reversed p2c":
+            a, b, _ = rng.choice([rec for rec in records if rec[2] == -1])
+            bad = [b, a, -1]
+        elif kind == "cycle":
+            # A p2c edge from an AS up to a provider two or more hops above.
+            below = {a: customer_cone(topo, a) - topo.customers_of(a) for a in topo.asns}
+            tops = [a for a in sorted(below) if below[a]]
+            if not tops:
+                continue
+            top = rng.choice(tops)
+            bad = [rng.choice(sorted(below[top])), top, -1]
+        fields.insert(rng.randrange(len(fields) + 1), list(map(str, bad)))
+    return fields
+
+
+def _render(rng: random.Random, fields: list[list[str]], empty: bool = False) -> str:
+    """Serial-1 text with comments, blank lines, spaces, a source field and
+    a random mix of line ends."""
+    lines = [] if empty else [
+        rng.choice(("", " ", "\t"))
+        + rng.choice((" | ", "|\t", " |")).join(f) + rng.choice(("", "|bgp", "|mlp|x"))
+        + rng.choice(("", " ", "\t"))
+        if rng.random() < 0.3 else "|".join(f)
+        for f in fields
+    ]
+    for _ in range(rng.randint(0, 4)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(
+            ("", "   ", "# comment", "  # indented comment", "#", "# a|b|c\x0cx|y")
+        ))
+    ends = rng.choice((["\n"], ["\r\n"], ["\r"], ["\n", "\r\n", "\r"]))
+    text = "".join(line + rng.choice(ends) for line in lines)
+    return text if rng.random() < 0.8 else text.rstrip("\r\n")
 
 
 class TestCustomerCone:

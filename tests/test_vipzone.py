@@ -255,6 +255,19 @@ class TestExportAndPreference:
         untagged = route([5, 20], rel=Rel.PROVIDER)
         assert order.best([tagged, untagged]) == tagged
 
+    def test_orders_are_shared(self):
+        # One frozen order per kind, whatever the config or the AS.
+        a = ZoneConfig(members=frozenset({1}), honor_verified_non_members=frozenset({40}))
+        b = ZoneConfig(members=frozenset({2}))
+        verified = member_preference(a, 1)
+        assert verified.verified_first
+        assert member_preference(a, 40) is verified
+        assert member_preference(b, 2) is verified
+        plain = member_preference(a, 3)
+        assert not plain.verified_first
+        assert member_preference(b, 1) is plain
+        assert member_preference(b, 40) is plain
+
 
 class TestZonePropagation:
     """Whole-network behavior of the hooks, including the basic defended

@@ -9,10 +9,14 @@ solve (raw, not calibrated), RIB rows and the peak resident set.
 The zone is the connected core of the 300 ASes with the largest customer
 cones; the prefix is the synthetic probe prefix of the lowest-numbered
 stub AS, with a matching ROA.  This probe is not part of the benchmark
-or the tests; CI runs it at 2000 ASes and requires a non-empty RIB.
+or the tests; CI runs it at 2000 ASes and requires every AS loaded, a
+reported load time and a non-empty RIB.
 
-    python3 tools/scale_probe.py            # 75k ASes, ~10 s, ~0.4 GB
+    python3 tools/scale_probe.py            # 75k ASes, ~5 s, ~0.36 GB peak
     python3 tools/scale_probe.py --ases 2000
+
+At 75k ASes on a 2-vCPU x86-64 host (Python 3.11) the load takes about
+0.65 s and the solve about 3 s, raw.
 """
 
 from __future__ import annotations
