@@ -8,8 +8,9 @@ into --out-dir, and signals findings through the exit code:
      reported on stderr as <file>: line N: <reason>
   2  scenario misdirection detected and --fail-on-harm was set
   3  audit produced non-waived findings
-  4  no stable routing state: propagation did not converge; the message
-     names each prefix and the ASes still changing in it
+  4  synchronous rounds did not converge, so no unique stable routing
+     state was reached (the prefix may have several, or none); the
+     message names each prefix and the ASes still changing in it
 
 Outputs are deterministic: identical inputs produce byte-identical files.
 The manifest records every flag the run was given and is written last, so

@@ -40,6 +40,12 @@ some prefixes (attacks.run_scenario) pass only those.
 Hooks can drop or transform routes on import (community edits), replace the
 per-AS preference order, and veto or force exports.  The default hook set
 implements plain economic routing with no community handling.
+
+The cyclic garbage collector is paused for each propagate call: nothing a
+solve builds holds a reference cycle, so a collection mid-solve frees
+nothing and only re-walks the growing RIB; cyclic garbage a hook makes
+waits until the call ends.  The pause is process-wide, so other threads
+also run without the collector while a solve is in progress.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from ._lines import read_lines
 from .registry import Prefix, parse_prefix
-from .topology import Rel, Topology
+from .topology import Rel, Topology, _gc_paused
 
 
 # The community zone members attach to routes verified on entry; an AS that
@@ -223,7 +229,7 @@ class Origination:
         return Route(self.prefix, tuple(path), frozenset(self.communities))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RibEntry:
     best: Route
     candidates: tuple[Route, ...]
@@ -278,6 +284,7 @@ def _normalize_originations(
     return normalized
 
 
+@_gc_paused()
 def propagate(
     topo: Topology,
     originations: Iterable,
@@ -356,7 +363,11 @@ def propagate(
                     _route(prefix, r.as_path, r.communities, r.learned_from, r.learned_rel)
                     for r in ranked
                 ])
-            per_as[asn][prefix] = RibEntry(ranked[0], ranked)
+            # RibEntry(ranked[0], ranked), with its slots written directly.
+            entry = _new(RibEntry)
+            _set_best(entry, ranked[0])
+            _set_candidates(entry, ranked)
+            per_as[asn][prefix] = entry
     return Rib(per_as)
 
 
@@ -367,6 +378,7 @@ _set_prefix, _set_path, _set_communities, _set_learned_from, _set_learned_rel = 
     Route.__dict__[name].__set__
     for name in ("prefix", "as_path", "communities", "learned_from", "learned_rel")
 )
+_set_best, _set_candidates = (RibEntry.__dict__[name].__set__ for name in ("best", "candidates"))
 
 
 def _route(prefix, as_path, communities, learned_from, learned_rel) -> Route:
@@ -550,6 +562,8 @@ def dump_rib(rib: Rib) -> str:
     # Sort key and text of each prefix object, computed once per dump;
     # keyed by identity, since hashing an ip_network is a Python call too.
     formatted: dict[int, tuple[tuple[int, int, int], str]] = {}
+    # Text of each distinct communities set, sorted once per dump.
+    tags: dict[frozenset[str], str] = {}
     lines = []
     for asn in sorted(rib.per_as):
         rows = []
@@ -559,12 +573,16 @@ def dump_rib(rib: Rib) -> str:
                 shown = formatted[id(prefix)] = (_prefix_sort_key(prefix), str(prefix))
             rows.append((shown, entry.best))
         rows.sort(key=_first)
-        head = f"{asn}|"
+        head = str(asn)
         for (_, text), route in rows:
-            lines.append(
-                f"{head}{text}|{' '.join(map(str, route.as_path))}"
-                f"|{';'.join(sorted(route.communities))}|{route.learned_rel.value}"
-            )
+            communities = route.communities
+            tagged = tags.get(communities)
+            if tagged is None:
+                tagged = tags[communities] = ";".join(sorted(communities))
+            # Rel is a str enum: join reads its value without a .value call.
+            lines.append("|".join(
+                (head, text, " ".join(map(str, route.as_path)), tagged, route.learned_rel)
+            ))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

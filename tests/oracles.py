@@ -437,3 +437,29 @@ def r3_witness_scan(members: frozenset[int], views):
                 ):
                     found.add((view.member, neighbor, route.prefix, route.as_path))
     return found
+
+
+def dump_rib_oracle(rib) -> str:
+    """dump_rib as it was before community texts were memoized and the
+    relationship joined as a str: one f-string per row, prefixes sorted
+    by (version, network address, length) within each AS."""
+    formatted = {}
+    lines = []
+    for asn in sorted(rib.per_as):
+        rows = []
+        for prefix, entry in rib.per_as[asn].items():
+            shown = formatted.get(id(prefix))
+            if shown is None:
+                shown = formatted[id(prefix)] = (
+                    (prefix.version, int(prefix.network_address), prefix.prefixlen),
+                    str(prefix),
+                )
+            rows.append((shown, entry.best))
+        rows.sort(key=lambda row: row[0])
+        head = f"{asn}|"
+        for (_, text), route in rows:
+            lines.append(
+                f"{head}{text}|{' '.join(map(str, route.as_path))}"
+                f"|{';'.join(sorted(route.communities))}|{route.learned_rel.value}"
+            )
+    return "\n".join(lines) + ("\n" if lines else "")

@@ -1,4 +1,6 @@
+import gc
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -10,20 +12,24 @@ from zonesim.routing import (
     Origination,
     PolicyHooks,
     PreferenceOrder,
+    Rib,
+    RibEntry,
     Route,
     RoutingError,
     TraceOutcome,
     data_plane_trace,
     dump_rib,
+    gao_rexford_hooks,
     origination_class,
     parse_rib_dump,
     propagate,
 )
-from zonesim.topology import Rel, Topology, load_topology
+from zonesim.topology import Rel, Topology, _gc_paused, load_topology
 from zonesim.vipzone import ZoneConfig, zone_policy
 
 from oracles import (
     PREFIX_POOL,
+    dump_rib_oracle,
     oracle_fixpoint,
     random_connected_members,
     random_originations,
@@ -34,6 +40,22 @@ from oracles import (
 
 P = parse_prefix
 PFX = P("10.0.0.0/24")
+
+
+class PeerFirst(PreferenceOrder):
+    # Ranks peer routes above customer routes: with DISAGREE below, the
+    # pair 1, 2 never settles.
+    def key(self, route):
+        return (
+            route.learned_rel is Rel.SELF,
+            route.learned_rel is Rel.PEER,
+            -len(route.as_path),
+            -(route.learned_from or 0),
+        )
+
+
+# 1 and 2 peer and both provide transit to 10.
+DISAGREE = "1|10|-1\n2|10|-1\n1|2|0"
 
 
 def chain_topology():
@@ -129,6 +151,20 @@ class TestPropagateBasics:
     def test_empty_originations(self):
         rib = propagate(chain_topology(), [])
         assert rib.entries(1) == {}
+
+    def test_entries_are_frozen_rib_entries(self):
+        topo = load_topology("1|2|-1\n1|3|-1\n2|4|-1\n3|4|-1")
+        # 10.2.0.0/24 shares PFX's class, so its entries are relabelled.
+        origs = [(4, PFX), (1, P("10.1.0.0/24")), (4, P("10.2.0.0/24"))]
+        rib = propagate(topo, origs, gao_rexford_hooks())
+        for entries in rib.per_as.values():
+            for entry in entries.values():
+                assert entry == RibEntry(entry.best, entry.candidates)
+                assert entry.best is entry.candidates[0]
+                for field in ("best", "candidates"):
+                    with pytest.raises(FrozenInstanceError):
+                        setattr(entry, field, None)
+        assert len(rib.candidates(1, P("10.2.0.0/24"))) == 2
 
 
 class TestInvariants:
@@ -419,18 +455,8 @@ class TestClassSolving:
         assert rib.best(1, c).prefix is c
 
     def test_non_converging_class_names_every_prefix(self):
-        # The DISAGREE gadget below, for two prefixes of one class.
-        topo = load_topology("1|10|-1\n2|10|-1\n1|2|0")
-
-        class PeerFirst(PreferenceOrder):
-            def key(self, route):
-                return (
-                    route.learned_rel is Rel.SELF,
-                    route.learned_rel is Rel.PEER,
-                    -len(route.as_path),
-                    -(route.learned_from or 0),
-                )
-
+        # The DISAGREE gadget, for two prefixes of one class.
+        topo = load_topology(DISAGREE)
         hooks = PolicyHooks(preference_for=lambda asn: PeerFirst(), prefix_class=origination_class)
         other = P("10.1.0.0/24")
         with pytest.raises(NonConvergenceError) as excinfo:
@@ -471,17 +497,7 @@ class TestNonConvergence:
         # pathological preference that ranks peer routes above customer
         # routes makes the pair flip-flop between the direct route and the
         # route through each other; the round cap must catch it.
-        topo = load_topology("1|10|-1\n2|10|-1\n1|2|0")
-
-        class PeerFirst(PreferenceOrder):
-            def key(self, route):
-                return (
-                    route.learned_rel is Rel.SELF,
-                    route.learned_rel is Rel.PEER,
-                    -len(route.as_path),
-                    -(route.learned_from or 0),
-                )
-
+        topo = load_topology(DISAGREE)
         hooks = PolicyHooks(preference_for=lambda asn: PeerFirst())
         with pytest.raises(NonConvergenceError) as excinfo:
             propagate(topo, [(10, PFX)], hooks)
@@ -490,6 +506,77 @@ class TestNonConvergence:
         # origin's own route never changes.
         assert excinfo.value.oscillating[PFX] == (1, 2)
         assert "AS1, AS2" in str(excinfo.value)
+
+
+def _raising_import(importer, neighbor, rel, route):
+    raise LookupError("import hook failed")
+
+
+class TestCollectorPause:
+    """propagate pauses the cyclic collector for the whole call and leaves
+    it as it found it, however the call ends."""
+
+    # Each case solves two prefixes on the DISAGREE gadget.
+    CASES = {
+        "solve": (PolicyHooks(), None),
+        "non-convergence": (PolicyHooks(preference_for=lambda asn: PeerFirst()), NonConvergenceError),
+        "raising-hook": (PolicyHooks(import_route=_raising_import), LookupError),
+    }
+
+    @pytest.fixture(autouse=True)
+    def _restore_collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_collector_state_is_restored(self, case):
+        hooks, error = self.CASES[case]
+        topo = load_topology(DISAGREE)
+        origs = [(10, PFX), (1, P("10.1.0.0/24"))]
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            if error is None:
+                propagate(topo, origs, hooks)
+            else:
+                with pytest.raises(error):
+                    propagate(topo, origs, hooks)
+            assert gc.isenabled() is enabled
+
+    def test_paused_from_class_keys_to_last_import(self):
+        seen = []
+
+        def prefix_class(prefix, originations):
+            seen.append(gc.isenabled())
+            return None
+
+        def import_route(importer, neighbor, rel, route):
+            seen.append(gc.isenabled())
+            return route
+
+        gc.enable()
+        hooks = PolicyHooks(import_route=import_route, prefix_class=prefix_class)
+        propagate(chain_topology(), [(3, PFX)], hooks)
+        assert len(seen) == 3 and not any(seen)
+        assert gc.isenabled()
+
+    def test_nested_call_leaves_collector_paused(self):
+        topo = chain_topology()
+        after_inner = []
+
+        def import_route(importer, neighbor, rel, route):
+            propagate(topo, [(3, PFX)])
+            after_inner.append(gc.isenabled())
+            return route
+
+        gc.enable()
+        with _gc_paused():
+            propagate(topo, [(3, PFX)])
+            assert not gc.isenabled()
+        assert gc.isenabled()
+        propagate(topo, [(3, PFX)], PolicyHooks(import_route=import_route))
+        assert after_inner and not any(after_inner)
+        assert gc.isenabled()
 
 
 class TestPreferenceKeyCalls:
@@ -574,6 +661,42 @@ class TestDump:
         with pytest.raises(RoutingError, match="line 2: invalid prefix"):
             parse_rib_dump("1|10.0.0.0/24|1||self\n1|10.0.0.1/24|1||self")
 
+    def test_matches_formatter_oracle(self):
+        # Zone-policy RIBs: VERIFIED tags, forged paths, shared classes.
+        compared = 0
+        for rng, topo, cfg, origs, reg in _class_corpus(703, 60):
+            rib = _solve(topo, origs, zone_policy(topo, cfg, reg))
+            if isinstance(rib, Rib):
+                assert dump_rib(rib) == dump_rib_oracle(rib)
+                compared += 1
+        assert compared >= 50
+        # Hand-built RIBs: every Rel, empty and multi-tag communities, each
+        # set built afresh (equal but distinct frozensets), IPv4 beside
+        # IPv6, and per-AS dicts in shuffled prefix order.
+        rng = random.Random(704)
+        prefixes = [P("10.0.0.0/24"), P("10.0.0.0/16"), P("9.0.0.0/8"), P("2001:db8::/48"),
+                    P("2001:db8::/32"), P("::/0"), P("0.0.0.0/0")]
+        tags = ["65000:1", VERIFIED, "65001:7", "0:0"]
+        seen = set()
+        for _ in range(200):
+            per_as = {}
+            for asn in rng.sample(range(1, 60), k=rng.randint(0, 8)):
+                entries = {}
+                for prefix in rng.sample(prefixes, k=rng.randint(1, len(prefixes))):
+                    rel = rng.choice(list(Rel))
+                    path = tuple(rng.sample(range(1, 60), k=rng.randint(1, 4)))
+                    communities = frozenset(rng.sample(tags, k=rng.randint(0, len(tags))))
+                    route = Route(prefix, path, communities,
+                                  None if rel is Rel.SELF else path[0], rel)
+                    entries[prefix] = RibEntry(route, (route,))
+                    seen.add((rel, len(communities) > 1, prefix.version))
+                per_as[asn] = entries
+            rib = Rib(per_as)
+            assert dump_rib(rib) == dump_rib_oracle(rib)
+        assert {(rel, multi) for rel, multi, _ in seen} == {(r, m) for r in Rel for m in (False, True)}
+        assert {version for *_, version in seen} == {4, 6}
+        assert dump_rib(Rib({})) == dump_rib_oracle(Rib({})) == ""
+
     def test_prefix_texts_parsed_once(self):
         known = {}
         first = parse_rib_dump("1|10.0.0.0/24|1||self\n2|10.0.0.0/24|1||customer", known)
@@ -586,8 +709,6 @@ class TestTraceLoop:
     def test_inconsistent_rib_reported_as_loop(self):
         # Hand-built inconsistent state: 1 and 2 each claim they learned
         # the prefix from the other.
-        from zonesim.routing import Rib, RibEntry
-
         r12 = Route(PFX, (2, 9), learned_from=2, learned_rel=Rel.PROVIDER)
         r21 = Route(PFX, (1, 9), learned_from=1, learned_rel=Rel.PROVIDER)
         rib = Rib({1: {PFX: RibEntry(r12, (r12,))}, 2: {PFX: RibEntry(r21, (r21,))}})

@@ -16,7 +16,10 @@ reported load time and a non-empty RIB.
     python3 tools/scale_probe.py --ases 2000
 
 At 75k ASes on a 2-vCPU x86-64 host (Python 3.11) the load takes about
-0.65 s and the solve about 3 s, raw.
+0.65 s and the solve about 1.6 s, raw.  The solve figure is scaled: in a
+slower period of the same host, when the load took 1.6-1.7 s, the solve
+took 3.9-4.0 s, against 7.0-7.4 s before propagate paused the cyclic
+garbage collector.
 """
 
 from __future__ import annotations
