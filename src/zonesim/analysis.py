@@ -16,12 +16,12 @@ from __future__ import annotations
 import enum
 import heapq
 import ipaddress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from ._lines import read_lines
 from .registry import Prefix, RegistrySet, Roa
-from .routing import Origination, PolicyHooks, PreferenceOrder, propagate
+from .routing import _PLAIN_ORDER, Origination, PreferenceOrder, propagate
 from .topology import Rel, Topology
 from .vipzone import ZoneConfig, zone_policy
 
@@ -373,19 +373,16 @@ def _routing_exceptions(
     base_policy = zone_policy(topo, cfg, reg)
     verified_rib = propagate(topo, originations, base_policy)
 
-    # The member keeps applying zone import/export duties in both runs; only
-    # its preference order is toggled.
-    plain_order = PreferenceOrder(verified_first=False)
+    # The member keeps applying zone import duties in both runs; only its
+    # preference order is toggled.
     results = []
     for member in members:
 
         def mixed_preference(asn: int, member=member) -> PreferenceOrder:
-            return plain_order if asn == member else base_policy.preference_for(asn)
+            return _PLAIN_ORDER if asn == member else base_policy.preference_for(asn)
 
         plain_rib = propagate(
-            topo,
-            originations,
-            PolicyHooks(base_policy.import_route, base_policy.export_route, mixed_preference),
+            topo, originations, replace(base_policy, preference_for=mixed_preference)
         )
         exceptions = []
         for asn in sorted(topo.asns):

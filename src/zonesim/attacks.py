@@ -29,7 +29,7 @@ leaker from one of the leaker's providers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from ._lines import read_lines
@@ -129,22 +129,20 @@ def _leak_hooks(topo: Topology, base: PolicyHooks, scenario: AttackScenario) -> 
     leaked_from = scenario.leaked_from
     other_providers = topo.providers_of(leaker) - {leaked_from}
 
-    def export_route(exporter, neighbor, rel, route, gr_allows):
-        if (
+    def export_route(exporter, neighbor, rel, route):
+        return (
             exporter == leaker
             and neighbor in other_providers
             and route.prefix == scenario.victim_prefix
             and route.learned_from == leaked_from
-        ):
-            return route
-        return base.export_route(exporter, neighbor, rel, route, gr_allows)
+        ) or base.export_route(exporter, neighbor, rel, route)
 
     def prefix_class(prefix, originations):
         if prefix == scenario.victim_prefix:
             return None
         return base.prefix_class(prefix, originations)
 
-    return PolicyHooks(base.import_route, export_route, base.preference_for, prefix_class)
+    return replace(base, export_route=export_route, prefix_class=prefix_class)
 
 
 def _is_attacker_route(route: Route, scenario: AttackScenario, holder: int, topo: Topology) -> bool:
@@ -177,6 +175,13 @@ def scenario_rib(
     """Solve the network with the scenario's injection (or leak) in place."""
     if scenario.attacker not in topo.asns:
         raise ScenarioError(f"attacker AS{scenario.attacker} not in topology")
+    if scenario.kind is AttackKind.ROUTE_LEAK:
+        leaker, source = f"leaker AS{scenario.attacker}", f"AS{scenario.leaked_from}"
+        providers = topo.providers_of(scenario.attacker)
+        if scenario.leaked_from not in providers:
+            raise ScenarioError(f"leaked_from {source} is not a provider of {leaker}")
+        if len(providers) < 2:
+            raise ScenarioError(f"{leaker} has no provider to leak to besides {source}")
     legits = _normalize_originations(topo, legitimate_originations)
     if scenario.kind is AttackKind.SUB_PREFIX_HIJACK:
         victim = scenario.victim_prefix

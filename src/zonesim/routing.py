@@ -23,10 +23,10 @@ rounds is reported with the ASes that changed in the last round.
 Inside a solve, ASes are dense indices in ascending-ASN order: per prefix,
 bests and cached entries are lists, and each exporter's adjacency row holds
 the neighbor's index and ASN and both relationship views.  The export
-rule's half that depends only on the exporter, and the prepended path and
-communities, are computed once per exporter and reused wherever the export
-hook passes the route on unchanged.  Hooks still see ASNs and Routes, and
-routes in flight keep their prefix, because import hooks may read it.
+rule's half that depends only on the exporter, and the prepended path, are
+computed once per exporter and reused for every neighbor the route is sent
+to.  Hooks still see ASNs and Routes, and routes in flight keep their
+prefix, because import hooks may read it.
 Learned routes at one AS each come from a different neighbor, so the stock
 preference order ranks them without its final path tiebreak.
 
@@ -38,8 +38,10 @@ prefix whose key is None is solved on its own.  Callers that read only
 some prefixes (attacks.run_scenario) pass only those.
 
 Hooks can drop or transform routes on import (community edits), replace the
-per-AS preference order, and veto or force exports.  The default hook set
-implements plain economic routing with no community handling.
+per-AS preference order, and force an export the economic rule refuses (a
+route leak).  Exports are never changed, so a learned route's path starts
+with the neighbor it was learned from.  The default hook set implements
+plain economic routing with no community handling.
 
 The cyclic garbage collector is paused for each propagate call: nothing a
 solve builds holds a reference cycle, so a collection mid-solve frees
@@ -94,21 +96,24 @@ class Route:
     """One announcement as held by an AS.
 
     as_path is ordered with the origin last and never contains the holder;
-    its head is the neighbor the route was learned from.  A locally
-    originated route has learned_from None, learned_rel SELF, and a path
-    whose head is the holder itself (the whole path may be caller-supplied
-    for attack injections).
+    its head is the neighbor the route was learned from (learned_from).  A
+    locally originated route has learned_rel SELF, learned_from None, and a
+    path whose head is the holder itself (the whole path may be
+    caller-supplied for attack injections).
     """
 
     prefix: Prefix
     as_path: tuple[int, ...]
     communities: frozenset[str] = frozenset()
-    learned_from: int | None = None
     learned_rel: Rel = Rel.SELF
 
     @property
     def origin(self) -> int:
         return self.as_path[-1]
+
+    @property
+    def learned_from(self) -> int | None:
+        return None if self.learned_rel is Rel.SELF else self.as_path[0]
 
 
 # Relationships as module globals: the propagation loop and the preference
@@ -135,14 +140,14 @@ class PreferenceOrder:
 
     def _rank(self, route: Route):
         # key() without the path tiebreak: enough to order routes learned
-        # from distinct neighbors, which differ in learned_from.
+        # from distinct neighbors, which differ in as_path[0].
         rel = route.learned_rel
         return (
             rel is _SELF,
             self.verified_first and VERIFIED in route.communities,
             3 if rel is _CUSTOMER else 2 if rel is _PEER else 1 if rel is _PROVIDER else 0,
             -len(route.as_path),
-            -(route.learned_from or 0),
+            -route.as_path[0],
         )
 
     def best(self, candidates: Iterable[Route]) -> Route:
@@ -150,7 +155,7 @@ class PreferenceOrder:
 
 
 ImportHook = Callable[[int, int, Rel, Route], "Route | None"]
-ExportHook = Callable[[int, int, Rel, Route, bool], "Route | None"]
+ExportHook = Callable[[int, int, Rel, Route], bool]
 PreferenceHook = Callable[[int], PreferenceOrder]
 ClassHook = Callable[[Prefix, Sequence["Origination"]], "Hashable | None"]
 
@@ -159,10 +164,8 @@ def _default_import(importer: int, neighbor: int, rel: Rel, route: Route) -> Rou
     return route
 
 
-def _default_export(
-    exporter: int, neighbor: int, rel: Rel, route: Route, gr_allows: bool
-) -> Route | None:
-    return route if gr_allows else None
+def _default_export(exporter: int, neighbor: int, rel: Rel, route: Route) -> bool:
+    return False
 
 
 _PLAIN_ORDER = PreferenceOrder(verified_first=False)
@@ -187,12 +190,12 @@ class PolicyHooks:
     """Per-AS policy plugged into the propagation rounds.
 
     import_route(importer, neighbor, rel-of-neighbor, route) returns the
-    route to admit as a candidate (possibly transformed) or None to drop;
-    it keeps the route's learned_from and learned_rel.
-    export_route(exporter, neighbor, rel-of-neighbor, route, gr_allows)
-    returns the route to offer or None to suppress; gr_allows reports
-    whether the standard export rule would send it, so a hook can both
-    filter and (for leak scenarios) force an export.
+    route to admit as a candidate (possibly with other communities) or
+    None to drop; it keeps the route's as_path and learned_rel, which
+    learned_from is read from.
+    export_route(exporter, neighbor, rel-of-neighbor, route) is asked only
+    about an edge the standard export rule refuses; True sends the
+    exporter's best, unchanged, anyway (a route leak).  The default never does.
     prefix_class(prefix, originations) is called once per prefix.  It
     returns a hashable class key, or None to have the prefix solved on
     its own (the default).  Prefixes with equal keys must be routed alike
@@ -360,7 +363,7 @@ def propagate(
         for asn, ranked in rows:
             if prefix is not rep:
                 ranked = tuple([
-                    _route(prefix, r.as_path, r.communities, r.learned_from, r.learned_rel)
+                    _route(prefix, r.as_path, r.communities, r.learned_rel)
                     for r in ranked
                 ])
             # RibEntry(ranked[0], ranked), with its slots written directly.
@@ -374,21 +377,19 @@ def propagate(
 _first = itemgetter(0)
 _second = itemgetter(1)
 _new = object.__new__
-_set_prefix, _set_path, _set_communities, _set_learned_from, _set_learned_rel = (
-    Route.__dict__[name].__set__
-    for name in ("prefix", "as_path", "communities", "learned_from", "learned_rel")
+_set_prefix, _set_path, _set_communities, _set_learned_rel = (
+    Route.__dict__[name].__set__ for name in ("prefix", "as_path", "communities", "learned_rel")
 )
 _set_best, _set_candidates = (RibEntry.__dict__[name].__set__ for name in ("best", "candidates"))
 
 
-def _route(prefix, as_path, communities, learned_from, learned_rel) -> Route:
+def _route(prefix, as_path, communities, learned_rel) -> Route:
     # Route(...) without the frozen dataclass's per-field object.__setattr__
     # calls: the slots are written directly, about 1 us less per import.
     route = _new(Route)
     _set_prefix(route, prefix)
     _set_path(route, as_path)
     _set_communities(route, communities)
-    _set_learned_from(route, learned_from)
     _set_learned_rel(route, learned_rel)
     return route
 
@@ -445,33 +446,29 @@ def _propagate_prefix(
                 continue
             offered = best[e][1]
             # Per exporter: the economic export rule's "learned from a
-            # customer or originated" half, and the path and communities a
-            # neighbor receives when the export hook passes the route as is.
+            # customer or originated" half, and what every neighbor it is
+            # sent to receives.
             exporter = asns[e]
             rel_out = offered.learned_rel
             anywhere = rel_out is _CUSTOMER or rel_out is _SELF
-            offered_path = offered.as_path
-            if offered_path[0] != exporter:
-                offered_path = (exporter,) + offered_path
-            offered_communities = offered.communities
+            path = offered.as_path
+            if path[0] != exporter:
+                path = (exporter,) + path
+            communities = offered.communities
             for i, asn, rel_back, rel, is_customer in adjacency[e]:
                 # rel is what `exporter` is to `asn`; rel_back, what `asn` is
-                # to `exporter`, drives the export rule.
+                # to `exporter`, drives the export rule.  The hook is asked
+                # only about an edge the rule refuses.
                 entry = None
-                sent = export_route(exporter, asn, rel_back, offered, anywhere or is_customer)
-                if sent is not None:
-                    if sent is offered:
-                        path, communities = offered_path, offered_communities
-                    else:
-                        path, communities = sent.as_path, sent.communities
-                        if path[0] != exporter:
-                            path = (exporter,) + path
-                    if asn not in path:
-                        admitted = import_route(
-                            asn, exporter, rel, _route(prefix, path, communities, exporter, rel)
-                        )
-                        if admitted is not None:
-                            entry = (ranks[i](admitted), admitted)
+                if (
+                    (anywhere or is_customer or export_route(exporter, asn, rel_back, offered))
+                    and asn not in path
+                ):
+                    admitted = import_route(
+                        asn, exporter, rel, _route(prefix, path, communities, rel)
+                    )
+                    if admitted is not None:
+                        entry = (ranks[i](admitted), admitted)
                 slots = learned[i]
                 if entry is None:
                     if slots.pop(e, None) is None:
@@ -605,12 +602,11 @@ def parse_rib_dump(
         if not path:
             raise RoutingError("empty AS path")
         rel = Rel(parts[4])
-        learned_from = None if rel is Rel.SELF else path[0]
         communities = frozenset(c for c in parts[3].split(";") if c)
         prefix = known.get(parts[1])
         if prefix is None:
             prefix = known[parts[1]] = parse_prefix(parts[1])
-        return int(parts[0]), Route(prefix, path, communities, learned_from, rel)
+        return int(parts[0]), Route(prefix, path, communities, rel)
 
     return read_lines(text, parse_row, RoutingError)
 

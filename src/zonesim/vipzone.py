@@ -16,9 +16,10 @@ inside the zone.  The import rules applied at each member, in order:
       confirmed by a provider-authorization record (never longer paths);
   R6  anything else is forwarded without the tag.
 
-Exports never remove the tag, so customers of members can see which routes
-were verified on entry.  Rule 7 (route-collector export) is realized by the
-RIB dump in the routing module.
+Tags change only on import: the engine sends each export unchanged and the
+zone policy forces none, so customers of members can see which routes were
+verified on entry.  Rule 7 (route-collector export) is realized by the RIB
+dump in the routing module.
 
 Only R2 and R5 read a route's prefix, and only through the ROV state of its
 origin and the R5 verdict at a member adjacent to the origin.  The zone
@@ -42,7 +43,7 @@ from .registry import (
     rov_validate,
     verify_customer_origin,
 )
-from .routing import VERIFIED, Origination, PolicyHooks, PreferenceOrder, Route
+from .routing import _PLAIN_ORDER, VERIFIED, Origination, PolicyHooks, PreferenceOrder, Route
 from .topology import Rel, Topology
 
 
@@ -165,7 +166,6 @@ def member_import(
     return VerificationOutcome(Outcome.FORWARD_UNVERIFIED, "R6"), route
 
 
-_PLAIN_ORDER = PreferenceOrder(verified_first=False)
 _VERIFIED_FIRST_ORDER = PreferenceOrder(verified_first=True)
 
 

@@ -257,19 +257,18 @@ def enumerate_route_universe(topo: Topology, originations, hooks: PolicyHooks):
         for neighbor in sorted(topo.neighbors_of(holder)):
             rel_back = topo.rel_from(neighbor, holder)  # holder, seen from neighbor
             rel_fwd = REVERSE[rel_back]  # neighbor, seen from holder... inverse edge
-            gr_allows = (
+            rule_allows = (
                 route.learned_rel in (Rel.CUSTOMER, Rel.SELF)
                 or rel_fwd is Rel.CUSTOMER
             )
-            sent = hooks.export_route(holder, neighbor, rel_fwd, route, gr_allows)
-            if sent is None:
+            if not (rule_allows or hooks.export_route(holder, neighbor, rel_fwd, route)):
                 continue
-            path = sent.as_path
+            path = route.as_path
             if path[0] != holder:
                 path = (holder,) + path
             if neighbor in path:
                 continue
-            incoming = Route(route.prefix, path, sent.communities, holder, rel_back)
+            incoming = Route(route.prefix, path, route.communities, rel_back)
             admitted = hooks.import_route(neighbor, holder, rel_back, incoming)
             if admitted is None:
                 continue

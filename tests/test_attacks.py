@@ -219,6 +219,24 @@ class TestRouteLeak:
         assert report.misdirected == {4, 50}
         assert report.owner_harm is True
 
+    @pytest.mark.parametrize(
+        "leaker, leaked_from, message",
+        [
+            (10, 50, "AS50 is not a provider of leaker AS10"),
+            (10, 99, "AS99 is not a provider of leaker AS10"),
+            (10, 1, "AS1 is not a provider of leaker AS10"),
+            (50, 4, "leaker AS50 has no provider to leak to besides AS4"),
+        ],
+    )
+    def test_impossible_leak_rejected(self, leaker, leaked_from, message):
+        from zonesim.attacks import scenario_rib
+
+        scenario = AttackScenario(AttackKind.ROUTE_LEAK, leaker, PFX, 20, leaked_from=leaked_from)
+        cfg = ZoneConfig(members=frozenset({1, 3}))
+        for solve in (scenario_rib, run_scenario):
+            with pytest.raises(ScenarioError, match=message):
+                solve(self.TOPO, self.REG, cfg, [(20, PFX)], scenario)
+
 
 class TestSubPrefix:
     TOPO = load_topology("1|2|-1\n1|3|-1\n2|20|-1\n3|30|-1\n3|40|-1")

@@ -94,6 +94,31 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("leaked_from", [50, 99])
+    def test_leak_from_a_non_provider_exit_1(self, tmp_path, capsys, leaked_from):
+        # Leaker 10 buys from 3 and 4; 50 is another AS, 99 is no AS.
+        files = {
+            "topo.txt": "1|3|-1\n1|4|-1\n3|20|-1\n3|10|-1\n4|10|-1\n4|50|-1\n",
+            "originations.csv": ORIGINATIONS,
+            "scenario.txt": (
+                "kind=RouteLeak\nattacker=10\nvictim_prefix=192.0.2.0/24\n"
+                f"victim_origin=20\nleaked_from={leaked_from}\n"
+            ),
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        code = run(
+            [
+                "simulate",
+                "--topology", str(tmp_path / "topo.txt"),
+                "--originations", str(tmp_path / "originations.csv"),
+                "--scenario", str(tmp_path / "scenario.txt"),
+                "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        assert f"leaked_from AS{leaked_from} is not a provider" in capsys.readouterr().err
+
     def test_parse_error_exit_1(self, inputs, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("1|2|-1\nnonsense\n")

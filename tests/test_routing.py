@@ -1,6 +1,6 @@
 import gc
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -282,9 +282,9 @@ class TestEdgeIncrementalDifferential:
             leak = _leak_hooks(topo, base, scenario)
             forced = []
 
-            def export_route(exporter, neighbor, rel, route, gr_allows):
-                sent = leak.export_route(exporter, neighbor, rel, route, gr_allows)
-                if sent is not None and not gr_allows:
+            def export_route(exporter, neighbor, rel, route):
+                sent = leak.export_route(exporter, neighbor, rel, route)
+                if sent:
                     forced.append(exporter)
                 return sent
 
@@ -336,6 +336,99 @@ class TestEdgeIncrementalDifferential:
             if _check_against_oracle(topo, list(origs) + extra, hooks):
                 solved += 1
         assert solved >= 200
+
+
+class TestExportContract:
+    """The export hook is asked only about an edge the economic rule
+    refuses, and True sends the exporter's best over exactly that edge."""
+
+    def test_hook_never_asked_about_allowed_edges(self):
+        asked = []
+        solved = 0
+        for rng, topo, members, origs, reg in _differential_corpus(305, 120):
+            hooks = zone_policy(topo, ZoneConfig(members=members), reg)
+            leakers = sorted(a for a in topo.asns if len(topo.providers_of(a)) >= 2)
+            if leakers and rng.random() < 0.5:
+                leaker = rng.choice(leakers)
+                scenario = AttackScenario(
+                    AttackKind.ROUTE_LEAK, leaker, origs[0].prefix, origs[0].asn,
+                    leaked_from=rng.choice(sorted(topo.providers_of(leaker))),
+                )
+                hooks = _leak_hooks(topo, hooks, scenario)
+
+            def export_route(exporter, neighbor, rel, route, inner=hooks.export_route):
+                asked.append((route.learned_rel, rel, topo.rel_from(exporter, neighbor)))
+                return inner(exporter, neighbor, rel, route)
+
+            counted = replace(hooks, export_route=export_route)
+            result = _solve(topo, origs, counted)
+            assert result == _solve(topo, origs, hooks)
+            solved += isinstance(result, Rib)
+        assert solved >= 100
+        assert asked
+        for learned_rel, rel, rel_in_topology in asked:
+            assert rel is rel_in_topology
+            assert learned_rel in (Rel.PEER, Rel.PROVIDER) and rel is not Rel.CUSTOMER
+
+    def test_true_forces_exactly_that_edge(self):
+        # 10 buys transit from 1 and 2, and 20, the origin, from 1: 2 hears
+        # of the prefix only if 10 re-exports its provider-learned route.
+        topo = load_topology("1|10|-1\n2|10|-1\n1|20|-1")
+        plain = propagate(topo, [(20, PFX)])
+        assert plain.best(2, PFX) is None
+        asked = []
+
+        def export_route(exporter, neighbor, rel, route):
+            asked.append((exporter, neighbor))
+            return (exporter, neighbor) == (10, 2)
+
+        hooks = PolicyHooks(export_route=export_route)
+        rib = _check_against_oracle(topo, [(20, PFX)], hooks)
+        assert (10, 2) in asked
+        assert rib.best(2, PFX) == Route(PFX, (10, 1, 20), frozenset(), Rel.CUSTOMER)
+        assert rib.candidates(2, PFX) == (rib.best(2, PFX),)
+        for asn in (1, 10, 20):
+            assert rib.entries(asn) == plain.entries(asn)
+
+
+class TestRouteFields:
+    def test_learned_from_is_the_path_head(self):
+        # On seeded zone RIBs, and on the rows parsed back from their dumps.
+        checked = 0
+        for rng, topo, members, origs, reg in _differential_corpus(306, 60):
+            cfg = ZoneConfig(members=members)
+            try:
+                rib = propagate(topo, origs, zone_policy(topo, cfg, reg))
+            except NonConvergenceError:
+                continue
+            rows = [
+                (asn, route)
+                for asn, entries in rib.per_as.items()
+                for entry in entries.values()
+                for route in entry.candidates
+            ]
+            rows += parse_rib_dump(dump_rib(rib))
+            for asn, route in rows:
+                if route.learned_rel is Rel.SELF:
+                    assert route.learned_from is None
+                    assert route.as_path[0] == asn
+                else:
+                    assert route.learned_from == route.as_path[0]
+                    assert route.learned_from in topo.neighbors_of(asn)
+            checked += 1
+        assert checked >= 50
+
+    def test_fields(self):
+        assert [f.name for f in fields(Route)] == [
+            "prefix", "as_path", "communities", "learned_rel",
+        ]
+        # Hook sets are rebuilt positionally from their first three fields.
+        assert [f.name for f in fields(PolicyHooks)] == [
+            "import_route", "export_route", "preference_for", "prefix_class",
+        ]
+        with pytest.raises(TypeError):
+            Route(PFX, (2, 9), frozenset(), 2, Rel.PROVIDER)
+        assert isinstance(Route.learned_from, property) and Route.learned_from.fset is None
 
 
 # Prefixes for the class-solving corpus: a covering /16 and /24s under it
@@ -451,7 +544,7 @@ class TestClassSolving:
         assert key[a] != key[b] == key[c]
         rib = propagate(topo, [(3, a), (3, b), (3, c)], hooks)
         assert VERIFIED in rib.best(2, a).communities
-        assert rib.best(1, b) == Route(b, (2, 3), frozenset(), 2, Rel.CUSTOMER)
+        assert rib.best(1, b) == Route(b, (2, 3), frozenset(), Rel.CUSTOMER)
         assert rib.best(1, c).prefix is c
 
     def test_non_converging_class_names_every_prefix(self):
@@ -478,7 +571,7 @@ class TestPathFreeRank:
             for neighbor in rng.sample(range(1, 40), k=rng.randint(1, 8)):
                 path = (neighbor,) + tuple(rng.sample(range(50, 60), k=rng.randint(0, 2)))
                 tags = frozenset({VERIFIED}) if rng.random() < 0.4 else frozenset()
-                cands.append(Route(PFX, path, tags, neighbor, rng.choice(rels)))
+                cands.append(Route(PFX, path, tags, rng.choice(rels)))
             for _ in range(rng.randint(0, 3)):
                 path = (99,) + tuple(rng.sample(range(50, 60), k=rng.randint(0, 2)))
                 tags = frozenset({VERIFIED}) if rng.random() < 0.4 else frozenset()
@@ -686,8 +779,7 @@ class TestDump:
                     rel = rng.choice(list(Rel))
                     path = tuple(rng.sample(range(1, 60), k=rng.randint(1, 4)))
                     communities = frozenset(rng.sample(tags, k=rng.randint(0, len(tags))))
-                    route = Route(prefix, path, communities,
-                                  None if rel is Rel.SELF else path[0], rel)
+                    route = Route(prefix, path, communities, rel)
                     entries[prefix] = RibEntry(route, (route,))
                     seen.add((rel, len(communities) > 1, prefix.version))
                 per_as[asn] = entries
@@ -709,8 +801,8 @@ class TestTraceLoop:
     def test_inconsistent_rib_reported_as_loop(self):
         # Hand-built inconsistent state: 1 and 2 each claim they learned
         # the prefix from the other.
-        r12 = Route(PFX, (2, 9), learned_from=2, learned_rel=Rel.PROVIDER)
-        r21 = Route(PFX, (1, 9), learned_from=1, learned_rel=Rel.PROVIDER)
+        r12 = Route(PFX, (2, 9), learned_rel=Rel.PROVIDER)
+        r21 = Route(PFX, (1, 9), learned_rel=Rel.PROVIDER)
         rib = Rib({1: {PFX: RibEntry(r12, (r12,))}, 2: {PFX: RibEntry(r21, (r21,))}})
         hops, outcome = data_plane_trace(rib, 1, "10.0.0.1")
         assert outcome is TraceOutcome.LOOP

@@ -29,9 +29,8 @@ P = parse_prefix
 PFX = P("192.0.2.0/24")
 
 
-def route(path, communities=(), learned_from=None, rel=Rel.CUSTOMER, prefix=PFX):
-    lf = learned_from if learned_from is not None else path[0]
-    return Route(prefix, tuple(path), frozenset(communities), lf, rel)
+def route(path, communities=(), rel=Rel.CUSTOMER, prefix=PFX):
+    return Route(prefix, tuple(path), frozenset(communities), rel)
 
 
 class TestValidateZone:
@@ -160,7 +159,7 @@ class TestMemberImport:
         # The neighbor used ASN 21 on a session the member established for 20.
         cfg = ZoneConfig(members=frozenset({1}))
         outcome, _ = member_import(
-            cfg, RegistrySet.build(), 1, 20, Rel.CUSTOMER, route([21], learned_from=20)
+            cfg, RegistrySet.build(), 1, 20, Rel.CUSTOMER, route([21])
         )
         assert outcome.outcome is Outcome.DROP
         assert outcome.reason == "R3"
@@ -169,7 +168,7 @@ class TestMemberImport:
         cfg = ZoneConfig(members=frozenset({1}))
         reg = RegistrySet.build(kyc={(1, 20): KycEntry(allowed_asns=frozenset({20, 21}))})
         outcome, _ = member_import(
-            cfg, reg, 1, 20, Rel.CUSTOMER, route([21, 22], learned_from=20)
+            cfg, reg, 1, 20, Rel.CUSTOMER, route([21, 22])
         )
         assert outcome.outcome is Outcome.FORWARD_UNVERIFIED
 
@@ -225,14 +224,15 @@ class TestAspaExtension:
 
 class TestExportAndPreference:
     def test_export_keeps_tag(self):
-        # Members export routes unchanged: the tag is neither removed nor
-        # added, and export scoping stays the engine's economic rule.
-        topo = load_topology("1|30|-1")
-        cfg = ZoneConfig(members=frozenset({1}))
+        # The engine sends exports unchanged, so the tag is neither removed
+        # nor added on export (test_attached_customer_receives_verified_route);
+        # the zone policy forces nothing past the economic export rule.
+        # Member 1 has providers 9 and 30: a route from 9 may not go to 30.
+        topo = load_topology("9|1|-1\n30|1|-1")
+        cfg = ZoneConfig(members=frozenset({1, 9, 30}))
         export = zone_policy(topo, cfg, RegistrySet.build()).export_route
-        for r in (route([20], communities={VERIFIED}), route([20])):
-            assert export(1, 30, Rel.CUSTOMER, r, True) == r
-            assert export(1, 30, Rel.CUSTOMER, r, False) is None
+        for tags in ({VERIFIED}, ()):
+            assert export(1, 30, Rel.PROVIDER, route([9, 20], tags, Rel.PROVIDER)) is False
 
     def test_member_prefers_verified_over_relationship(self):
         cfg = ZoneConfig(members=frozenset({1}))
@@ -349,7 +349,7 @@ class TestZonePropagation:
             3,
             40,
             Rel.CUSTOMER,
-            Route(PFX, (40,) + outside.as_path, outside.communities, 40, Rel.CUSTOMER),
+            Route(PFX, (40,) + outside.as_path, outside.communities, Rel.CUSTOMER),
         )
         assert VERIFIED not in admitted.communities
 

@@ -6,13 +6,18 @@ Builds the benchmark generator's CAIDA-like graph
 one JSON object: graph size, wall-clock seconds of the load and of the
 solve (raw, not calibrated), RIB rows and the peak resident set.
 
+After the timed solve it solves once more with counting wrappers around
+the import and export hooks, checks that this RIB equals the timed one,
+and reports refused_edge_checks (export hook calls: edges the valley-free
+rule refuses, each still visited) and imports (import hook calls).
+
 The zone is the connected core of the 300 ASes with the largest customer
 cones; the prefix is the synthetic probe prefix of the lowest-numbered
 stub AS, with a matching ROA.  This probe is not part of the benchmark
 or the tests; CI runs it at 2000 ASes and requires every AS loaded, a
-reported load time and a non-empty RIB.
+reported load time, a non-empty RIB and both hook counts above 0.
 
-    python3 tools/scale_probe.py            # 75k ASes, ~5 s, ~0.36 GB peak
+    python3 tools/scale_probe.py            # 75k ASes, ~5 s before the counting solve
     python3 tools/scale_probe.py --ases 2000
 
 At 75k ASes on a 2-vCPU x86-64 host (Python 3.11) the load takes about
@@ -29,6 +34,7 @@ import json
 import platform
 import resource
 import sys
+from dataclasses import replace
 from pathlib import Path
 from random import Random
 from time import perf_counter
@@ -62,6 +68,22 @@ def main(argv: list[str] | None = None) -> int:
     t = perf_counter()
     rib = propagate(topo, [Origination(origin, prefix)], hooks)
     propagate_s = perf_counter() - t
+    # The peak of the load and the timed solve, before a second RIB exists.
+    peak_rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+    counts = {"refused_edge_checks": 0, "imports": 0}
+
+    def export_route(exporter, neighbor, rel, route, inner=hooks.export_route):
+        counts["refused_edge_checks"] += 1
+        return inner(exporter, neighbor, rel, route)
+
+    def import_route(importer, neighbor, rel, route, inner=hooks.import_route):
+        counts["imports"] += 1
+        return inner(importer, neighbor, rel, route)
+
+    counted = replace(hooks, export_route=export_route, import_route=import_route)
+    if propagate(topo, [Origination(origin, prefix)], counted) != rib:
+        raise SystemExit("the counting solve disagrees with the timed solve")
 
     print(json.dumps({
         "ases": len(topo.asns),
@@ -71,7 +93,8 @@ def main(argv: list[str] | None = None) -> int:
         "load_s": round(load_s, 3),
         "propagate_s": round(propagate_s, 3),
         "rib_rows": sum(len(e) for e in rib.per_as.values()),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        **counts,
+        "peak_rss_mb": peak_rss_mb,
         "python": platform.python_version(),
     }))
     return 0
