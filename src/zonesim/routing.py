@@ -15,10 +15,15 @@ only on that neighbor's current best, so each AS keeps one cached
 (preference key, route) entry per neighbor, the result of export, loop
 check and import over that edge.  A round re-evaluates only the edges out
 of ASes whose best changed in the previous round and re-ranks only the
-ASes whose entries changed.  A route's preference key is computed once,
-when it is admitted, and ranking compares keys alone.  Propagation stops
-when a round changes no best; a prefix still changing after 2*|ASes|+10
-rounds is reported with the ASes that changed in the last round.
+ASes whose entries changed.  Under the default export hook the edges the
+rule refuses are not visited: a peer- or provider-learned best goes down
+the exporter's customer edges alone, and every edge is walked once only
+when such a best replaces one that went everywhere, to withdraw it.  Any
+other export hook is asked about each refused edge.  A route's preference
+key is computed once, when it is admitted, and ranking compares keys
+alone.  Propagation stops when a round changes no best; a prefix still
+changing after 2*|ASes|+10 rounds is reported with the ASes that changed
+in the last round.
 
 Inside a solve, ASes are dense indices in ascending-ASN order: per prefix,
 bests and cached entries are lists, and each exporter's adjacency row holds
@@ -195,7 +200,8 @@ class PolicyHooks:
     learned_from is read from.
     export_route(exporter, neighbor, rel-of-neighbor, route) is asked only
     about an edge the standard export rule refuses; True sends the
-    exporter's best, unchanged, anyway (a route leak).  The default never does.
+    exporter's best, unchanged, anyway (a route leak).  The default never
+    does, so under it propagate does not visit refused edges at all.
     prefix_class(prefix, originations) is called once per prefix.  It
     returns a hashable class key, or None to have the prefix solved on
     its own (the default).  Prefixes with equal keys must be routed alike
@@ -319,18 +325,25 @@ def propagate(
     # exporter's adjacency row holds, per neighbor in ascending order:
     # (neighbor index, neighbor ASN, what the neighbor is to the exporter,
     # what the exporter is to the neighbor, whether the neighbor is a
-    # customer).
+    # customer).  narrow[e] is the row a peer- or provider-learned best is
+    # walked along: the customer entries alone (a tuple, so stubs share the
+    # empty one) when the export hook is the default, which never forces a
+    # refused edge; else the whole row, so a leak hook still sees every
+    # refused edge.
     asns = sorted(topo.asns)
     index = {asn: i for i, asn in enumerate(asns)}
-    adjacency = []
+    skip_refused = hooks.export_route is _default_export
+    adjacency, narrow = [], []
     for asn in asns:
         customers, peers = topo.customers[asn], topo.peers[asn]
-        adjacency.append([
+        row = [
             (index[n], n, _CUSTOMER, _PROVIDER, True) if n in customers
             else (index[n], n, _PEER, _PEER, False) if n in peers
             else (index[n], n, _PROVIDER, _CUSTOMER, False)
             for n in sorted(topo.neighbors_of(asn))
-        ])
+        ]
+        adjacency.append(row)
+        narrow.append(tuple([edge for edge in row if edge[4]]) if skip_refused else row)
     # Local routes are ranked by the full preference key.  Learned routes
     # at one AS come from distinct neighbors, so the stock order ranks them
     # without the path tiebreak; an order that overrides key() keeps it.
@@ -348,7 +361,7 @@ def propagate(
     for members in classes.values():
         rep = members[0]
         result = _propagate_prefix(
-            asns, index, adjacency, orders, ranks, hooks, rep, by_prefix[rep], cap
+            asns, index, adjacency, narrow, orders, ranks, hooks, rep, by_prefix[rep], cap
         )
         for prefix in members:
             solved[prefix] = rep, result
@@ -398,6 +411,7 @@ def _propagate_prefix(
     asns: list[int],
     index: dict[int, int],
     adjacency: list[list[tuple[int, int, Rel, Rel, bool]]],
+    narrow: list[Sequence[tuple[int, int, Rel, Rel, bool]]],
     orders: list[PreferenceOrder],
     ranks: list[Callable[[Route], object]],
     hooks: PolicyHooks,
@@ -425,6 +439,10 @@ def _propagate_prefix(
     learned: list[dict[int, tuple[object, Route]]] = [{} for _ in asns]
     # best[i]: AS i's selected (preference key, route) pair, or None.
     best: list[tuple[object, Route] | None] = [None] * len(asns)
+    # wide[e]: whether AS e's last best went down its whole adjacency row.
+    # Otherwise no neighbor off narrow[e] holds an entry from e, so a
+    # peer- or provider-learned best walks narrow[e] alone.
+    wide = [False] * len(asns)
     for i, cands in local.items():
         best[i] = max(cands, key=_first)
 
@@ -443,6 +461,7 @@ def _propagate_prefix(
                 for i, *_ in adjacency[e]:
                     if learned[i].pop(e, None) is not None:
                         touched.add(i)
+                wide[e] = False
                 continue
             offered = best[e][1]
             # Per exporter: the economic export rule's "learned from a
@@ -455,7 +474,11 @@ def _propagate_prefix(
             if path[0] != exporter:
                 path = (exporter,) + path
             communities = offered.communities
-            for i, asn, rel_back, rel, is_customer in adjacency[e]:
+            # A best that may not go everywhere, after one that did, walks
+            # the whole row once to withdraw what the old best sent.
+            row = adjacency[e] if anywhere or wide[e] else narrow[e]
+            wide[e] = anywhere
+            for i, asn, rel_back, rel, is_customer in row:
                 # rel is what `exporter` is to `asn`; rel_back, what `asn` is
                 # to `exporter`, drives the export rule.  The hook is asked
                 # only about an edge the rule refuses.

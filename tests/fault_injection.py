@@ -38,6 +38,9 @@ def false_verified_hooks(
             return replace(admitted, communities=admitted.communities | {VERIFIED})
         return admitted
 
+    # Rebuilt without the zone's prefix_class on purpose: import_route reads
+    # route.prefix == prefix, which the class key cannot see, so keeping it
+    # would let the faulted prefix share a solve with clean ones.
     return PolicyHooks(import_route, base.export_route, base.preference_for)
 
 
@@ -59,6 +62,8 @@ def accept_invalid_hooks(
             return replace(route, communities=route.communities - {VERIFIED})
         return admitted
 
+    # Without prefix_class on purpose, as in false_verified_hooks: this
+    # import_route reads route.prefix too.
     return PolicyHooks(import_route, base.export_route, base.preference_for)
 
 
@@ -80,6 +85,8 @@ def strip_tag_hooks(
             return replace(admitted, communities=admitted.communities - {VERIFIED})
         return admitted
 
+    # Without prefix_class on purpose, as in false_verified_hooks: this
+    # import_route reads route.prefix too.
     return PolicyHooks(import_route, base.export_route, base.preference_for)
 
 

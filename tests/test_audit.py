@@ -136,6 +136,62 @@ class TestSeededFaults:
         assert any("no view from AS1" in r.message for r in caplog.records)
 
 
+TWIN = P("203.0.113.0/24")
+
+
+def _rows(rib, prefix):
+    # Each AS's ranked candidates for prefix, without the prefix label.
+    return {
+        asn: [(r.as_path, r.communities, r.learned_rel) for r in entries[prefix].candidates]
+        for asn, entries in rib.per_as.items()
+        if prefix in entries
+    }
+
+
+class TestFaultStaysOnItsPrefix:
+    """An injected fault reads route.prefix, which the zone's class key
+    cannot see, so the injectors drop prefix_class: a faulted prefix that
+    the zone policy classes with a clean twin is still solved on its own."""
+
+    CASES = {
+        "r1": (
+            lambda reg: false_verified_hooks(TOPO, CFG, reg, 3, ROGUE), ROGUE,
+            [Origination(20, VICTIM), Origination(31, ROGUE), Origination(31, TWIN)],
+            [Roa(VICTIM, 20)],
+        ),
+        "r2": (
+            lambda reg: accept_invalid_hooks(TOPO, CFG, reg, 3, VICTIM), VICTIM,
+            [Origination(31, ROGUE), Origination(31, VICTIM), Origination(31, TWIN)],
+            [Roa(VICTIM, 20), Roa(TWIN, 20)],
+        ),
+        "r3": (
+            lambda reg: strip_tag_hooks(TOPO, CFG, reg, 3, 1, VICTIM), VICTIM,
+            [Origination(20, VICTIM), Origination(20, TWIN), Origination(31, ROGUE)],
+            [Roa(VICTIM, 20), Roa(TWIN, 20)],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fault_shows_on_its_prefix_only(self, case):
+        inject, target, origs, roas = self.CASES[case]
+        reg = RegistrySet.build(roas=roas)
+        clean_hooks = zone_policy(TOPO, CFG, reg)
+        by_prefix = {p: [o for o in origs if o.prefix == p] for p in (target, TWIN)}
+        assert len({clean_hooks.prefix_class(p, o) for p, o in by_prefix.items()}) == 1
+        clean = propagate(TOPO, origs, clean_hooks)
+        assert _rows(clean, target) == _rows(clean, TWIN)
+
+        faulted = propagate(TOPO, origs, inject(reg))
+        assert _rows(faulted, target) != _rows(clean, target)
+        assert _rows(faulted, TWIN) == _rows(clean, TWIN)
+        # Keeping the class key would route both prefixes alike, so the
+        # fault could not show on one of them alone.
+        shared = propagate(
+            TOPO, origs, replace(inject(reg), prefix_class=clean_hooks.prefix_class)
+        )
+        assert _rows(shared, target) == _rows(shared, TWIN)
+
+
 class TestRandomizedInjection:
     def test_detection_matches_injected_faults(self):
         rng = random.Random(909)

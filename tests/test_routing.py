@@ -338,11 +338,64 @@ class TestEdgeIncrementalDifferential:
         assert solved >= 200
 
 
+def _full_walk(hooks):
+    # The same policy with a behaviour-identical export hook: any hook other
+    # than the default makes propagate walk every adjacency row.
+    inner = hooks.export_route
+
+    def export_route(exporter, neighbor, rel, route):
+        return inner(exporter, neighbor, rel, route)
+
+    return replace(hooks, export_route=export_route)
+
+
 class TestExportContract:
     """The export hook is asked only about an edge the economic rule
-    refuses, and True sends the exporter's best over exactly that edge."""
+    refuses, and True sends the exporter's best over exactly that edge.
+    Under the default hook the refused edges are not visited at all: that
+    fast path must equal the full walk."""
+
+    @pytest.mark.parametrize(
+        "hooks", [None, gao_rexford_hooks(), PolicyHooks()],
+        ids=["none", "gao_rexford_hooks", "no_class"],
+    )
+    def test_plain_fast_path_matches_full_walk_and_oracle(self, hooks):
+        full = _full_walk(hooks or gao_rexford_hooks())
+        for rng, topo, members, origs, reg in _differential_corpus(304, 160):
+            rib = _check_against_oracle(topo, origs, hooks)
+            assert rib == propagate(topo, origs, full)
+
+    def test_flip_to_provider_route_withdraws_from_peers_and_providers(self):
+        # Zone {1, 2, 3}; 20 buys transit from member 2 and from 30, a
+        # customer of member 3; 4 peers with 3.  In round 3, 3 selects the
+        # untagged customer route (30, 20) and sends it everywhere; in
+        # round 4 the tagged (1, 2, 20) arrives from its provider and wins
+        # under VERIFIED-first, so 1 and 4 must lose what 3 sent them.
+        topo = load_topology("1|2|-1\n1|3|-1\n2|20|-1\n3|30|-1\n30|20|-1\n3|4|0")
+        origs = [Origination(20, PFX)]
+        reg = RegistrySet.build(roas=[Roa(PFX, 20)])
+        hooks = zone_policy(topo, ZoneConfig(members=frozenset({1, 2, 3})), reg)
+        sent = []
+
+        def import_route(importer, neighbor, rel, route, inner=hooks.import_route):
+            admitted = inner(importer, neighbor, rel, route)
+            if neighbor == 3 and admitted is not None:
+                sent.append((importer, route.as_path))
+            return admitted
+
+        rib = propagate(topo, origs, replace(hooks, import_route=import_route))
+        assert (1, (3, 30, 20)) in sent and (4, (3, 30, 20)) in sent
+        assert rib_as_cells(rib) == oracle_fixpoint(topo, origs, hooks)
+        assert rib.best(3, PFX) == Route(PFX, (1, 2, 20), frozenset({VERIFIED}), Rel.PROVIDER)
+        for asn in topo.providers_of(3) | topo.peers_of(3):
+            assert all(r.learned_from != 3 for r in rib.candidates(asn, PFX))
+        assert rib.best(4, PFX) is None
+        assert rib == propagate(topo, origs, hooks) == propagate(topo, origs, _full_walk(hooks))
 
     def test_hook_never_asked_about_allowed_edges(self):
+        # The counting hook is not the default, so `counted` walks every
+        # row; on zone instances `hooks` takes the fast path, so the two
+        # solves also compare the fast path with the full walk.
         asked = []
         solved = 0
         for rng, topo, members, origs, reg in _differential_corpus(305, 120):
