@@ -26,6 +26,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, attacks, audit, registry, routing, topology, vipzone
+from ._lines import read_lines
 
 __version__ = "0.1.0"
 
@@ -113,11 +114,29 @@ def _load_registries(run: _Run, args) -> registry.RegistrySet:
     )
 
 
+def _parse_checked(run: _Run, path: str, load, check):
+    """run.parse(path, load), then check(parsed).  If the check raises, the
+    data lines are loaded and checked one at a time, so the error names
+    the first line it fails on: <file>: line N: <reason>."""
+
+    def parse(text: str):
+        parsed = load(text)
+        try:
+            check(parsed)
+        except ValueError:
+            read_lines(text, lambda line: check(load(line)), ValueError)
+            raise
+        return parsed
+
+    return run.parse(path, parse)
+
+
 def _load_zone(run: _Run, topo: topology.Topology, path: str) -> vipzone.ZoneConfig:
-    cfg = run.parse(path, vipzone.load_zone_config)
+    cfg = _parse_checked(
+        run, path, vipzone.load_zone_config,
+        lambda cfg: [topo._require(a) for a in cfg.members | cfg.honor_verified_non_members],
+    )
     vipzone.validate_zone(topo, cfg.members)
-    for asn in cfg.honor_verified_non_members:
-        topo._require(asn)
     return cfg
 
 
@@ -140,7 +159,10 @@ def cmd_simulate(run: _Run, args) -> int:
     topo = run.parse(args.topology, topology.load_topology)
     reg = _load_registries(run, args)
     registry.check_kyc_adjacency(reg, topo)
-    origs = run.parse(args.originations, routing.load_originations)
+    origs = _parse_checked(
+        run, args.originations, routing.load_originations,
+        lambda origs: routing._normalize_originations(topo, origs),
+    )
     if args.zone:
         cfg = _load_zone(run, topo, args.zone)
         hooks = vipzone.zone_policy(topo, cfg, reg)

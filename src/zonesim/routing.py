@@ -19,8 +19,8 @@ ASes whose entries changed.  Under the default export hook the edges the
 rule refuses are not visited: a peer- or provider-learned best goes down
 the exporter's customer edges alone, and every edge is walked once only
 when such a best replaces one that went everywhere, to withdraw it.  Any
-other export hook is asked about each refused edge.  A route's preference
-key is computed once, when it is admitted, and ranking compares keys
+other export hook is asked about each refused edge.  A preference key is
+computed once per offer and order (below), and ranking compares keys
 alone.  Propagation stops when a round changes no best; a prefix still
 changing after 2*|ASes|+10 rounds is reported with the ASes that changed
 in the last round.
@@ -30,8 +30,13 @@ bests and cached entries are lists, and each exporter's adjacency row holds
 the neighbor's index and ASN and both relationship views.  The export
 rule's half that depends only on the exporter, and the prepended path, are
 computed once per exporter and reused for every neighbor the route is sent
-to.  Hooks still see ASNs and Routes, and routes in flight keep their
-prefix, because import hooks may read it.
+to.  In one round an exporter offers at most three routes, one per
+relationship it has to its neighbors; each is built on first use and the
+same frozen Route is handed to every importer it goes to.  When the import
+hook returns that very object, the entry's key is computed once per offer
+and preference order (ASes sharing an order object share it); a route the
+hook replaces is keyed on its own.  Hooks still see ASNs and Routes, and
+routes in flight keep their prefix, because import hooks may read it.
 Learned routes at one AS each come from a different neighbor, so the stock
 preference order ranks them without its final path tiebreak.
 
@@ -197,7 +202,10 @@ class PolicyHooks:
     import_route(importer, neighbor, rel-of-neighbor, route) returns the
     route to admit as a candidate (possibly with other communities) or
     None to drop; it keeps the route's as_path and learned_rel, which
-    learned_from is read from.
+    learned_from is read from.  The same frozen Route may be handed to
+    several importers, and the preference key of a route returned
+    unchanged is computed once per order object, so a key must depend on
+    the route alone.
     export_route(exporter, neighbor, rel-of-neighbor, route) is asked only
     about an edge the standard export rule refuses; True sends the
     exporter's best, unchanged, anyway (a route leak).  The default never
@@ -347,11 +355,14 @@ def propagate(
     # Local routes are ranked by the full preference key.  Learned routes
     # at one AS come from distinct neighbors, so the stock order ranks them
     # without the path tiebreak; an order that overrides key() keeps it.
+    # ASes that share an order object share one rank callable, and so the
+    # keys of the offers they admit unchanged.
     orders = [hooks.preference_for(asn) for asn in asns]
-    ranks = [
-        order._rank if type(order).key is PreferenceOrder.key else order.key
+    rank_of = {
+        id(order): order._rank if type(order).key is PreferenceOrder.key else order.key
         for order in orders
-    ]
+    }
+    ranks = [rank_of[id(order)] for order in orders]
 
     cap = 2 * len(asns) + 10
     # solved[prefix]: its class representative and the representative's
@@ -427,9 +438,9 @@ def _propagate_prefix(
     export_route = hooks.export_route
     import_route = hooks.import_route
 
-    # Candidates are (preference key, route) pairs, keyed once on admission
-    # and ranked by the key alone: locals by orders[i].key, learned routes
-    # by ranks[i].
+    # Candidates are (preference key, route) pairs, keyed on admission and
+    # ranked by the key alone: locals by orders[i].key, learned routes by
+    # ranks[i], once per offer and rank callable when admitted unchanged.
     local: dict[int, list[tuple[object, Route]]] = {}
     for asn, route in dict.fromkeys((o.asn, o.route()) for o in origs):
         i = index[asn]
@@ -478,6 +489,10 @@ def _propagate_prefix(
             # the whole row once to withdraw what the old best sent.
             row = adjacency[e] if anywhere or wide[e] else narrow[e]
             wide[e] = anywhere
+            # offers[rel]: the one route sent to every neighbor `exporter`
+            # is `rel` to; keyed[rel, rank]: its entry under one order, for
+            # each importer that admits that offer unchanged.
+            offers, keyed = {}, {}
             for i, asn, rel_back, rel, is_customer in row:
                 # rel is what `exporter` is to `asn`; rel_back, what `asn` is
                 # to `exporter`, drives the export rule.  The hook is asked
@@ -487,10 +502,16 @@ def _propagate_prefix(
                     (anywhere or is_customer or export_route(exporter, asn, rel_back, offered))
                     and asn not in path
                 ):
-                    admitted = import_route(
-                        asn, exporter, rel, _route(prefix, path, communities, rel)
-                    )
-                    if admitted is not None:
+                    offer = offers.get(rel)
+                    if offer is None:
+                        offer = offers[rel] = _route(prefix, path, communities, rel)
+                    admitted = import_route(asn, exporter, rel, offer)
+                    if admitted is offer:
+                        rank = ranks[i]
+                        entry = keyed.get((rel, rank))
+                        if entry is None:
+                            entry = keyed[rel, rank] = (rank(offer), offer)
+                    elif admitted is not None:
                         entry = (ranks[i](admitted), admitted)
                 slots = learned[i]
                 if entry is None:

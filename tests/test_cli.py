@@ -194,6 +194,23 @@ MALFORMED = [
     ("--waivers", "waivers.csv", "member,prefix,note\n40,192.0.2.0/24,x\n", 2,
      AUDIT + ["--views", "view.txt"]),
     ("--waivers", "waivers.csv", "3\n", 1, AUDIT + ["--views", "view.txt"]),
+    # ASNs the topology lacks: an origination, and a zone member or opted-in
+    # non-member under every command that reads --zone.
+    ("--originations", "originations.csv",
+     "asn,prefix\n# AS9 is not in the topology\n20,192.0.2.0/24\n\n9,192.0.3.0/24\n", 5,
+     ["simulate", "--topology", "topo.txt"]),
+] + [
+    ("--zone", "zone.txt", text, lineno, command)
+    for text, lineno in [
+        ("aspa_extension=false\n1\n# seventy-seven\n77\n2\n", 4),
+        ("1\n2\nhonor_verified=20;77\n", 3),
+    ]
+    for command in [
+        SIMULATE,
+        ["local-region", "--topology", "topo.txt", "--customer", "20"],
+        ["exceptions", "--topology", "topo.txt"],
+        ["audit", "--topology", "topo.txt", "--views", "view.txt"],
+    ]
 ]
 
 
@@ -210,6 +227,7 @@ def test_malformed_line_exit_1(inputs, tmp_path, capsys, flag, name, text, linen
     code = run(argv + [flag, str(bad), "--out-dir", str(tmp_path / "out")])
     assert code == 1
     assert f"{name}: line {lineno}: " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 class TestZone:

@@ -754,6 +754,131 @@ class TestPreferenceKeyCalls:
         assert rib == propagate(topo, origs, PolicyHooks())
 
 
+def _fresh_imports(hooks):
+    # The same policy, but every admitted route is a new object equal to
+    # the hook's answer, so no importer reuses another's entry.
+    inner = hooks.import_route
+
+    def import_route(importer, neighbor, rel, route):
+        admitted = inner(importer, neighbor, rel, route)
+        return None if admitted is None else replace(admitted)
+
+    return replace(hooks, import_route=import_route)
+
+
+def _fresh_orders(hooks):
+    # The same policy, but each AS gets its own order object, equal to the
+    # shared one, so no AS shares another's rank callable.
+    inner = hooks.preference_for
+    return replace(hooks, preference_for=lambda asn: replace(inner(asn)))
+
+
+class TestSharedOffers:
+    """An exporter builds one route per relationship and each order keys it
+    once.  Solves that defeat the sharing (fresh admitted routes, fresh
+    orders) must equal the stock solve, and, on plain instances, the
+    path-universe oracle."""
+
+    def _check(self, topo, origs, hooks, oracle=False):
+        result = _solve(topo, origs, hooks)
+        assert result == _solve(topo, origs, _fresh_imports(hooks))
+        assert result == _solve(topo, origs, _fresh_orders(hooks))
+        if oracle:
+            expected = oracle_fixpoint(topo, origs, hooks)
+            if expected is None:
+                assert isinstance(result, dict)
+            else:
+                assert rib_as_cells(result) == expected
+        return isinstance(result, Rib)
+
+    def test_zone_policy_with_opted_in_non_members(self):
+        solved = opted_in = 0
+        for rng, topo, members, origs, reg in _differential_corpus(306, 160):
+            non_members = sorted(topo.asns - members)
+            honor = frozenset(a for a in non_members if rng.random() < 0.4)
+            cfg = ZoneConfig(
+                members=members,
+                aspa_extension=rng.random() < 0.5,
+                honor_verified_non_members=honor,
+            )
+            if self._check(topo, origs, zone_policy(topo, cfg, reg)):
+                solved += 1
+                opted_in += bool(honor)
+        assert solved >= 100
+        assert opted_in >= 50
+
+    def test_plain_gao_rexford(self):
+        solved = 0
+        for rng, topo, members, origs, reg in _differential_corpus(307, 160):
+            solved += self._check(topo, origs, gao_rexford_hooks(), oracle=True)
+        assert solved == 160
+
+    def test_leak_hooks(self):
+        leaked = 0
+        for rng, topo, members, origs, reg in _differential_corpus(308, 160):
+            leakers = sorted(a for a in topo.asns if len(topo.providers_of(a)) >= 2)
+            if not leakers:
+                continue
+            leaker = rng.choice(leakers)
+            scenario = AttackScenario(
+                AttackKind.ROUTE_LEAK, leaker, origs[0].prefix, origs[0].asn,
+                leaked_from=rng.choice(sorted(topo.providers_of(leaker))),
+            )
+            base = zone_policy(topo, ZoneConfig(members=members), reg)
+            self._check(topo, origs, _leak_hooks(topo, base, scenario))
+            self._check(topo, origs, _leak_hooks(topo, gao_rexford_hooks(), scenario), oracle=True)
+            leaked += 1
+        assert leaked >= 100
+
+    def test_one_tagged_offer_ranked_under_each_order(self):
+        # Member 1 tags its customer 20's origination and offers it, as
+        # their provider, to member 3 and to plain non-member 4.  Both also
+        # hear the untagged customer route (30, 20).  Verified-first 3 must
+        # prefer the tagged provider route; plain 4, its customer route.
+        topo = load_topology("1|20|-1\n1|3|-1\n1|4|-1\n3|30|-1\n4|30|-1\n30|20|-1")
+        origs = [Origination(20, PFX)]
+        reg = RegistrySet.build(roas=[Roa(PFX, 20)])
+        hooks = zone_policy(topo, ZoneConfig(members=frozenset({1, 3})), reg)
+        offered = []
+
+        def import_route(importer, neighbor, rel, route, inner=hooks.import_route):
+            admitted = inner(importer, neighbor, rel, route)
+            if neighbor == 1 and importer in (3, 4):
+                offered.append((route, admitted is route))
+            return admitted
+
+        rib = propagate(topo, origs, replace(hooks, import_route=import_route))
+        tagged = Route(PFX, (1, 20), frozenset({VERIFIED}), Rel.PROVIDER)
+        untagged = Route(PFX, (30, 20), frozenset(), Rel.CUSTOMER)
+        # One offer object, admitted unchanged by both.
+        assert len(offered) == 2 and offered[0][0] is offered[1][0] == tagged
+        assert offered[0][1] and offered[1][1]
+        assert rib.candidates(3, PFX) == (tagged, untagged)
+        assert rib.candidates(4, PFX) == (untagged, tagged)
+        assert rib_as_cells(rib) == oracle_fixpoint(topo, origs, hooks)
+        assert self._check(topo, origs, hooks)
+
+    def test_one_key_per_offer_and_order(self):
+        # 1 originates and offers one route, as their provider, to 2, 3
+        # and 4.  With one order object for every AS that route is keyed
+        # once; with an order object per AS, once per importer.
+        calls = []
+
+        class Counting(PreferenceOrder):
+            def key(self, route):
+                calls.append(route)
+                return super().key(route)
+
+        topo = load_topology("1|2|-1\n1|3|-1\n1|4|-1")
+        shared = Counting()
+        rib = propagate(topo, [(1, PFX)], PolicyHooks(preference_for=lambda asn: shared))
+        assert len(calls) == 2  # the local route and the one offer
+        calls.clear()
+        assert rib == propagate(topo, [(1, PFX)], PolicyHooks(preference_for=lambda asn: Counting()))
+        assert len(calls) == 4
+        assert rib == propagate(topo, [(1, PFX)])
+
+
 class TestTrace:
     def test_delivery_at_origin(self):
         rib = propagate(chain_topology(), [(3, P("10.0.0.0/23"))])

@@ -25,13 +25,18 @@ reported load time, a non-empty RIB and both hook counts above 0.
 
 At 75k ASes on a 2-vCPU x86-64 host (Python 3.11) the load takes about
 0.65 s when the host is idle; it is often slower, so compare solve times
-from one period only.  With the load at 1.0-1.6 s, the solve took 2.3-2.8 s
-raw, against 2.4-3.2 s before refused edges were skipped; in an earlier,
-slower period (load 1.6-1.7 s) it took 3.9-4.0 s before that change and
-7.0-7.4 s before propagate paused the cyclic garbage collector.  The
-counting solve reports 833,685 refused edges against 235,585 imports.  At
-20k ASes the solve took 0.41-0.56 s, against 0.55-0.79 s before refused
-edges were skipped (247,107 refused edges, 71,582 imports).
+from one period only.  With the load at 1.6-1.8 s, the solve took
+2.36-2.41 s raw and peaked at 334 MB, against 2.93-3.00 s and 357 MB
+before each exporter offered one shared route per relationship (three
+alternating runs each); scaled to the idle load time that is 0.88-0.96 s
+per prefix.  Earlier periods: with the load at 1.0-1.6 s, the solve took
+2.3-2.8 s once refused edges were skipped and 2.4-3.2 s before; with the
+load at 1.6-1.7 s, 3.9-4.0 s before refused edges were skipped and 7.0-7.4 s
+before propagate paused the cyclic garbage collector.  The counting solve
+reports 833,685 refused edges against 235,585 imports.  At 20k ASes the
+solve took 0.55-0.60 s and peaked at 98 MB, against 0.72-0.85 s and 105 MB
+before shared offers (load 0.32-0.44 s; 247,107 refused edges, 71,582
+imports).
 """
 
 from __future__ import annotations
