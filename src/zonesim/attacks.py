@@ -173,8 +173,7 @@ def scenario_rib(
     scenario: AttackScenario,
 ) -> Rib:
     """Solve the network with the scenario's injection (or leak) in place."""
-    if scenario.attacker not in topo.asns:
-        raise ScenarioError(f"attacker AS{scenario.attacker} not in topology")
+    _check_attacker(topo, scenario.attacker)
     if scenario.kind is AttackKind.ROUTE_LEAK:
         leaker, source = f"leaker AS{scenario.attacker}", f"AS{scenario.leaked_from}"
         providers = topo.providers_of(scenario.attacker)
@@ -218,8 +217,6 @@ def run_scenario(
     Only the legitimate originations whose prefix contains the victim
     address are solved (see the module docstring); all are validated.
     """
-    if scenario.attacker not in topo.asns:
-        raise ScenarioError(f"attacker AS{scenario.attacker} not in topology")
     address = scenario.victim_prefix.network_address
     legits = [
         o for o in _normalize_originations(topo, legitimate_originations)
@@ -398,6 +395,12 @@ def load_scenario(source: str) -> AttackScenario:
     Keys: kind, attacker, victim_prefix, victim_origin, forged_path
     (space-separated, origin last), leaked_from.
     """
+    return _scenario(_scenario_fields(source))
+
+
+def _scenario_fields(source: str) -> dict:
+    """A scenario file's fields by key; each line is parsed on its own, and
+    the last line naming a key wins."""
     fields = {}
 
     def parse(line: str) -> None:
@@ -408,7 +411,16 @@ def load_scenario(source: str) -> AttackScenario:
         fields[key] = _SCENARIO_FIELDS[key](value.strip())
 
     read_lines(source, parse, ScenarioError)
+    return fields
+
+
+def _scenario(fields: dict) -> AttackScenario:
     for key in _REQUIRED_FIELDS:
         if key not in fields:
             raise ScenarioError(f"scenario file missing field {key!r}")
     return AttackScenario(**fields)
+
+
+def _check_attacker(topo: Topology, attacker: int) -> None:
+    if attacker not in topo.asns:
+        raise ScenarioError(f"attacker AS{attacker} not in topology")

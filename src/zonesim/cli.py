@@ -13,8 +13,8 @@ into --out-dir, and signals findings through the exit code:
      message names each prefix and the ASes still changing in it
 
 Outputs are deterministic: identical inputs produce byte-identical files.
-The manifest records every flag the run was given and is written last, so
-a run that fails leaves none in --out-dir.
+`main` reads --topology for every subcommand and writes the manifest last,
+so a run that fails leaves none in --out-dir; it records every flag given.
 """
 
 from __future__ import annotations
@@ -25,22 +25,12 @@ import json
 import sys
 from pathlib import Path
 
-from . import analysis, attacks, audit, registry, routing, topology, vipzone
-from ._lines import read_lines
-
-__version__ = "0.1.0"
+from . import __version__, analysis, attacks, audit, registry, routing, topology, vipzone
+from ._lines import data_lines, read_lines
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-# Parameters holding file paths; recorded by basename so a run is
-# reproducible from any checkout location (content hashes carry identity).
-_PATH_PARAMS = frozenset(
-    {"topology", "roas", "aspas", "irr", "kyc", "zone", "originations",
-     "scenario", "roster", "views", "waivers", "ix"}
-)
 
 
 def _set_flags(args: argparse.Namespace) -> dict:
@@ -52,7 +42,9 @@ class _Run:
     """Collects input/output digests and writes the manifest last.
 
     The manifest's parameters are the parsed flags, less the output
-    directory and those left unset (None, or False for a switch)."""
+    directory and those left unset (None, or False for a switch).  File
+    flags, typed as paths, are recorded by basename: content hashes carry
+    identity, so a run is reproducible from any checkout location."""
 
     def __init__(self, args: argparse.Namespace):
         self.command = args.command
@@ -60,23 +52,22 @@ class _Run:
         for key, value in _set_flags(args).items():
             if key in ("func", "command", "out_dir"):
                 continue
-            if key in _PATH_PARAMS:
-                if isinstance(value, list):
-                    value = [Path(v).name for v in value]
-                else:
-                    value = Path(value).name
+            if isinstance(value, list):
+                value = [v.name for v in value]
+            elif isinstance(value, Path):
+                value = value.name
             self.params[key] = value
-        self.out_dir = Path(args.out_dir)
+        self.out_dir = args.out_dir
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
         self.out_dir.mkdir(parents=True, exist_ok=True)
         (self.out_dir / "manifest.json").unlink(missing_ok=True)
 
-    def parse(self, path: str | Path, parser):
+    def parse(self, path: Path, parser):
         """Read, record and parse one input, annotating errors with the file
         path so messages read file: line N: ..."""
-        data = Path(path).read_bytes()
-        name = Path(path).name
+        data = path.read_bytes()
+        name = path.name
         digest = _sha256(data)
         if self.inputs.get(name, digest) != digest:
             suffix = 2
@@ -105,33 +96,39 @@ class _Run:
         self.write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _load_registries(run: _Run, args) -> registry.RegistrySet:
+def _load_registries(run: _Run, args, check_kyc=lambda kyc: None) -> registry.RegistrySet:
     return registry.RegistrySet(
         roas=run.parse(args.roas, registry.load_roas) if args.roas else (),
         aspas=run.parse(args.aspas, registry.load_aspas) if args.aspas else {},
         irr_prefixes=run.parse(args.irr, registry.load_irr) if args.irr else {},
-        kyc=run.parse(args.kyc, registry.load_kyc) if args.kyc else {},
+        kyc=_parse_checked(run, args.kyc, registry.load_kyc, check_kyc) if args.kyc else {},
     )
 
 
-def _parse_checked(run: _Run, path: str, load, check):
-    """run.parse(path, load), then check(parsed).  If the check raises, the
-    data lines are loaded and checked one at a time, so the error names
-    the first line it fails on: <file>: line N: <reason>."""
+def _parse_checked(run: _Run, path: Path, load, check, build=None):
+    """run.parse(path, load), then check(parsed), and return build(parsed)
+    if a build step is given.  If the check raises, each data line is loaded
+    again after the file's first data line (a CSV header, if any) and
+    checked, so the error names the first line it fails on:
+    <file>: line N: <reason>."""
 
     def parse(text: str):
         parsed = load(text)
         try:
             check(parsed)
         except ValueError:
-            read_lines(text, lambda line: check(load(line)), ValueError)
+            head = data_lines(text)[0]
+            read_lines(
+                text, lambda line: check(load(line if line == head else f"{head}\n{line}")),
+                ValueError,
+            )
             raise
-        return parsed
+        return build(parsed) if build else parsed
 
     return run.parse(path, parse)
 
 
-def _load_zone(run: _Run, topo: topology.Topology, path: str) -> vipzone.ZoneConfig:
+def _load_zone(run: _Run, topo: topology.Topology, path: Path) -> vipzone.ZoneConfig:
     cfg = _parse_checked(
         run, path, vipzone.load_zone_config,
         lambda cfg: [topo._require(a) for a in cfg.members | cfg.honor_verified_non_members],
@@ -155,46 +152,42 @@ def _emit(run: _Run, stem: str, csv_text: str, fmt: str) -> None:
         run.write(f"{stem}.csv", csv_text)
 
 
-def cmd_simulate(run: _Run, args) -> int:
-    topo = run.parse(args.topology, topology.load_topology)
-    reg = _load_registries(run, args)
-    registry.check_kyc_adjacency(reg, topo)
+def cmd_simulate(run: _Run, args, topo: topology.Topology) -> int:
+    reg = _load_registries(
+        run, args, lambda kyc: registry.check_kyc_adjacency(registry.RegistrySet(kyc=kyc), topo)
+    )
     origs = _parse_checked(
         run, args.originations, routing.load_originations,
         lambda origs: routing._normalize_originations(topo, origs),
     )
-    if args.zone:
-        cfg = _load_zone(run, topo, args.zone)
-        hooks = vipzone.zone_policy(topo, cfg, reg)
-    else:
-        cfg = vipzone.ZoneConfig(members=frozenset())
-        hooks = routing.gao_rexford_hooks()
-
-    exit_code = 0
-    if args.scenario:
-        scenario = run.parse(args.scenario, attacks.load_scenario)
-        rib = attacks.scenario_rib(topo, reg, cfg, origs, scenario)
-        report = attacks.classify_harm(topo, rib, scenario)
+    cfg = _load_zone(run, topo, args.zone) if args.zone else vipzone.ZoneConfig(frozenset())
+    if not args.scenario:
+        rib = routing.propagate(topo, origs, vipzone.zone_policy(topo, cfg, reg))
         run.write("rib.txt", routing.dump_rib(rib))
-        _emit(run, "harm", attacks.harm_csv([report]), args.format)
-        if args.fail_on_harm and report.misdirected:
-            exit_code = 2
-    else:
-        rib = routing.propagate(topo, origs, hooks)
-        run.write("rib.txt", routing.dump_rib(rib))
-    run.finish()
-    return exit_code
+        return 0
+    # The attacker is checked on the fields, before they are built into a
+    # scenario, so that an unknown one names its line.
+    scenario = _parse_checked(
+        run, args.scenario, attacks._scenario_fields,
+        lambda fields: "attacker" in fields and attacks._check_attacker(topo, fields["attacker"]),
+        attacks._scenario,
+    )
+    rib = attacks.scenario_rib(topo, reg, cfg, origs, scenario)
+    report = attacks.classify_harm(topo, rib, scenario)
+    run.write("rib.txt", routing.dump_rib(rib))
+    _emit(run, "harm", attacks.harm_csv([report]), args.format)
+    return 2 if args.fail_on_harm and report.misdirected else 0
 
 
-def cmd_zone(run: _Run, args) -> int:
-    topo = run.parse(args.topology, topology.load_topology)
-    roster = run.parse(args.roster, analysis.load_roster)
+def cmd_zone(run: _Run, args, topo: topology.Topology) -> int:
+    roster = _parse_checked(
+        run, args.roster, analysis.load_roster, lambda roster: [topo._require(a) for a in roster]
+    )
     derivation = analysis.derive_connected_zone(topo, roster)
     rows = ["asn,role"]
     rows += [f"{a},member" for a in sorted(derivation.connected_members)]
     rows += [f"{a},attached_customer" for a in sorted(derivation.attached_customers)]
     _emit(run, "zone_report", "\n".join(rows) + "\n", args.format)
-    run.finish()
     print(
         f"roster {len(derivation.input_roster)} ASNs; "
         f"connected members {len(derivation.connected_members)}; "
@@ -203,8 +196,7 @@ def cmd_zone(run: _Run, args) -> int:
     return 0
 
 
-def cmd_curve(run: _Run, args) -> int:
-    topo = run.parse(args.topology, topology.load_topology)
+def cmd_curve(run: _Run, args, topo: topology.Topology) -> int:
     order = (
         analysis.GrowthOrder.GREEDY_PROTECTED_GAIN
         if args.order == "greedy"
@@ -213,12 +205,10 @@ def cmd_curve(run: _Run, args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     curve = analysis.zone_growth_curve(topo, order, sizes)
     _emit(run, "growth", analysis.growth_csv(curve), args.format)
-    run.finish()
     return 0
 
 
-def cmd_local_region(run: _Run, args) -> int:
-    topo = run.parse(args.topology, topology.load_topology)
+def cmd_local_region(run: _Run, args, topo: topology.Topology) -> int:
     ix = run.parse(args.ix, topology.load_ix_memberships) if args.ix else None
     # The zone is checked against the AS graph alone: an ASN that only the
     # IX file names is not a valid member.
@@ -235,22 +225,18 @@ def cmd_local_region(run: _Run, args) -> int:
         dist = analysis.local_region_distribution(topo, sizes)
         _emit(run, "regions", analysis.region_rows_csv(dist), args.format)
         _emit(run, "region_summary", analysis.region_summary_csv(dist), args.format)
-    run.finish()
     return 0
 
 
-def cmd_exceptions(run: _Run, args) -> int:
-    topo = run.parse(args.topology, topology.load_topology)
+def cmd_exceptions(run: _Run, args, topo: topology.Topology) -> int:
     cfg = _load_zone(run, topo, args.zone)
     members = [args.member] if args.member is not None else sorted(cfg.members)
     results = analysis._routing_exceptions(topo, cfg, members)
     _emit(run, "exceptions", analysis.exceptions_csv(results), args.format)
-    run.finish()
     return 0
 
 
-def cmd_audit(run: _Run, args) -> int:
-    topo = run.parse(args.topology, topology.load_topology)
+def cmd_audit(run: _Run, args, topo: topology.Topology) -> int:
     reg = _load_registries(run, args)
     cfg = _load_zone(run, topo, args.zone)
     prefixes: dict = {}
@@ -263,7 +249,6 @@ def cmd_audit(run: _Run, args) -> int:
         waivers = run.parse(args.waivers, lambda text: audit.load_waivers(text, cfg))
     findings = audit.audit_views(cfg, topo, reg, views, waivers)
     _emit(run, "findings", audit.findings_csv(findings), args.format)
-    run.finish()
     return 3 if any(not f.waived for f in findings) else 0
 
 
@@ -278,14 +263,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--topology", required=True, help="AS-relationship file")
-    parser.add_argument("--out-dir", required=True, help="output directory")
+    parser.add_argument("--topology", type=Path, required=True, help="AS-relationship file")
+    parser.add_argument("--out-dir", type=Path, required=True, help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _add_registries(parser: argparse.ArgumentParser) -> None:
     for flag, kind in (("--roas", "ROA"), ("--aspas", "ASPA"), ("--irr", "IRR"), ("--kyc", "KYC")):
-        parser.add_argument(flag, help=f"{kind} CSV")
+        parser.add_argument(flag, type=Path, help=f"{kind} CSV")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,15 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="propagate routes, optionally under attack")
     _add_common(p)
     _add_registries(p)
-    p.add_argument("--zone", help="zone config file")
-    p.add_argument("--originations", required=True, help="originations CSV (asn,prefix)")
-    p.add_argument("--scenario", help="attack scenario file")
+    p.add_argument("--zone", type=Path, help="zone config file")
+    p.add_argument("--originations", type=Path, required=True, help="originations CSV (asn,prefix)")
+    p.add_argument("--scenario", type=Path, help="attack scenario file")
     p.add_argument("--fail-on-harm", action="store_true", help="exit 2 on misdirection")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("zone", help="derive the connected zone from a roster")
     _add_common(p)
-    p.add_argument("--roster", required=True, help="roster file, one ASN per line")
+    p.add_argument("--roster", type=Path, required=True, help="roster file, one ASN per line")
     p.set_defaults(func=cmd_zone)
 
     p = sub.add_parser("curve", help="protected-AS growth curve")
@@ -321,22 +306,22 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--customer", type=int, help="report one customer's region")
     mode.add_argument("--sizes", help="comma-separated zone sizes for distributions")
-    p.add_argument("--zone", help="zone config file; required with --customer")
-    p.add_argument("--ix", help="IX membership file; enables peering augmentation")
+    p.add_argument("--zone", type=Path, help="zone config file; required with --customer")
+    p.add_argument("--ix", type=Path, help="IX membership file; enables peering augmentation")
     p.set_defaults(func=cmd_local_region)
 
     p = sub.add_parser("exceptions", help="verified-first routing exceptions per member")
     _add_common(p)
-    p.add_argument("--zone", required=True, help="zone config file")
+    p.add_argument("--zone", type=Path, required=True, help="zone config file")
     p.add_argument("--member", type=int, help="restrict to one member")
     p.set_defaults(func=cmd_exceptions)
 
     p = sub.add_parser("audit", help="check member views for rule violations")
     _add_common(p)
     _add_registries(p)
-    p.add_argument("--zone", required=True, help="zone config file")
-    p.add_argument("--views", nargs="+", required=True, help="member view files")
-    p.add_argument("--waivers", help="waiver CSV (member,prefix,note)")
+    p.add_argument("--zone", type=Path, required=True, help="zone config file")
+    p.add_argument("--views", type=Path, nargs="+", required=True, help="member view files")
+    p.add_argument("--waivers", type=Path, help="waiver CSV (member,prefix,note)")
     p.set_defaults(func=cmd_audit)
     return parser
 
@@ -357,7 +342,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == command and flag in given and needed not in given:
             parser.error(f"argument {flag}: requires {needed}")
     try:
-        return args.func(_Run(args), args)
+        run = _Run(args)
+        code = args.func(run, args, run.parse(args.topology, topology.load_topology))
+        run.finish()
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -302,8 +302,7 @@ def _parse_record(line: str) -> tuple[int, int, int]:
     if len(parts) < 3:
         raise TopologyError(f"malformed record {line!r}")
     a, b, code = int(parts[0]), int(parts[1]), int(parts[2])
-    if not (0 < a <= MAX_ASN and 0 < b <= MAX_ASN and a != b and -1 <= code <= 0):
-        _check_record(a, b, code)  # raises with the precise reason
+    _check_record(a, b, code)
     return a, b, code
 
 

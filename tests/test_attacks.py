@@ -650,11 +650,13 @@ class TestClassifyHarmDifferential:
             run_scenario(
                 topo, RegistrySet.build(), cfg, [(2, PFX), (99, P("10.9.0.0/16"))], scenario
             )
+        unknown_attacker = AttackScenario(AttackKind.ORIGIN_HIJACK, 42, PFX, 2)
         with pytest.raises(ScenarioError, match="attacker AS42"):
-            run_scenario(
-                topo, RegistrySet.build(), cfg, [(99, PFX)],
-                AttackScenario(AttackKind.ORIGIN_HIJACK, 42, PFX, 2),
-            )
+            run_scenario(topo, RegistrySet.build(), cfg, [(2, PFX)], unknown_attacker)
+        # run_scenario validates the originations before scenario_rib checks
+        # the attacker.
+        with pytest.raises(RoutingError, match="unknown AS99"):
+            run_scenario(topo, RegistrySet.build(), cfg, [(99, PFX)], unknown_attacker)
 
     def test_subprefix_check_skips_other_ip_version(self):
         # The victim also originates an IPv6 prefix, which the covering

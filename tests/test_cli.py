@@ -1,11 +1,15 @@
 import hashlib
 import json
+import random
 
 import pytest
 
 from zonesim.cli import main
+from zonesim.registry import RovState, rov_validate
+from zonesim.routing import dump_rib, gao_rexford_hooks, propagate
+from zonesim.topology import serialize_topology
 
-from oracles import random_zone_instance
+from oracles import random_originations, random_registry, random_zone_instance
 
 TOPO = "1|2|-1\n1|3|-1\n2|20|-1\n3|30|-1\n3|40|-1\n"
 ZONE = "aspa_extension=false\n1\n2\n3\n"
@@ -212,6 +216,18 @@ MALFORMED = [
         ["audit", "--topology", "topo.txt", "--views", "view.txt"],
     ]
 ]
+# Files that load but name an AS the topology lacks, caught only after
+# the whole file is parsed: the library's reason follows file and line.
+UNKNOWN_ASN = [
+    ("--roster", "roster.txt", "1\n# ninety-nine\n99\n", 3, ["zone", "--topology", "topo.txt"],
+     "unknown ASN 99"),
+    ("--kyc", "kyc.csv",
+     "member_asn,neighbor_asn,allowed_asns,allowed_prefixes\n2,20,,\n2,99,,\n", 3, SIMULATE,
+     "KYC entry (2, 99) references non-adjacent ASes"),
+    ("--scenario", "scenario.txt", SCENARIO.replace("attacker=30", "attacker=99"), 2, SIMULATE,
+     "attacker AS99 not in topology"),
+]
+MALFORMED += [case[:5] for case in UNKNOWN_ASN]
 
 
 @pytest.mark.parametrize(
@@ -228,6 +244,20 @@ def test_malformed_line_exit_1(inputs, tmp_path, capsys, flag, name, text, linen
     assert code == 1
     assert f"{name}: line {lineno}: " in capsys.readouterr().err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flag,name,text,lineno,command,reason", UNKNOWN_ASN, ids=[c[0][2:] for c in UNKNOWN_ASN]
+)
+def test_unknown_asn_keeps_the_library_reason(
+    inputs, tmp_path, capsys, flag, name, text, lineno, command, reason
+):
+    bad = tmp_path / "bad" / name
+    bad.parent.mkdir()
+    bad.write_text(text)
+    argv = [inputs.get(a, a) for a in command]
+    assert run(argv + [flag, str(bad), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: line {lineno}: {reason}\n"
 
 
 class TestZone:
@@ -744,3 +774,57 @@ class TestAudit:
         lines = (out / "findings.csv").read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].endswith("true,maintenance")
+
+
+def _registry_csvs(reg) -> dict[str, str]:
+    """A RegistrySet as the four registry files simulate reads."""
+
+    def join(items) -> str:
+        return ";".join(sorted(map(str, items)))
+
+    roas = [f"{r.prefix},{r.max_length or ''},{r.origin_asn}" for r in reg.roas]
+    aspas = [f"{c},{join(ps)}" for c, ps in sorted(reg.aspas.items())]
+    irr = [f"{a},{p}" for a, ps in sorted(reg.irr_prefixes.items()) for p in sorted(ps)]
+    kyc = [
+        f"{m},{n},{join(e.allowed_asns)},{join(e.allowed_prefixes)}"
+        for (m, n), e in sorted(reg.kyc.items())
+    ]
+    return {
+        "--roas": "\n".join(["prefix,maxlen,asn", *roas]) + "\n",
+        "--aspas": "\n".join(["customer_asn,provider_asns", *aspas]) + "\n",
+        "--irr": "\n".join(["asn,prefix", *irr]) + "\n",
+        "--kyc": "\n".join(["member_asn,neighbor_asn,allowed_asns,allowed_prefixes", *kyc]) + "\n",
+    }
+
+
+def test_zone_less_simulate_matches_the_plain_solve(tmp_path):
+    # Without --zone, simulate solves under the empty zone's policy.  No AS
+    # is a member, so the registries change no route, not even where an
+    # origin is ROV-invalid: rib.txt is the plain Gao-Rexford solve.
+    # Each kind of registry record, and a ROV-invalid origin, must turn up
+    # in some instance, so that each is shown to change nothing.
+    seen = dict.fromkeys(["invalid", "roas", "aspas", "irr_prefixes", "kyc"], 0)
+    for seed in range(40):
+        rng = random.Random(seed)
+        topo, members = random_zone_instance(seed)
+        origs = random_originations(rng, topo)
+        reg = random_registry(rng, topo, members, origs)
+        for kind in ("roas", "aspas", "irr_prefixes", "kyc"):
+            seen[kind] += bool(getattr(reg, kind))
+        seen["invalid"] += any(
+            rov_validate(reg, o.prefix, o.asn) is RovState.INVALID for o in origs
+        )
+        files = {
+            "--topology": serialize_topology(topo),
+            "--originations": "asn,prefix\n" + "".join(f"{o.asn},{o.prefix}\n" for o in origs),
+            **_registry_csvs(reg),
+        }
+        argv = ["simulate", "--out-dir", str(tmp_path / f"out{seed}")]
+        for flag, text in files.items():
+            path = tmp_path / f"{seed}{flag[1:]}.txt"
+            path.write_text(text)
+            argv += [flag, str(path)]
+        assert run(argv) == 0
+        expected = dump_rib(propagate(topo, origs, gao_rexford_hooks()))
+        assert (tmp_path / f"out{seed}" / "rib.txt").read_text() == expected
+    assert all(seen.values()), seen
