@@ -19,11 +19,10 @@ as from a full solve; a prefix that does not contain it can no longer make
 them raise NonConvergenceError.  scenario_rib, and so ``simulate
 --scenario``, still solves every prefix.
 
-classify_harm follows one next-hop map: a single pass over the RIB gives
-each AS's longest match for the victim address, and each source's walk is
-resolved once, with memoization, to where it ends (delivered to an AS, or
-not delivered on a loop or a missing route) and whether it entered the
-leaker from one of the leaker's providers.
+classify_harm reads the RIB once: one pass gives each AS's best for the
+victim prefix (owner harm) and its longest match for the victim address (its
+next hop).  One walk over the ASes, memoized, then settles whether each
+one's traffic is delivered, and whether to the attacker or via the leak.
 """
 
 from __future__ import annotations
@@ -145,12 +144,13 @@ def _leak_hooks(topo: Topology, base: PolicyHooks, scenario: AttackScenario) -> 
     return replace(base, export_route=export_route, prefix_class=prefix_class)
 
 
-def _is_attacker_route(route: Route, scenario: AttackScenario, holder: int, topo: Topology) -> bool:
+def _is_attacker_route(
+    route: Route, scenario: AttackScenario, holder: int, topo: Topology, injected: tuple
+) -> bool:
+    """The leaked copy for a leak, else a route ending with the injected path."""
     if scenario.kind is AttackKind.ROUTE_LEAK:
         return _is_leaked_copy(route, scenario, holder, topo)
-    injected = _injection(scenario)
-    inj_path = injected.route().as_path
-    return route.as_path[-len(inj_path):] == inj_path
+    return route.as_path[-len(injected):] == injected
 
 
 def _is_leaked_copy(route: Route, scenario: AttackScenario, holder: int, topo: Topology) -> bool:
@@ -173,7 +173,7 @@ def scenario_rib(
     scenario: AttackScenario,
 ) -> Rib:
     """Solve the network with the scenario's injection (or leak) in place."""
-    _check_attacker(topo, scenario.attacker)
+    _check_asns(topo, vars(scenario))
     if scenario.kind is AttackKind.ROUTE_LEAK:
         leaker, source = f"leaker AS{scenario.attacker}", f"AS{scenario.leaked_from}"
         providers = topo.providers_of(scenario.attacker)
@@ -233,84 +233,71 @@ def classify_harm(
     *,
     watch: Iterable[int] | None = None,
 ) -> HarmReport:
-    """Evaluate an already-solved RIB against the scenario.
-
-    Misdirection is what data_plane_trace from every AS but the attacker
-    would find, computed from one next-hop map in O(ASes + RIB rows).
+    """Evaluate an already-solved RIB against the scenario in one pass over
+    the RIB and one walk over the ASes, O(ASes + RIB rows).  Misdirection is
+    what data_plane_trace from every AS but the attacker would find.
     """
     address = scenario.victim_prefix.network_address
+    victim_length = scenario.victim_prefix.prefixlen
     attacker = scenario.attacker
-    watch_set = frozenset(watch) if watch is not None else topo.asns - {attacker}
+    watch_set = None if watch is None else frozenset(watch)
+    injected = _injection(scenario).route().as_path
 
-    # One pass over the RIB: next_hop[asn] is where the AS's longest match
-    # for the victim address sends traffic, _LOCAL if it is delivered there;
-    # an AS without a match is absent.  Each prefix object is tested once.
-    next_hop: dict[int, object] = {}
-    matches: dict[int, bool] = {}
-    for asn, entries in rib.per_as.items():
-        length = -1
-        for prefix, entry in entries.items():
-            match = matches.get(id(prefix))
-            if match is None:
-                match = matches[id(prefix)] = (
-                    prefix.version == address.version and address in prefix
-                )
-            if match and entry.best.prefix.prefixlen > length:
-                length = entry.best.prefix.prefixlen
-                route = entry.best
-        if length >= 0:
-            next_hop[asn] = _LOCAL if route.learned_rel is Rel.SELF else route.learned_from
-
-    # fate[asn]: (the AS its traffic is delivered to, whether the walk
-    # entered the leaker from one of the leaker's providers), or None when
-    # the walk ends without a route or in a loop.  Each AS is walked once.
-    leak = scenario.kind is AttackKind.ROUTE_LEAK
-    leaker_providers = topo.providers_of(attacker) if leak else frozenset()
-    fate: dict[int, tuple[int, bool] | None] = {}
-    for src in topo.asns:
-        walk = []
-        on_walk = set()
-        asn = src
-        while asn not in fate and asn not in on_walk:
-            if asn not in next_hop:
-                fate[asn] = None
-            elif next_hop[asn] is _LOCAL:
-                fate[asn] = (asn, False)
-            else:
-                walk.append(asn)
-                on_walk.add(asn)
-                asn = next_hop[asn]
-        tail = fate.get(asn)  # None too when `asn` closed a loop
-        for asn in reversed(walk):
-            if tail is not None:
-                detour = next_hop[asn] == attacker and asn in leaker_providers
-                tail = (tail[0], tail[1] or detour)
-            fate[asn] = tail
-
-    misdirected = set()
-    for asn in topo.asns:
-        end = fate[asn]
-        if asn == attacker or end is None:
-            continue
-        delivered_to, took_detour = end
-        if took_detour if leak else delivered_to == attacker:
-            misdirected.add(asn)
-
+    # next_hop[asn]: where the AS's longest match for the victim address
+    # sends traffic, the AS itself for a local route; absent without one.
+    # lengths[id(prefix)]: the prefix's length if it holds the victim
+    # address, else -1; the one of the victim prefix's length is that prefix.
+    next_hop: dict[int, int] = {}
     per_as_best = {}
     owner_harm = False
-    for asn in sorted(topo.asns):
-        best = rib.best(asn, scenario.victim_prefix)
-        if best is None:
-            continue
-        per_as_best[asn] = best
-        if asn in watch_set and asn != attacker and _is_attacker_route(
-            best, scenario, asn, topo
-        ):
-            owner_harm = True
+    lengths: dict[int, int] = {}
+    for asn, entries in rib.per_as.items():
+        longest = -1
+        for prefix, entry in entries.items():
+            length = lengths.get(id(prefix))
+            if length is None:
+                holds = prefix.version == address.version and address in prefix
+                length = lengths[id(prefix)] = prefix.prefixlen if holds else -1
+            if length > longest:
+                longest, route = length, entry.best
+            if length == victim_length:
+                best = per_as_best[asn] = entry.best
+                if (
+                    not owner_harm and asn != attacker
+                    and (watch_set is None or asn in watch_set)
+                    and _is_attacker_route(best, scenario, asn, topo, injected)
+                ):
+                    owner_harm = True
+        if longest >= 0:
+            next_hop[asn] = asn if route.learned_rel is Rel.SELF else route.as_path[0]
+
+    # captured[asn]: whether the AS's traffic is delivered to the attacker
+    # (for a leak: enters the leaker from one of its providers), or None if
+    # it is not delivered.  An AS on the current walk reads None until the
+    # walk is settled, so a walk that comes back to it ends in a loop.
+    leak = scenario.kind is AttackKind.ROUTE_LEAK
+    leaker_providers = topo.providers_of(attacker) if leak else frozenset()
+    captured: dict[int, bool | None] = {}
+    misdirected = set()
+    for src in topo.asns:
+        walk = []
+        asn = src
+        while asn not in captured:
+            hop = next_hop.get(asn)
+            if hop is None or hop == asn:
+                captured[asn] = None if hop is None else asn == attacker and not leak
+            else:
+                captured[asn] = None
+                walk.append(asn)
+                asn = hop
+        tail = captured[asn]
+        for asn in reversed(walk):
+            if tail is not None:
+                tail = tail or (next_hop[asn] == attacker and asn in leaker_providers)
+                if tail and asn != attacker:
+                    misdirected.add(asn)
+            captured[asn] = tail
     return HarmReport(scenario, owner_harm, frozenset(misdirected), per_as_best)
-
-
-_LOCAL = object()
 
 
 def sweep_attackers(
@@ -421,6 +408,10 @@ def _scenario(fields: dict) -> AttackScenario:
     return AttackScenario(**fields)
 
 
-def _check_attacker(topo: Topology, attacker: int) -> None:
-    if attacker not in topo.asns:
-        raise ScenarioError(f"attacker AS{attacker} not in topology")
+def _check_asns(topo: Topology, fields: Mapping) -> None:
+    """Reject an attacker, victim origin or leak source, when present in a
+    scenario file's or a scenario's fields, that the topology lacks."""
+    for key in ("attacker", "victim_origin", "leaked_from"):
+        asn = fields.get(key)
+        if asn is not None and asn not in topo.asns:
+            raise ScenarioError(f"{key} AS{asn} not in topology")

@@ -165,12 +165,11 @@ def cmd_simulate(run: _Run, args, topo: topology.Topology) -> int:
         rib = routing.propagate(topo, origs, vipzone.zone_policy(topo, cfg, reg))
         run.write("rib.txt", routing.dump_rib(rib))
         return 0
-    # The attacker is checked on the fields, before they are built into a
+    # The ASNs are checked on the fields, before they are built into a
     # scenario, so that an unknown one names its line.
     scenario = _parse_checked(
         run, args.scenario, attacks._scenario_fields,
-        lambda fields: "attacker" in fields and attacks._check_attacker(topo, fields["attacker"]),
-        attacks._scenario,
+        lambda fields: attacks._check_asns(topo, fields), attacks._scenario,
     )
     rib = attacks.scenario_rib(topo, reg, cfg, origs, scenario)
     report = attacks.classify_harm(topo, rib, scenario)

@@ -517,8 +517,6 @@ def _propagate_prefix(
                 if entry is None:
                     if slots.pop(e, None) is None:
                         continue
-                elif slots.get(e) == entry:
-                    continue
                 else:
                     slots[e] = entry
                 touched.add(i)

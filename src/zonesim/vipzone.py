@@ -11,7 +11,7 @@ inside the zone.  The import rules applied at each member, in order:
       check for that session;
   R4  retain VERIFIED arriving from another member;
   R5  for a single-hop route from a directly attached customer or peer,
-      verify the origin: add VERIFIED, drop, or pass through unverified;
+      verify the origin: add VERIFIED or pass through unverified;
   ASPA-EXT  optionally extend R5 to two-hop routes whose far pair is
       confirmed by a provider-authorization record (never longer paths);
   R6  anything else is forwarded without the tag.
@@ -138,13 +138,12 @@ def member_import(
     if neighbor_rel in (Rel.CUSTOMER, Rel.PEER):
         # R5: verify single-hop originations from directly attached
         # sessions.  Members announcing their own prefixes over a direct
-        # session are verified the same way.
+        # session are verified the same way.  R2 and R3 have already
+        # dropped every origin the verdict would reject.
         if uniq == 1:
             verdict = verify_customer_origin(
                 reg, member, neighbor, route.prefix, route.origin
             )
-            if verdict is OriginVerdict.REJECTED:
-                return VerificationOutcome(Outcome.DROP, "R5"), None
             if verdict is OriginVerdict.VERIFIED:
                 tagged = replace(route, communities=route.communities | {VERIFIED})
                 return VerificationOutcome(Outcome.FORWARD_VERIFIED, "R5"), tagged

@@ -323,7 +323,7 @@ def oracle_fixpoint(topo: Topology, originations, hooks: PolicyHooks | None = No
 def classify_harm_oracle(topo: Topology, rib, scenario, *, watch=None):
     """attacks.classify_harm by brute force: one data_plane_trace per AS,
     each hop scanning that AS's whole RIB."""
-    from zonesim.attacks import AttackKind, HarmReport, _is_attacker_route
+    from zonesim.attacks import AttackKind, HarmReport, _injection, _is_attacker_route
 
     victim_addr = scenario.victim_prefix.network_address
     attacker = scenario.attacker
@@ -347,6 +347,7 @@ def classify_harm_oracle(topo: Topology, rib, scenario, *, watch=None):
         elif hops[-1] == attacker:
             misdirected.add(asn)
 
+    injected = _injection(scenario).route().as_path
     per_as_best = {}
     owner_harm = False
     for asn in sorted(topo.asns):
@@ -355,7 +356,7 @@ def classify_harm_oracle(topo: Topology, rib, scenario, *, watch=None):
             continue
         per_as_best[asn] = best
         if asn in watch_set and asn != attacker and _is_attacker_route(
-            best, scenario, asn, topo
+            best, scenario, asn, topo, injected
         ):
             owner_harm = True
     return HarmReport(scenario, owner_harm, frozenset(misdirected), per_as_best)

@@ -49,6 +49,19 @@ class TestScenarioShapes:
         with pytest.raises(ScenarioError, match="leaked_from"):
             AttackScenario(AttackKind.ROUTE_LEAK, 10, PFX, 20)
 
+    def test_attacker_is_not_the_victim_origin(self):
+        with pytest.raises(ScenarioError, match="attacker and victim origin must differ"):
+            AttackScenario(AttackKind.ORIGIN_HIJACK, 20, PFX, 20)
+
+    def test_unknown_victim_origin_rejected(self):
+        topo = load_topology("1|20|-1\n1|30|-1")
+        reg, cfg = RegistrySet.build(), ZoneConfig(members=frozenset())
+        scenario = AttackScenario(AttackKind.ORIGIN_HIJACK, 30, PFX, 99)
+        with pytest.raises(ScenarioError, match="^victim_origin AS99 not in topology$"):
+            run_scenario(topo, reg, cfg, [(20, PFX)], scenario)
+        with pytest.raises(ScenarioError, match="^victim_origin AS99 not in topology$"):
+            sweep_attackers(topo, reg, cfg, [(20, PFX)], AttackKind.ORIGIN_HIJACK, PFX, 99)
+
     def test_subprefix_needs_covering_origination(self):
         topo = load_topology("1|20|-1\n1|30|-1")
         scenario = AttackScenario(AttackKind.SUB_PREFIX_HIJACK, 30, PFX, 20)
@@ -223,7 +236,7 @@ class TestRouteLeak:
         "leaker, leaked_from, message",
         [
             (10, 50, "AS50 is not a provider of leaker AS10"),
-            (10, 99, "AS99 is not a provider of leaker AS10"),
+            (10, 99, "leaked_from AS99 not in topology"),
             (10, 1, "AS1 is not a provider of leaker AS10"),
             (50, 4, "leaker AS50 has no provider to leak to besides AS4"),
         ],

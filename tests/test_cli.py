@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -98,8 +99,16 @@ class TestSimulate:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("leaked_from", [50, 99])
-    def test_leak_from_a_non_provider_exit_1(self, tmp_path, capsys, leaked_from):
+    @pytest.mark.parametrize(
+        "leaked_from,reason",
+        [
+            # The check spans two fields, so it names no line.
+            (50, "leaked_from AS50 is not a provider of leaker AS10"),
+            (99, "{scenario}: line 5: leaked_from AS99 not in topology"),
+        ],
+        ids=["50", "99"],
+    )
+    def test_leak_from_a_non_provider_exit_1(self, tmp_path, capsys, leaked_from, reason):
         # Leaker 10 buys from 3 and 4; 50 is another AS, 99 is no AS.
         files = {
             "topo.txt": "1|3|-1\n1|4|-1\n3|20|-1\n3|10|-1\n4|10|-1\n4|50|-1\n",
@@ -121,7 +130,9 @@ class TestSimulate:
             ]
         )
         assert code == 1
-        assert f"leaked_from AS{leaked_from} is not a provider" in capsys.readouterr().err
+        reason = reason.format(scenario=tmp_path / "scenario.txt")
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_parse_error_exit_1(self, inputs, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -218,16 +229,24 @@ MALFORMED = [
 ]
 # Files that load but name an AS the topology lacks, caught only after
 # the whole file is parsed: the library's reason follows file and line.
-UNKNOWN_ASN = [
-    ("--roster", "roster.txt", "1\n# ninety-nine\n99\n", 3, ["zone", "--topology", "topo.txt"],
-     "unknown ASN 99"),
-    ("--kyc", "kyc.csv",
-     "member_asn,neighbor_asn,allowed_asns,allowed_prefixes\n2,20,,\n2,99,,\n", 3, SIMULATE,
-     "KYC entry (2, 99) references non-adjacent ASes"),
-    ("--scenario", "scenario.txt", SCENARIO.replace("attacker=30", "attacker=99"), 2, SIMULATE,
-     "attacker AS99 not in topology"),
-]
-MALFORMED += [case[:5] for case in UNKNOWN_ASN]
+UNKNOWN_ASN = {
+    "roster": ("--roster", "roster.txt", "1\n# ninety-nine\n99\n", 3,
+               ["zone", "--topology", "topo.txt"], "unknown ASN 99"),
+    "kyc": ("--kyc", "kyc.csv",
+            "member_asn,neighbor_asn,allowed_asns,allowed_prefixes\n2,20,,\n2,99,,\n", 3,
+            SIMULATE, "KYC entry (2, 99) references non-adjacent ASes"),
+    "scenario": ("--scenario", "scenario.txt", SCENARIO.replace("attacker=30", "attacker=99"), 2,
+                 SIMULATE, "attacker AS99 not in topology"),
+    "scenario-victim_origin": (
+        "--scenario", "scenario.txt",
+        "kind=OriginHijack\nattacker=30\nvictim_prefix=192.0.2.0/24\nvictim_origin=99\n", 4,
+        SIMULATE, "victim_origin AS99 not in topology"),
+    "scenario-leaked_from": (
+        "--scenario", "scenario.txt",
+        "kind=RouteLeak\nattacker=30\nvictim_prefix=192.0.2.0/24\nvictim_origin=20\n"
+        "leaked_from=99\n", 5, SIMULATE, "leaked_from AS99 not in topology"),
+}
+MALFORMED += [case[:5] for case in UNKNOWN_ASN.values()]
 
 
 @pytest.mark.parametrize(
@@ -247,7 +266,7 @@ def test_malformed_line_exit_1(inputs, tmp_path, capsys, flag, name, text, linen
 
 
 @pytest.mark.parametrize(
-    "flag,name,text,lineno,command,reason", UNKNOWN_ASN, ids=[c[0][2:] for c in UNKNOWN_ASN]
+    "flag,name,text,lineno,command,reason", UNKNOWN_ASN.values(), ids=list(UNKNOWN_ASN)
 )
 def test_unknown_asn_keeps_the_library_reason(
     inputs, tmp_path, capsys, flag, name, text, lineno, command, reason
@@ -502,6 +521,18 @@ class TestExceptions:
         lines = (out / "exceptions.csv").read_text().splitlines()
         assert lines == ["member,exception_count,destination_asns", "7,1,20"]
 
+    def test_memberless_zone_writes_only_the_header(self, tmp_path):
+        topo = tmp_path / "topo.txt"
+        topo.write_text(TOPO)
+        zone = tmp_path / "zone.txt"
+        zone.write_text("aspa_extension=false\n")
+        out = tmp_path / "out"
+        code = run(
+            ["exceptions", "--topology", str(topo), "--zone", str(zone), "--out-dir", str(out)]
+        )
+        assert code == 0
+        assert (out / "exceptions.csv").read_text() == "member,exception_count,destination_asns\n"
+
 
     # exceptions.csv of every member of random_zone_instance(seed), as the
     # one-member-at-a-time computation wrote it.
@@ -717,6 +748,31 @@ class TestAudit:
             p.write_text("\n".join(rows) + "\n")
             paths.append(str(p))
         return paths
+
+    def test_empty_view_exit_1(self, inputs, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# no rows\n")
+        argv = AUDIT + ["--views", inputs["view.txt"], str(empty)]
+        code = run([inputs.get(a, a) for a in argv] + ["--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {empty}: view file contains no routes\n"
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_views_sharing_a_basename_are_recorded_apart(self, inputs, tmp_path):
+        views = []
+        for name, path in zip("ab", self.make_views(tmp_path, inputs)):
+            (tmp_path / name).mkdir()
+            views.append(tmp_path / name / "view.txt")
+            views[-1].write_bytes(Path(path).read_bytes())
+        out = tmp_path / "out"
+        argv = AUDIT + ["--roas", "roas.csv", "--views", *map(str, views)]
+        assert run([inputs.get(a, a) for a in argv] + ["--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parameters"]["views"] == ["view.txt", "view.txt"]
+        assert {k: v for k, v in manifest["inputs"].items() if k.startswith("view")} == {
+            "view.txt": hashlib.sha256(views[0].read_bytes()).hexdigest(),
+            "view.txt#2": hashlib.sha256(views[1].read_bytes()).hexdigest(),
+        }
 
     def test_clean_views_exit_0(self, inputs, tmp_path):
         views = self.make_views(tmp_path, inputs)

@@ -167,6 +167,12 @@ class TestAspa:
         with pytest.raises(RegistryError):
             AspaRecord(20, frozenset({20}))
 
+    def test_build_rejects_duplicate_customer(self):
+        with pytest.raises(RegistryError, match="^duplicate ASPA for AS20$"):
+            RegistrySet.build(
+                aspas=[AspaRecord(20, frozenset({10})), AspaRecord(20, frozenset({11}))]
+            )
+
 
 class TestVerifyCustomerOrigin:
     def test_roa_branch(self):
@@ -297,6 +303,10 @@ class TestLoaders:
             frozenset({20, 21}), frozenset({P("192.0.2.0/24")})
         )
         assert kyc[(1, 30)] == KycEntry()
+
+    def test_kyc_duplicate_pair(self):
+        with pytest.raises(RegistryError, match=r"^line 3: duplicate entry for \(1, 20\)$"):
+            load_kyc("member_asn,neighbor_asn,allowed_asns,allowed_prefixes\n1,20,,\n1,20,21,\n")
 
 
 class TestKycAdjacency:

@@ -20,6 +20,7 @@ from zonesim.routing import (
     data_plane_trace,
     dump_rib,
     gao_rexford_hooks,
+    load_originations,
     origination_class,
     parse_rib_dump,
     propagate,
@@ -931,6 +932,12 @@ class TestDump:
             parse_rib_dump("x|10.0.0.0/24|1||self")
         with pytest.raises(RoutingError, match="line 2: invalid prefix"):
             parse_rib_dump("1|10.0.0.0/24|1||self\n1|10.0.0.1/24|1||self")
+        with pytest.raises(RoutingError, match="^line 1: empty AS path$"):
+            parse_rib_dump("1|10.0.0.0/24|||self")
+
+    def test_origination_parse_errors(self):
+        with pytest.raises(RoutingError, match="^line 3: expected asn,prefix$"):
+            load_originations("asn,prefix\n1,10.0.0.0/24\n1,10.0.0.0/24,x\n")
 
     def test_matches_formatter_oracle(self):
         # Zone-policy RIBs: VERIFIED tags, forged paths, shared classes.

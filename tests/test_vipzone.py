@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,9 +6,11 @@ import pytest
 from zonesim.registry import (
     AspaRecord,
     KycEntry,
+    OriginVerdict,
     RegistrySet,
     Roa,
     parse_prefix,
+    verify_customer_origin,
 )
 from zonesim.routing import Origination, Route, propagate
 from zonesim.topology import Rel, load_topology
@@ -23,7 +26,13 @@ from zonesim.vipzone import (
     zone_policy,
 )
 
-from oracles import random_connected_members, random_originations, random_topology
+from oracles import (
+    PREFIX_POOL,
+    random_connected_members,
+    random_originations,
+    random_registry,
+    random_topology,
+)
 
 P = parse_prefix
 PFX = P("192.0.2.0/24")
@@ -171,6 +180,37 @@ class TestMemberImport:
             cfg, reg, 1, 20, Rel.CUSTOMER, route([21, 22])
         )
         assert outcome.outcome is Outcome.FORWARD_UNVERIFIED
+
+    def test_rejected_single_hop_origins_fall_to_r2_or_r3(self):
+        # R5 has no drop of its own: every single-hop customer or peer route
+        # whose origin verify_customer_origin rejects is already dropped.
+        rng = random.Random(515)
+        rejected = 0
+        for _ in range(40):
+            topo = random_topology(rng, 12, 6)
+            members = random_connected_members(rng, topo)
+            origs = random_originations(rng, topo)
+            reg = random_registry(rng, topo, members, origs)
+            cfg = ZoneConfig(members=members)
+            for member in sorted(members):
+                sessions = [(n, Rel.CUSTOMER) for n in sorted(topo.customers_of(member))]
+                sessions += [(n, Rel.PEER) for n in sorted(topo.peers_of(member))]
+                for neighbor, rel in sessions:
+                    for prefix, path in itertools.product(
+                        PREFIX_POOL, [(neighbor,), (neighbor, neighbor)]
+                    ):
+                        verdict = verify_customer_origin(reg, member, neighbor, prefix, neighbor)
+                        if verdict is not OriginVerdict.REJECTED:
+                            continue
+                        rejected += 1
+                        outcome, admitted = member_import(
+                            cfg, reg, member, neighbor, rel, route(path, rel=rel, prefix=prefix)
+                        )
+                        assert admitted is None
+                        assert (outcome.outcome, outcome.reason) in {
+                            (Outcome.DROP, "R2"), (Outcome.DROP, "R3"),
+                        }
+        assert rejected > 0
 
     def test_forged_two_hop_unverified_without_extension(self):
         cfg = ZoneConfig(members=frozenset({1}), aspa_extension=False)
