@@ -16,13 +16,15 @@ from __future__ import annotations
 import enum
 import heapq
 import ipaddress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ._lines import read_lines
 from .registry import Prefix, RegistrySet, Roa
-from .routing import _PLAIN_ORDER, Origination, PreferenceOrder, propagate
-from .topology import Rel, Topology
+from .routing import (
+    _PLAIN_ORDER, NonConvergenceError, Origination, _Network, _propagate_prefix,
+)
+from .topology import Rel, Topology, _gc_paused
 from .vipzone import ZoneConfig, zone_policy
 
 
@@ -350,53 +352,60 @@ def routing_exceptions(topo: Topology, cfg: ZoneConfig, member: int) -> RoutingE
     customer or peer route.
 
     Every AS originates a synthetic probe prefix backed by a matching ROA
-    so perimeter verification succeeds wherever the zone rules allow it;
-    the network is then solved twice, toggling only this member's
-    preference order, and the member's best-route relationships diffed.
+    so perimeter verification succeeds wherever the zone rules allow it.
+    The member's best under the cold synchronous solve of the zone is
+    diffed against its best under the cold synchronous solve in which this
+    member alone ranks plain, still applying the zone import rules.
     """
     return _routing_exceptions(topo, cfg, [member])[0]
 
 
+@_gc_paused()
 def _routing_exceptions(
     topo: Topology, cfg: ZoneConfig, members: Sequence[int]
 ) -> list[RoutingExceptions]:
-    """routing_exceptions for each of `members` in order, sharing one
-    verified solve: N members cost N+1 solves."""
+    """routing_exceptions for each of `members` in order: one solve per
+    probe prefix watches every member's plain-order pick, and only where
+    that pick diverged is the prefix solved again, cold, with the member
+    ranking plain (README, Model notes).  Failed verified solves raise
+    before any mixed solve runs; then each member's failed mixed solves.
+    The cyclic collector is paused, as in propagate."""
     for member in members:
         if member not in cfg.members:
             raise AnalysisError(f"AS{member} is not a zone member")
     if not members:
         return []
-    originations = [Origination(a, synthetic_prefix(a)) for a in sorted(topo.asns)]
     reg = RegistrySet.build(roas=[Roa(synthetic_prefix(a), a) for a in sorted(topo.asns)])
-
-    base_policy = zone_policy(topo, cfg, reg)
-    verified_rib = propagate(topo, originations, base_policy)
-
-    # The member keeps applying zone import duties in both runs; only its
-    # preference order is toggled.
+    net = _Network(topo, zone_policy(topo, cfg, reg))
+    # diverged[member]: (destination, verified best is provider-learned).
+    diverged: dict[int, list[tuple[int, bool]]] = {member: [] for member in members}
+    watch = {net.index[member]: _PLAIN_ORDER for member in members}
+    oscillating = {}
+    for dest in net.asns:
+        prefix = synthetic_prefix(dest)
+        best, *_, flips, stuck = _propagate_prefix(net, prefix, [Origination(dest, prefix)], watch)
+        if stuck:
+            oscillating[prefix] = stuck
+        for i in flips:
+            provider = best[i] is not None and best[i][1].learned_rel is Rel.PROVIDER
+            diverged[net.asns[i]].append((dest, provider))
     results = []
     for member in members:
-
-        def mixed_preference(asn: int, member=member) -> PreferenceOrder:
-            return _PLAIN_ORDER if asn == member else base_policy.preference_for(asn)
-
-        plain_rib = propagate(
-            topo, originations, replace(base_policy, preference_for=mixed_preference)
-        )
+        if oscillating:  # of the verified solves, or the last member's
+            raise NonConvergenceError(oscillating)
+        i = net.index[member]
+        mixed = net.with_order(i, _PLAIN_ORDER)
         exceptions = []
-        for asn in sorted(topo.asns):
-            prefix = synthetic_prefix(asn)
-            with_v = verified_rib.best(member, prefix)
-            without_v = plain_rib.best(member, prefix)
-            if with_v is None or without_v is None:
-                continue
-            if with_v.learned_rel is Rel.PROVIDER and without_v.learned_rel in (
-                Rel.CUSTOMER,
-                Rel.PEER,
-            ):
-                exceptions.append(asn)
+        for dest, provider in diverged[member]:
+            prefix = synthetic_prefix(dest)
+            best, *_, stuck = _propagate_prefix(mixed, prefix, [Origination(dest, prefix)])
+            if stuck:
+                oscillating[prefix] = stuck
+            elif provider and best[i] and best[i][1].learned_rel in (Rel.CUSTOMER, Rel.PEER):
+                exceptions.append(dest)
         results.append(RoutingExceptions(member, len(exceptions), tuple(exceptions)))
+    if oscillating:
+        raise NonConvergenceError(oscillating)
     return results
 
 

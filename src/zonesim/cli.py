@@ -195,14 +195,20 @@ def cmd_zone(run: _Run, args, topo: topology.Topology) -> int:
     return 0
 
 
+def _sizes(args) -> list[int]:
+    try:
+        return [int(s) for s in args.sizes.split(",") if s]
+    except ValueError as exc:
+        raise ValueError(f"--sizes: {exc}") from exc
+
+
 def cmd_curve(run: _Run, args, topo: topology.Topology) -> int:
     order = (
         analysis.GrowthOrder.GREEDY_PROTECTED_GAIN
         if args.order == "greedy"
         else analysis.GrowthOrder.BY_CONE_SIZE
     )
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    curve = analysis.zone_growth_curve(topo, order, sizes)
+    curve = analysis.zone_growth_curve(topo, order, _sizes(args))
     _emit(run, "growth", analysis.growth_csv(curve), args.format)
     return 0
 
@@ -220,8 +226,7 @@ def cmd_local_region(run: _Run, args, topo: topology.Topology) -> int:
         rows = "\n".join(str(a) for a in sorted(region.region))
         run.write("region.txt", rows + ("\n" if rows else ""))
     else:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-        dist = analysis.local_region_distribution(topo, sizes)
+        dist = analysis.local_region_distribution(topo, _sizes(args))
         _emit(run, "regions", analysis.region_rows_csv(dist), args.format)
         _emit(run, "region_summary", analysis.region_summary_csv(dist), args.format)
     return 0

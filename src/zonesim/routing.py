@@ -40,6 +40,10 @@ routes in flight keep their prefix, because import hooks may read it.
 Learned routes at one AS each come from a different neighbor, so the stock
 preference order ranks them without its final path tiebreak.
 
+A solve can also watch ASes under alternative orders: it reports each AS
+whose pick under its alternative ever differs from its actual pick, so
+analysis.routing_exceptions re-solves only where a member's pick diverged.
+
 Prefixes are solved once per routing-equivalence class.  The hooks' per-
 prefix step maps a prefix and its originations to a class key; prefixes
 with equal keys are routed identically up to the prefix label, so one
@@ -62,11 +66,12 @@ also run without the collector while a solve is in progress.
 
 from __future__ import annotations
 
+import copy
 import enum
 import ipaddress
 from dataclasses import dataclass
 from operator import itemgetter, neg
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from ._lines import read_lines
 from .registry import Prefix, parse_prefix
@@ -301,6 +306,51 @@ def _normalize_originations(
     return normalized
 
 
+class _Network:
+    """What every prefix solve over (topology, hooks) shares.  ASes are
+    dense indices in ascending-ASN order; adjacency[e] holds, per neighbor
+    in ascending order: (index, ASN, what the neighbor is to e, what e is
+    to the neighbor, whether the neighbor is a customer).  narrow[e], the
+    row a peer- or provider-learned best walks, is its customer entries
+    alone under the default export hook, which never forces a refused
+    edge, else the whole row, so a leak hook still sees every refused
+    edge.  ASes sharing an order object share its ranks[i]."""
+
+    def __init__(self, topo: Topology, hooks: PolicyHooks):
+        self.import_route, self.export_route = hooks.import_route, hooks.export_route
+        self.asns = asns = sorted(topo.asns)
+        self.index = index = {asn: i for i, asn in enumerate(asns)}
+        skip_refused = hooks.export_route is _default_export
+        self.adjacency, self.narrow = [], []
+        for asn in asns:
+            customers, peers = topo.customers[asn], topo.peers[asn]
+            row = [
+                (index[n], n, _CUSTOMER, _PROVIDER, True) if n in customers
+                else (index[n], n, _PEER, _PEER, False) if n in peers
+                else (index[n], n, _PROVIDER, _CUSTOMER, False)
+                for n in sorted(topo.neighbors_of(asn))
+            ]
+            self.adjacency.append(row)
+            self.narrow.append(tuple([edge for edge in row if edge[4]]) if skip_refused else row)
+        self.orders = [hooks.preference_for(asn) for asn in asns]
+        rank_of = {id(order): _rank_of(order) for order in self.orders}
+        self.ranks = [rank_of[id(order)] for order in self.orders]
+
+    def with_order(self, i: int, order: PreferenceOrder) -> _Network:
+        """This network, rows and hooks shared, with AS i ranking by order."""
+        net = copy.copy(self)
+        net.orders, net.ranks = self.orders.copy(), self.ranks.copy()
+        net.orders[i], net.ranks[i] = order, _rank_of(order)
+        return net
+
+
+def _rank_of(order: PreferenceOrder) -> Callable[[Route], object]:
+    # Local routes are ranked by the full preference key.  Learned routes
+    # at one AS come from distinct neighbors, so the stock order ranks them
+    # without the path tiebreak; an order that overrides key() keeps it.
+    return order._rank if type(order).key is PreferenceOrder.key else order.key
+
+
 @_gc_paused()
 def propagate(
     topo: Topology,
@@ -329,53 +379,27 @@ def propagate(
         key = hooks.prefix_class(prefix, by_prefix[prefix])
         classes.setdefault(("prefix", prefix) if key is None else ("class", key), []).append(prefix)
 
-    # ASes are interned to dense indices in ascending-ASN order.  Each
-    # exporter's adjacency row holds, per neighbor in ascending order:
-    # (neighbor index, neighbor ASN, what the neighbor is to the exporter,
-    # what the exporter is to the neighbor, whether the neighbor is a
-    # customer).  narrow[e] is the row a peer- or provider-learned best is
-    # walked along: the customer entries alone (a tuple, so stubs share the
-    # empty one) when the export hook is the default, which never forces a
-    # refused edge; else the whole row, so a leak hook still sees every
-    # refused edge.
-    asns = sorted(topo.asns)
-    index = {asn: i for i, asn in enumerate(asns)}
-    skip_refused = hooks.export_route is _default_export
-    adjacency, narrow = [], []
-    for asn in asns:
-        customers, peers = topo.customers[asn], topo.peers[asn]
-        row = [
-            (index[n], n, _CUSTOMER, _PROVIDER, True) if n in customers
-            else (index[n], n, _PEER, _PEER, False) if n in peers
-            else (index[n], n, _PROVIDER, _CUSTOMER, False)
-            for n in sorted(topo.neighbors_of(asn))
-        ]
-        adjacency.append(row)
-        narrow.append(tuple([edge for edge in row if edge[4]]) if skip_refused else row)
-    # Local routes are ranked by the full preference key.  Learned routes
-    # at one AS come from distinct neighbors, so the stock order ranks them
-    # without the path tiebreak; an order that overrides key() keeps it.
-    # ASes that share an order object share one rank callable, and so the
-    # keys of the offers they admit unchanged.
-    orders = [hooks.preference_for(asn) for asn in asns]
-    rank_of = {
-        id(order): order._rank if type(order).key is PreferenceOrder.key else order.key
-        for order in orders
-    }
-    ranks = [rank_of[id(order)] for order in orders]
-
-    cap = 2 * len(asns) + 10
+    net = _Network(topo, hooks)
+    asns = net.asns
     # solved[prefix]: its class representative and the representative's
-    # (ASN, ranked candidates) rows, or the ASNs still changing if the
+    # (ASN, candidates best first) rows, or the ASNs still changing if the
     # class did not converge.
     solved = {}
     for members in classes.values():
         rep = members[0]
-        result = _propagate_prefix(
-            asns, index, adjacency, narrow, orders, ranks, hooks, rep, by_prefix[rep], cap
-        )
+        best, learned, local, _, stuck = _propagate_prefix(net, rep, by_prefix[rep])
+        rows = []
+        for i, selected in enumerate(best):
+            if selected is None:
+                continue
+            ranked = (selected[1],)
+            if i in local or len(learned[i]) > 1:
+                cands = local.get(i, []) + list(learned[i].values())
+                cands.sort(key=_first, reverse=True)
+                ranked = tuple(map(_second, cands))
+            rows.append((asns[i], ranked))
         for prefix in members:
-            solved[prefix] = rep, result
+            solved[prefix] = rep, stuck or rows
 
     oscillating = {p: solved[p][1] for p in prefixes if isinstance(solved[p][1], tuple)}
     if oscillating:
@@ -419,32 +443,26 @@ def _route(prefix, as_path, communities, learned_rel) -> Route:
 
 
 def _propagate_prefix(
-    asns: list[int],
-    index: dict[int, int],
-    adjacency: list[list[tuple[int, int, Rel, Rel, bool]]],
-    narrow: list[Sequence[tuple[int, int, Rel, Rel, bool]]],
-    orders: list[PreferenceOrder],
-    ranks: list[Callable[[Route], object]],
-    hooks: PolicyHooks,
+    net: _Network,
     prefix: Prefix,
     origs: list[Origination],
-    cap: int,
-) -> list[tuple[int, tuple[Route, ...]]] | tuple[int, ...]:
-    """Solve one prefix; return (ASN, candidates best first) pairs, or the
-    sorted ASNs whose best route still changed in round `cap` if it did
-    not converge.
-
-    ASes are the dense indices of `asns`; hooks see ASNs."""
-    export_route = hooks.export_route
-    import_route = hooks.import_route
+    watch: Mapping[int, PreferenceOrder] | None = None,
+) -> tuple[list, list[dict], dict[int, list], set[int], tuple[int, ...]]:
+    """Solve one prefix over net (AS indices; hooks see ASNs).  Returns
+    best, learned and local (below); the ASes of watch, {AS index:
+    alternative order}, whose pick under that order ever differed from
+    their actual pick, the first local pick included; and the sorted ASNs
+    whose best still changed in round 2*|ASes|+10, or () if it converged."""
+    asns, adjacency, narrow, ranks = net.asns, net.adjacency, net.narrow, net.ranks
+    import_route, export_route = net.import_route, net.export_route
 
     # Candidates are (preference key, route) pairs, keyed on admission and
     # ranked by the key alone: locals by orders[i].key, learned routes by
     # ranks[i], once per offer and rank callable when admitted unchanged.
     local: dict[int, list[tuple[object, Route]]] = {}
     for asn, route in dict.fromkeys((o.asn, o.route()) for o in origs):
-        i = index[asn]
-        local.setdefault(i, []).append((orders[i].key(route), route))
+        i = net.index[asn]
+        local.setdefault(i, []).append((net.orders[i].key(route), route))
     # learned[i][e]: what AS e's current best yields at AS i after export,
     # loop check and import.
     learned: list[dict[int, tuple[object, Route]]] = [{} for _ in asns]
@@ -456,12 +474,13 @@ def _propagate_prefix(
     wide = [False] * len(asns)
     for i, cands in local.items():
         best[i] = max(cands, key=_first)
+    diverged = set(_diverged(watch, local, best, local, learned)) if watch else set()
 
     changed = set(local)
     rounds = 1
     while changed:
-        if rounds == cap:
-            return tuple(asns[i] for i in sorted(changed))
+        if rounds == 2 * len(asns) + 10:
+            return best, learned, local, diverged, tuple(asns[i] for i in sorted(changed))
         rounds += 1
         # Synchronous round: every edge out of an AS whose best changed is
         # re-evaluated against the previous round's bests, so the fixpoint
@@ -532,18 +551,20 @@ def _propagate_prefix(
             if new_best is not old_best and new_best != old_best:
                 changed.add(i)
                 best[i] = new_best
-    rows = []
-    for i, selected in enumerate(best):
-        if selected is None:
-            continue
-        slots = learned[i]
-        if i not in local and len(slots) == 1:
-            rows.append((asns[i], (selected[1],)))
-            continue
-        cands = local.get(i, []) + list(slots.values())
-        cands.sort(key=_first, reverse=True)
-        rows.append((asns[i], tuple(map(_second, cands))))
-    return rows
+        if watch:
+            diverged.update(_diverged(watch, touched, best, local, learned))
+    return best, learned, local, diverged, ()
+
+
+def _diverged(watch, touched, best, local, learned) -> Iterator[int]:
+    # The watched ASes of `touched` whose pick under their watched order,
+    # made as a round makes it, is not their best route.
+    for i in watch.keys() & touched:
+        order, rank = watch[i], _rank_of(watch[i])
+        cands = [(order.key(r), r) for _, r in local.get(i, ())]
+        cands += [(rank(r), r) for _, r in learned[i].values()]
+        if max(cands, key=_first, default=(None, None))[1] is not (best[i] or (None, None))[1]:
+            yield i
 
 
 class TraceOutcome(enum.Enum):

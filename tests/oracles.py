@@ -463,3 +463,37 @@ def dump_rib_oracle(rib) -> str:
                 f"|{';'.join(sorted(route.communities))}|{route.learned_rel.value}"
             )
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def exceptions_by_two_solves(topo: Topology, cfg, member: int):
+    """routing_exceptions as two full solves through the public propagate:
+    every probe prefix under the zone policy, then again with only
+    `member` ranking by plain economic preference, and the member's best
+    routes diffed.  A NonConvergenceError of either solve propagates."""
+    from dataclasses import replace
+
+    from zonesim.analysis import RoutingExceptions, synthetic_prefix
+    from zonesim.registry import RegistrySet, Roa
+    from zonesim.routing import PreferenceOrder, propagate
+    from zonesim.vipzone import zone_policy
+
+    asns = sorted(topo.asns)
+    originations = [Origination(a, synthetic_prefix(a)) for a in asns]
+    reg = RegistrySet.build(roas=[Roa(synthetic_prefix(a), a) for a in asns])
+    hooks = zone_policy(topo, cfg, reg)
+    plain = PreferenceOrder(verified_first=False)
+    verified_rib = propagate(topo, originations, hooks)
+    mixed_rib = propagate(topo, originations, replace(
+        hooks, preference_for=lambda asn: plain if asn == member else hooks.preference_for(asn)
+    ))
+    exceptions = []
+    for dest in asns:
+        with_v = verified_rib.best(member, synthetic_prefix(dest))
+        without_v = mixed_rib.best(member, synthetic_prefix(dest))
+        if (
+            with_v is not None and without_v is not None
+            and with_v.learned_rel is Rel.PROVIDER
+            and without_v.learned_rel in (Rel.CUSTOMER, Rel.PEER)
+        ):
+            exceptions.append(dest)
+    return RoutingExceptions(member, len(exceptions), tuple(exceptions))

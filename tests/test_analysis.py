@@ -5,6 +5,7 @@ import pytest
 from zonesim.analysis import (
     AnalysisError,
     GrowthOrder,
+    _routing_exceptions,
     attached_customers,
     cone_size_order,
     derive_connected_zone,
@@ -24,6 +25,7 @@ from zonesim.vipzone import ZoneConfig, zone_policy
 from oracles import (
     brute_force_local_region,
     dfs_cone_order,
+    exceptions_by_two_solves,
     greedy_curve_oracle,
     oracle_fixpoint,
     random_connected_members,
@@ -398,6 +400,29 @@ class TestRoutingExceptions:
         topo, members = random_zone_instance(seed)
         result = routing_exceptions(topo, ZoneConfig(members=members), member)
         assert result.destinations == destinations
+
+    @pytest.mark.parametrize("seed", [*range(60), 75, 226])
+    def test_matches_two_full_solves(self, seed):
+        # Seeds 24 and 33 have mixed solves that do not converge; 75 and
+        # 226 have exceptions only the mixed solve finds.  One all-members
+        # call gives the per-member answers, or the first member's failure.
+        topo, members = random_zone_instance(seed)
+        cfg = ZoneConfig(members=members)
+
+        def outcome(solve, *args):
+            try:
+                return solve(topo, cfg, *args)
+            except NonConvergenceError as exc:
+                return exc.oscillating
+
+        per_member = []
+        for member in sorted(members):
+            want = outcome(exceptions_by_two_solves, member)
+            assert outcome(routing_exceptions, member) == want
+            per_member.append(want)
+        failed = [r for r in per_member if isinstance(r, dict)]
+        expected = failed[0] if failed else per_member
+        assert outcome(_routing_exceptions, sorted(members)) == expected
 
     def test_matches_double_oracle_recomputation(self):
         # Recompute both runs with the independent path-universe solver

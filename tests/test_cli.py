@@ -371,6 +371,20 @@ class TestCurve:
         assert not (out / "growth.csv").exists()
 
 
+    @pytest.mark.parametrize("command", ["curve", "local-region"])
+    def test_non_integer_size_names_the_flag(self, inputs, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = [command, "--topology", inputs["topo.txt"], "--out-dir", str(out)]
+        assert run(argv + ["--sizes", "1,x"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --sizes: invalid literal for int() with base 10: 'x'\n"
+        )
+        assert not (out / "manifest.json").exists()
+        assert run(argv + ["--sizes", "1,2,"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parameters"]["sizes"] == "1,2,"
+
+
 class TestLocalRegion:
     def test_single_customer(self, inputs, tmp_path):
         out = tmp_path / "out"
@@ -545,17 +559,23 @@ class TestExceptions:
 
     @pytest.mark.parametrize("seed", sorted(ALL_MEMBERS))
     def test_all_members_share_one_verified_solve(self, tmp_path, monkeypatch, seed):
+        # Per-prefix solves: each probe prefix once under the zone policy,
+        # watching the members, then once more per (member, destination)
+        # whose pick under the plain order diverged.
         import zonesim.analysis as analysis
         from zonesim.vipzone import ZoneConfig
 
-        solves = []
-        real = analysis.propagate
+        verified, mixed, diverged = [], [], []
+        real = analysis._propagate_prefix
 
-        def counting(*args, **kwargs):
-            solves.append(1)
-            return real(*args, **kwargs)
+        def counting(net, prefix, origs, watch=None):
+            result = real(net, prefix, origs, watch)
+            (verified if watch else mixed).append(prefix)
+            if watch:
+                diverged.append(len(result[3]))
+            return result
 
-        monkeypatch.setattr(analysis, "propagate", counting)
+        monkeypatch.setattr(analysis, "_propagate_prefix", counting)
         topo, members = random_zone_instance(seed)
         topo_file = tmp_path / "topo.txt"
         topo_file.write_text("".join(f"{a}|{b}|{r}\n" for a, b, r in topo.records()))
@@ -565,17 +585,21 @@ class TestExceptions:
         argv = ["exceptions", "--topology", str(topo_file), "--zone", str(zone)]
         assert run(argv + ["--out-dir", str(out)]) == 0
         assert (out / "exceptions.csv").read_text() == self.ALL_MEMBERS[seed]
-        assert len(solves) == len(members) + 1
+        assert len(verified) == len(topo.asns)
+        assert len(mixed) == sum(diverged)
+        assert len(verified) + len(mixed) < len(members) * len(topo.asns)
         expected = analysis.exceptions_csv(
             [analysis.routing_exceptions(topo, ZoneConfig(members), m)
              for m in sorted(members)]
         )
         assert (out / "exceptions.csv").read_text() == expected
 
-        solves.clear()
+        for solves in (verified, mixed, diverged):
+            solves.clear()
         member = sorted(members)[0]
         assert run(argv + ["--member", str(member), "--out-dir", str(out)]) == 0
-        assert len(solves) == 2
+        assert len(verified) == len(topo.asns)
+        assert len(mixed) == sum(diverged)
 
     @pytest.mark.parametrize("seed,member", [(33, 2), (24, 17)])
     def test_no_stable_state_exit_4(self, tmp_path, capsys, seed, member):

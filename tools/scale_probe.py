@@ -14,14 +14,27 @@ not the default, so the counting solve visits every refused edge; the
 timed solve, under the zone policy's default export hook, does not, so
 refused_edge_checks counts the edge visits it skips.
 
-The zone is the connected core of the 300 ASes with the largest customer
-cones; the prefix is the synthetic probe prefix of the lowest-numbered
+The zone is the connected core of the 300 ASes (--cones) with the largest
+customer cones; the prefix is the synthetic probe prefix of the lowest-numbered
 stub AS, with a matching ROA.  This probe is not part of the benchmark
 or the tests; CI runs it at 2000 ASes and requires every AS loaded, a
 reported load time, a non-empty RIB and both hook counts above 0.
 
     python3 tools/scale_probe.py            # 75k ASes, ~4 s before the counting solve
     python3 tools/scale_probe.py --ases 2000
+    python3 tools/scale_probe.py --ases 500 --exceptions
+
+With --exceptions the probe times one routing_exceptions call instead of
+the solves: every AS's probe prefix, for the lowest-numbered zone member
+that has a provider (a transit member; the provider-free tier-1 members
+can have no exception).  It prints the load time, exceptions_s,
+exception_count and the peak resident set, which here is that call's.
+--cones N takes the zone from the N largest cones instead of 300.  CI runs
+it at 500 ASes and requires exception_count >= 0.  On a 2-vCPU x86-64
+host (Python 3.11), raw: at 1000 ASes with --cones 50 (AS24423, 9
+exceptions) the call took 4.0-5.6 s and peaked at 22 MB, against 15.3-18.5 s and 447 MB when the zone and then
+each member's mixed network were solved in full with two all-pairs RIBs; at
+2000 ASes, 27.2 s and 27 MB against 92.3 s and 1712 MB.
 
 At 75k ASes on a 2-vCPU x86-64 host (Python 3.11) the load takes about
 0.65 s when the host is idle; it is often slower, so compare solve times
@@ -57,12 +70,14 @@ ROOT = Path(__file__).resolve().parents[1]
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--ases", type=int, default=75000)
+    parser.add_argument("--cones", type=int, default=300, help="zone: core of the N largest cones")
+    parser.add_argument("--exceptions", action="store_true", help="time routing_exceptions")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from perfbench.gen import build_graph
     from zonesim import (
         Origination, RegistrySet, Roa, cone_size_order, derive_connected_zone,
-        load_topology, propagate, synthetic_prefix, zone_policy,
+        load_topology, propagate, routing_exceptions, synthetic_prefix, zone_policy,
     )
     from zonesim.vipzone import ZoneConfig
 
@@ -72,7 +87,23 @@ def main(argv: list[str] | None = None) -> int:
     topo = load_topology(text)
     load_s = perf_counter() - t
 
-    members = derive_connected_zone(topo, cone_size_order(topo)[:300]).connected_members
+    members = derive_connected_zone(topo, cone_size_order(topo)[:args.cones]).connected_members
+    if args.exceptions:
+        member = min(a for a in members if topo.providers_of(a))
+        t = perf_counter()
+        result = routing_exceptions(topo, ZoneConfig(members=members), member)
+        exceptions_s = perf_counter() - t
+        print(json.dumps({
+            "ases": len(topo.asns),
+            "members": len(members),
+            "member": member,
+            "load_s": round(load_s, 3),
+            "exceptions_s": round(exceptions_s, 3),
+            "exception_count": result.count,
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+            "python": platform.python_version(),
+        }))
+        return 0
     origin = min(a for a in topo.asns if not topo.customers[a])
     prefix = synthetic_prefix(origin)
     reg = RegistrySet.build(roas=[Roa(prefix, origin)])
