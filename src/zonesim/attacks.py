@@ -19,10 +19,11 @@ as from a full solve; a prefix that does not contain it can no longer make
 them raise NonConvergenceError.  scenario_rib, and so ``simulate
 --scenario``, still solves every prefix.
 
-classify_harm reads the RIB once: one pass gives each AS's best for the
-victim prefix (owner harm) and its longest match for the victim address (its
-next hop).  One walk over the ASes, memoized, then settles whether each
-one's traffic is delivered, and whether to the attacker or via the leak.
+classify_harm reads only the RIB's prefixes that hold the victim address:
+one pass over their rows gives each AS's best for the victim prefix (owner
+harm) and its longest match for the victim address (its next hop).  One
+walk over the ASes, memoized, then settles whether each one's traffic is
+delivered, and whether to the attacker or via the leak.
 """
 
 from __future__ import annotations
@@ -234,42 +235,32 @@ def classify_harm(
     watch: Iterable[int] | None = None,
 ) -> HarmReport:
     """Evaluate an already-solved RIB against the scenario in one pass over
-    the RIB and one walk over the ASes, O(ASes + RIB rows).  Misdirection is
-    what data_plane_trace from every AS but the attacker would find.
+    the rows of the prefixes holding the victim address and one walk over
+    the ASes, O(ASes + those rows).  Misdirection is what data_plane_trace
+    from every AS but the attacker would find.
     """
-    address = scenario.victim_prefix.network_address
-    victim_length = scenario.victim_prefix.prefixlen
     attacker = scenario.attacker
     watch_set = None if watch is None else frozenset(watch)
     injected = _injection(scenario).route().as_path
 
     # next_hop[asn]: where the AS's longest match for the victim address
     # sends traffic, the AS itself for a local route; absent without one.
-    # lengths[id(prefix)]: the prefix's length if it holds the victim
-    # address, else -1; the one of the victim prefix's length is that prefix.
+    # The prefixes holding the address come shortest first, so each AS's
+    # last one is its longest match; the one of the victim prefix's length
+    # is the victim prefix.
     next_hop: dict[int, int] = {}
     per_as_best = {}
-    owner_harm = False
-    lengths: dict[int, int] = {}
-    for asn, entries in rib.per_as.items():
-        longest = -1
-        for prefix, entry in entries.items():
-            length = lengths.get(id(prefix))
-            if length is None:
-                holds = prefix.version == address.version and address in prefix
-                length = lengths[id(prefix)] = prefix.prefixlen if holds else -1
-            if length > longest:
-                longest, route = length, entry.best
-            if length == victim_length:
-                best = per_as_best[asn] = entry.best
-                if (
-                    not owner_harm and asn != attacker
-                    and (watch_set is None or asn in watch_set)
-                    and _is_attacker_route(best, scenario, asn, topo, injected)
-                ):
-                    owner_harm = True
-        if longest >= 0:
+    for prefix, rows in rib._prefixes(scenario.victim_prefix.network_address):
+        for asn, ranked in rows.items():
+            route = ranked[0]
             next_hop[asn] = asn if route.learned_rel is Rel.SELF else route.as_path[0]
+        if prefix.prefixlen == scenario.victim_prefix.prefixlen:
+            per_as_best = rib._bests(prefix)
+    owner_harm = any(
+        asn != attacker and (watch_set is None or asn in watch_set)
+        and _is_attacker_route(best, scenario, asn, topo, injected)
+        for asn, best in per_as_best.items()
+    )
 
     # captured[asn]: whether the AS's traffic is delivered to the attacker
     # (for a leak: enters the leaker from one of its providers), or None if

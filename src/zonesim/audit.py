@@ -117,14 +117,11 @@ def load_waivers(source: str, cfg: ZoneConfig) -> list[Waiver]:
 
 def views_from_rib(rib: Rib, cfg: ZoneConfig, snapshot_id: str = "default") -> list[MemberView]:
     """Rule 7: every member exports its best routes to the collector."""
-    views = []
-    for member in sorted(cfg.members):
-        entries = rib.entries(member)
-        routes = tuple(
-            entries[p].best for p in sorted(entries, key=_prefix_sort_key)
-        )
-        views.append(MemberView(member, routes, snapshot_id))
-    return views
+    routes: dict[int, list[Route]] = {member: [] for member in sorted(cfg.members)}
+    for prefix, _ in rib._prefixes():
+        for member, best in rib._bests(prefix, routes.keys()).items():
+            routes[member].append(best)
+    return [MemberView(member, tuple(r), snapshot_id) for member, r in routes.items()]
 
 
 def load_member_view(

@@ -47,9 +47,13 @@ analysis.routing_exceptions re-solves only where a member's pick diverged.
 Prefixes are solved once per routing-equivalence class.  The hooks' per-
 prefix step maps a prefix and its originations to a class key; prefixes
 with equal keys are routed identically up to the prefix label, so one
-representative is solved and its rows are relabelled for the others.  A
-prefix whose key is None is solved on its own.  Callers that read only
-some prefixes (attacks.run_scenario) pass only those.
+representative is solved and the others share its rows.  A prefix whose
+key is None is solved on its own.  Callers that read only some prefixes
+(attacks.run_scenario) pass only those.
+
+The Rib keeps the solve's rows per prefix and builds its per-AS view,
+Rib.per_as, only when that is read; the dump, scenario and audit readers
+read the rows of the prefixes they need.
 
 Hooks can drop or transform routes on import (community edits), replace the
 per-AS preference order, and force an export the economic rule refuses (a
@@ -57,11 +61,12 @@ route leak).  Exports are never changed, so a learned route's path starts
 with the neighbor it was learned from.  The default hook set implements
 plain economic routing with no community handling.
 
-The cyclic garbage collector is paused for each propagate call: nothing a
-solve builds holds a reference cycle, so a collection mid-solve frees
-nothing and only re-walks the growing RIB; cyclic garbage a hook makes
-waits until the call ends.  The pause is process-wide, so other threads
-also run without the collector while a solve is in progress.
+The cyclic garbage collector is paused for each propagate and dump_rib
+call: nothing a solve or a dump builds holds a reference cycle, so a
+collection midway frees nothing and only re-walks the growing RIB or its
+per-AS line lists; cyclic garbage a hook makes waits until the call ends.
+The pause is process-wide, so other threads also run without the
+collector while a solve or a dump is in progress.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ import copy
 import enum
 import ipaddress
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter, neg
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -258,10 +264,48 @@ class RibEntry:
 
 
 class Rib:
-    """Per-AS, per-prefix route state at the propagation fixpoint."""
+    """Route state at the propagation fixpoint, kept per prefix as the solve
+    leaves it: prefixes in _prefix_sort_key order, each with its rows {ASN:
+    candidates, best first}.  A class member shares its representative's
+    rows, relabelled only when read.  per_as, {ASN: {prefix: RibEntry}}
+    over every ASN of the topology (or of the mapping given), is a view
+    built on first read and cached; best, candidates, entries and == read
+    it.  Rib(per_as) maps such a mapping into the per-prefix layout; each
+    entry's best must be its first candidate.
+    """
 
     def __init__(self, per_as: Mapping[int, Mapping[Prefix, RibEntry]]):
-        self.per_as = {a: dict(m) for a, m in per_as.items()}
+        rows: dict[Prefix, dict[int, tuple[Route, ...]]] = {}
+        for asn, entries in per_as.items():
+            for prefix, entry in entries.items():
+                if entry.candidates[:1] != (entry.best,):
+                    raise RoutingError(f"AS{asn} {prefix}: best is not the first candidate")
+                rows.setdefault(prefix, {})[asn] = entry.candidates
+        self._asns = list(per_as)
+        self._rows = {p: (p, rows[p]) for p in sorted(rows, key=_prefix_sort_key)}
+
+    def _prefixes(self, address=None) -> Iterator[tuple[Prefix, dict[int, tuple[Route, ...]]]]:
+        # Each prefix, or each holding address (shortest first: a prefix
+        # sorts before those inside it), with its rows; their routes may
+        # carry the class representative's prefix, which _bests relabels.
+        for prefix, (_, rows) in self._rows.items():
+            if address is None or (prefix.version == address.version and address in prefix):
+                yield prefix, rows
+
+    def _bests(self, prefix: Prefix, asns: Iterable[int] | None = None) -> dict[int, Route]:
+        # The best route for prefix of each AS of asns (all by default) holding it.
+        rep, rows = self._rows[prefix]
+        holders = rows.keys() if asns is None else rows.keys() & asns
+        return {asn: _labelled(prefix, rep, rows[asn][:1])[0] for asn in holders}
+
+    @cached_property
+    def per_as(self) -> dict[int, dict[Prefix, RibEntry]]:
+        per_as: dict[int, dict[Prefix, RibEntry]] = {asn: {} for asn in self._asns}
+        for prefix, (rep, rows) in self._rows.items():
+            for asn, ranked in rows.items():
+                ranked = _labelled(prefix, rep, ranked)
+                per_as[asn][prefix] = RibEntry(ranked[0], ranked)
+        return per_as
 
     def best(self, asn: int, prefix: Prefix) -> Route | None:
         entry = self.per_as.get(asn, {}).get(prefix)
@@ -382,13 +426,13 @@ def propagate(
     net = _Network(topo, hooks)
     asns = net.asns
     # solved[prefix]: its class representative and the representative's
-    # (ASN, candidates best first) rows, or the ASNs still changing if the
+    # rows {ASN: candidates, best first}, or the ASNs still changing if the
     # class did not converge.
     solved = {}
     for members in classes.values():
         rep = members[0]
         best, learned, local, _, stuck = _propagate_prefix(net, rep, by_prefix[rep])
-        rows = []
+        rows = {}
         for i, selected in enumerate(best):
             if selected is None:
                 continue
@@ -397,29 +441,16 @@ def propagate(
                 cands = local.get(i, []) + list(learned[i].values())
                 cands.sort(key=_first, reverse=True)
                 ranked = tuple(map(_second, cands))
-            rows.append((asns[i], ranked))
+            rows[asns[i]] = ranked
         for prefix in members:
             solved[prefix] = rep, stuck or rows
 
     oscillating = {p: solved[p][1] for p in prefixes if isinstance(solved[p][1], tuple)}
     if oscillating:
         raise NonConvergenceError(oscillating)
-
-    per_as: dict[int, dict[Prefix, RibEntry]] = {asn: {} for asn in asns}
-    for prefix in prefixes:
-        rep, rows = solved[prefix]
-        for asn, ranked in rows:
-            if prefix is not rep:
-                ranked = tuple([
-                    _route(prefix, r.as_path, r.communities, r.learned_rel)
-                    for r in ranked
-                ])
-            # RibEntry(ranked[0], ranked), with its slots written directly.
-            entry = _new(RibEntry)
-            _set_best(entry, ranked[0])
-            _set_candidates(entry, ranked)
-            per_as[asn][prefix] = entry
-    return Rib(per_as)
+    rib = _new(Rib)
+    rib._asns, rib._rows = asns, {p: solved[p] for p in prefixes}
+    return rib
 
 
 _first = itemgetter(0)
@@ -428,7 +459,6 @@ _new = object.__new__
 _set_prefix, _set_path, _set_communities, _set_learned_rel = (
     Route.__dict__[name].__set__ for name in ("prefix", "as_path", "communities", "learned_rel")
 )
-_set_best, _set_candidates = (RibEntry.__dict__[name].__set__ for name in ("best", "candidates"))
 
 
 def _route(prefix, as_path, communities, learned_rel) -> Route:
@@ -440,6 +470,13 @@ def _route(prefix, as_path, communities, learned_rel) -> Route:
     _set_communities(route, communities)
     _set_learned_rel(route, learned_rel)
     return route
+
+
+def _labelled(prefix: Prefix, rep: Prefix, ranked: tuple[Route, ...]) -> tuple[Route, ...]:
+    # A class member's routes: its representative's, relabelled.
+    if prefix is rep:
+        return ranked
+    return tuple([_route(prefix, r.as_path, r.communities, r.learned_rel) for r in ranked])
 
 
 def _propagate_prefix(
@@ -585,18 +622,15 @@ def data_plane_trace(
     """
     if isinstance(dst, str):
         dst = ipaddress.ip_address(dst)
+    covering = [rows for _, rows in rib._prefixes(dst)][::-1]
     hops = [src]
     seen = {src}
     current = src
     while True:
-        entries = rib.per_as.get(current, {})
-        matches = [
-            e for p, e in entries.items() if p.version == dst.version and dst in p
-        ]
-        if not matches:
+        # The longest match: the first covering prefix the AS holds.
+        route = next((rows[current][0] for rows in covering if current in rows), None)
+        if route is None:
             return hops, TraceOutcome.NO_ROUTE
-        entry = max(matches, key=lambda e: e.best.prefix.prefixlen)
-        route = entry.best
         if route.learned_rel is Rel.SELF:
             return hops, TraceOutcome.DELIVERED
         nxt = route.learned_from
@@ -612,6 +646,7 @@ def _prefix_sort_key(prefix: Prefix):
     return (prefix.version, int(prefix.network_address), prefix.prefixlen)
 
 
+@_gc_paused()
 def dump_rib(rib: Rib) -> str:
     """Serialize best routes, one line per (asn, prefix), sorted.
 
@@ -619,31 +654,23 @@ def dump_rib(rib: Rib) -> str:
     path space-separated (origin last) and communities ``;``-separated.
     A member's route-collector view is this dump filtered to its own rows.
     """
-    # Sort key and text of each prefix object, computed once per dump;
-    # keyed by identity, since hashing an ip_network is a Python call too.
-    formatted: dict[int, tuple[tuple[int, int, int], str]] = {}
     # Text of each distinct communities set, sorted once per dump.
     tags: dict[frozenset[str], str] = {}
-    lines = []
-    for asn in sorted(rib.per_as):
-        rows = []
-        for prefix, entry in rib.per_as[asn].items():
-            shown = formatted.get(id(prefix))
-            if shown is None:
-                shown = formatted[id(prefix)] = (_prefix_sort_key(prefix), str(prefix))
-            rows.append((shown, entry.best))
-        rows.sort(key=_first)
-        head = str(asn)
-        for (_, text), route in rows:
+    # lines[asn]: its rows without the ASN, filled prefix by prefix in order.
+    lines: dict[int, list[str]] = {asn: [] for asn in sorted(rib._asns)}
+    for prefix, rows in rib._prefixes():
+        text = str(prefix)
+        for asn, ranked in rows.items():
+            route = ranked[0]
             communities = route.communities
             tagged = tags.get(communities)
             if tagged is None:
                 tagged = tags[communities] = ";".join(sorted(communities))
             # Rel is a str enum: join reads its value without a .value call.
-            lines.append("|".join(
-                (head, text, " ".join(map(str, route.as_path)), tagged, route.learned_rel)
+            lines[asn].append("|".join(
+                (text, " ".join(map(str, route.as_path)), tagged, route.learned_rel)
             ))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(f"{asn}|" + f"\n{asn}|".join(rows) + "\n" for asn, rows in lines.items() if rows)
 
 
 def parse_rib_dump(

@@ -1,11 +1,29 @@
 import gc
 import random
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import pytest
 
-from zonesim.attacks import AttackKind, AttackScenario, _leak_hooks
-from zonesim.registry import RegistrySet, Roa, parse_prefix
+from zonesim.analysis import synthetic_prefix
+from zonesim.attacks import (
+    AttackKind,
+    AttackScenario,
+    _leak_hooks,
+    classify_harm,
+    load_scenario,
+    scenario_rib,
+)
+from zonesim.audit import views_from_rib
+from zonesim.registry import (
+    RegistrySet,
+    Roa,
+    load_aspas,
+    load_irr,
+    load_kyc,
+    load_roas,
+    parse_prefix,
+)
 from zonesim.routing import (
     VERIFIED,
     NonConvergenceError,
@@ -26,7 +44,7 @@ from zonesim.routing import (
     propagate,
 )
 from zonesim.topology import Rel, Topology, _gc_paused, load_topology
-from zonesim.vipzone import ZoneConfig, zone_policy
+from zonesim.vipzone import ZoneConfig, load_zone_config, zone_policy
 
 from oracles import (
     PREFIX_POOL,
@@ -36,6 +54,7 @@ from oracles import (
     random_originations,
     random_registry,
     random_topology,
+    random_zone_instance,
     rib_as_cells,
 )
 
@@ -660,8 +679,8 @@ def _raising_import(importer, neighbor, rel, route):
 
 
 class TestCollectorPause:
-    """propagate pauses the cyclic collector for the whole call and leaves
-    it as it found it, however the call ends."""
+    """propagate and dump_rib pause the cyclic collector for the whole call
+    and leave it as they found it, however the call ends."""
 
     # Each case solves two prefixes on the DISAGREE gadget.
     CASES = {
@@ -684,7 +703,7 @@ class TestCollectorPause:
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
             if error is None:
-                propagate(topo, origs, hooks)
+                dump_rib(propagate(topo, origs, hooks))
             else:
                 with pytest.raises(error):
                     propagate(topo, origs, hooks)
@@ -992,3 +1011,111 @@ class TestTraceLoop:
         hops, outcome = data_plane_trace(rib, 1, "10.0.0.1")
         assert outcome is TraceOutcome.LOOP
         assert hops == [1, 2, 1]
+
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _fixture_case(path):
+    """One fixture's topology, zone, originations and simulate RIB; a
+    fixture without originations routes every AS's probe prefix."""
+    def read(name, load, default):
+        return load((path / name).read_text()) if (path / name).exists() else default
+
+    topo = load_topology((path / "topology.txt").read_text())
+    cfg = read("zone.txt", load_zone_config, ZoneConfig(frozenset()))
+    reg = RegistrySet(
+        roas=read("roas.csv", load_roas, ()), aspas=read("aspas.csv", load_aspas, {}),
+        irr_prefixes=read("irr.csv", load_irr, {}), kyc=read("kyc.csv", load_kyc, {}),
+    )
+    origs = read("originations.csv", load_originations,
+                 [Origination(a, synthetic_prefix(a)) for a in sorted(topo.asns)])
+    scenario = read("scenario.txt", load_scenario, None)
+    if scenario is not None:
+        return topo, cfg, origs, scenario_rib(topo, reg, cfg, origs, scenario)
+    return topo, cfg, origs, propagate(topo, origs, zone_policy(topo, cfg, reg))
+
+
+def _layout_cases():
+    # Seeded zones whose two origins announce nested and IPv6 prefixes, so
+    # prefixes share classes and rows; then the fixtures.
+    for seed in range(60):
+        topo, members = random_zone_instance(seed)
+        rng = random.Random(seed)
+        origins = rng.sample(sorted(topo.asns), k=2)
+        origs = [Origination(rng.choice(origins), p) for p in rng.sample(CLASS_POOL, k=5)]
+        cfg = ZoneConfig(members=members, aspa_extension=rng.random() < 0.5)
+        reg = random_registry(rng, topo, members, origs)
+        rib = _solve(topo, origs, zone_policy(topo, cfg, reg))
+        if isinstance(rib, Rib):
+            yield topo, cfg, origs, rib
+    fixtures = sorted(p for p in FIXTURES.iterdir() if p.is_dir())
+    assert len(fixtures) == 10
+    for path in fixtures:
+        yield _fixture_case(path)
+
+
+def _scenarios(topo, victim):
+    # One scenario of each attack kind against one origination; a leak
+    # needs an AS with two providers.
+    prefix, origin = victim.prefix, victim.asn
+    attacker = max(topo.asns - {origin})
+    yield AttackScenario(AttackKind.ORIGIN_HIJACK, attacker, prefix, origin)
+    yield AttackScenario(AttackKind.FORGED_ORIGIN_PATH_HIJACK, attacker, prefix, origin, (origin,))
+    sub = next(prefix.subnets(prefixlen_diff=1))
+    yield AttackScenario(AttackKind.SUB_PREFIX_HIJACK, attacker, sub, origin)
+    leakers = [a for a in sorted(topo.asns) if len(topo.providers_of(a)) >= 2]
+    if leakers:
+        leaker = leakers[0]
+        yield AttackScenario(
+            AttackKind.ROUTE_LEAK, leaker, prefix, origin, leaked_from=min(topo.providers_of(leaker))
+        )
+
+
+class TestRibLayout:
+    """propagate keeps the RIB per prefix, a class member sharing its
+    representative's rows, and builds per_as only when it is read;
+    Rib(per_as) maps that view back into an equal RIB."""
+
+    def test_view_round_trips_and_readers_leave_it_unbuilt(self):
+        ribs = shared = 0
+        kinds = set()
+        for topo, cfg, origs, rib in _layout_cases():
+            # Every reader first, on the RIB as propagate returned it.
+            dumped = dump_rib(rib)
+            views = views_from_rib(rib, cfg)
+            scenarios = [s for o in origs[:3] for s in _scenarios(topo, o)]
+            reports = [classify_harm(topo, rib, s) for s in scenarios]
+            addresses = {o.prefix.network_address for o in origs}
+            traces = [data_plane_trace(rib, a, d) for a in sorted(topo.asns) for d in addresses]
+            assert "per_as" not in vars(rib)
+            shared += sum(p is not rep for p, (rep, _) in rib._rows.items())
+
+            copy = Rib(rib.per_as)
+            assert copy == rib and set(rib.per_as) == topo.asns
+            for asn, entries in rib.per_as.items():
+                for prefix, entry in entries.items():
+                    assert all(r.prefix == prefix for r in (entry.best, *entry.candidates))
+                    assert entry.best is entry.candidates[0]
+                    assert copy.per_as[asn][prefix] == entry
+            assert dump_rib(copy) == dumped
+            assert views_from_rib(copy, cfg) == views
+            for scenario, report in zip(scenarios, reports):
+                again = classify_harm(topo, copy, scenario)
+                assert again == report and dict(again.per_as_best) == dict(report.per_as_best)
+                kinds.add(scenario.kind)
+            again = [data_plane_trace(copy, a, d) for a in sorted(topo.asns) for d in addresses]
+            assert again == traces
+            ribs += 1
+        assert ribs >= 50
+        assert shared >= 50
+        assert kinds == set(AttackKind)
+
+    def test_constructor_requires_best_first(self):
+        a = Route(PFX, (2, 1), learned_rel=Rel.CUSTOMER)
+        b = Route(PFX, (3, 1), learned_rel=Rel.PEER)
+        per_as = {1: {PFX: RibEntry(a, (a, b))}, 2: {}}
+        assert Rib(per_as).per_as == per_as
+        with pytest.raises(RoutingError, match="AS1 10.0.0.0/24: best is not the first candidate"):
+            Rib({1: {PFX: RibEntry(a, (b, a))}})

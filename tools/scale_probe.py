@@ -2,9 +2,10 @@
 
 Builds the benchmark generator's CAIDA-like graph
 (``perfbench.gen.build_graph(Random(7), 75000, 16)``), loads it through
-``load_topology`` and solves one prefix under a zone policy, then prints
-one JSON object: graph size, wall-clock seconds of the load and of the
-solve (raw, not calibrated), RIB rows and the peak resident set.
+``load_topology``, solves one prefix under a zone policy and dumps the RIB
+with ``dump_rib``, then prints one JSON object: graph size, wall-clock
+seconds of the load, the solve and the dump (raw, not calibrated), RIB rows
+(the dump's lines) and the peak resident set, read before the dump.
 
 After the timed solve it solves once more with counting wrappers around
 the import and export hooks, checks that this RIB equals the timed one,
@@ -17,8 +18,8 @@ refused_edge_checks counts the edge visits it skips.
 The zone is the connected core of the 300 ASes (--cones) with the largest
 customer cones; the prefix is the synthetic probe prefix of the lowest-numbered
 stub AS, with a matching ROA.  This probe is not part of the benchmark
-or the tests; CI runs it at 2000 ASes and requires every AS loaded, a
-reported load time, a non-empty RIB and both hook counts above 0.
+or the tests; CI runs it at 2000 ASes and requires every AS loaded, reported
+load and dump times, a non-empty RIB and both hook counts above 0.
 
     python3 tools/scale_probe.py            # 75k ASes, ~4 s before the counting solve
     python3 tools/scale_probe.py --ases 2000
@@ -50,6 +51,14 @@ reports 833,685 refused edges against 235,585 imports.  At 20k ASes the
 solve took 0.55-0.60 s and peaked at 98 MB, against 0.72-0.85 s and 105 MB
 before shared offers (load 0.32-0.44 s; 247,107 refused edges, 71,582
 imports).
+
+Keeping the RIB per prefix, with its per-AS view built only when read,
+cut the peak and the dump (same host, raw, two alternating runs per side
+in a slow period).  At 75k ASes (load 1.5-1.9 s): propagate_s 2.66-2.72 s,
+dump_s 0.31-0.32 s and 352 MB before; 1.88-2.13 s, 0.27-0.28 s and 312 MB
+after.  At 20k (load 0.29-0.55 s): 0.45-0.53 s, 0.05-0.08 s and 102 MB
+before; 0.38-0.64 s, 0.05-0.11 s and 92 MB after, the slowest run in the
+slowest load.
 """
 
 from __future__ import annotations
@@ -76,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from perfbench.gen import build_graph
     from zonesim import (
-        Origination, RegistrySet, Roa, cone_size_order, derive_connected_zone,
+        Origination, RegistrySet, Roa, cone_size_order, derive_connected_zone, dump_rib,
         load_topology, propagate, routing_exceptions, synthetic_prefix, zone_policy,
     )
     from zonesim.vipzone import ZoneConfig
@@ -113,6 +122,9 @@ def main(argv: list[str] | None = None) -> int:
     propagate_s = perf_counter() - t
     # The peak of the load and the timed solve, before a second RIB exists.
     peak_rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    t = perf_counter()
+    dumped = dump_rib(rib)
+    dump_s = perf_counter() - t
 
     counts = {"refused_edge_checks": 0, "imports": 0}
 
@@ -135,7 +147,8 @@ def main(argv: list[str] | None = None) -> int:
         "members": len(members),
         "load_s": round(load_s, 3),
         "propagate_s": round(propagate_s, 3),
-        "rib_rows": sum(len(e) for e in rib.per_as.values()),
+        "dump_s": round(dump_s, 3),
+        "rib_rows": dumped.count("\n"),
         **counts,
         "peak_rss_mb": peak_rss_mb,
         "python": platform.python_version(),
