@@ -141,6 +141,12 @@ def load_member_view(
     return MemberView(member, tuple(r for _, r in rows), snapshot_id)
 
 
+def check_owner(cfg: ZoneConfig, view: MemberView) -> None:
+    """Raise AuditError unless the view's owner is a zone member."""
+    if view.member not in cfg.members:
+        raise AuditError(f"view owner AS{view.member} is not a zone member")
+
+
 def _entry_member(path: Sequence[int], members: frozenset[int], owner: int) -> tuple[int, tuple[int, ...]]:
     """The member closest to the origin, and the unique pre-entry ASNs.
 
@@ -184,8 +190,7 @@ def audit_views(
         raise AuditError(f"views span multiple snapshots: {sorted(snapshots)}")
     members = cfg.members
     for view in views:
-        if view.member not in members:
-            raise AuditError(f"view owner AS{view.member} is not a zone member")
+        check_owner(cfg, view)
 
     by_member = {v.member: v for v in views}
     # R3 witnesses' _tagged_by_path indexes, built on first consultation.

@@ -245,7 +245,10 @@ def cmd_audit(run: _Run, args, topo: topology.Topology) -> int:
     cfg = _load_zone(run, topo, args.zone)
     prefixes: dict = {}
     views = [
-        run.parse(p, lambda text: audit.load_member_view(text, prefixes=prefixes))
+        _parse_checked(
+            run, p, lambda text: audit.load_member_view(text, prefixes=prefixes),
+            lambda view: audit.check_owner(cfg, view),
+        )
         for p in args.views
     ]
     waivers = []

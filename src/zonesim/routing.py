@@ -11,19 +11,20 @@ updates from the same previous-round snapshot, the fixpoint is independent
 of iteration order, and repeated runs are bit-identical.
 
 Rounds are edge-incremental.  What an AS holds from one neighbor depends
-only on that neighbor's current best, so each AS keeps one cached
-(preference key, route) entry per neighbor, the result of export, loop
-check and import over that edge.  A round re-evaluates only the edges out
-of ASes whose best changed in the previous round and re-ranks only the
-ASes whose entries changed.  Under the default export hook the edges the
-rule refuses are not visited: a peer- or provider-learned best goes down
-the exporter's customer edges alone, and every edge is walked once only
-when such a best replaces one that went everywhere, to withdraw it.  Any
-other export hook is asked about each refused edge.  A preference key is
-computed once per offer and order (below), and ranking compares keys
-alone.  Propagation stops when a round changes no best; a prefix still
-changing after 2*|ASes|+10 rounds is reported with the ASes that changed
-in the last round.
+only on that neighbor's current best, so each AS keeps one table of
+candidates: its own originations, and one cached (preference key, route)
+entry per neighbor, the result of export, loop check and import over that
+edge.  The first round ranks the originators; each later round
+re-evaluates only the edges out of ASes whose best changed in the round
+before and re-ranks the table of each AS whose entries changed.  Under the
+default export hook the edges the rule refuses are not visited: a peer- or
+provider-learned best goes down the exporter's customer edges alone, and
+every edge is walked once only when such a best replaces one that went
+everywhere, to withdraw it.  Any other export hook is asked about each
+refused edge.  A preference key is computed once per offer and order
+(below), and ranking compares keys alone.  Propagation stops when a round
+changes no best; a prefix still changing after 2*|ASes|+10 rounds is
+reported with the ASes that changed in the last round.
 
 Inside a solve, ASes are dense indices in ascending-ASN order: per prefix,
 bests and cached entries are lists, and each exporter's adjacency row holds
@@ -53,7 +54,7 @@ key is None is solved on its own.  Callers that read only some prefixes
 
 The Rib keeps the solve's rows per prefix and builds its per-AS view,
 Rib.per_as, only when that is read; the dump, scenario and audit readers
-read the rows of the prefixes they need.
+read the rows of the prefixes they need, and a lookup reads one row.
 
 Hooks can drop or transform routes on import (community edits), replace the
 per-AS preference order, and force an export the economic rule refuses (a
@@ -267,9 +268,9 @@ class Rib:
     """Route state at the propagation fixpoint, kept per prefix as the solve
     leaves it: prefixes in _prefix_sort_key order, each with its rows {ASN:
     candidates, best first}.  A class member shares its representative's
-    rows, relabelled only when read.  per_as, {ASN: {prefix: RibEntry}}
-    over every ASN of the topology (or of the mapping given), is a view
-    built on first read and cached; best, candidates, entries and == read
+    rows, relabelled only when read.  best and candidates read one row.
+    per_as, {ASN: {prefix: RibEntry}} over every ASN of the topology (or of
+    the mapping given), is a view built on first read and cached; == reads
     it.  Rib(per_as) maps such a mapping into the per-prefix layout; each
     entry's best must be its first candidate.
     """
@@ -308,15 +309,11 @@ class Rib:
         return per_as
 
     def best(self, asn: int, prefix: Prefix) -> Route | None:
-        entry = self.per_as.get(asn, {}).get(prefix)
-        return entry.best if entry else None
+        return (self.candidates(asn, prefix) or (None,))[0]
 
     def candidates(self, asn: int, prefix: Prefix) -> tuple[Route, ...]:
-        entry = self.per_as.get(asn, {}).get(prefix)
-        return entry.candidates if entry else ()
-
-    def entries(self, asn: int) -> dict[Prefix, RibEntry]:
-        return dict(self.per_as.get(asn, {}))
+        rep, rows = self._rows.get(prefix, (prefix, {}))
+        return _labelled(prefix, rep, rows.get(asn, ()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Rib):
@@ -431,17 +428,14 @@ def propagate(
     solved = {}
     for members in classes.values():
         rep = members[0]
-        best, learned, local, _, stuck = _propagate_prefix(net, rep, by_prefix[rep])
+        best, learned, _, stuck = _propagate_prefix(net, rep, by_prefix[rep])
         rows = {}
         for i, selected in enumerate(best):
             if selected is None:
                 continue
-            ranked = (selected[1],)
-            if i in local or len(learned[i]) > 1:
-                cands = local.get(i, []) + list(learned[i].values())
-                cands.sort(key=_first, reverse=True)
-                ranked = tuple(map(_second, cands))
-            rows[asns[i]] = ranked
+            cands = learned[i].values()
+            rows[asns[i]] = (selected[1],) if len(cands) == 1 else tuple(
+                map(_second, sorted(cands, key=_first, reverse=True)))
         for prefix in members:
             solved[prefix] = rep, stuck or rows
 
@@ -484,41 +478,52 @@ def _propagate_prefix(
     prefix: Prefix,
     origs: list[Origination],
     watch: Mapping[int, PreferenceOrder] | None = None,
-) -> tuple[list, list[dict], dict[int, list], set[int], tuple[int, ...]]:
+) -> tuple[list, list[dict], set[int], tuple[int, ...]]:
     """Solve one prefix over net (AS indices; hooks see ASNs).  Returns
-    best, learned and local (below); the ASes of watch, {AS index:
-    alternative order}, whose pick under that order ever differed from
-    their actual pick, the first local pick included; and the sorted ASNs
-    whose best still changed in round 2*|ASes|+10, or () if it converged."""
+    best and learned (below); the ASes of watch, {AS index: alternative
+    order}, whose pick under that order ever differed from their actual
+    pick; and the sorted ASNs whose best still changed in round
+    2*|ASes|+10, or () if it converged."""
     asns, adjacency, narrow, ranks = net.asns, net.adjacency, net.narrow, net.ranks
     import_route, export_route = net.import_route, net.export_route
 
     # Candidates are (preference key, route) pairs, keyed on admission and
-    # ranked by the key alone: locals by orders[i].key, learned routes by
-    # ranks[i], once per offer and rank callable when admitted unchanged.
-    local: dict[int, list[tuple[object, Route]]] = {}
+    # ranked by the key alone.  learned[i][e]: what AS e's current best
+    # yields at AS i after export, loop check and import, keyed by
+    # ranks[i], once per offer and rank callable when admitted unchanged;
+    # AS i's own originations sit first, under -1, -2, ..., which no AS
+    # index takes, keyed by orders[i].key.
+    learned: list[dict[int, tuple[object, Route]]] = [{} for _ in asns]
     for asn, route in dict.fromkeys((o.asn, o.route()) for o in origs):
         i = net.index[asn]
-        local.setdefault(i, []).append((net.orders[i].key(route), route))
-    # learned[i][e]: what AS e's current best yields at AS i after export,
-    # loop check and import.
-    learned: list[dict[int, tuple[object, Route]]] = [{} for _ in asns]
+        learned[i][-1 - len(learned[i])] = (net.orders[i].key(route), route)
     # best[i]: AS i's selected (preference key, route) pair, or None.
     best: list[tuple[object, Route] | None] = [None] * len(asns)
     # wide[e]: whether AS e's last best went down its whole adjacency row.
     # Otherwise no neighbor off narrow[e] holds an entry from e, so a
     # peer- or provider-learned best walks narrow[e] alone.
     wide = [False] * len(asns)
-    for i, cands in local.items():
-        best[i] = max(cands, key=_first)
-    diverged = set(_diverged(watch, local, best, local, learned)) if watch else set()
+    diverged = set()
 
-    changed = set(local)
-    rounds = 1
-    while changed:
-        if rounds == 2 * len(asns) + 10:
-            return best, learned, local, diverged, tuple(asns[i] for i in sorted(changed))
+    # Round 1 ranks the originators; each later round first re-evaluates
+    # the edges out of the ASes whose best changed.
+    touched = {net.index[o.asn] for o in origs}
+    rounds = 0
+    while touched:
+        # Bests are replaced only after every edge has read the old ones.
+        changed = set()
+        for i in touched:
+            new_best = max(learned[i].values(), key=_first, default=None)
+            # Routes are compared only when their keys tie.
+            old_best = best[i]
+            if new_best is not old_best and new_best != old_best:
+                changed.add(i)
+                best[i] = new_best
+        if watch:
+            diverged.update(_diverged(watch, touched, best, learned))
         rounds += 1
+        if changed and rounds == 2 * len(asns) + 10:
+            return best, learned, diverged, tuple(asns[i] for i in sorted(changed))
         # Synchronous round: every edge out of an AS whose best changed is
         # re-evaluated against the previous round's bests, so the fixpoint
         # is independent of iteration order.
@@ -576,30 +581,15 @@ def _propagate_prefix(
                 else:
                     slots[e] = entry
                 touched.add(i)
-        # Bests are replaced only after every edge has read the old ones.
-        changed = set()
-        for i in touched:
-            cands = learned[i].values()
-            if i in local:
-                cands = local[i] + list(cands)
-            new_best = max(cands, key=_first, default=None)
-            # Routes are compared only when their keys tie.
-            old_best = best[i]
-            if new_best is not old_best and new_best != old_best:
-                changed.add(i)
-                best[i] = new_best
-        if watch:
-            diverged.update(_diverged(watch, touched, best, local, learned))
-    return best, learned, local, diverged, ()
+    return best, learned, diverged, ()
 
 
-def _diverged(watch, touched, best, local, learned) -> Iterator[int]:
+def _diverged(watch, touched, best, learned) -> Iterator[int]:
     # The watched ASes of `touched` whose pick under their watched order,
     # made as a round makes it, is not their best route.
     for i in watch.keys() & touched:
         order, rank = watch[i], _rank_of(watch[i])
-        cands = [(order.key(r), r) for _, r in local.get(i, ())]
-        cands += [(rank(r), r) for _, r in learned[i].values()]
+        cands = [((order.key if e < 0 else rank)(r), r) for e, (_, r) in learned[i].items()]
         if max(cands, key=_first, default=(None, None))[1] is not (best[i] or (None, None))[1]:
             yield i
 

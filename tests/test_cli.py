@@ -227,8 +227,9 @@ MALFORMED = [
         ["audit", "--topology", "topo.txt", "--views", "view.txt"],
     ]
 ]
-# Files that load but name an AS the topology lacks, caught only after
-# the whole file is parsed: the library's reason follows file and line.
+# Files that load but name an AS the topology lacks, or a view owner that
+# is no zone member (in the topology or not), caught only after the whole
+# file is parsed: the library's reason follows file and line.
 UNKNOWN_ASN = {
     "roster": ("--roster", "roster.txt", "1\n# ninety-nine\n99\n", 3,
                ["zone", "--topology", "topo.txt"], "unknown ASN 99"),
@@ -245,6 +246,10 @@ UNKNOWN_ASN = {
         "--scenario", "scenario.txt",
         "kind=RouteLeak\nattacker=30\nvictim_prefix=192.0.2.0/24\nvictim_origin=20\n"
         "leaked_from=99\n", 5, SIMULATE, "leaked_from AS99 not in topology"),
+    "view-owner": ("--views", "view.txt", VIEW.replace("1|", "99|", 1), 1, AUDIT,
+                   "view owner AS99 is not a zone member"),
+    "view-owner-non_member": ("--views", "view.txt", VIEW.replace("1|", "40|", 1), 1, AUDIT,
+                              "view owner AS40 is not a zone member"),
 }
 MALFORMED += [case[:5] for case in UNKNOWN_ASN.values()]
 
@@ -572,7 +577,8 @@ class TestExceptions:
             result = real(net, prefix, origs, watch)
             (verified if watch else mixed).append(prefix)
             if watch:
-                diverged.append(len(result[3]))
+                _, _, flips, _ = result
+                diverged.append(len(flips))
             return result
 
         monkeypatch.setattr(analysis, "_propagate_prefix", counting)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from zonesim.analysis import synthetic_prefix
+from zonesim.analysis import routing_exceptions, synthetic_prefix
 from zonesim.attacks import (
     AttackKind,
     AttackScenario,
@@ -49,6 +49,7 @@ from zonesim.vipzone import ZoneConfig, load_zone_config, zone_policy
 from oracles import (
     PREFIX_POOL,
     dump_rib_oracle,
+    exceptions_by_two_solves,
     oracle_fixpoint,
     random_connected_members,
     random_originations,
@@ -170,7 +171,7 @@ class TestPropagateBasics:
 
     def test_empty_originations(self):
         rib = propagate(chain_topology(), [])
-        assert rib.entries(1) == {}
+        assert rib.per_as[1] == {}
 
     def test_entries_are_frozen_rib_entries(self):
         topo = load_topology("1|2|-1\n1|3|-1\n2|4|-1\n3|4|-1")
@@ -461,7 +462,7 @@ class TestExportContract:
         assert rib.best(2, PFX) == Route(PFX, (10, 1, 20), frozenset(), Rel.CUSTOMER)
         assert rib.candidates(2, PFX) == (rib.best(2, PFX),)
         for asn in (1, 10, 20):
-            assert rib.entries(asn) == plain.entries(asn)
+            assert rib.per_as[asn] == plain.per_as[asn]
 
 
 class TestRouteFields:
@@ -655,6 +656,50 @@ class TestPathFreeRank:
                 return order.key(route) if route.learned_rel is Rel.SELF else order._rank(route)
 
             assert sorted(cands, key=engine_key) == sorted(cands, key=order.key)
+
+
+class TestOwnOriginations:
+    """An AS's own originations share one candidate table with the routes
+    it learns.  Forged paths of one head and length, listed worse path
+    first, must rank by the full preference key, path tiebreak included."""
+
+    def test_several_originations_at_one_learning_as(self):
+        solved = learning = 0
+        for rng, topo, members, origs, reg in _differential_corpus(318, 160):
+            prefix, origin = origs[0].prefix, origs[0].asn
+            injector = rng.choice(sorted(topo.asns - {origin}))
+            others = sorted(topo.asns - {injector})
+            length = rng.randint(2, 3)
+            paths = {(injector, *rng.sample(others, length - 1)) for _ in range(rng.randint(2, 3))}
+            if len(paths) < 2:
+                continue
+            injections = [
+                Origination(injector, prefix, path, frozenset({VERIFIED}) if rng.random() < 0.5
+                            else frozenset())
+                for path in sorted(paths, reverse=True)
+            ]
+            cfg = ZoneConfig(members=members, aspa_extension=rng.random() < 0.5)
+            hooks = zone_policy(topo, cfg, reg)
+            rib = _check_against_oracle(topo, origs + injections, hooks)
+            if rib is None:
+                continue
+            solved += 1
+            for asn in sorted(topo.asns):
+                cands = rib.candidates(asn, prefix)
+                key = hooks.preference_for(asn).key
+                assert cands == tuple(sorted(cands, key=key, reverse=True))
+            learning += any(r.learned_rel is not Rel.SELF for r in rib.candidates(injector, prefix))
+            if members:
+                member = rng.choice(sorted(members))
+                try:
+                    expected = exceptions_by_two_solves(topo, cfg, member)
+                except NonConvergenceError:
+                    with pytest.raises(NonConvergenceError):
+                        routing_exceptions(topo, cfg, member)
+                else:
+                    assert routing_exceptions(topo, cfg, member) == expected
+        assert solved >= 120
+        assert learning >= 80
 
 
 class TestNonConvergence:
@@ -1075,8 +1120,9 @@ def _scenarios(topo, victim):
 
 class TestRibLayout:
     """propagate keeps the RIB per prefix, a class member sharing its
-    representative's rows, and builds per_as only when it is read;
-    Rib(per_as) maps that view back into an equal RIB."""
+    representative's rows, and builds per_as only when it is read: best
+    and candidates read one row.  Rib(per_as) maps that view back into an
+    equal RIB."""
 
     def test_view_round_trips_and_readers_leave_it_unbuilt(self):
         ribs = shared = 0
@@ -1089,11 +1135,21 @@ class TestRibLayout:
             reports = [classify_harm(topo, rib, s) for s in scenarios]
             addresses = {o.prefix.network_address for o in origs}
             traces = [data_plane_trace(rib, a, d) for a in sorted(topo.asns) for d in addresses]
+            # Every (ASN, prefix), and an ASN without routes and a prefix
+            # the RIB lacks.
+            lookups = {
+                (asn, prefix): (rib.best(asn, prefix), rib.candidates(asn, prefix))
+                for asn in [*sorted(topo.asns), max(topo.asns) + 1]
+                for prefix in [*rib._rows, P("203.0.113.0/24")]
+            }
             assert "per_as" not in vars(rib)
             shared += sum(p is not rep for p, (rep, _) in rib._rows.items())
 
             copy = Rib(rib.per_as)
             assert copy == rib and set(rib.per_as) == topo.asns
+            for (asn, prefix), looked_up in lookups.items():
+                entry = rib.per_as.get(asn, {}).get(prefix)
+                assert looked_up == ((entry.best, entry.candidates) if entry else (None, ()))
             for asn, entries in rib.per_as.items():
                 for prefix, entry in entries.items():
                     assert all(r.prefix == prefix for r in (entry.best, *entry.candidates))

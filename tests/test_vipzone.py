@@ -414,7 +414,7 @@ class TestZoneHygiene:
             )
             rib = propagate(topo, origs, zone_policy(topo, cfg, reg))
             for member in members:
-                for entry in rib.entries(member).values():
+                for entry in rib.per_as[member].values():
                     for r in entry.candidates:
                         if VERIFIED not in r.communities or r.learned_rel is Rel.SELF:
                             continue
