@@ -37,7 +37,7 @@ print("zone validated:", sorted(cfg.members))
 # Member 2 has established out-of-band that its customer 20 may announce
 # this prefix (a manually configured prefix list; a ROA or an IRR entry
 # would work the same way).
-reg = RegistrySet.build(
+reg = RegistrySet(
     kyc={(2, 20): KycEntry(allowed_prefixes=frozenset({victim_prefix}))}
 )
 

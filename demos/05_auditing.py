@@ -31,7 +31,7 @@ from zonesim import (
 topo = load_topology("1|2|-1\n1|3|-1\n2|20|-1\n3|30|-1")
 cfg = validate_zone(topo, {1, 2, 3})
 prefix = parse_prefix("192.0.2.0/24")
-reg = RegistrySet.build(roas=[Roa(prefix, 20)])
+reg = RegistrySet(roas=[Roa(prefix, 20)])
 
 rib = propagate(topo, [Origination(20, prefix)], zone_policy(topo, cfg, reg))
 views = views_from_rib(rib, cfg, snapshot_id="2026-08-11")

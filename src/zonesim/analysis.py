@@ -368,14 +368,15 @@ def _routing_exceptions(
     probe prefix watches every member's plain-order pick, and only where
     that pick diverged is the prefix solved again, cold, with the member
     ranking plain (README, Model notes).  Failed verified solves raise
-    before any mixed solve runs; then each member's failed mixed solves.
-    The cyclic collector is paused, as in propagate."""
+    before any mixed solve runs; failed mixed solves raise once every
+    member's have run, naming them all in member order.  The cyclic
+    collector is paused, as in propagate."""
     for member in members:
         if member not in cfg.members:
             raise AnalysisError(f"AS{member} is not a zone member")
     if not members:
         return []
-    reg = RegistrySet.build(roas=[Roa(synthetic_prefix(a), a) for a in sorted(topo.asns)])
+    reg = RegistrySet(roas=[Roa(synthetic_prefix(a), a) for a in sorted(topo.asns)])
     net = _Network(topo, zone_policy(topo, cfg, reg))
     # diverged[member]: (destination, verified best is provider-learned).
     diverged: dict[int, list[tuple[int, bool]]] = {member: [] for member in members}
@@ -389,10 +390,10 @@ def _routing_exceptions(
         for i in flips:
             provider = best[i] is not None and best[i][1].learned_rel is Rel.PROVIDER
             diverged[net.asns[i]].append((dest, provider))
+    if oscillating:
+        raise NonConvergenceError(oscillating)
     results = []
     for member in members:
-        if oscillating:  # of the verified solves, or the last member's
-            raise NonConvergenceError(oscillating)
         i = net.index[member]
         mixed = net.with_order(i, _PLAIN_ORDER)
         exceptions = []

@@ -153,9 +153,7 @@ def _emit(run: _Run, stem: str, csv_text: str, fmt: str) -> None:
 
 
 def cmd_simulate(run: _Run, args, topo: topology.Topology) -> int:
-    reg = _load_registries(
-        run, args, lambda kyc: registry.check_kyc_adjacency(registry.RegistrySet(kyc=kyc), topo)
-    )
+    reg = _load_registries(run, args, lambda kyc: registry.check_kyc_adjacency(kyc, topo))
     origs = _parse_checked(
         run, args.originations, routing.load_originations,
         lambda origs: routing._normalize_originations(topo, origs),

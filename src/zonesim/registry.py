@@ -1,7 +1,8 @@
 """Trusted out-of-band databases: ROAs, provider authorizations, IRR, KYC.
 
 These stores are modeled as already-authenticated data; no cryptography.
-All lookups are total functions over an immutable :class:`RegistrySet`.
+All lookups are total functions over a :class:`RegistrySet`, which is
+immutable apart from its memo of ROV verdicts.
 """
 
 from __future__ import annotations
@@ -101,35 +102,19 @@ class KycEntry:
 
 @dataclass(frozen=True)
 class RegistrySet:
-    """Immutable bundle of all verification sources used during a run."""
+    """Bundle of all verification sources used during a run, immutable
+    apart from its ROV memo: `roas` is kept as a tuple and indexed once."""
 
     roas: tuple[Roa, ...] = ()
     aspas: Mapping[int, frozenset[int]] = field(default_factory=dict)
     irr_prefixes: Mapping[int, frozenset[Prefix]] = field(default_factory=dict)
     kyc: Mapping[tuple[int, int], KycEntry] = field(default_factory=dict)
+    _index: _RoaIndex = field(init=False, repr=False, compare=False)
+    _rov: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @classmethod
-    def build(
-        cls,
-        roas: Iterable[Roa] = (),
-        aspas: Iterable[AspaRecord] = (),
-        irr: Iterable[tuple[int, Prefix]] = (),
-        kyc: Mapping[tuple[int, int], KycEntry] | None = None,
-    ) -> "RegistrySet":
-        aspa_map: dict[int, frozenset[int]] = {}
-        for rec in aspas:
-            if rec.customer_asn in aspa_map:
-                raise RegistryError(f"duplicate ASPA for AS{rec.customer_asn}")
-            aspa_map[rec.customer_asn] = rec.provider_asns
-        irr_map: dict[int, set[Prefix]] = {}
-        for asn, prefix in irr:
-            irr_map.setdefault(asn, set()).add(prefix)
-        return cls(
-            tuple(roas),
-            aspa_map,
-            {a: frozenset(s) for a, s in irr_map.items()},
-            dict(kyc or {}),
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "roas", tuple(self.roas))
+        object.__setattr__(self, "_index", _RoaIndex(self.roas))
 
 
 class _RoaIndex:
@@ -169,37 +154,25 @@ class _RoaIndex:
         return found
 
 
-def _roa_index(reg: RegistrySet) -> _RoaIndex:
-    index = getattr(reg, "_index", None)
-    if index is None:
-        index = _RoaIndex(reg.roas)
-        object.__setattr__(reg, "_index", index)
-    return index
-
-
 def rov_validate(reg: RegistrySet, prefix: Prefix, origin: int) -> RovState:
     """Classify a (prefix, origin) pair against the ROA store.
 
     NOT_FOUND when no ROA prefix contains the announced prefix; VALID when
     any covering ROA matches the origin and the announced length does not
     exceed that ROA's effective maxLength; INVALID otherwise.  Results are
-    cached on the (immutable) registry.
+    memoized on the registry.
     """
-    cache = getattr(reg, "_rov_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(reg, "_rov_cache", cache)
-    state = cache.get((prefix, origin))
+    state = reg._rov.get((prefix, origin))
     if state is None:
         covered = False
-        for roa in _roa_index(reg).covering(prefix):
+        for roa in reg._index.covering(prefix):
             covered = True
             if roa.origin_asn == origin and prefix.prefixlen <= roa.effective_max_length:
                 state = RovState.VALID
                 break
         else:
             state = RovState.INVALID if covered else RovState.NOT_FOUND
-        cache[(prefix, origin)] = state
+        reg._rov[(prefix, origin)] = state
     return state
 
 
@@ -317,9 +290,9 @@ def load_kyc(source: str) -> dict[tuple[int, int], KycEntry]:
     return kyc
 
 
-def check_kyc_adjacency(reg: RegistrySet, topo) -> None:
+def check_kyc_adjacency(kyc: Mapping[tuple[int, int], KycEntry], topo) -> None:
     """Scenario-assembly check: KYC keys must reference adjacent ASN pairs."""
-    for member, neighbor in reg.kyc:
+    for member, neighbor in kyc:
         if neighbor not in topo.neighbors_of(member):
             raise RegistryError(
                 f"KYC entry ({member}, {neighbor}) references non-adjacent ASes"

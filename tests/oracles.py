@@ -21,6 +21,7 @@ from zonesim.registry import parse_prefix
 from zonesim.routing import (
     Origination,
     PolicyHooks,
+    PreferenceOrder,
     Route,
     TraceOutcome,
     data_plane_trace,
@@ -36,6 +37,21 @@ from zonesim.topology import (
 )
 
 REVERSE = {Rel.CUSTOMER: Rel.PROVIDER, Rel.PROVIDER: Rel.CUSTOMER, Rel.PEER: Rel.PEER}
+
+# 1 and 2 peer and both provide transit to 10.
+DISAGREE = "1|10|-1\n2|10|-1\n1|2|0"
+
+
+class PeerFirst(PreferenceOrder):
+    # Ranks peer routes above customer routes: with DISAGREE, the pair
+    # 1, 2 never settles.
+    def key(self, route):
+        return (
+            route.learned_rel is Rel.SELF,
+            route.learned_rel is Rel.PEER,
+            -len(route.as_path),
+            -(route.learned_from or 0),
+        )
 
 
 def random_topology(rng: random.Random, n: int, extra_peer_edges: int = 0) -> Topology:
@@ -106,7 +122,7 @@ def random_registry(rng: random.Random, topo: Topology, members, origs):
     provider claims; KYC entries sometimes block their own neighbor, which
     legitimately drops routes at that session.
     """
-    from zonesim.registry import AspaRecord, KycEntry, RegistrySet, Roa
+    from zonesim.registry import KycEntry, RegistrySet, Roa
 
     asns = sorted(topo.asns)
     roas = []
@@ -117,7 +133,7 @@ def random_registry(rng: random.Random, topo: Topology, members, origs):
         elif roll < 0.65:
             roas.append(Roa(orig.prefix, rng.choice(asns)))
 
-    aspas = []
+    aspas = {}
     for asn in asns:
         if rng.random() < 0.25:
             claimed = set()
@@ -131,13 +147,12 @@ def random_registry(rng: random.Random, topo: Topology, members, origs):
             if rng.random() < 0.3:
                 claimed.add(rng.choice([a for a in asns if a != asn]))
             if claimed:
-                aspas.append(AspaRecord(asn, frozenset(claimed)))
+                aspas[asn] = frozenset(claimed)
 
-    irr = [
-        (orig.asn, orig.prefix)
-        for orig in origs
-        if rng.random() < 0.3
-    ]
+    irr = {}
+    for orig in origs:
+        if rng.random() < 0.3:
+            irr[orig.asn] = irr.get(orig.asn, frozenset()) | {orig.prefix}
 
     kyc = {}
     for member in sorted(members):
@@ -155,7 +170,7 @@ def random_registry(rng: random.Random, topo: Topology, members, origs):
             )
             kyc[(member, neighbor)] = KycEntry(allowed_asns, allowed_prefixes)
 
-    return RegistrySet.build(roas=roas, aspas=aspas, irr=irr, kyc=kyc)
+    return RegistrySet(roas=roas, aspas=aspas, irr_prefixes=irr, kyc=kyc)
 
 
 def oracle_load_topology(source: str | bytes) -> Topology:
@@ -479,7 +494,7 @@ def exceptions_by_two_solves(topo: Topology, cfg, member: int):
 
     asns = sorted(topo.asns)
     originations = [Origination(a, synthetic_prefix(a)) for a in asns]
-    reg = RegistrySet.build(roas=[Roa(synthetic_prefix(a), a) for a in asns])
+    reg = RegistrySet(roas=[Roa(synthetic_prefix(a), a) for a in asns])
     hooks = zone_policy(topo, cfg, reg)
     plain = PreferenceOrder(verified_first=False)
     verified_rib = propagate(topo, originations, hooks)

@@ -253,7 +253,7 @@ def test_criterion_3_security_properties(corpus):
         victim = _pick_victim(inst)
         if victim is None:
             continue
-        reg = RegistrySet.build(roas=[Roa(pfx, victim)])
+        reg = RegistrySet(roas=[Roa(pfx, victim)])
         origs = [Origination(victim, pfx)]
 
         # (a) exact-prefix path hijack never misdirects a member while a
@@ -295,7 +295,7 @@ def test_criterion_3_security_properties(corpus):
 
         # (c) negative control: an unprotected sub-prefix penetrates every
         # AS that hears it
-        bare = RegistrySet.build()
+        bare = RegistrySet()
         for attacker in sorted(inst.topo.asns - {victim}):
             scenario = AttackScenario(
                 AttackKind.SUB_PREFIX_HIJACK, attacker, SUB, victim
@@ -351,7 +351,7 @@ def test_criterion_4_audit(corpus):
         cfg = ZoneConfig(members=members)
         origs = random_originations(rng, topo)
         roas = [Roa(o.prefix, o.asn) for o in origs if rng.random() < 0.6]
-        reg = RegistrySet.build(roas=roas)
+        reg = RegistrySet(roas=roas)
         member = rng.choice(sorted(members))
         rule = rng.choice(list(AuditRule))
         orig = rng.choice(origs)
@@ -365,7 +365,7 @@ def test_criterion_4_audit(corpus):
             if not outsiders or not unused:
                 continue
             target = unused[0]
-            reg = RegistrySet.build(roas=list(roas) + [Roa(target, orig.asn)])
+            reg = RegistrySet(roas=list(roas) + [Roa(target, orig.asn)])
             origs = list(origs) + [Origination(rng.choice(outsiders), target)]
             hooks = accept_invalid_hooks(topo, cfg, reg, member, target)
         else:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,8 @@ from zonesim.topology import Rel, Topology, customer_cone, load_topology
 from zonesim.vipzone import ZoneConfig, zone_policy
 
 from oracles import (
+    DISAGREE,
+    PeerFirst,
     brute_force_local_region,
     dfs_cone_order,
     exceptions_by_two_solves,
@@ -401,11 +404,12 @@ class TestRoutingExceptions:
         result = routing_exceptions(topo, ZoneConfig(members=members), member)
         assert result.destinations == destinations
 
-    @pytest.mark.parametrize("seed", [*range(60), 75, 226])
+    @pytest.mark.parametrize("seed", [*range(60), 75, 148, 226])
     def test_matches_two_full_solves(self, seed):
-        # Seeds 24 and 33 have mixed solves that do not converge; 75 and
-        # 226 have exceptions only the mixed solve finds.  One all-members
-        # call gives the per-member answers, or the first member's failure.
+        # Seeds 24 and 33 have mixed solves that do not converge, and 148
+        # has two members whose do; 75 and 226 have exceptions only the
+        # mixed solve finds.  One all-members call gives the per-member
+        # answers, or every failing member's prefixes, merged.
         topo, members = random_zone_instance(seed)
         cfg = ZoneConfig(members=members)
 
@@ -421,8 +425,32 @@ class TestRoutingExceptions:
             assert outcome(routing_exceptions, member) == want
             per_member.append(want)
         failed = [r for r in per_member if isinstance(r, dict)]
-        expected = failed[0] if failed else per_member
+        expected = {p: a for r in failed for p, a in r.items()} if failed else per_member
         assert outcome(_routing_exceptions, sorted(members)) == expected
+
+    def test_failed_verified_solve_raises_before_any_mixed_solve(self, monkeypatch):
+        # Every AS of the DISAGREE gadget ranks peer routes first, so the
+        # verified solve of 10's probe prefix never settles.
+        import zonesim.analysis as analysis
+
+        def peer_first_policy(topo, cfg, reg):
+            return replace(zone_policy(topo, cfg, reg), preference_for=lambda asn: PeerFirst())
+
+        verified, mixed = [], []
+        real = analysis._propagate_prefix
+
+        def counting(net, prefix, origs, watch=None):
+            (verified if watch else mixed).append(prefix)
+            return real(net, prefix, origs, watch)
+
+        monkeypatch.setattr(analysis, "zone_policy", peer_first_policy)
+        monkeypatch.setattr(analysis, "_propagate_prefix", counting)
+        topo = load_topology(DISAGREE)
+        with pytest.raises(NonConvergenceError) as excinfo:
+            _routing_exceptions(topo, ZoneConfig(members=frozenset({1, 2})), [1, 2])
+        assert excinfo.value.oscillating == {synthetic_prefix(10): (1, 2)}
+        assert len(verified) == 3
+        assert mixed == []
 
     def test_matches_double_oracle_recomputation(self):
         # Recompute both runs with the independent path-universe solver
@@ -441,7 +469,7 @@ class TestRoutingExceptions:
             originations = [
                 Origination(a, synthetic_prefix(a)) for a in sorted(topo.asns)
             ]
-            reg = RegistrySet.build(
+            reg = RegistrySet(
                 roas=[Roa(synthetic_prefix(a), a) for a in sorted(topo.asns)]
             )
             base = zone_policy(topo, cfg, reg)

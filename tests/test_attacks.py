@@ -55,7 +55,7 @@ class TestScenarioShapes:
 
     def test_unknown_victim_origin_rejected(self):
         topo = load_topology("1|20|-1\n1|30|-1")
-        reg, cfg = RegistrySet.build(), ZoneConfig(members=frozenset())
+        reg, cfg = RegistrySet(), ZoneConfig(members=frozenset())
         scenario = AttackScenario(AttackKind.ORIGIN_HIJACK, 30, PFX, 99)
         with pytest.raises(ScenarioError, match="^victim_origin AS99 not in topology$"):
             run_scenario(topo, reg, cfg, [(20, PFX)], scenario)
@@ -67,7 +67,7 @@ class TestScenarioShapes:
         scenario = AttackScenario(AttackKind.SUB_PREFIX_HIJACK, 30, PFX, 20)
         with pytest.raises(ScenarioError, match="supernet"):
             run_scenario(
-                topo, RegistrySet.build(), ZoneConfig(members=frozenset()),
+                topo, RegistrySet(), ZoneConfig(members=frozenset()),
                 [(20, PFX)], scenario,
             )
 
@@ -84,7 +84,7 @@ class TestForgedOriginInZone:
 
     TOPO = load_topology("1|2|-1\n1|3|-1\n2|20|-1\n3|30|-1\n3|40|-1")
     CFG = ZoneConfig(members=frozenset({1, 2, 3}))
-    REG = RegistrySet.build(kyc={(2, 20): KycEntry(allowed_prefixes=frozenset({PFX}))})
+    REG = RegistrySet(kyc={(2, 20): KycEntry(allowed_prefixes=frozenset({PFX}))})
     SCENARIO = AttackScenario(
         AttackKind.FORGED_ORIGIN_PATH_HIJACK, 30, PFX, 20, forged_path=(20,)
     )
@@ -122,7 +122,7 @@ class TestMultihomedCustomer:
     """
 
     TOPO = load_topology("1|5|-1\n1|4|-1\n1|20|-1\n5|40|-1\n4|40|-1\n4|60|-1")
-    REG = RegistrySet.build(roas=[Roa(PFX, 20)])
+    REG = RegistrySet(roas=[Roa(PFX, 20)])
     SCENARIO = AttackScenario(
         AttackKind.FORGED_ORIGIN_PATH_HIJACK, 60, PFX, 20, forged_path=(20,)
     )
@@ -173,7 +173,7 @@ class TestEqualLengthHijack:
     """
 
     TOPO = load_topology("1|6|-1\n1|3|-1\n6|20|-1\n6|7|-1\n3|50|-1\n7|40|-1\n3|40|-1")
-    REG = RegistrySet.build(roas=[Roa(PFX, 20)])
+    REG = RegistrySet(roas=[Roa(PFX, 20)])
     SCENARIO = AttackScenario(
         AttackKind.FORGED_ORIGIN_PATH_HIJACK, 50, PFX, 20, forged_path=(20,)
     )
@@ -206,7 +206,7 @@ class TestRouteLeak:
     """
 
     TOPO = load_topology("1|3|-1\n1|4|-1\n3|20|-1\n3|10|-1\n4|10|-1\n4|50|-1")
-    REG = RegistrySet.build(roas=[Roa(PFX, 20)])
+    REG = RegistrySet(roas=[Roa(PFX, 20)])
     SCENARIO = AttackScenario(AttackKind.ROUTE_LEAK, 10, PFX, 20, leaked_from=3)
 
     def test_leak_has_no_effect_inside_zone(self):
@@ -258,7 +258,7 @@ class TestSubPrefix:
     SUB = P("192.0.2.0/24")
 
     def test_roa_protected_subprefix_dropped_at_perimeter(self):
-        reg = RegistrySet.build(roas=[Roa(self.WIDE, 20)])
+        reg = RegistrySet(roas=[Roa(self.WIDE, 20)])
         scenario = AttackScenario(AttackKind.SUB_PREFIX_HIJACK, 30, self.SUB, 20)
         report = run_scenario(self.TOPO, reg, self.CFG, [(20, self.WIDE)], scenario)
         assert report.misdirected == frozenset()
@@ -272,7 +272,7 @@ class TestSubPrefix:
     def test_unprotected_subprefix_penetrates(self):
         # Negative control: without any ROA the more-specific wins the
         # data plane everywhere, zone or not.
-        reg = RegistrySet.build(
+        reg = RegistrySet(
             kyc={(2, 20): KycEntry(allowed_prefixes=frozenset({self.WIDE}))}
         )
         scenario = AttackScenario(AttackKind.SUB_PREFIX_HIJACK, 30, self.SUB, 20)
@@ -280,7 +280,7 @@ class TestSubPrefix:
         assert report.misdirected == self.TOPO.asns - {30}
 
     def test_victim_competing_more_specific_restores_traffic(self):
-        reg = RegistrySet.build(
+        reg = RegistrySet(
             kyc={(2, 20): KycEntry(allowed_prefixes=frozenset({self.WIDE, self.SUB}))}
         )
         scenario = AttackScenario(AttackKind.SUB_PREFIX_HIJACK, 30, self.SUB, 20)
@@ -294,7 +294,7 @@ class TestSweep:
     def test_origin_hijack_with_roa_never_enters_zone(self):
         topo = load_topology("1|2|-1\n1|3|-1\n2|20|-1\n3|30|-1")
         cfg = ZoneConfig(members=frozenset({1, 2, 3}))
-        reg = RegistrySet.build(roas=[Roa(PFX, 20)])
+        reg = RegistrySet(roas=[Roa(PFX, 20)])
         reports = sweep_attackers(
             topo, reg, cfg, [(20, PFX)], AttackKind.ORIGIN_HIJACK, PFX, 20
         )
@@ -306,7 +306,7 @@ class TestSweep:
         topo = load_topology("1|2|-1\n1|3|-1")
         cfg = ZoneConfig(members=frozenset())
         reports = sweep_attackers(
-            topo, RegistrySet.build(), cfg, [(3, PFX)],
+            topo, RegistrySet(), cfg, [(3, PFX)],
             AttackKind.ORIGIN_HIJACK, PFX, 3,
         )
         by_attacker = {r.scenario.attacker: r for r in reports}
@@ -321,7 +321,7 @@ class TestSweep:
     def test_explicit_attackers_skip_the_victim_origin(self):
         topo = load_topology("1|2|-1\n1|3|-1")
         reports = sweep_attackers(
-            topo, RegistrySet.build(), ZoneConfig(members=frozenset()),
+            topo, RegistrySet(), ZoneConfig(members=frozenset()),
             [(2, PFX)], AttackKind.ORIGIN_HIJACK, PFX, 2, attackers=[2, 3],
         )
         assert [r.scenario.attacker for r in reports] == [3]
@@ -329,7 +329,7 @@ class TestSweep:
     def test_csv_shape(self):
         topo = load_topology("1|2|-1\n1|3|-1")
         reports = sweep_attackers(
-            topo, RegistrySet.build(), ZoneConfig(members=frozenset()),
+            topo, RegistrySet(), ZoneConfig(members=frozenset()),
             [(2, PFX)], AttackKind.ORIGIN_HIJACK, PFX, 2,
         )
         text = harm_csv(reports)
@@ -355,7 +355,7 @@ class TestSweep:
             if not victims:
                 continue
             victim = victims[0]
-            reg = RegistrySet.build(roas=[Roa(PFX, victim)])
+            reg = RegistrySet(roas=[Roa(PFX, victim)])
             reports = sweep_attackers(
                 topo, reg, cfg, [(victim, PFX)],
                 AttackKind.FORGED_ORIGIN_PATH_HIJACK, PFX, victim,
@@ -435,7 +435,7 @@ class TestLeakInvariantRandomized:
                 continue
             victim = victims[0]
             cfg = ZoneConfig(members=members)
-            reg = RegistrySet.build(roas=[Roa(PFX, victim)])
+            reg = RegistrySet(roas=[Roa(PFX, victim)])
             origs = [Origination(victim, PFX)]
             baseline = propagate(topo, origs, zone_policy(topo, cfg, reg))
             if not any(
@@ -464,7 +464,7 @@ class TestLeakSweep:
     def test_sweep_skips_singlehomed_and_leaks_the_learned_provider(self):
         topo = load_topology("1|3|-1\n1|4|-1\n3|20|-1\n3|10|-1\n4|10|-1\n4|50|-1")
         cfg = ZoneConfig(members=frozenset({1, 3, 4}))
-        reg = RegistrySet.build(roas=[Roa(PFX, 20)])
+        reg = RegistrySet(roas=[Roa(PFX, 20)])
         reports = sweep_attackers(
             topo, reg, cfg, [(20, PFX)], AttackKind.ROUTE_LEAK, PFX, 20
         )
@@ -479,10 +479,10 @@ class TestWatchSet:
         topo = load_topology("1|2|-1\n1|3|-1")
         cfg = ZoneConfig(members=frozenset())
         scenario = AttackScenario(AttackKind.ORIGIN_HIJACK, 2, PFX, 3)
-        full = run_scenario(topo, RegistrySet.build(), cfg, [(3, PFX)], scenario)
+        full = run_scenario(topo, RegistrySet(), cfg, [(3, PFX)], scenario)
         assert full.owner_harm is True  # 1 selects the attacker route
         scoped = run_scenario(
-            topo, RegistrySet.build(), cfg, [(3, PFX)], scenario, watch={3}
+            topo, RegistrySet(), cfg, [(3, PFX)], scenario, watch={3}
         )
         assert scoped.owner_harm is False  # the victim itself kept its route
 
@@ -645,12 +645,12 @@ class TestClassifyHarmDifferential:
                  (4, P("2001:db8::/32"))]
         cfg = ZoneConfig(members=frozenset())
         scenario = AttackScenario(AttackKind.SUB_PREFIX_HIJACK, 3, P("10.0.0.0/25"), 2)
-        run_scenario(topo, RegistrySet.build(), cfg, origs, scenario)
+        run_scenario(topo, RegistrySet(), cfg, origs, scenario)
         assert solved == [["10.0.0.0/16", "10.0.0.0/24", "10.0.0.0/25"]]
 
         solved.clear()
         leak = AttackKind.ROUTE_LEAK
-        sweep_attackers(topo, RegistrySet.build(), cfg, origs, leak, P("10.0.0.0/24"), 2)
+        sweep_attackers(topo, RegistrySet(), cfg, origs, leak, P("10.0.0.0/24"), 2)
         assert solved == [["10.0.0.0/24"]]  # the baseline; no AS is multihomed
 
     def test_run_scenario_still_validates_every_origination(self):
@@ -661,15 +661,15 @@ class TestClassifyHarmDifferential:
         cfg = ZoneConfig(members=frozenset())
         with pytest.raises(RoutingError, match="unknown AS99"):
             run_scenario(
-                topo, RegistrySet.build(), cfg, [(2, PFX), (99, P("10.9.0.0/16"))], scenario
+                topo, RegistrySet(), cfg, [(2, PFX), (99, P("10.9.0.0/16"))], scenario
             )
         unknown_attacker = AttackScenario(AttackKind.ORIGIN_HIJACK, 42, PFX, 2)
         with pytest.raises(ScenarioError, match="attacker AS42"):
-            run_scenario(topo, RegistrySet.build(), cfg, [(2, PFX)], unknown_attacker)
+            run_scenario(topo, RegistrySet(), cfg, [(2, PFX)], unknown_attacker)
         # run_scenario validates the originations before scenario_rib checks
         # the attacker.
         with pytest.raises(RoutingError, match="unknown AS99"):
-            run_scenario(topo, RegistrySet.build(), cfg, [(99, PFX)], unknown_attacker)
+            run_scenario(topo, RegistrySet(), cfg, [(99, PFX)], unknown_attacker)
 
     def test_subprefix_check_skips_other_ip_version(self):
         # The victim also originates an IPv6 prefix, which the covering
@@ -681,7 +681,7 @@ class TestClassifyHarmDifferential:
         origs = [(2, P("2001:db8::/32")), (2, "10.0.0.0/16")]
         cfg = ZoneConfig(members=frozenset())
         scenario = AttackScenario(AttackKind.SUB_PREFIX_HIJACK, 3, P("10.0.0.0/24"), 2)
-        rib = scenario_rib(topo, RegistrySet.build(), cfg, origs, scenario)
+        rib = scenario_rib(topo, RegistrySet(), cfg, origs, scenario)
         assert rib.best(1, P("10.0.0.0/24")).origin == 3
         with pytest.raises(ScenarioError, match="strict supernet"):
-            scenario_rib(topo, RegistrySet.build(), cfg, origs[:1], scenario)
+            scenario_rib(topo, RegistrySet(), cfg, origs[:1], scenario)

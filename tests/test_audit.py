@@ -47,7 +47,7 @@ ROGUE = P("198.51.100.0/24")
 #          (31 under 30)
 TOPO = load_topology("1|2|-1\n1|3|-1\n2|20|-1\n3|30|-1\n3|40|-1\n30|31|-1")
 CFG = ZoneConfig(members=frozenset({1, 2, 3}))
-REG = RegistrySet.build(roas=[Roa(VICTIM, 20)])
+REG = RegistrySet(roas=[Roa(VICTIM, 20)])
 ORIGS = [Origination(20, VICTIM), Origination(31, ROGUE)]
 
 
@@ -70,7 +70,7 @@ class TestConformantRuns:
                 continue
             cfg = ZoneConfig(members=members, aspa_extension=rng.random() < 0.5)
             origs = random_originations(rng, topo)
-            reg = RegistrySet.build(
+            reg = RegistrySet(
                 roas=[Roa(o.prefix, o.asn) for o in origs if rng.random() < 0.6]
             )
             rib = propagate(topo, origs, zone_policy(topo, cfg, reg))
@@ -174,7 +174,7 @@ class TestFaultStaysOnItsPrefix:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_fault_shows_on_its_prefix_only(self, case):
         inject, target, origs, roas = self.CASES[case]
-        reg = RegistrySet.build(roas=roas)
+        reg = RegistrySet(roas=roas)
         clean_hooks = zone_policy(TOPO, CFG, reg)
         by_prefix = {p: [o for o in origs if o.prefix == p] for p in (target, TWIN)}
         assert len({clean_hooks.prefix_class(p, o) for p, o in by_prefix.items()}) == 1
@@ -206,7 +206,7 @@ class TestRandomizedInjection:
             cfg = ZoneConfig(members=members)
             origs = random_originations(rng, topo)
             roas = [Roa(o.prefix, o.asn) for o in origs if rng.random() < 0.6]
-            reg = RegistrySet.build(roas=roas)
+            reg = RegistrySet(roas=roas)
             member = rng.choice(sorted(members))
             rule = rng.choice(list(AuditRule))
             orig = rng.choice(origs)
@@ -221,7 +221,7 @@ class TestRandomizedInjection:
                 if not outsiders or not unused:
                     continue
                 target = unused[0]
-                reg = RegistrySet.build(roas=list(roas) + [Roa(target, orig.asn)])
+                reg = RegistrySet(roas=list(roas) + [Roa(target, orig.asn)])
                 squatter = rng.choice(outsiders)
                 if squatter == orig.asn:
                     continue

@@ -1,4 +1,4 @@
-"""The narrative scripts under demos/ must stay runnable."""
+"""The narrative scripts under demos/ must stay runnable, warning-free."""
 
 import subprocess
 import sys
@@ -12,7 +12,8 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
     result = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", str(script)],
+        capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()

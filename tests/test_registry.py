@@ -47,28 +47,28 @@ class TestRoa:
 class TestRovValidate:
     def test_maxlength_allows_more_specific(self):
         # A /23 ROA with maxLength 24 authorizes the /24 inside it.
-        reg = RegistrySet.build(roas=[Roa(P("192.0.30.0/23"), 64500, 24)])
+        reg = RegistrySet(roas=[Roa(P("192.0.30.0/23"), 64500, 24)])
         assert rov_validate(reg, P("192.0.31.0/24"), 64500) is RovState.VALID
 
     def test_exceeding_maxlength_is_invalid(self):
-        reg = RegistrySet.build(roas=[Roa(P("192.0.30.0/23"), 64500, 24)])
+        reg = RegistrySet(roas=[Roa(P("192.0.30.0/23"), 64500, 24)])
         assert rov_validate(reg, P("192.0.31.0/25"), 64500) is RovState.INVALID
 
     def test_empty_store_not_found(self):
-        reg = RegistrySet.build()
+        reg = RegistrySet()
         assert rov_validate(reg, P("192.0.31.0/24"), 64500) is RovState.NOT_FOUND
 
     def test_wrong_origin_invalid(self):
-        reg = RegistrySet.build(roas=[Roa(P("192.0.30.0/23"), 64500)])
+        reg = RegistrySet(roas=[Roa(P("192.0.30.0/23"), 64500)])
         assert rov_validate(reg, P("192.0.30.0/23"), 64501) is RovState.INVALID
 
     def test_absent_maxlength_means_exact_length(self):
-        reg = RegistrySet.build(roas=[Roa(P("192.0.30.0/23"), 64500)])
+        reg = RegistrySet(roas=[Roa(P("192.0.30.0/23"), 64500)])
         assert rov_validate(reg, P("192.0.30.0/23"), 64500) is RovState.VALID
         assert rov_validate(reg, P("192.0.30.0/24"), 64500) is RovState.INVALID
 
     def test_any_matching_roa_wins(self):
-        reg = RegistrySet.build(
+        reg = RegistrySet(
             roas=[
                 Roa(P("192.0.30.0/23"), 64501),
                 Roa(P("192.0.30.0/23"), 64500, 24),
@@ -77,7 +77,7 @@ class TestRovValidate:
         assert rov_validate(reg, P("192.0.30.0/24"), 64500) is RovState.VALID
 
     def test_uncovered_prefix_not_found(self):
-        reg = RegistrySet.build(roas=[Roa(P("192.0.30.0/23"), 64500)])
+        reg = RegistrySet(roas=[Roa(P("192.0.30.0/23"), 64500)])
         assert rov_validate(reg, P("198.51.100.0/24"), 64500) is RovState.NOT_FOUND
 
     def test_exhaustive_subprefix_oracle(self):
@@ -112,7 +112,7 @@ class TestRovValidate:
                 net = rng.choice(list(base.subnets(new_prefix=length)))
                 maxlen = rng.choice([None, rng.randint(length, 26)])
                 roas.append(Roa(net, rng.choice(origins), maxlen))
-            reg = RegistrySet.build(roas=roas)
+            reg = RegistrySet(roas=roas)
             for prefix in all_subprefixes():
                 for origin in origins:
                     assert rov_validate(reg, prefix, origin) == brute_force(
@@ -137,8 +137,8 @@ class TestRovValidate:
                 rng.choice([64500, 64501]),
                 rng.choice([None, 24]),
             )
-            before = RegistrySet.build(roas=roas)
-            after = RegistrySet.build(roas=roas + [new])
+            before = RegistrySet(roas=roas)
+            after = RegistrySet(roas=roas + [new])
             for prefix, origin in queries:
                 state0 = rov_validate(before, prefix, origin)
                 state1 = rov_validate(after, prefix, origin)
@@ -149,17 +149,29 @@ class TestRovValidate:
             roas.append(new)
 
 
+class TestRegistrySet:
+    def test_roas_are_copied_and_the_memo_is_not_compared(self):
+        prefix = P("192.0.2.0/24")
+        roas = [Roa(prefix, 20)]
+        reg = RegistrySet(roas=roas)
+        assert reg == RegistrySet(roas=tuple(roas))
+        roas.append(Roa(prefix, 30))
+        assert rov_validate(reg, prefix, 30) is RovState.INVALID
+        assert rov_validate(reg, prefix, 20) is RovState.VALID
+        assert reg == RegistrySet(roas=(Roa(prefix, 20),))
+
+
 class TestAspa:
     def test_confirmed(self):
-        reg = RegistrySet.build(aspas=[AspaRecord(20, frozenset({10}))])
+        reg = RegistrySet(aspas={20: frozenset({10})})
         assert aspa_pair_valid(reg, 20, 10) is AspaState.CONFIRMED
 
     def test_contradicted(self):
-        reg = RegistrySet.build(aspas=[AspaRecord(20, frozenset({10}))])
+        reg = RegistrySet(aspas={20: frozenset({10})})
         assert aspa_pair_valid(reg, 20, 30) is AspaState.CONTRADICTED
 
     def test_no_record(self):
-        assert aspa_pair_valid(RegistrySet.build(), 20, 10) is AspaState.NO_RECORD
+        assert aspa_pair_valid(RegistrySet(), 20, 10) is AspaState.NO_RECORD
 
     def test_record_invariants(self):
         with pytest.raises(RegistryError):
@@ -167,25 +179,19 @@ class TestAspa:
         with pytest.raises(RegistryError):
             AspaRecord(20, frozenset({20}))
 
-    def test_build_rejects_duplicate_customer(self):
-        with pytest.raises(RegistryError, match="^duplicate ASPA for AS20$"):
-            RegistrySet.build(
-                aspas=[AspaRecord(20, frozenset({10})), AspaRecord(20, frozenset({11}))]
-            )
-
 
 class TestVerifyCustomerOrigin:
     def test_roa_branch(self):
-        reg = RegistrySet.build(roas=[Roa(P("192.0.2.0/24"), 20)])
+        reg = RegistrySet(roas=[Roa(P("192.0.2.0/24"), 20)])
         assert (
             verify_customer_origin(reg, 1, 20, P("192.0.2.0/24"), 20)
             is OriginVerdict.VERIFIED
         )
 
     def test_invalid_roa_rejects_despite_acl(self):
-        reg = RegistrySet.build(
+        reg = RegistrySet(
             roas=[Roa(P("192.0.2.0/24"), 99)],
-            irr=[(20, P("192.0.2.0/24"))],
+            irr_prefixes={20: frozenset({P("192.0.2.0/24")})},
             kyc={(1, 20): KycEntry(allowed_prefixes=frozenset({P("192.0.2.0/24")}))},
         )
         assert (
@@ -194,21 +200,21 @@ class TestVerifyCustomerOrigin:
         )
 
     def test_no_basis_is_unknown(self):
-        reg = RegistrySet.build()
+        reg = RegistrySet()
         assert (
             verify_customer_origin(reg, 1, 20, P("192.0.2.0/24"), 20)
             is OriginVerdict.UNKNOWN
         )
 
     def test_irr_branch(self):
-        reg = RegistrySet.build(irr=[(20, P("192.0.2.0/24"))])
+        reg = RegistrySet(irr_prefixes={20: frozenset({P("192.0.2.0/24")})})
         assert (
             verify_customer_origin(reg, 1, 20, P("192.0.2.0/24"), 20)
             is OriginVerdict.VERIFIED
         )
 
     def test_kyc_prefix_branch(self):
-        reg = RegistrySet.build(
+        reg = RegistrySet(
             kyc={(1, 20): KycEntry(allowed_prefixes=frozenset({P("192.0.2.0/24")}))}
         )
         assert (
@@ -217,7 +223,7 @@ class TestVerifyCustomerOrigin:
         )
 
     def test_kyc_asn_list_rejects_unlisted_origin(self):
-        reg = RegistrySet.build(
+        reg = RegistrySet(
             roas=[Roa(P("192.0.2.0/24"), 20)],
             kyc={(1, 20): KycEntry(allowed_asns=frozenset({77}))},
         )
@@ -233,14 +239,14 @@ class TestVerifyCustomerOrigin:
         for _ in range(30):
             sources = {
                 "roas": [Roa(P("192.0.2.0/23"), 99, 24)],
-                "irr": [(20, prefix)] if rng.random() < 0.5 else [],
+                "irr_prefixes": {20: frozenset({prefix})} if rng.random() < 0.5 else {},
                 "kyc": (
                     {(1, 20): KycEntry(allowed_prefixes=frozenset({prefix}))}
                     if rng.random() < 0.5
                     else {}
                 ),
             }
-            reg = RegistrySet.build(**sources)
+            reg = RegistrySet(**sources)
             assert rov_validate(reg, prefix, 20) is RovState.INVALID
             assert (
                 verify_customer_origin(reg, 1, 20, prefix, 20)
@@ -315,25 +321,23 @@ class TestKycAdjacency:
         from zonesim.topology import load_topology
 
         topo = load_topology("1|20|-1")
-        reg = RegistrySet.build(kyc={(1, 20): KycEntry()})
-        check_kyc_adjacency(reg, topo)
+        check_kyc_adjacency({(1, 20): KycEntry()}, topo)
 
     def test_non_adjacent_pair_rejected(self):
         from zonesim.registry import check_kyc_adjacency
         from zonesim.topology import load_topology
 
         topo = load_topology("1|20|-1\n1|30|-1")
-        reg = RegistrySet.build(kyc={(20, 30): KycEntry()})
         with pytest.raises(RegistryError, match="non-adjacent"):
-            check_kyc_adjacency(reg, topo)
+            check_kyc_adjacency({(20, 30): KycEntry()}, topo)
 
 
 def test_rov_conflict_with_irr_logged(caplog):
     # A covering ROA with a different origin wins over the IRR entry, and
     # the contradiction is surfaced in the logs.
     prefix = P("192.0.2.0/24")
-    reg = RegistrySet.build(
-        roas=[Roa(P("192.0.2.0/23"), 99, 24)], irr=[(20, prefix)]
+    reg = RegistrySet(
+        roas=[Roa(P("192.0.2.0/23"), 99, 24)], irr_prefixes={20: frozenset({prefix})}
     )
     with caplog.at_level("WARNING"):
         verdict = verify_customer_origin(reg, 1, 20, prefix, 20)

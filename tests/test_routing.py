@@ -47,7 +47,9 @@ from zonesim.topology import Rel, Topology, _gc_paused, load_topology
 from zonesim.vipzone import ZoneConfig, load_zone_config, zone_policy
 
 from oracles import (
+    DISAGREE,
     PREFIX_POOL,
+    PeerFirst,
     dump_rib_oracle,
     exceptions_by_two_solves,
     oracle_fixpoint,
@@ -61,22 +63,6 @@ from oracles import (
 
 P = parse_prefix
 PFX = P("10.0.0.0/24")
-
-
-class PeerFirst(PreferenceOrder):
-    # Ranks peer routes above customer routes: with DISAGREE below, the
-    # pair 1, 2 never settles.
-    def key(self, route):
-        return (
-            route.learned_rel is Rel.SELF,
-            route.learned_rel is Rel.PEER,
-            -len(route.as_path),
-            -(route.learned_from or 0),
-        )
-
-
-# 1 and 2 peer and both provide transit to 10.
-DISAGREE = "1|10|-1\n2|10|-1\n1|2|0"
 
 
 def chain_topology():
@@ -394,7 +380,7 @@ class TestExportContract:
         # under VERIFIED-first, so 1 and 4 must lose what 3 sent them.
         topo = load_topology("1|2|-1\n1|3|-1\n2|20|-1\n3|30|-1\n30|20|-1\n3|4|0")
         origs = [Origination(20, PFX)]
-        reg = RegistrySet.build(roas=[Roa(PFX, 20)])
+        reg = RegistrySet(roas=[Roa(PFX, 20)])
         hooks = zone_policy(topo, ZoneConfig(members=frozenset({1, 2, 3})), reg)
         sent = []
 
@@ -612,7 +598,7 @@ class TestClassSolving:
         topo = chain_topology()
         cfg = ZoneConfig(members=frozenset({1, 2}))
         a, b, c = P("10.0.1.0/24"), P("10.0.2.0/24"), P("10.0.3.0/24")
-        reg = RegistrySet.build(roas=[Roa(a, 3)])
+        reg = RegistrySet(roas=[Roa(a, 3)])
         hooks = zone_policy(topo, cfg, reg)
         key = {p: hooks.prefix_class(p, [Origination(3, p)]) for p in (a, b, c)}
         assert key[a] != key[b] == key[c]
@@ -902,7 +888,7 @@ class TestSharedOffers:
         # prefer the tagged provider route; plain 4, its customer route.
         topo = load_topology("1|20|-1\n1|3|-1\n1|4|-1\n3|30|-1\n4|30|-1\n30|20|-1")
         origs = [Origination(20, PFX)]
-        reg = RegistrySet.build(roas=[Roa(PFX, 20)])
+        reg = RegistrySet(roas=[Roa(PFX, 20)])
         hooks = zone_policy(topo, ZoneConfig(members=frozenset({1, 3})), reg)
         offered = []
 

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from zonesim.registry import (
-    AspaRecord,
     KycEntry,
     OriginVerdict,
     RegistrySet,
@@ -75,7 +74,7 @@ class TestMemberImport:
 
     def test_r5_acl_verifies_single_hop(self):
         cfg = ZoneConfig(members=frozenset({1, 2}))
-        reg = RegistrySet.build(
+        reg = RegistrySet(
             kyc={(1, 20): KycEntry(allowed_prefixes=frozenset({PFX}))}
         )
         outcome, admitted = member_import(
@@ -87,14 +86,14 @@ class TestMemberImport:
 
     def test_r5_roa_verifies_single_hop(self):
         cfg = ZoneConfig(members=frozenset({1}))
-        reg = RegistrySet.build(roas=[Roa(PFX, 20)])
+        reg = RegistrySet(roas=[Roa(PFX, 20)])
         outcome, admitted = member_import(cfg, reg, 1, 20, Rel.CUSTOMER, route([20]))
         assert outcome.outcome is Outcome.FORWARD_VERIFIED
 
     def test_r5_unknown_forwards_unverified(self):
         cfg = ZoneConfig(members=frozenset({1}))
         outcome, admitted = member_import(
-            cfg, RegistrySet.build(), 1, 20, Rel.CUSTOMER, route([20])
+            cfg, RegistrySet(), 1, 20, Rel.CUSTOMER, route([20])
         )
         assert outcome.outcome is Outcome.FORWARD_UNVERIFIED
         assert outcome.reason == "R6"
@@ -102,27 +101,27 @@ class TestMemberImport:
 
     def test_r5_rejected_drops(self):
         cfg = ZoneConfig(members=frozenset({1}))
-        reg = RegistrySet.build(kyc={(1, 20): KycEntry(allowed_asns=frozenset({77}))})
+        reg = RegistrySet(kyc={(1, 20): KycEntry(allowed_asns=frozenset({77}))})
         outcome, admitted = member_import(cfg, reg, 1, 20, Rel.CUSTOMER, route([20]))
         assert outcome.outcome is Outcome.DROP
         assert admitted is None
 
     def test_r5_applies_to_peers(self):
         cfg = ZoneConfig(members=frozenset({1}))
-        reg = RegistrySet.build(roas=[Roa(PFX, 20)])
+        reg = RegistrySet(roas=[Roa(PFX, 20)])
         outcome, admitted = member_import(cfg, reg, 1, 20, Rel.PEER, route([20], rel=Rel.PEER))
         assert outcome.outcome is Outcome.FORWARD_VERIFIED
 
     def test_r5_not_applied_to_providers(self):
         cfg = ZoneConfig(members=frozenset({1}))
-        reg = RegistrySet.build(roas=[Roa(PFX, 20)])
+        reg = RegistrySet(roas=[Roa(PFX, 20)])
         outcome, _ = member_import(cfg, reg, 1, 20, Rel.PROVIDER, route([20], rel=Rel.PROVIDER))
         assert outcome.outcome is Outcome.FORWARD_UNVERIFIED
 
     def test_r5_extends_to_member_single_hop(self):
         # A member customer originating its own prefix is verified the same way.
         cfg = ZoneConfig(members=frozenset({1, 20}))
-        reg = RegistrySet.build(roas=[Roa(PFX, 20)])
+        reg = RegistrySet(roas=[Roa(PFX, 20)])
         outcome, admitted = member_import(cfg, reg, 1, 20, Rel.CUSTOMER, route([20]))
         assert outcome.outcome is Outcome.FORWARD_VERIFIED
         assert VERIFIED in admitted.communities
@@ -130,7 +129,7 @@ class TestMemberImport:
     def test_r1_strips_tag_from_non_member(self):
         cfg = ZoneConfig(members=frozenset({1}))
         outcome, admitted = member_import(
-            cfg, RegistrySet.build(), 1, 30, Rel.CUSTOMER,
+            cfg, RegistrySet(), 1, 30, Rel.CUSTOMER,
             route([30, 20], communities={VERIFIED}),
         )
         assert outcome.outcome is Outcome.FORWARD_UNVERIFIED
@@ -139,7 +138,7 @@ class TestMemberImport:
     def test_r4_retains_tag_from_member(self):
         cfg = ZoneConfig(members=frozenset({1, 2}))
         outcome, admitted = member_import(
-            cfg, RegistrySet.build(), 1, 2, Rel.PEER,
+            cfg, RegistrySet(), 1, 2, Rel.PEER,
             route([2, 20], communities={VERIFIED}, rel=Rel.PEER),
         )
         assert outcome.outcome is Outcome.FORWARD_VERIFIED
@@ -148,7 +147,7 @@ class TestMemberImport:
 
     def test_r2_drops_invalid_origin_from_anyone(self):
         cfg = ZoneConfig(members=frozenset({1, 2}))
-        reg = RegistrySet.build(roas=[Roa(PFX, 99)])
+        reg = RegistrySet(roas=[Roa(PFX, 99)])
         for neighbor, rel in ((20, Rel.CUSTOMER), (2, Rel.PEER)):
             outcome, admitted = member_import(
                 cfg, reg, 1, neighbor, rel, route([neighbor, 20], rel=rel)
@@ -158,7 +157,7 @@ class TestMemberImport:
 
     def test_r2_beats_verified_tag(self):
         cfg = ZoneConfig(members=frozenset({1, 2}))
-        reg = RegistrySet.build(roas=[Roa(PFX, 99)])
+        reg = RegistrySet(roas=[Roa(PFX, 99)])
         outcome, _ = member_import(
             cfg, reg, 1, 2, Rel.PEER, route([2, 20], communities={VERIFIED}, rel=Rel.PEER)
         )
@@ -168,14 +167,14 @@ class TestMemberImport:
         # The neighbor used ASN 21 on a session the member established for 20.
         cfg = ZoneConfig(members=frozenset({1}))
         outcome, _ = member_import(
-            cfg, RegistrySet.build(), 1, 20, Rel.CUSTOMER, route([21])
+            cfg, RegistrySet(), 1, 20, Rel.CUSTOMER, route([21])
         )
         assert outcome.outcome is Outcome.DROP
         assert outcome.reason == "R3"
 
     def test_r3_explicit_allow_list(self):
         cfg = ZoneConfig(members=frozenset({1}))
-        reg = RegistrySet.build(kyc={(1, 20): KycEntry(allowed_asns=frozenset({20, 21}))})
+        reg = RegistrySet(kyc={(1, 20): KycEntry(allowed_asns=frozenset({20, 21}))})
         outcome, _ = member_import(
             cfg, reg, 1, 20, Rel.CUSTOMER, route([21, 22])
         )
@@ -214,7 +213,7 @@ class TestMemberImport:
 
     def test_forged_two_hop_unverified_without_extension(self):
         cfg = ZoneConfig(members=frozenset({1}), aspa_extension=False)
-        reg = RegistrySet.build(aspas=[AspaRecord(20, frozenset({10}))])
+        reg = RegistrySet(aspas={20: frozenset({10})})
         outcome, admitted = member_import(
             cfg, reg, 1, 10, Rel.CUSTOMER, route([10, 20])
         )
@@ -226,8 +225,8 @@ class TestAspaExtension:
     CFG = ZoneConfig(members=frozenset({1, 2}), aspa_extension=True)
 
     def test_two_hop_confirmed_verified(self):
-        reg = RegistrySet.build(
-            aspas=[AspaRecord(20, frozenset({10}))],
+        reg = RegistrySet(
+            aspas={20: frozenset({10})},
             kyc={(2, 10): KycEntry(allowed_asns=frozenset({10}))},
         )
         outcome, admitted = member_import(
@@ -238,7 +237,7 @@ class TestAspaExtension:
         assert VERIFIED in admitted.communities
 
     def test_two_hop_contradicted_unverified(self):
-        reg = RegistrySet.build(aspas=[AspaRecord(20, frozenset({10}))])
+        reg = RegistrySet(aspas={20: frozenset({10})})
         outcome, admitted = member_import(
             self.CFG, reg, 2, 30, Rel.CUSTOMER, route([30, 20])
         )
@@ -247,14 +246,14 @@ class TestAspaExtension:
 
     def test_two_hop_no_record_unverified(self):
         outcome, _ = member_import(
-            self.CFG, RegistrySet.build(), 2, 10, Rel.CUSTOMER, route([10, 20])
+            self.CFG, RegistrySet(), 2, 10, Rel.CUSTOMER, route([10, 20])
         )
         assert outcome.outcome is Outcome.FORWARD_UNVERIFIED
 
     def test_three_outside_ases_never_verified(self):
         # Attacker Q prepends a confirmed pair: path Q A B is three ASes
         # outside the zone and must not be marked.
-        reg = RegistrySet.build(aspas=[AspaRecord(20, frozenset({10}))])
+        reg = RegistrySet(aspas={20: frozenset({10})})
         outcome, admitted = member_import(
             self.CFG, reg, 2, 30, Rel.CUSTOMER, route([30, 10, 20])
         )
@@ -270,7 +269,7 @@ class TestExportAndPreference:
         # Member 1 has providers 9 and 30: a route from 9 may not go to 30.
         topo = load_topology("9|1|-1\n30|1|-1")
         cfg = ZoneConfig(members=frozenset({1, 9, 30}))
-        export = zone_policy(topo, cfg, RegistrySet.build()).export_route
+        export = zone_policy(topo, cfg, RegistrySet()).export_route
         for tags in ({VERIFIED}, ()):
             assert export(1, 30, Rel.PROVIDER, route([9, 20], tags, Rel.PROVIDER)) is False
 
@@ -323,7 +322,7 @@ class TestZonePropagation:
 
     TOPO = load_topology("1|2|-1\n1|3|-1\n2|20|-1\n3|30|-1\n3|40|-1")
     CFG = ZoneConfig(members=frozenset({1, 2, 3}))
-    REG = RegistrySet.build(kyc={(2, 20): KycEntry(allowed_prefixes=frozenset({PFX}))})
+    REG = RegistrySet(kyc={(2, 20): KycEntry(allowed_prefixes=frozenset({PFX}))})
 
     def run(self, cfg=None, injection=True):
         origs = [Origination(20, PFX)]
@@ -409,7 +408,7 @@ class TestZoneHygiene:
                 continue
             cfg = ZoneConfig(members=members, aspa_extension=rng.random() < 0.5)
             origs = random_originations(rng, topo)
-            reg = RegistrySet.build(
+            reg = RegistrySet(
                 roas=[Roa(o.prefix, o.asn) for o in origs if rng.random() < 0.7]
             )
             rib = propagate(topo, origs, zone_policy(topo, cfg, reg))
@@ -453,7 +452,7 @@ class TestCustomersPeeringOutsideZone:
     """
 
     TOPO = load_topology("1|20|-1\n1|30|-1\n20|30|0")
-    REG = RegistrySet.build(
+    REG = RegistrySet(
         roas=[Roa(PFX, 20), Roa(P("198.51.100.0/24"), 30)]
     )
 

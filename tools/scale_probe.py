@@ -17,48 +17,22 @@ refused_edge_checks counts the edge visits it skips.
 
 The zone is the connected core of the 300 ASes (--cones) with the largest
 customer cones; the prefix is the synthetic probe prefix of the lowest-numbered
-stub AS, with a matching ROA.  This probe is not part of the benchmark
-or the tests; CI runs it at 2000 ASes and requires every AS loaded, reported
-load and dump times, a non-empty RIB and both hook counts above 0.
-
-    python3 tools/scale_probe.py            # 75k ASes, ~4 s before the counting solve
-    python3 tools/scale_probe.py --ases 2000
-    python3 tools/scale_probe.py --ases 500 --exceptions
+stub AS, with a matching ROA.
 
 With --exceptions the probe times one routing_exceptions call instead of
 the solves: every AS's probe prefix, for the lowest-numbered zone member
 that has a provider (a transit member; the provider-free tier-1 members
 can have no exception).  It prints the load time, exceptions_s,
 exception_count and the peak resident set, which here is that call's.
---cones N takes the zone from the N largest cones instead of 300.  CI runs
-it at 500 ASes and requires exception_count >= 0.  On a 2-vCPU x86-64
-host (Python 3.11), raw: at 1000 ASes with --cones 50 (AS24423, 9
-exceptions) the call took 4.0-5.6 s and peaked at 22 MB, against 15.3-18.5 s and 447 MB when the zone and then
-each member's mixed network were solved in full with two all-pairs RIBs; at
-2000 ASes, 27.2 s and 27 MB against 92.3 s and 1712 MB.
 
-At 75k ASes on a 2-vCPU x86-64 host (Python 3.11) the load takes about
-0.65 s when the host is idle; it is often slower, so compare solve times
-from one period only.  With the load at 1.6-1.8 s, the solve took
-2.36-2.41 s raw and peaked at 334 MB, against 2.93-3.00 s and 357 MB
-before each exporter offered one shared route per relationship (three
-alternating runs each); scaled to the idle load time that is 0.88-0.96 s
-per prefix.  Earlier periods: with the load at 1.0-1.6 s, the solve took
-2.3-2.8 s once refused edges were skipped and 2.4-3.2 s before; with the
-load at 1.6-1.7 s, 3.9-4.0 s before refused edges were skipped and 7.0-7.4 s
-before propagate paused the cyclic garbage collector.  The counting solve
-reports 833,685 refused edges against 235,585 imports.  At 20k ASes the
-solve took 0.55-0.60 s and peaked at 98 MB, against 0.72-0.85 s and 105 MB
-before shared offers (load 0.32-0.44 s; 247,107 refused edges, 71,582
-imports).
+    python3 tools/scale_probe.py            # 75k ASes
+    python3 tools/scale_probe.py --ases 2000
+    python3 tools/scale_probe.py --ases 500 --exceptions
 
-Keeping the RIB per prefix, with its per-AS view built only when read,
-cut the peak and the dump (same host, raw, two alternating runs per side
-in a slow period).  At 75k ASes (load 1.5-1.9 s): propagate_s 2.66-2.72 s,
-dump_s 0.31-0.32 s and 352 MB before; 1.88-2.13 s, 0.27-0.28 s and 312 MB
-after.  At 20k (load 0.29-0.55 s): 0.45-0.53 s, 0.05-0.08 s and 102 MB
-before; 0.38-0.64 s, 0.05-0.11 s and 92 MB after, the slowest run in the
-slowest load.
+This probe is not part of the benchmark or the tests.  CI parses only its
+JSON line.  At 2000 ASes it requires every AS loaded, reported load and
+dump times, a non-empty RIB and both hook counts above 0; with --exceptions
+at 500 ASes, every AS loaded and exception_count >= 0.
 """
 
 from __future__ import annotations
@@ -115,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     origin = min(a for a in topo.asns if not topo.customers[a])
     prefix = synthetic_prefix(origin)
-    reg = RegistrySet.build(roas=[Roa(prefix, origin)])
+    reg = RegistrySet(roas=[Roa(prefix, origin)])
     hooks = zone_policy(topo, ZoneConfig(members=members), reg)
     t = perf_counter()
     rib = propagate(topo, [Origination(origin, prefix)], hooks)
