@@ -74,7 +74,7 @@ def attached_customers(topo: Topology, members: Iterable[int]) -> frozenset[int]
     return frozenset(
         a
         for a in topo.asns
-        if a not in member_set and topo.providers_of(a) & member_set
+        if a not in member_set and topo.providers[a] & member_set
     )
 
 
@@ -128,7 +128,7 @@ def _cone_sizes(topo: Topology) -> dict[int, int]:
 def cone_size_order(topo: Topology) -> list[int]:
     """All ASNs by descending customer-cone size, ties broken by lower ASN."""
     sizes = _cone_sizes(topo)
-    return sorted(topo.asns, key=lambda a: (-sizes[a], a))
+    return sorted(sorted(topo.asns), key=sizes.__getitem__, reverse=True)
 
 
 def zone_growth_curve(

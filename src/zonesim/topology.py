@@ -96,13 +96,16 @@ class Topology:
         records = list(records)
         for a, b, code in records:
             _check_record(a, b, code)
-        columns = map(list, zip(*records)) if records else ([], [], [])
+        a_col, b_col, codes = map(list, zip(*records)) if records else ([], [], [])
+        asns = dict.fromkeys(chain.from_iterable(zip(a_col, b_col)))
         with _gc_paused():
-            return cls._from_columns(*columns)
+            return cls._from_columns(asns, a_col, b_col, codes)
 
     @classmethod
-    def _from_columns(cls, a_col: list[int], b_col: list[int], codes: list[int]) -> "Topology":
-        # Build from record columns that passed the per-record checks.
+    def _from_columns(
+        cls, asns: Mapping[int, None], a_col: list[int], b_col: list[int], codes: list[int]
+    ) -> "Topology":
+        # Build from checked record columns and their ASNs by first appearance.
         providers: dict[int, set[int]] = defaultdict(set)
         customers: dict[int, set[int]] = defaultdict(set)
         peers: dict[int, set[int]] = defaultdict(set)
@@ -130,10 +133,17 @@ class Topology:
             )
         ):
             _raise_first_duplicate(zip(a_col, b_col, codes))
-        # Every ASN in order of first appearance (a before b); the acyclicity
-        # check starts its walks in this order, which fixes its message.
-        asns = dict.fromkeys(chain.from_iterable(zip(a_col, b_col)))
-        _check_c2p_acyclic(asns, customers)
+        # Kahn's count-down: an AS is released once all its providers are.
+        # Only if one never is does the walk run, to name a cycle.
+        left = dict(zip(providers, map(len, providers.values())))
+        released = [a for a in customers if a not in left]
+        for a in released:
+            for c in customers.get(a, _EMPTY):
+                left[c] -= 1
+                if not left[c]:
+                    released.append(c)
+        if any(left.values()):
+            _check_c2p_acyclic(asns, customers)
 
         def freeze(adjacency):
             # Sets made in `asns` order lie in memory in the order a full
@@ -262,12 +272,12 @@ def load_topology(source: str | bytes) -> Topology:
     line ends and comments follow the shared line format (``_lines``).
     Per-record errors report the 1-based line number.
 
-    The text is read in bulk, with the cyclic garbage collector paused: the
-    data lines are split once into three int columns, checked as columns,
-    and each adjacency is built once from them.  A per-line pass runs only
-    when a column check fails, to word the first bad line's error; the
-    records are walked in order only when the adjacency shows a duplicate
-    pair, to name the first.
+    The text is read in bulk, with the cyclic garbage collector paused: each
+    distinct field text becomes an int once, so an ASN is one int object;
+    the columns are checked as columns, each adjacency is built once, and
+    a count-down over provider counts checks acyclicity.  The per-line
+    pass, the ordered record walk and the sorted cycle walk run only after
+    a failed check, to word its error the way a line-by-line reader would.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8")
@@ -280,21 +290,21 @@ def load_topology(source: str | bytes) -> Topology:
         return Topology._from_columns(*columns)
 
 
-def _columns(lines: list[str]) -> tuple[list[int], list[int], list[int]]:
-    # The three int columns of serial-1 data lines; a ValueError if any line
-    # has fewer than three fields, a non-int field or a value out of range.
+def _columns(lines: list[str]) -> tuple[dict[int, None], list[int], list[int], list[int]]:
+    # The ASNs by first appearance (a before b) and the three int columns of
+    # the data lines, each distinct field text converted once; a ValueError if
+    # a line has fewer than three fields, a non-int field or a value out of range.
     if not lines:
-        return [], [], []
-    a_col, b_col, codes, *_ = zip(*[line.split("|", 3) for line in lines])
-    a_col, b_col, codes = list(map(int, a_col)), list(map(int, b_col)), list(map(int, codes))
-    if not (
-        0 < min(a_col) and max(a_col) <= MAX_ASN
-        and 0 < min(b_col) and max(b_col) <= MAX_ASN
-        and set(codes) <= _CODES
-        and not any(map(eq, a_col, b_col))
-    ):
+        return {}, [], [], []
+    a_txt, b_txt, code_txt, *_ = zip(*[line.split("|", 3) for line in lines])
+    asn_of = {text: int(text) for text in dict.fromkeys(chain.from_iterable(zip(a_txt, b_txt)))}
+    code_of = {text: int(text) for text in set(code_txt)}
+    asns = dict.fromkeys(asn_of.values())
+    a_col, b_col = list(map(asn_of.__getitem__, a_txt)), list(map(asn_of.__getitem__, b_txt))
+    if not (0 < min(asns) and max(asns) <= MAX_ASN and set(code_of.values()) <= _CODES
+            and not any(map(eq, a_col, b_col))):
         raise ValueError("record out of range")
-    return a_col, b_col, codes
+    return asns, a_col, b_col, list(map(code_of.__getitem__, code_txt))
 
 
 def _parse_record(line: str) -> tuple[int, int, int]:

@@ -179,6 +179,46 @@ class TestLoadTopology:
                 assert list(getattr(got, name).items()) == list(getattr(want, name).items())
 
     @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("7|8|-1\n07|8|0\n", "duplicate edge between AS7 and AS8"),
+            ("1|2|-1\n5|05|0\n", "line 2: self-loop on AS5"),
+            ("7|8|-1\n8|+7|-1\n", "provider-customer cycle through AS8 and AS7"),
+            ("7|8|-1\n8| 07 |0\n", "duplicate edge between AS8 and AS7"),
+        ],
+    )
+    def test_asn_spellings_error_text(self, text, message):
+        # One ASN spelled as 7, 07, +7 and ' 7 ' is one AS: equal ints from
+        # different field texts must meet in the checks as in the oracle.
+        with pytest.raises(TopologyError) as excinfo:
+            oracle_load_topology(text)
+        assert str(excinfo.value) == message
+        with pytest.raises(TopologyError) as excinfo:
+            load_topology(text)
+        assert str(excinfo.value) == message
+
+    def test_asn_spellings_match_per_line_oracle(self):
+        text = "07|8|-1\n7|9|-1\n+9| 10 |-1\n8|009|0\n10|+11|0|bgp\n011| 7 |-1\n"
+        got, want = load_topology(text), oracle_load_topology(text)
+        assert got == want
+        assert got.asns == {7, 8, 9, 10, 11}
+        for name in ("providers", "customers", "peers"):
+            assert list(getattr(got, name).items()) == list(getattr(want, name).items())
+
+    def test_adjacency_shares_the_key_ints(self):
+        # Pins a memory and lookup property, not behaviour: with each ASN
+        # spelled one way, every occurrence of it in the adjacency sets is
+        # the int object that keys the maps.
+        records = random_topology(random.Random(5), 300, 200).records()
+        text = "".join(f"{a + 64500}|{b + 64500}|{code}\n" for a, b, code in records)
+        loaded = load_topology(text)
+        key = {a: a for a in loaded.providers}
+        for name in ("providers", "customers", "peers"):
+            for a, neighbors in getattr(loaded, name).items():
+                assert a is key[a]
+                assert all(b is key[b] for b in neighbors)
+
+    @pytest.mark.parametrize(
         "text", ["1|2|-1\n2|3|0\n", "1|2|-1\nbogus\n", "1|2|-1\n2|1|-1\n", ""]
     )
     def test_collector_state_is_restored(self, text):

@@ -5,7 +5,9 @@ Builds the benchmark generator's CAIDA-like graph
 ``load_topology``, solves one prefix under a zone policy and dumps the RIB
 with ``dump_rib``, then prints one JSON object: graph size, wall-clock
 seconds of the load, the solve and the dump (raw, not calibrated), RIB rows
-(the dump's lines) and the peak resident set, read before the dump.
+(the dump's lines), the resident set right after the load (``load_rss_mb``,
+read from ``/proc/self/statm``; null where that file does not exist) and
+the peak resident set, read before the dump.
 
 After the timed solve it solves once more with counting wrappers around
 the import and export hooks, checks that this RIB equals the timed one,
@@ -22,8 +24,9 @@ stub AS, with a matching ROA.
 With --exceptions the probe times one routing_exceptions call instead of
 the solves: every AS's probe prefix, for the lowest-numbered zone member
 that has a provider (a transit member; the provider-free tier-1 members
-can have no exception).  It prints the load time, exceptions_s,
-exception_count and the peak resident set, which here is that call's.
+can have no exception).  It prints the load time, load_rss_mb,
+exceptions_s, exception_count and the peak resident set, which here is
+that call's.
 
     python3 tools/scale_probe.py            # 75k ASes
     python3 tools/scale_probe.py --ases 2000
@@ -50,6 +53,16 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def rss_mb() -> float | None:
+    """The process's current resident set in MB; None without /proc/self/statm."""
+    try:
+        with open("/proc/self/statm") as statm:
+            pages = int(statm.read().split()[1])
+    except OSError:
+        return None
+    return round(pages * resource.getpagesize() / 2**20, 1)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--ases", type=int, default=75000)
@@ -69,6 +82,7 @@ def main(argv: list[str] | None = None) -> int:
     t = perf_counter()
     topo = load_topology(text)
     load_s = perf_counter() - t
+    load_rss_mb = rss_mb()
 
     members = derive_connected_zone(topo, cone_size_order(topo)[:args.cones]).connected_members
     if args.exceptions:
@@ -81,6 +95,7 @@ def main(argv: list[str] | None = None) -> int:
             "members": len(members),
             "member": member,
             "load_s": round(load_s, 3),
+            "load_rss_mb": load_rss_mb,
             "exceptions_s": round(exceptions_s, 3),
             "exception_count": result.count,
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
@@ -120,6 +135,7 @@ def main(argv: list[str] | None = None) -> int:
         + sum(len(p) for p in topo.peers.values()) // 2,
         "members": len(members),
         "load_s": round(load_s, 3),
+        "load_rss_mb": load_rss_mb,
         "propagate_s": round(propagate_s, 3),
         "dump_s": round(dump_s, 3),
         "rib_rows": dumped.count("\n"),
