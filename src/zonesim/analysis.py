@@ -380,29 +380,30 @@ def _routing_exceptions(
     net = _Network(topo, zone_policy(topo, cfg, reg))
     # diverged[member]: (destination, verified best is provider-learned).
     diverged: dict[int, list[tuple[int, bool]]] = {member: [] for member in members}
-    watch = {net.index[member]: _PLAIN_ORDER for member in members}
+    watch = dict.fromkeys(members, _PLAIN_ORDER)
     oscillating = {}
     for dest in net.asns:
         prefix = synthetic_prefix(dest)
         best, *_, flips, stuck = _propagate_prefix(net, prefix, [Origination(dest, prefix)], watch)
         if stuck:
             oscillating[prefix] = stuck
-        for i in flips:
-            provider = best[i] is not None and best[i][1].learned_rel is Rel.PROVIDER
-            diverged[net.asns[i]].append((dest, provider))
+        for member in flips:
+            provider = best[member] is not None and best[member][1].learned_rel is Rel.PROVIDER
+            diverged[member].append((dest, provider))
     if oscillating:
         raise NonConvergenceError(oscillating)
     results = []
     for member in members:
-        i = net.index[member]
-        mixed = net.with_order(i, _PLAIN_ORDER)
+        mixed = net.with_order(member, _PLAIN_ORDER)
         exceptions = []
         for dest, provider in diverged[member]:
             prefix = synthetic_prefix(dest)
             best, *_, stuck = _propagate_prefix(mixed, prefix, [Origination(dest, prefix)])
             if stuck:
                 oscillating[prefix] = stuck
-            elif provider and best[i] and best[i][1].learned_rel in (Rel.CUSTOMER, Rel.PEER):
+            elif provider and best[member] and (
+                best[member][1].learned_rel in (Rel.CUSTOMER, Rel.PEER)
+            ):
                 exceptions.append(dest)
         results.append(RoutingExceptions(member, len(exceptions), tuple(exceptions)))
     if oscillating:

@@ -218,13 +218,18 @@ def run_scenario(
     Only the legitimate originations whose prefix contains the victim
     address are solved (see the module docstring); all are validated.
     """
-    address = scenario.victim_prefix.network_address
-    legits = [
-        o for o in _normalize_originations(topo, legitimate_originations)
-        if o.prefix.version == address.version and address in o.prefix
-    ]
+    legits = _holding_victim(topo, legitimate_originations, scenario.victim_prefix)
     rib = scenario_rib(topo, reg, cfg, legits, scenario)
     return classify_harm(topo, rib, scenario, watch=watch)
+
+
+def _holding_victim(topo: Topology, originations: Iterable, victim_prefix: Prefix) -> list:
+    # The originations, all validated, whose prefix holds the victim address.
+    address = victim_prefix.network_address
+    return [
+        o for o in _normalize_originations(topo, originations)
+        if o.prefix.version == address.version and address in o.prefix
+    ]
 
 
 def classify_harm(
@@ -310,18 +315,20 @@ def sweep_attackers(
     use the minimal forgery (attacker prepended straight to the victim
     origin).  Leak sweeps only consider multi-homed ASes and leak the
     provider their route actually arrived on; positions without a
-    provider-learned route are skipped.
+    provider-learned route are skipped.  The originations are validated
+    and filtered once, before any candidate is run or skipped, and every
+    candidate is checked against the topology.
     """
-    legits = list(originations)
+    legits = _holding_victim(topo, originations, victim_prefix)
     candidates = topo.asns if attackers is None else attackers
     candidates = sorted(a for a in candidates if a != victim_origin)
+    for attacker in candidates:
+        _check_asns(topo, {"attacker": attacker})
 
     baseline = None
     if kind is AttackKind.ROUTE_LEAK:
         # The baseline is read only for the victim prefix.
-        victim_legits = [
-            o for o in _normalize_originations(topo, legits) if o.prefix == victim_prefix
-        ]
+        victim_legits = [o for o in legits if o.prefix == victim_prefix]
         baseline = propagate(topo, victim_legits, zone_policy(topo, cfg, reg))
 
     reports = []
@@ -343,9 +350,8 @@ def sweep_attackers(
             )
         else:
             scenario = AttackScenario(kind, attacker, victim_prefix, victim_origin)
-        reports.append(
-            run_scenario(topo, reg, cfg, legits, scenario, watch=watch)
-        )
+        rib = scenario_rib(topo, reg, cfg, legits, scenario)
+        reports.append(classify_harm(topo, rib, scenario, watch=watch))
     return reports
 
 

@@ -26,14 +26,14 @@ refused edge.  A preference key is computed once per offer and order
 changes no best; a prefix still changing after 2*|ASes|+10 rounds is
 reported with the ASes that changed in the last round.
 
-Inside a solve, ASes are dense indices in ascending-ASN order: per prefix,
-bests and cached entries are lists, and each exporter's adjacency row holds
-the neighbor's index and ASN and both relationship views.  The export
-rule's half that depends only on the exporter, and the prepended path, are
-computed once per exporter and reused for every neighbor the route is sent
-to.  In one round an exporter offers at most three routes, one per
-relationship it has to its neighbors; each is built on first use and the
-same frozen Route is handed to every importer it goes to.  When the import
+A solve walks the topology's own adjacency sets, customers, peers and
+providers, as they are: per prefix, bests and cached entries are dicts
+keyed by ASN, and nothing is built per edge.  The export rule's half that
+depends only on the exporter is computed once per exporter.  In one round
+an exporter offers at most three routes, one per relationship it has to
+its neighbors; each, with the exporter prepended to its path, is built on
+first use and the same frozen Route is handed to every importer it goes
+to, and an exporter with no neighbor to walk builds none.  When the import
 hook returns that very object, the entry's key is computed once per offer
 and preference order (ASes sharing an order object share it); a route the
 hook replaces is keyed on its own.  Hooks still see ASNs and Routes, and
@@ -221,7 +221,8 @@ class PolicyHooks:
     export_route(exporter, neighbor, rel-of-neighbor, route) is asked only
     about an edge the standard export rule refuses; True sends the
     exporter's best, unchanged, anyway (a route leak).  The default never
-    does, so under it propagate does not visit refused edges at all.
+    does, so under it propagate does not visit refused edges at all.  The
+    order of export_route calls within one exporter's walk is unspecified.
     prefix_class(prefix, originations) is called once per prefix.  It
     returns a hashable class key, or None to have the prefix solved on
     its own (the default).  Prefixes with equal keys must be routed alike
@@ -348,40 +349,30 @@ def _normalize_originations(
 
 
 class _Network:
-    """What every prefix solve over (topology, hooks) shares.  ASes are
-    dense indices in ascending-ASN order; adjacency[e] holds, per neighbor
-    in ascending order: (index, ASN, what the neighbor is to e, what e is
-    to the neighbor, whether the neighbor is a customer).  narrow[e], the
-    row a peer- or provider-learned best walks, is its customer entries
-    alone under the default export hook, which never forces a refused
-    edge, else the whole row, so a leak hook still sees every refused
-    edge.  ASes sharing an order object share its ranks[i]."""
+    """What every prefix solve over (topology, hooks) shares: the hooks;
+    `every`, the topology's three adjacency maps (not copies), each with
+    what its neighbors are to the exporter and what it is to them; `down`,
+    the maps a peer- or provider-learned best walks (customers alone under
+    the default export hook, else every map, so a leak hook sees each
+    refused edge); the ASNs in ascending order and `unset`, the all-None
+    bests a solve copies; and per-ASN orders and ranks, shared per order."""
 
     def __init__(self, topo: Topology, hooks: PolicyHooks):
         self.import_route, self.export_route = hooks.import_route, hooks.export_route
-        self.asns = asns = sorted(topo.asns)
-        self.index = index = {asn: i for i, asn in enumerate(asns)}
-        skip_refused = hooks.export_route is _default_export
-        self.adjacency, self.narrow = [], []
-        for asn in asns:
-            customers, peers = topo.customers[asn], topo.peers[asn]
-            row = [
-                (index[n], n, _CUSTOMER, _PROVIDER, True) if n in customers
-                else (index[n], n, _PEER, _PEER, False) if n in peers
-                else (index[n], n, _PROVIDER, _CUSTOMER, False)
-                for n in sorted(topo.neighbors_of(asn))
-            ]
-            self.adjacency.append(row)
-            self.narrow.append(tuple([edge for edge in row if edge[4]]) if skip_refused else row)
-        self.orders = [hooks.preference_for(asn) for asn in asns]
-        rank_of = {id(order): _rank_of(order) for order in self.orders}
-        self.ranks = [rank_of[id(order)] for order in self.orders]
+        customers = (topo.customers, _CUSTOMER, _PROVIDER)
+        self.every = (customers, (topo.peers, _PEER, _PEER), (topo.providers, _PROVIDER, _CUSTOMER))
+        self.down = (customers,) if hooks.export_route is _default_export else self.every
+        self.asns = sorted(topo.asns)
+        self.unset = dict.fromkeys(self.asns)
+        self.orders = {asn: hooks.preference_for(asn) for asn in self.asns}
+        rank_of = {id(order): _rank_of(order) for order in self.orders.values()}
+        self.ranks = {asn: rank_of[id(order)] for asn, order in self.orders.items()}
 
-    def with_order(self, i: int, order: PreferenceOrder) -> _Network:
-        """This network, rows and hooks shared, with AS i ranking by order."""
+    def with_order(self, asn: int, order: PreferenceOrder) -> _Network:
+        """This network, maps and hooks shared, with AS asn ranking by order."""
         net = copy.copy(self)
         net.orders, net.ranks = self.orders.copy(), self.ranks.copy()
-        net.orders[i], net.ranks[i] = order, _rank_of(order)
+        net.orders[asn], net.ranks[asn] = order, _rank_of(order)
         return net
 
 
@@ -430,11 +421,11 @@ def propagate(
         rep = members[0]
         best, learned, _, stuck = _propagate_prefix(net, rep, by_prefix[rep])
         rows = {}
-        for i, selected in enumerate(best):
+        for asn, selected in best.items():
             if selected is None:
                 continue
-            cands = learned[i].values()
-            rows[asns[i]] = (selected[1],) if len(cands) == 1 else tuple(
+            cands = learned[asn].values()
+            rows[asn] = (selected[1],) if len(cands) == 1 else tuple(
                 map(_second, sorted(cands, key=_first, reverse=True)))
         for prefix in members:
             solved[prefix] = rep, stuck or rows
@@ -478,120 +469,122 @@ def _propagate_prefix(
     prefix: Prefix,
     origs: list[Origination],
     watch: Mapping[int, PreferenceOrder] | None = None,
-) -> tuple[list, list[dict], set[int], tuple[int, ...]]:
-    """Solve one prefix over net (AS indices; hooks see ASNs).  Returns
-    best and learned (below); the ASes of watch, {AS index: alternative
+) -> tuple[dict, dict[int, dict], set[int], tuple[int, ...]]:
+    """Solve one prefix over net, walking the topology's adjacency sets in
+    their own iteration order.  Returns best and learned (below), both
+    keyed by ASN in ascending order; the ASes of watch, {ASN: alternative
     order}, whose pick under that order ever differed from their actual
     pick; and the sorted ASNs whose best still changed in round
     2*|ASes|+10, or () if it converged."""
-    asns, adjacency, narrow, ranks = net.asns, net.adjacency, net.narrow, net.ranks
+    asns, ranks, every, down = net.asns, net.ranks, net.every, net.down
     import_route, export_route = net.import_route, net.export_route
 
     # Candidates are (preference key, route) pairs, keyed on admission and
-    # ranked by the key alone.  learned[i][e]: what AS e's current best
-    # yields at AS i after export, loop check and import, keyed by
-    # ranks[i], once per offer and rank callable when admitted unchanged;
-    # AS i's own originations sit first, under -1, -2, ..., which no AS
-    # index takes, keyed by orders[i].key.
-    learned: list[dict[int, tuple[object, Route]]] = [{} for _ in asns]
+    # ranked by the key alone.  learned[a][e]: what AS e's current best
+    # yields at AS a after export, loop check and import, keyed by
+    # ranks[a], once per offer and rank callable when admitted unchanged;
+    # AS a's own originations sit first, under -1, -2, ..., which no ASN
+    # takes, keyed by orders[a].key.
+    learned: dict[int, dict[int, tuple[object, Route]]] = {asn: {} for asn in asns}
     for asn, route in dict.fromkeys((o.asn, o.route()) for o in origs):
-        i = net.index[asn]
-        learned[i][-1 - len(learned[i])] = (net.orders[i].key(route), route)
-    # best[i]: AS i's selected (preference key, route) pair, or None.
-    best: list[tuple[object, Route] | None] = [None] * len(asns)
-    # wide[e]: whether AS e's last best went down its whole adjacency row.
-    # Otherwise no neighbor off narrow[e] holds an entry from e, so a
-    # peer- or provider-learned best walks narrow[e] alone.
-    wide = [False] * len(asns)
+        slots = learned[asn]
+        slots[-1 - len(slots)] = (net.orders[asn].key(route), route)
+    # best[a]: AS a's selected (preference key, route) pair, or None.
+    best: dict[int, tuple[object, Route] | None] = net.unset.copy()
     diverged = set()
 
     # Round 1 ranks the originators; each later round first re-evaluates
     # the edges out of the ASes whose best changed.
-    touched = {net.index[o.asn] for o in origs}
+    touched = {o.asn for o in origs}
     rounds = 0
     while touched:
-        # Bests are replaced only after every edge has read the old ones.
-        changed = set()
-        for i in touched:
-            new_best = max(learned[i].values(), key=_first, default=None)
+        # Bests are replaced only after every edge has read the old ones;
+        # changed[e]: the best AS e replaced.
+        changed = {}
+        for asn in touched:
+            new_best = max(learned[asn].values(), key=_first, default=None)
             # Routes are compared only when their keys tie.
-            old_best = best[i]
+            old_best = best[asn]
             if new_best is not old_best and new_best != old_best:
-                changed.add(i)
-                best[i] = new_best
+                changed[asn] = old_best
+                best[asn] = new_best
         if watch:
             diverged.update(_diverged(watch, touched, best, learned))
         rounds += 1
         if changed and rounds == 2 * len(asns) + 10:
-            return best, learned, diverged, tuple(asns[i] for i in sorted(changed))
+            return best, learned, diverged, tuple(sorted(changed))
         # Synchronous round: every edge out of an AS whose best changed is
         # re-evaluated against the previous round's bests, so the fixpoint
         # is independent of iteration order.
         touched = set()
-        for e in changed:
-            if best[e] is None:
-                for i, *_ in adjacency[e]:
-                    if learned[i].pop(e, None) is not None:
-                        touched.add(i)
-                wide[e] = False
+        for exporter, replaced in changed.items():
+            current = best[exporter]
+            if current is None:
+                for adjacency, _, _ in every:
+                    for asn in adjacency[exporter]:
+                        if learned[asn].pop(exporter, None) is not None:
+                            touched.add(asn)
                 continue
-            offered = best[e][1]
+            offered = current[1]
             # Per exporter: the economic export rule's "learned from a
-            # customer or originated" half, and what every neighbor it is
-            # sent to receives.
-            exporter = asns[e]
+            # customer or originated" half.  No AS neighbors itself, so the
+            # loop check reads the path before the exporter is prepended.
             rel_out = offered.learned_rel
             anywhere = rel_out is _CUSTOMER or rel_out is _SELF
-            path = offered.as_path
-            if path[0] != exporter:
-                path = (exporter,) + path
-            communities = offered.communities
-            # A best that may not go everywhere, after one that did, walks
-            # the whole row once to withdraw what the old best sent.
-            row = adjacency[e] if anywhere or wide[e] else narrow[e]
-            wide[e] = anywhere
-            # offers[rel]: the one route sent to every neighbor `exporter`
-            # is `rel` to; keyed[rel, rank]: its entry under one order, for
-            # each importer that admits that offer unchanged.
-            offers, keyed = {}, {}
-            for i, asn, rel_back, rel, is_customer in row:
-                # rel is what `exporter` is to `asn`; rel_back, what `asn` is
-                # to `exporter`, drives the export rule.  The hook is asked
-                # only about an edge the rule refuses.
-                entry = None
-                if (
-                    (anywhere or is_customer or export_route(exporter, asn, rel_back, offered))
-                    and asn not in path
-                ):
-                    offer = offers.get(rel)
-                    if offer is None:
-                        offer = offers[rel] = _route(prefix, path, communities, rel)
-                    admitted = import_route(asn, exporter, rel, offer)
-                    if admitted is offer:
-                        rank = ranks[i]
-                        entry = keyed.get((rel, rank))
-                        if entry is None:
-                            entry = keyed[rel, rank] = (rank(offer), offer)
-                    elif admitted is not None:
-                        entry = (ranks[i](admitted), admitted)
-                slots = learned[i]
-                if entry is None:
-                    if slots.pop(e, None) is None:
-                        continue
-                else:
-                    slots[e] = entry
-                touched.add(i)
+            held = offered.as_path
+            # Peers and providers are walked only when the route may go to
+            # them, when a hook may force it there (down is every map), or
+            # to withdraw what a replaced best that went everywhere sent.
+            walk = every if anywhere or (
+                replaced is not None and replaced[1].learned_rel in (_CUSTOMER, _SELF)
+            ) else down
+            for adjacency, rel_back, rel in walk:
+                group = adjacency[exporter]
+                if not group:
+                    continue
+                # offer: the one route every neighbor in this map receives,
+                # built on first use; keyed[rank]: its entry under one
+                # order, for each importer that admits it unchanged.
+                sends = anywhere or rel_back is _CUSTOMER
+                offer = None
+                for asn in group:
+                    # rel_back is what `asn` is to `exporter`, and drives the
+                    # export rule; rel, what `exporter` is to `asn`.  The hook
+                    # is asked only about an edge the rule refuses.
+                    entry = None
+                    if (
+                        (sends or export_route(exporter, asn, rel_back, offered))
+                        and asn not in held
+                    ):
+                        if offer is None:
+                            path = held if held[0] == exporter else (exporter,) + held
+                            offer, keyed = _route(prefix, path, offered.communities, rel), {}
+                        admitted = import_route(asn, exporter, rel, offer)
+                        if admitted is offer:
+                            rank = ranks[asn]
+                            entry = keyed.get(rank)
+                            if entry is None:
+                                entry = keyed[rank] = (rank(offer), offer)
+                        elif admitted is not None:
+                            entry = (ranks[asn](admitted), admitted)
+                    slots = learned[asn]
+                    if entry is None:
+                        if slots.pop(exporter, None) is None:
+                            continue
+                    else:
+                        slots[exporter] = entry
+                    touched.add(asn)
     return best, learned, diverged, ()
 
 
 def _diverged(watch, touched, best, learned) -> Iterator[int]:
     # The watched ASes of `touched` whose pick under their watched order,
     # made as a round makes it, is not their best route.
-    for i in watch.keys() & touched:
-        order, rank = watch[i], _rank_of(watch[i])
-        cands = [((order.key if e < 0 else rank)(r), r) for e, (_, r) in learned[i].items()]
-        if max(cands, key=_first, default=(None, None))[1] is not (best[i] or (None, None))[1]:
-            yield i
+    for asn in watch.keys() & touched:
+        order, rank = watch[asn], _rank_of(watch[asn])
+        cands = [((order.key if e < 0 else rank)(r), r) for e, (_, r) in learned[asn].items()]
+        if max(cands, key=_first, default=(None, None))[1] is not (best[asn] or (None, None))[1]:
+            yield asn
 
 
 class TraceOutcome(enum.Enum):

@@ -198,15 +198,17 @@ def zone_policy(topo: Topology, cfg: ZoneConfig, reg: RegistrySet) -> PolicyHook
     def prefix_class(prefix, originations: list[Origination]) -> tuple:
         # Per origination: its announcement, the ROV state R2 reads, and
         # the verdict R5 would reach at each member adjacent to the origin
-        # (R2 drops an invalid origin first, so there is none then).
+        # (none if R2 drops an invalid origin first, or if a forged path's
+        # origin is outside the topology).
         key = []
         for orig in originations:
             route = orig.route()
             origin = route.origin
             rov = rov_validate(reg, prefix, origin)
+            adjacent = topo.neighbors_of(origin) & members if origin in topo.asns else ()
             verdicts = () if rov is RovState.INVALID else tuple(
                 verify_customer_origin(reg, member, origin, prefix, origin)
-                for member in sorted(topo.neighbors_of(origin) & members)
+                for member in sorted(adjacent)
             )
             key.append((orig.asn, route.as_path, route.communities, rov, verdicts))
         return tuple(key)

@@ -671,6 +671,30 @@ class TestClassifyHarmDifferential:
         with pytest.raises(RoutingError, match="unknown AS99"):
             run_scenario(topo, RegistrySet(), cfg, [(99, PFX)], unknown_attacker)
 
+    @pytest.mark.parametrize("kind", list(AttackKind))
+    def test_sweep_rejects_an_unknown_attacker_alike_for_every_kind(self, kind):
+        # 3 is multihomed, so a leak sweep would run it; the victim
+        # originates a supernet, so a sub-prefix sweep would too.
+        topo = load_topology("1|2|-1\n1|3|-1\n4|3|-1")
+        cfg = ZoneConfig(members=frozenset())
+        with pytest.raises(ScenarioError, match="^attacker AS99 not in topology$"):
+            sweep_attackers(
+                topo, RegistrySet(), cfg, [(2, P("192.0.0.0/16"))], kind, PFX, 2,
+                attackers=[3, 99],
+            )
+
+    @pytest.mark.parametrize("kind", list(AttackKind))
+    def test_sweep_validates_originations_when_every_candidate_is_skipped(self, kind):
+        from zonesim.routing import RoutingError
+
+        topo = load_topology("1|2|-1\n1|3|-1")
+        origs = [(2, P("192.0.0.0/16")), (99, P("10.9.0.0/16"))]
+        with pytest.raises(RoutingError, match="unknown AS99"):
+            sweep_attackers(
+                topo, RegistrySet(), ZoneConfig(members=frozenset()), origs, kind, PFX, 2,
+                attackers=[2],
+            )
+
     def test_subprefix_check_skips_other_ip_version(self):
         # The victim also originates an IPv6 prefix, which the covering
         # check used to compare with the IPv4 victim prefix (TypeError); a

@@ -183,16 +183,46 @@ class TestInvariants:
             assert dump_rib(propagate(topo, origs)) == dump_rib(propagate(topo, origs))
 
     def test_insertion_order_independence(self):
+        # The solve walks the adjacency sets as they iterate.  ASNs are
+        # multiples of 8, so they collide in small hash tables and a set
+        # iterates in the order its members were inserted: the rebuild from
+        # shuffled records walks some sets in another order.
         rng = random.Random(55)
-        for _ in range(10):
-            topo = random_topology(rng, 10, 4)
-            origs = random_originations(rng, topo)
-            records = topo.records()
+        reordered = leaks = 0
+        for _ in range(20):
+            records = [(8 * a, 8 * b, code) for a, b, code in random_topology(rng, 10, 4).records()]
+            topo = Topology.from_records(records)
             rng.shuffle(records)
             shuffled = Topology.from_records(records)
-            assert dump_rib(propagate(topo, origs)) == dump_rib(
-                propagate(shuffled, origs)
+            reordered += any(
+                list(ours[asn]) != list(theirs[asn])
+                for ours, theirs in (
+                    (topo.customers, shuffled.customers),
+                    (topo.peers, shuffled.peers),
+                    (topo.providers, shuffled.providers),
+                )
+                for asn in topo.asns
             )
+            origs = random_originations(rng, topo)
+            members = random_connected_members(rng, topo)
+            cfg, reg = ZoneConfig(members=members), random_registry(rng, topo, members, origs)
+            policies = [lambda t: gao_rexford_hooks(), lambda t: zone_policy(t, cfg, reg)]
+            leakers = sorted(a for a in topo.asns if len(topo.providers[a]) >= 2)
+            if leakers:
+                leaker = rng.choice(leakers)
+                scenario = AttackScenario(
+                    AttackKind.ROUTE_LEAK, leaker, origs[0].prefix, origs[0].asn,
+                    leaked_from=rng.choice(sorted(topo.providers[leaker])),
+                )
+                policies.append(lambda t: _leak_hooks(t, zone_policy(t, cfg, reg), scenario))
+                leaks += 1
+            for policy in policies:
+                rib = _solve(topo, origs, policy(topo))
+                again = _solve(shuffled, origs, policy(shuffled))
+                assert rib == again
+                if isinstance(rib, Rib):
+                    assert dump_rib(rib) == dump_rib(again)
+        assert reordered >= 10 and leaks >= 5
 
     def test_loop_freedom(self):
         rng = random.Random(77)
@@ -347,7 +377,7 @@ class TestEdgeIncrementalDifferential:
 
 def _full_walk(hooks):
     # The same policy with a behaviour-identical export hook: any hook other
-    # than the default makes propagate walk every adjacency row.
+    # than the default makes propagate walk all of each exporter's neighbors.
     inner = hooks.export_route
 
     def export_route(exporter, neighbor, rel, route):
@@ -606,6 +636,19 @@ class TestClassSolving:
         assert VERIFIED in rib.best(2, a).communities
         assert rib.best(1, b) == Route(b, (2, 3), frozenset(), Rel.CUSTOMER)
         assert rib.best(1, c).prefix is c
+
+    def test_forged_origin_outside_the_topology(self):
+        # A forged path may end at an ASN the topology lacks; the zone
+        # policy's class key then finds no member adjacent to that origin.
+        # No ROA covers the prefixes, so R2 does not settle the key first.
+        topo = chain_topology()
+        other = P("10.1.0.0/24")
+        hooks = zone_policy(topo, ZoneConfig(members=frozenset({1, 2})), RegistrySet())
+        origs = [Origination(2, p) for p in (PFX, other)]
+        origs += [Origination(3, p, (3, 99)) for p in (PFX, other)]
+        prefixes, classes = _class_count(topo, origs, hooks)
+        assert (prefixes, classes) == (2, 1)
+        assert self._check(topo, origs, hooks)
 
     def test_non_converging_class_names_every_prefix(self):
         # The DISAGREE gadget, for two prefixes of one class.
