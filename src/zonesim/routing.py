@@ -54,7 +54,8 @@ key is None is solved on its own.  Callers that read only some prefixes
 
 The Rib keeps the solve's rows per prefix and builds its per-AS view,
 Rib.per_as, only when that is read; the dump, scenario and audit readers
-read the rows of the prefixes they need, and a lookup reads one row.
+read the rows of the prefixes they need, and a lookup reads one row.  The
+dump builds a row's text once per best Route object, which rows share.
 
 Hooks can drop or transform routes on import (community edits), replace the
 per-AS preference order, and force an export the economic rule refuses (a
@@ -637,22 +638,23 @@ def dump_rib(rib: Rib) -> str:
     path space-separated (origin last) and communities ``;``-separated.
     A member's route-collector view is this dump filtered to its own rows.
     """
-    # Text of each distinct communities set, sorted once per dump.
-    tags: dict[frozenset[str], str] = {}
+    # after[id(route)]: the row text after the prefix, once per best Route (holders
+    # share offers, class members rows); rib keeps each alive, so no id is reused.
+    after: dict[int, str] = {}
     # lines[asn]: its rows without the ASN, filled prefix by prefix in order.
     lines: dict[int, list[str]] = {asn: [] for asn in sorted(rib._asns)}
     for prefix, rows in rib._prefixes():
-        text = str(prefix)
+        text = f"{prefix}|"
         for asn, ranked in rows.items():
             route = ranked[0]
-            communities = route.communities
-            tagged = tags.get(communities)
-            if tagged is None:
-                tagged = tags[communities] = ";".join(sorted(communities))
-            # Rel is a str enum: join reads its value without a .value call.
-            lines[asn].append("|".join(
-                (text, " ".join(map(str, route.as_path)), tagged, route.learned_rel)
-            ))
+            shown = after.get(id(route))
+            if shown is None:
+                # Rel is a str enum: join reads its value without a .value call.
+                shown = after[id(route)] = "|".join((
+                    " ".join(map(str, route.as_path)), ";".join(sorted(route.communities)),
+                    route.learned_rel,
+                ))
+            lines[asn].append(text + shown)
     return "".join(f"{asn}|" + f"\n{asn}|".join(rows) + "\n" for asn, rows in lines.items() if rows)
 
 

@@ -30,7 +30,7 @@ solved once (see routing.propagate).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from ._lines import read_lines
@@ -43,7 +43,9 @@ from .registry import (
     rov_validate,
     verify_customer_origin,
 )
-from .routing import _PLAIN_ORDER, VERIFIED, Origination, PolicyHooks, PreferenceOrder, Route
+from .routing import (
+    _PLAIN_ORDER, VERIFIED, Origination, PolicyHooks, PreferenceOrder, Route, _route,
+)
 from .topology import Rel, Topology
 
 
@@ -100,6 +102,14 @@ def validate_zone(topo: Topology, members: Iterable[int]) -> ZoneConfig:
     return ZoneConfig(members=member_set)
 
 
+# Shared by every import: one frozen outcome per rule, and the tag as a set.
+_R2, _R3 = (VerificationOutcome(Outcome.DROP, rule) for rule in ("R2", "R3"))
+_R4, _R5, _ASPA_EXT = (
+    VerificationOutcome(Outcome.FORWARD_VERIFIED, rule) for rule in ("R4", "R5", "ASPA-EXT")
+)
+_R6, _TAG = VerificationOutcome(Outcome.FORWARD_UNVERIFIED, "R6"), frozenset({VERIFIED})
+
+
 def member_import(
     cfg: ZoneConfig,
     reg: RegistrySet,
@@ -111,58 +121,51 @@ def member_import(
     """Apply the zone import rules at a member; the route has already
     passed the engine's loop check.
 
-    Returns the decided outcome and the (possibly re-tagged) route, or None
-    when dropped.
+    Returns the decided outcome, one shared constant per rule, and the
+    route: the very object passed in unless re-tagged, None when dropped.
     """
     in_zone = neighbor in cfg.members
+    prefix, path = route.prefix, route.as_path
 
     # R1: no tag survives entry from outside the zone.
     if not in_zone and VERIFIED in route.communities:
-        route = replace(route, communities=route.communities - {VERIFIED})
+        route = _route(prefix, path, route.communities - _TAG, route.learned_rel)
 
     # R2: RPKI-invalid origins are dropped no matter the source.
-    if rov_validate(reg, route.prefix, route.origin) is RovState.INVALID:
-        return VerificationOutcome(Outcome.DROP, "R2"), None
+    if rov_validate(reg, prefix, path[-1]) is RovState.INVALID:
+        return _R2, None
 
     # R3: the ASN the neighbor used must be one the member knows is theirs.
     entry = reg.kyc.get((member, neighbor))
-    allowed = entry.allowed_asns if entry and entry.allowed_asns else frozenset({neighbor})
-    if route.as_path[0] not in allowed:
-        return VerificationOutcome(Outcome.DROP, "R3"), None
+    allowed = entry.allowed_asns if entry else None
+    if (path[0] not in allowed) if allowed else path[0] != neighbor:
+        return _R3, None
 
     # R4: trust tags relayed by other members.
     if in_zone and VERIFIED in route.communities:
-        return VerificationOutcome(Outcome.FORWARD_VERIFIED, "R4"), route
+        return _R4, route
 
-    uniq = len(set(route.as_path))
     if neighbor_rel in (Rel.CUSTOMER, Rel.PEER):
+        hops = set(path)
         # R5: verify single-hop originations from directly attached
         # sessions.  Members announcing their own prefixes over a direct
         # session are verified the same way.  R2 and R3 have already
         # dropped every origin the verdict would reject.
-        if uniq == 1:
-            verdict = verify_customer_origin(
-                reg, member, neighbor, route.prefix, route.origin
-            )
+        if len(hops) == 1:
+            verdict = verify_customer_origin(reg, member, neighbor, prefix, route.origin)
             if verdict is OriginVerdict.VERIFIED:
-                tagged = replace(route, communities=route.communities | {VERIFIED})
-                return VerificationOutcome(Outcome.FORWARD_VERIFIED, "R5"), tagged
+                return _R5, _route(prefix, path, route.communities | _TAG, route.learned_rel)
         # ASPA-EXT: a two-hop path may be verified when the origin has
         # registered the adjacent AS as a provider; never longer paths.
         elif (
-            cfg.aspa_extension
-            and not in_zone
-            and uniq == 2
-            and len(route.as_path) == 2
-            and not (set(route.as_path) & cfg.members)
-            and aspa_pair_valid(reg, route.origin, route.as_path[0])
-            is AspaState.CONFIRMED
+            cfg.aspa_extension and not in_zone and len(hops) == len(path) == 2
+            and hops.isdisjoint(cfg.members)
+            and aspa_pair_valid(reg, route.origin, path[0]) is AspaState.CONFIRMED
         ):
-            tagged = replace(route, communities=route.communities | {VERIFIED})
-            return VerificationOutcome(Outcome.FORWARD_VERIFIED, "ASPA-EXT"), tagged
+            return _ASPA_EXT, _route(prefix, path, route.communities | _TAG, route.learned_rel)
 
     # R6: not established as valid; forward without the tag.
-    return VerificationOutcome(Outcome.FORWARD_UNVERIFIED, "R6"), route
+    return _R6, route
 
 
 _VERIFIED_FIRST_ORDER = PreferenceOrder(verified_first=True)
@@ -189,7 +192,7 @@ def zone_policy(topo: Topology, cfg: ZoneConfig, reg: RegistrySet) -> PolicyHook
             return admitted
         if importer in honor and neighbor not in members and VERIFIED in route.communities:
             # Opted-in non-members only trust tags from member sessions.
-            return replace(route, communities=route.communities - {VERIFIED})
+            return _route(route.prefix, route.as_path, route.communities - _TAG, route.learned_rel)
         return route
 
     def preference_for(asn: int) -> PreferenceOrder:

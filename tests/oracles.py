@@ -454,6 +454,75 @@ def r3_witness_scan(members: frozenset[int], views):
     return found
 
 
+def member_import_oracle(cfg, reg, member, neighbor, neighbor_rel, route):
+    """vipzone.member_import as it was before its outcomes became shared
+    constants and its re-tags slot writes: a new VerificationOutcome per
+    call, every re-tag through dataclasses.replace, R3's fallback as a
+    one-ASN set and the path's set built on every branch."""
+    from dataclasses import replace
+
+    from zonesim.registry import (
+        AspaState,
+        OriginVerdict,
+        RovState,
+        aspa_pair_valid,
+        rov_validate,
+        verify_customer_origin,
+    )
+    from zonesim.routing import VERIFIED
+    from zonesim.vipzone import Outcome, VerificationOutcome
+
+    in_zone = neighbor in cfg.members
+
+    # R1: no tag survives entry from outside the zone.
+    if not in_zone and VERIFIED in route.communities:
+        route = replace(route, communities=route.communities - {VERIFIED})
+
+    # R2: RPKI-invalid origins are dropped no matter the source.
+    if rov_validate(reg, route.prefix, route.origin) is RovState.INVALID:
+        return VerificationOutcome(Outcome.DROP, "R2"), None
+
+    # R3: the ASN the neighbor used must be one the member knows is theirs.
+    entry = reg.kyc.get((member, neighbor))
+    allowed = entry.allowed_asns if entry and entry.allowed_asns else frozenset({neighbor})
+    if route.as_path[0] not in allowed:
+        return VerificationOutcome(Outcome.DROP, "R3"), None
+
+    # R4: trust tags relayed by other members.
+    if in_zone and VERIFIED in route.communities:
+        return VerificationOutcome(Outcome.FORWARD_VERIFIED, "R4"), route
+
+    uniq = len(set(route.as_path))
+    if neighbor_rel in (Rel.CUSTOMER, Rel.PEER):
+        # R5: verify single-hop originations from directly attached
+        # sessions.  Members announcing their own prefixes over a direct
+        # session are verified the same way.  R2 and R3 have already
+        # dropped every origin the verdict would reject.
+        if uniq == 1:
+            verdict = verify_customer_origin(
+                reg, member, neighbor, route.prefix, route.origin
+            )
+            if verdict is OriginVerdict.VERIFIED:
+                tagged = replace(route, communities=route.communities | {VERIFIED})
+                return VerificationOutcome(Outcome.FORWARD_VERIFIED, "R5"), tagged
+        # ASPA-EXT: a two-hop path may be verified when the origin has
+        # registered the adjacent AS as a provider; never longer paths.
+        elif (
+            cfg.aspa_extension
+            and not in_zone
+            and uniq == 2
+            and len(route.as_path) == 2
+            and not (set(route.as_path) & cfg.members)
+            and aspa_pair_valid(reg, route.origin, route.as_path[0])
+            is AspaState.CONFIRMED
+        ):
+            tagged = replace(route, communities=route.communities | {VERIFIED})
+            return VerificationOutcome(Outcome.FORWARD_VERIFIED, "ASPA-EXT"), tagged
+
+    # R6: not established as valid; forward without the tag.
+    return VerificationOutcome(Outcome.FORWARD_UNVERIFIED, "R6"), route
+
+
 def dump_rib_oracle(rib) -> str:
     """dump_rib as it was before community texts were memoized and the
     relationship joined as a str: one f-string per row, prefixes sorted

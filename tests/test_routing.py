@@ -1,5 +1,6 @@
 import gc
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -1066,6 +1067,61 @@ class TestDump:
         assert {(rel, multi) for rel, multi, _ in seen} == {(r, m) for r in Rel for m in (False, True)}
         assert {version for *_, version in seen} == {4, 6}
         assert dump_rib(Rib({})) == dump_rib_oracle(Rib({})) == ""
+
+    def test_row_text_once_per_route_object(self):
+        # Solved RIBs: one best Route object held by many ASes, and class
+        # members whose rows are their representative's, relabelled.
+        held = relabelled = 0
+        for rng, topo, cfg, origs, reg in _class_corpus(705, 40):
+            rib = _solve(topo, origs, zone_policy(topo, cfg, reg))
+            if not isinstance(rib, Rib):
+                continue
+            for prefix, (rep, rows) in rib._rows.items():
+                holders = Counter(id(ranked[0]) for ranked in rows.values())
+                held = max(held, *holders.values())
+                relabelled += rep is not prefix
+            assert dump_rib(rib) == dump_rib_oracle(rib)
+        assert held >= 3 and relabelled > 0
+        # Hand-built: one Route object under two prefixes and at two ASes,
+        # an equal but distinct twin, and a route sharing its path tuple
+        # but not its communities or relationship.
+        a, b = P("10.0.0.0/24"), P("2001:db8::/48")
+        one = Route(a, (7, 9), frozenset({VERIFIED, "65000:1"}), Rel.PEER)
+        twin = Route(a, (7, 9), frozenset({"65000:1", VERIFIED}), Rel.PEER)
+        other = replace(one, communities=frozenset(), learned_rel=Rel.PROVIDER)
+        assert twin == one and twin is not one and other.as_path is one.as_path
+        rib = Rib({
+            1: {a: RibEntry(one, (one,)), b: RibEntry(one, (one, twin))},
+            2: {a: RibEntry(twin, (twin,)), b: RibEntry(other, (other,))},
+            3: {b: RibEntry(one, (one,))},
+        })
+        assert dump_rib(rib) == dump_rib_oracle(rib) == (
+            "1|10.0.0.0/24|7 9|65000:1;VERIFIED:1|peer\n"
+            "1|2001:db8::/48|7 9|65000:1;VERIFIED:1|peer\n"
+            "2|10.0.0.0/24|7 9|65000:1;VERIFIED:1|peer\n"
+            "2|2001:db8::/48|7 9||provider\n"
+            "3|2001:db8::/48|7 9|65000:1;VERIFIED:1|peer\n"
+        )
+        # Seeded: a few Route objects spread over prefixes and ASes, some
+        # rows holding an equal copy instead.
+        rng = random.Random(706)
+        prefixes = [P("10.0.0.0/24"), P("10.0.0.0/16"), P("2001:db8::/32")]
+        for _ in range(100):
+            pool = [
+                Route(rng.choice(prefixes), tuple(rng.sample(range(1, 30), k=rng.randint(1, 3))),
+                      frozenset(rng.sample(["65000:1", VERIFIED], k=rng.randint(0, 2))),
+                      rng.choice(list(Rel)))
+                for _ in range(rng.randint(1, 4))
+            ]
+            per_as = {}
+            for asn in rng.sample(range(1, 30), k=rng.randint(1, 6)):
+                per_as[asn] = {}
+                for prefix in rng.sample(prefixes, k=rng.randint(1, len(prefixes))):
+                    route = rng.choice(pool)
+                    route = replace(route) if rng.random() < 0.3 else route
+                    per_as[asn][prefix] = RibEntry(route, (route,))
+            rib = Rib(per_as)
+            assert dump_rib(rib) == dump_rib_oracle(rib)
 
     def test_prefix_texts_parsed_once(self):
         known = {}

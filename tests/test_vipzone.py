@@ -27,6 +27,7 @@ from zonesim.vipzone import (
 
 from oracles import (
     PREFIX_POOL,
+    member_import_oracle,
     random_connected_members,
     random_originations,
     random_registry,
@@ -219,6 +220,109 @@ class TestMemberImport:
         )
         assert outcome.outcome is Outcome.FORWARD_UNVERIFIED
         assert VERIFIED not in admitted.communities
+
+
+SESSIONS = (Rel.CUSTOMER, Rel.PEER, Rel.PROVIDER)
+TAG_SETS = [frozenset(), frozenset({VERIFIED}), frozenset({VERIFIED, "65000:1"}), frozenset({"65000:1"})]
+
+
+def _import_instances(seeds):
+    """Seeded zones, each with registries over many (origin, prefix) pairs,
+    so ROAs, ASPA records and KYC lists (one-ASN, the neighbor's own, and
+    empty) all reach the rules."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        topo = random_topology(rng, rng.randint(6, 14), rng.randint(0, 6))
+        members = random_connected_members(rng, topo)
+        if not members:
+            continue
+        asns = sorted(topo.asns)
+        origs = [Origination(rng.choice(asns), p) for p in PREFIX_POOL for _ in range(4)]
+        yield rng, topo, members, random_registry(rng, topo, members, origs)
+
+
+def _paths(rng, asns, importer, neighbor):
+    # Single-hop, prepended single-hop, two- and three-hop paths through the
+    # neighbor, and paths whose first hop is another ASN (R3); none holds
+    # the importer, as after the engine's loop check.
+    others = [a for a in asns if a not in (importer, neighbor)]
+    if not others:
+        return [(neighbor,), (neighbor, neighbor)]
+    x, y = rng.choice(others), rng.choice(others)
+    return [(neighbor,), (neighbor, neighbor), (neighbor, x), (neighbor, x, y), (x,), (x, neighbor)]
+
+
+class TestMemberImportOracle:
+    """member_import against the copy of its earlier body in
+    tests/oracles.py: equal outcomes and routes, one shared outcome object
+    per rule, and the very input object wherever nothing was re-tagged."""
+
+    def test_rules_match_the_oracle(self):
+        hit, shared, calls = set(), {}, 0
+        for rng, topo, members, reg in _import_instances(range(40)):
+            cfg = ZoneConfig(members=members, aspa_extension=rng.random() < 0.5)
+            asns = sorted(topo.asns)
+            for member in sorted(members):
+                for neighbor in sorted(topo.neighbors_of(member)):
+                    entry = reg.kyc.get((member, neighbor))
+                    listed = bool(entry and entry.allowed_asns)
+                    paths = _paths(rng, asns, member, neighbor)
+                    for rel, path, tags in itertools.product(SESSIONS, paths, TAG_SETS):
+                        given = route(path, tags, rel, rng.choice(PREFIX_POOL))
+                        expected = member_import_oracle(cfg, reg, member, neighbor, rel, given)
+                        got = member_import(cfg, reg, member, neighbor, rel, given)
+                        calls += 1
+                        assert got == expected, (member, neighbor, rel, given)
+                        assert shared.setdefault(got[0].reason, got[0]) is got[0]
+                        if expected[1] is given:
+                            assert got[1] is given
+                        else:
+                            assert got[1] is not given
+                        stripped = neighbor not in members and VERIFIED in tags
+                        hit.add(("R1", stripped))
+                        hit.add((got[0].reason, listed if got[0].reason == "R3" else None))
+                        hit.add((rel, neighbor in members, VERIFIED in tags))
+        assert calls > 10000, calls
+        rules = {"R2", "R4", "R5", "ASPA-EXT", "R6"}
+        assert {(rule, None) for rule in rules} | {("R3", True), ("R3", False)} <= hit
+        assert {("R1", True), ("R1", False)} <= hit
+        assert {
+            (rel, in_zone, tagged)
+            for rel in SESSIONS
+            for in_zone in (False, True)
+            for tagged in (False, True)
+        } <= hit
+
+    def test_zone_policy_hook_matches_the_oracle(self):
+        # Members import through member_import; opted-in non-members strip
+        # tags that arrive over non-member sessions; anyone else takes the
+        # route as offered.
+        strips = kept = 0
+        for rng, topo, members, reg in _import_instances(range(40)):
+            outside = sorted(topo.asns - members)
+            honor = frozenset(a for a in outside if rng.random() < 0.5)
+            cfg = ZoneConfig(members, rng.random() < 0.5, honor)
+            hook = zone_policy(topo, cfg, reg).import_route
+            asns = sorted(topo.asns)
+            for importer in asns:
+                for neighbor in sorted(topo.neighbors_of(importer)):
+                    for rel, tags in itertools.product(SESSIONS, TAG_SETS):
+                        path = rng.choice(_paths(rng, asns, importer, neighbor))
+                        given = route(path, tags, rel, rng.choice(PREFIX_POOL))
+                        if importer in members:
+                            _, expected = member_import_oracle(
+                                cfg, reg, importer, neighbor, rel, given
+                            )
+                        elif importer in honor and neighbor not in members and VERIFIED in tags:
+                            expected = route(path, tags - {VERIFIED}, rel, given.prefix)
+                            strips += 1
+                        else:
+                            expected = given
+                            kept += importer in honor
+                        got = hook(importer, neighbor, rel, given)
+                        assert got == expected, (importer, neighbor, rel, given)
+                        assert (got is given) == (expected is given)
+        assert strips > 100 and kept > 100, (strips, kept)
 
 
 class TestAspaExtension:
