@@ -17,7 +17,7 @@ import enum
 import heapq
 import ipaddress
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ._lines import read_lines
 from .registry import Prefix, RegistrySet, Roa
@@ -215,7 +215,7 @@ def local_region(
     if customer in cfg.members:
         raise AnalysisError(f"AS{customer} is a zone member")
     filtered = {frozenset(e) for e in filtered_peer_edges}
-    return LocalRegion(customer, _region(topo, cfg.members, customer, filtered, {}))
+    return LocalRegion(customer, frozenset(_region(topo, cfg.members, customer, filtered, {})))
 
 
 def _region(
@@ -224,26 +224,12 @@ def _region(
     customer: int,
     filtered: set[frozenset[int]],
     cones: dict[int, frozenset[int]],
-) -> frozenset[int]:
-    """local_region's walk.  cones memoizes member-avoiding customer cones
-    by root, so the callers for one zone share them."""
-
-    def cone_avoiding(root: int) -> frozenset[int]:
-        cone = cones.get(root)
-        if cone is None:
-            seen: set[int] = set()
-            stack = [c for c in topo.customers[root] if c not in members]
-            while stack:
-                node = stack.pop()
-                if node in seen:
-                    continue
-                seen.add(node)
-                stack.extend(
-                    c for c in topo.customers[node] if c not in members and c not in seen
-                )
-            cone = cones[root] = frozenset(seen)
-        return cone
-
+) -> set[int]:
+    """local_region's walk; returns the new set it builds, which callers
+    may keep or freeze.  cones memoizes member-avoiding customer cones by
+    root, so the callers for one zone share them; a cone is walked
+    (_cone_avoiding) only on a miss."""
+    customers, peers, providers = topo.customers, topo.peers, topo.providers
     # Members never enter the region: every step skips them.
     region: set[int] = set()
     rungs: set[int] = set()
@@ -253,19 +239,40 @@ def _region(
         if node in rungs:
             continue
         rungs.add(node)
-        region |= cone_avoiding(node)
-        for peer in topo.peers[node]:
+        cone = cones.get(node)
+        if cone is None:
+            cone = cones[node] = _cone_avoiding(customers, members, node)
+        region |= cone
+        for peer in peers[node]:
             if peer in members or (filtered and frozenset((node, peer)) in filtered):
                 continue
             region.add(peer)
-            region |= cone_avoiding(peer)
-        for provider in topo.providers[node]:
+            cone = cones.get(peer)
+            if cone is None:
+                cone = cones[peer] = _cone_avoiding(customers, members, peer)
+            region |= cone
+        for provider in providers[node]:
             if provider not in members:
                 region.add(provider)
                 stack.append(provider)
     region |= rungs
     region.discard(customer)
-    return frozenset(region)
+    return region
+
+
+def _cone_avoiding(
+    customers: Mapping[int, frozenset[int]], members: frozenset[int], root: int
+) -> frozenset[int]:
+    # root's customer cone, less the members and what lies only below them.
+    seen: set[int] = set()
+    stack = [c for c in customers[root] if c not in members]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.extend(c for c in customers[node] if c not in members and c not in seen)
+    return frozenset(seen)
 
 
 @dataclass(frozen=True)
@@ -306,9 +313,9 @@ def local_region_distribution(
         cones: dict[int, frozenset[int]] = {}
         sizes = []
         for cust in sorted(attached_customers(topo, members)):
-            region = _region(topo, members, cust, set(), cones)
-            rows.append((size, cust, len(region)))
-            sizes.append(len(region))
+            region_size = len(_region(topo, members, cust, set(), cones))
+            rows.append((size, cust, region_size))
+            sizes.append(region_size)
         if sizes:
             sizes.sort()
             p10, p50, p90 = (_percentile(sizes, q) for q in (10, 50, 90))

@@ -17,7 +17,9 @@ trace, the victim prefix's bests and the sub-prefix check's covering prefix
 all lie among those containing the victim address, so reports are the same
 as from a full solve; a prefix that does not contain it can no longer make
 them raise NonConvergenceError.  scenario_rib, and so ``simulate
---scenario``, still solves every prefix.
+--scenario``, still solves every prefix; for a leak, the victim prefix
+under the leak's hooks and the others under the zone's own, and a
+NonConvergenceError names the failing prefixes of both solves.
 
 classify_harm reads only the RIB's prefixes that hold the victim address:
 one pass over their rows gives each AS's best for the victim prefix (owner
@@ -35,11 +37,14 @@ from typing import Iterable, Mapping, Sequence
 from ._lines import read_lines
 from .registry import Prefix, RegistrySet, parse_prefix
 from .routing import (
+    NonConvergenceError,
     Origination,
     PolicyHooks,
     Rib,
     Route,
+    _merged_rib,
     _normalize_originations,
+    _prefix_sort_key,
     propagate,
 )
 from .topology import Rel, Topology
@@ -122,9 +127,9 @@ def _injection(scenario: AttackScenario) -> Origination:
 
 
 def _leak_hooks(topo: Topology, base: PolicyHooks, scenario: AttackScenario) -> PolicyHooks:
-    """Force the leaker to re-export its provider-learned victim route to
-    every other provider; everything else follows the base policy.  The
-    export hook reads the prefix, so the victim prefix is solved alone."""
+    """Force the leaker to re-export its provider-learned route to every
+    other provider; everything else follows the base policy.  scenario_rib
+    solves only the victim prefix under these hooks."""
     leaker = scenario.attacker
     leaked_from = scenario.leaked_from
     other_providers = topo.providers_of(leaker) - {leaked_from}
@@ -133,16 +138,10 @@ def _leak_hooks(topo: Topology, base: PolicyHooks, scenario: AttackScenario) -> 
         return (
             exporter == leaker
             and neighbor in other_providers
-            and route.prefix == scenario.victim_prefix
             and route.learned_from == leaked_from
         ) or base.export_route(exporter, neighbor, rel, route)
 
-    def prefix_class(prefix, originations):
-        if prefix == scenario.victim_prefix:
-            return None
-        return base.prefix_class(prefix, originations)
-
-    return replace(base, export_route=export_route, prefix_class=prefix_class)
+    return replace(base, export_route=export_route)
 
 
 def _is_attacker_route(
@@ -196,12 +195,26 @@ def scenario_rib(
             )
 
     hooks = zone_policy(topo, cfg, reg)
-    originations = list(legits)
-    if scenario.kind is AttackKind.ROUTE_LEAK:
-        hooks = _leak_hooks(topo, hooks, scenario)
-    else:
-        originations.append(_injection(scenario))
-    return propagate(topo, originations, hooks)
+    if scenario.kind is not AttackKind.ROUTE_LEAK:
+        return propagate(topo, legits + [_injection(scenario)], hooks)
+    # A leak changes only the victim prefix's export: it is solved under
+    # the leak hooks, every other prefix under the zone's own.
+    victim = scenario.victim_prefix
+    solves = (
+        ([o for o in legits if o.prefix == victim], _leak_hooks(topo, hooks, scenario)),
+        ([o for o in legits if o.prefix != victim], hooks),
+    )
+    ribs, oscillating = [], {}
+    for originations, solve_hooks in solves:
+        try:
+            ribs.append(propagate(topo, originations, solve_hooks))
+        except NonConvergenceError as exc:
+            oscillating.update(exc.oscillating)
+    if oscillating:
+        raise NonConvergenceError(
+            {p: oscillating[p] for p in sorted(oscillating, key=_prefix_sort_key)}
+        )
+    return _merged_rib(*ribs)
 
 
 def run_scenario(

@@ -15,6 +15,13 @@ into --out-dir, and signals findings through the exit code:
 Outputs are deterministic: identical inputs produce byte-identical files.
 `main` reads --topology for every subcommand and writes the manifest last,
 so a run that fails leaves none in --out-dir; it records every flag given.
+
+`main` runs each command, from the first input read to the manifest, with
+the cyclic garbage collector paused, and restores the collector's previous
+state on return or error.  What a command builds holds no reference cycles,
+so a collection midway frees nothing and only re-walks the freshly loaded
+graph.  The pause is process-wide: other threads of a process that calls
+`main` also run without the collector until it returns.
 """
 
 from __future__ import annotations
@@ -347,9 +354,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == command and flag in given and needed not in given:
             parser.error(f"argument {flag}: requires {needed}")
     try:
-        run = _Run(args)
-        code = args.func(run, args, run.parse(args.topology, topology.load_topology))
-        run.finish()
+        with topology._gc_paused():
+            run = _Run(args)
+            code = args.func(run, args, run.parse(args.topology, topology.load_topology))
+            run.finish()
         return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -439,6 +439,18 @@ def propagate(
     return rib
 
 
+def _merged_rib(*ribs: Rib) -> Rib:
+    """One Rib holding the rows of solves over one topology that share no
+    prefix, prefixes in _prefix_sort_key order."""
+    rows = {}
+    for rib in ribs:
+        rows.update(rib._rows)
+    merged = _new(Rib)
+    merged._asns = ribs[0]._asns
+    merged._rows = {p: rows[p] for p in sorted(rows, key=_prefix_sort_key)}
+    return merged
+
+
 _first = itemgetter(0)
 _second = itemgetter(1)
 _new = object.__new__

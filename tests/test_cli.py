@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -5,12 +6,15 @@ from pathlib import Path
 
 import pytest
 
+from zonesim import analysis, cli, topology
 from zonesim.cli import main
 from zonesim.registry import RovState, rov_validate
 from zonesim.routing import dump_rib, gao_rexford_hooks, propagate
 from zonesim.topology import serialize_topology
 
-from oracles import random_originations, random_registry, random_zone_instance
+from oracles import (
+    random_originations, random_registry, random_topology, random_zone_instance,
+)
 
 TOPO = "1|2|-1\n1|3|-1\n2|20|-1\n3|30|-1\n3|40|-1\n"
 ZONE = "aspa_extension=false\n1\n2\n3\n"
@@ -860,6 +864,110 @@ class TestAudit:
         lines = (out / "findings.csv").read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].endswith("true,maintenance")
+
+
+class TestCollectorPause:
+    """main runs a command, from the topology read to the manifest, with the
+    cyclic collector paused, and leaves it as it found it, whatever the
+    exit."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    @staticmethod
+    def _zone_argv(topo_file, tmp_path, roster=(1,)):
+        roster_file = tmp_path / "roster.txt"
+        roster_file.write_text("".join(f"{a}\n" for a in roster))
+        return [
+            "zone", "--topology", str(topo_file), "--roster", str(roster_file),
+            "--out-dir", str(tmp_path / "out"),
+        ]
+
+    def test_command_runs_paused(self, inputs, tmp_path, monkeypatch):
+        seen = []
+
+        def watched(fn):
+            def call(*args, **kwargs):
+                seen.append((fn.__name__, gc.isenabled()))
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(topology, "load_topology", watched(topology.load_topology))
+        monkeypatch.setattr(
+            analysis, "derive_connected_zone", watched(analysis.derive_connected_zone)
+        )
+        monkeypatch.setattr(cli._Run, "finish", watched(cli._Run.finish))
+        gc.enable()
+        assert run(self._zone_argv(inputs["topo.txt"], tmp_path)) == 0
+        assert seen == [
+            ("load_topology", False), ("derive_connected_zone", False), ("finish", False),
+        ]
+        assert gc.isenabled()
+
+    def _exit_argv(self, code, inputs, tmp_path):
+        if code == 0:
+            return self._zone_argv(inputs["topo.txt"], tmp_path)
+        if code == 1:
+            bad = tmp_path / "loop.txt"
+            bad.write_text("1|1|0\n")
+            return self._zone_argv(bad, tmp_path)
+        if code == 2:
+            argv = SIMULATE + ["--roas", "roas.csv", "--scenario", "scenario.txt"]
+            argv += ["--fail-on-harm", "--out-dir", str(tmp_path / "out")]
+            return [inputs.get(a, a) for a in argv]
+        if code == 3:
+            views = TestAudit().make_views(tmp_path, inputs, strip=True)
+            argv = AUDIT + ["--roas", "roas.csv", "--views", *views]
+            return [inputs.get(a, a) for a in argv] + ["--out-dir", str(tmp_path / "out")]
+        topo, members = random_zone_instance(33)
+        topo_file = tmp_path / "topo.txt"
+        topo_file.write_text(serialize_topology(topo))
+        zone = tmp_path / "zone.txt"
+        zone.write_text("".join(f"{a}\n" for a in sorted(members)))
+        return [
+            "exceptions", "--topology", str(topo_file), "--zone", str(zone),
+            "--member", "2", "--out-dir", str(tmp_path / "out"),
+        ]
+
+    @pytest.mark.parametrize("code", [0, 1, 2, 3, 4])
+    def test_state_restored_on_every_exit(self, inputs, tmp_path, capsys, code):
+        argv = self._exit_argv(code, inputs, tmp_path)
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert run(argv) == code
+            assert gc.isenabled() is enabled
+
+    def test_state_restored_on_a_raised_error(self, inputs, tmp_path, monkeypatch):
+        def fail(topo, roster):
+            raise LookupError("analysis failed")
+
+        monkeypatch.setattr(analysis, "derive_connected_zone", fail)
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            with pytest.raises(LookupError):
+                run(self._zone_argv(inputs["topo.txt"], tmp_path))
+            assert gc.isenabled() is enabled
+
+    def test_garbage_does_not_grow_with_the_input(self, tmp_path, capsys):
+        # What a command leaves for the collector is the argument parser's
+        # object graph, whatever the size of the graph it loaded.
+        big = random_topology(random.Random(5), 2000, 400)
+        big_file = tmp_path / "big.txt"
+        big_file.write_text(serialize_topology(big))
+        unreachable = []
+        for topo_file, roster in (
+            (Path(__file__).resolve().parent.parent / "fixtures/pzone/topology.txt", (1,)),
+            (big_file, sorted(big.asns)[:50]),
+        ):
+            argv = self._zone_argv(topo_file, tmp_path, roster)
+            gc.collect()
+            gc.disable()
+            assert run(argv) == 0
+            unreachable.append(gc.collect())
+        assert unreachable[0] == unreachable[1], unreachable
 
 
 def _registry_csvs(reg) -> dict[str, str]:

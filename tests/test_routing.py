@@ -607,6 +607,10 @@ class TestClassSolving:
         assert shared >= 100
 
     def test_leak_hooks(self):
+        # scenario_rib solves a leak's victim prefix under the leak hooks
+        # and the other prefixes, by class, under the zone's own: the same
+        # Rib, dump and failing prefixes as one per-prefix solve whose
+        # export hook leaks the victim prefix alone.
         solved = 0
         for rng, topo, cfg, origs, reg in _class_corpus(702, 120):
             leakers = sorted(a for a in topo.asns if len(topo.providers_of(a)) >= 2)
@@ -618,10 +622,48 @@ class TestClassSolving:
                 AttackKind.ROUTE_LEAK, leaker, victim.prefix, victim.asn,
                 leaked_from=rng.choice(sorted(topo.providers_of(leaker))),
             )
-            hooks = _leak_hooks(topo, zone_policy(topo, cfg, reg), scenario)
-            assert hooks.prefix_class(victim.prefix, [victim]) is None
-            solved += self._check(topo, origs, hooks)
+            base = zone_policy(topo, cfg, reg)
+            leak = _leak_hooks(topo, base, scenario)
+            assert leak.prefix_class is base.prefix_class
+
+            def export_route(exporter, neighbor, rel, route):
+                hooks = leak if route.prefix == victim.prefix else base
+                return hooks.export_route(exporter, neighbor, rel, route)
+
+            single = _solve(topo, origs, _per_prefix(replace(base, export_route=export_route)))
+            try:
+                split = scenario_rib(topo, reg, cfg, origs, scenario)
+            except NonConvergenceError as exc:
+                split = exc.oscillating
+            if isinstance(single, dict):
+                assert isinstance(split, dict) and list(split.items()) == list(single.items())
+                continue
+            assert split == single
+            assert rib_as_cells(split) == rib_as_cells(single)
+            assert dump_rib(split) == dump_rib(single)
+            solved += 1
         assert solved >= 40
+
+    def test_leak_non_convergence_names_both_solves(self, monkeypatch):
+        # On the DISAGREE gadget every prefix oscillates: the victim
+        # prefix's solve and the other prefixes' solve each fail, and one
+        # error names them all in prefix order, the victim's last here.
+        import zonesim.attacks as attacks
+
+        monkeypatch.setattr(
+            attacks, "zone_policy",
+            lambda topo, cfg, reg: PolicyHooks(
+                preference_for=lambda asn: PeerFirst(), prefix_class=origination_class
+            ),
+        )
+        topo = load_topology(DISAGREE)
+        victim = P("10.1.0.0/24")
+        scenario = AttackScenario(AttackKind.ROUTE_LEAK, 10, victim, 10, leaked_from=1)
+        origs = [(10, victim), (10, P("192.0.2.0/24")), (10, PFX)]
+        with pytest.raises(NonConvergenceError) as excinfo:
+            scenario_rib(topo, RegistrySet(), ZoneConfig(frozenset()), origs, scenario)
+        assert excinfo.value.prefixes == (PFX, victim, P("192.0.2.0/24"))
+        assert set(excinfo.value.oscillating.values()) == {(1, 2)}
 
     def test_keys_split_on_what_r2_and_r5_read(self):
         # Same origin, same announcement: a prefix with a matching ROA and

@@ -28,14 +28,24 @@ can have no exception).  It prints the load time, load_rss_mb,
 exceptions_s, exception_count and the peak resident set, which here is
 that call's.
 
+With --cli the probe times one command end to end instead: it writes the
+graph to a temporary directory and runs ``zonesim.cli.main`` once on it,
+``local-region --sizes N`` with N the --cones value (the region-size
+distribution of the attached customers of the N largest cones), in this
+fresh process.  It prints the command's exit code, cli_s (the call's
+wall-clock seconds, which include the topology parse), region_rows (the
+regions.csv data rows) and the peak resident set.
+
     python3 tools/scale_probe.py            # 75k ASes
     python3 tools/scale_probe.py --ases 2000
     python3 tools/scale_probe.py --ases 500 --cones 30 --exceptions
+    python3 tools/scale_probe.py --ases 2000 --cli
 
 This probe is not part of the benchmark or the tests.  CI parses only its
 JSON line.  At 2000 ASes it requires every AS loaded, reported load and
 dump times, rib_rows 2000, refused_edge_checks 15998 and imports 4416; with
---cones 30 --exceptions at 500 ASes, every AS loaded and exception_count 11.
+--cones 30 --exceptions at 500 ASes, every AS loaded and exception_count 11;
+with --cli at 2000 ASes, exit code 0 and a positive region_rows.
 """
 
 from __future__ import annotations
@@ -45,6 +55,7 @@ import json
 import platform
 import resource
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 from random import Random
@@ -63,11 +74,37 @@ def rss_mb() -> float | None:
     return round(pages * resource.getpagesize() / 2**20, 1)
 
 
+def probe_cli(text: str, ases: int, cones: int) -> int:
+    """Time ``local-region --sizes cones`` on the graph text; return its exit code."""
+    from zonesim import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        topo_file, out = Path(tmp) / "topology.txt", Path(tmp) / "out"
+        topo_file.write_text(text)
+        argv = ["local-region", "--topology", str(topo_file), "--sizes", str(cones)]
+        t = perf_counter()
+        code = cli.main(argv + ["--out-dir", str(out)])
+        cli_s = perf_counter() - t
+        rows = (out / "regions.csv").read_text().count("\n") - 1 if code == 0 else None
+    print(json.dumps({
+        "ases": ases,
+        "cones": cones,
+        "exit": code,
+        "cli_s": round(cli_s, 3),
+        "region_rows": rows,
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "python": platform.python_version(),
+    }))
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--ases", type=int, default=75000)
     parser.add_argument("--cones", type=int, default=300, help="zone: core of the N largest cones")
-    parser.add_argument("--exceptions", action="store_true", help="time routing_exceptions")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--exceptions", action="store_true", help="time routing_exceptions")
+    mode.add_argument("--cli", action="store_true", help="time one local-region command")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from perfbench.gen import build_graph
@@ -79,6 +116,8 @@ def main(argv: list[str] | None = None) -> int:
 
     graph = build_graph(Random(7), args.ases, 16)
     text = "\n".join(f"{a}|{b}|{code}" for a, b, code in graph.records()) + "\n"
+    if args.cli:
+        return probe_cli(text, len(graph.asns), args.cones)
     t = perf_counter()
     topo = load_topology(text)
     load_s = perf_counter() - t
