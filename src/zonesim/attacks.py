@@ -253,7 +253,7 @@ def classify_harm(
     watch: Iterable[int] | None = None,
 ) -> HarmReport:
     """Evaluate an already-solved RIB against the scenario in one pass over
-    the rows of the prefixes holding the victim address and one walk over
+    the bests of the prefixes holding the victim address and one walk over
     the ASes, O(ASes + those rows).  Misdirection is what data_plane_trace
     from every AS but the attacker would find.
     """
@@ -268,9 +268,8 @@ def classify_harm(
     # is the victim prefix.
     next_hop: dict[int, int] = {}
     per_as_best = {}
-    for prefix, rows in rib._prefixes(scenario.victim_prefix.network_address):
-        for asn, ranked in rows.items():
-            route = ranked[0]
+    for prefix, bests in rib._prefixes(scenario.victim_prefix.network_address):
+        for asn, route in bests.items():
             next_hop[asn] = asn if route.learned_rel is Rel.SELF else route.as_path[0]
         if prefix.prefixlen == scenario.victim_prefix.prefixlen:
             per_as_best = rib._bests(prefix)

@@ -125,13 +125,16 @@ def views_from_rib(rib: Rib, cfg: ZoneConfig, snapshot_id: str = "default") -> l
 
 
 def load_member_view(
-    text: str, snapshot_id: str = "default", prefixes: dict[str, Prefix] | None = None
+    text: str,
+    snapshot_id: str = "default",
+    prefixes: dict[str, Prefix] | None = None,
+    tails: dict[str, tuple] | None = None,
 ) -> MemberView:
     """Parse a view file: a RIB dump filtered to a single ASN's rows.
 
-    prefixes is parse_rib_dump's memo of parsed prefix texts, shared by
-    the views of one audit."""
-    rows = parse_rib_dump(text, prefixes)
+    prefixes and tails are parse_rib_dump's memos of parsed prefix texts
+    and row tails, shared by the views of one audit."""
+    rows = parse_rib_dump(text, prefixes, tails)
     if not rows:
         raise AuditError("view file contains no routes")
     owners = {asn for asn, _ in rows}

@@ -249,9 +249,10 @@ def cmd_audit(run: _Run, args, topo: topology.Topology) -> int:
     reg = _load_registries(run, args)
     cfg = _load_zone(run, topo, args.zone)
     prefixes: dict = {}
+    tails: dict = {}
     views = [
         _parse_checked(
-            run, p, lambda text: audit.load_member_view(text, prefixes=prefixes),
+            run, p, lambda text: audit.load_member_view(text, prefixes=prefixes, tails=tails),
             lambda view: audit.check_owner(cfg, view),
         )
         for p in args.views

@@ -11,12 +11,12 @@ updates from the same previous-round snapshot, the fixpoint is independent
 of iteration order, and repeated runs are bit-identical.
 
 Rounds are edge-incremental.  What an AS holds from one neighbor depends
-only on that neighbor's current best, so each AS keeps one table of
-candidates: its own originations, and one cached (preference key, route)
-entry per neighbor, the result of export, loop check and import over that
-edge.  The first round ranks the originators; each later round
-re-evaluates only the edges out of ASes whose best changed in the round
-before and re-ranks the table of each AS whose entries changed.  Under the
+only on that neighbor's current best, so during a solve each AS keeps one
+table of candidates: its own originations, and one cached (preference
+key, route) entry per neighbor, the result of export, loop check and
+import over that edge.  The first round ranks the originators; each later
+round re-evaluates only the edges out of ASes whose best changed in the
+round before and re-ranks the table of each AS whose entries changed.  Under the
 default export hook the edges the rule refuses are not visited: a peer- or
 provider-learned best goes down the exporter's customer edges alone, and
 every edge is walked once only when such a best replaces one that went
@@ -48,14 +48,23 @@ analysis.routing_exceptions re-solves only where a member's pick diverged.
 Prefixes are solved once per routing-equivalence class.  The hooks' per-
 prefix step maps a prefix and its originations to a class key; prefixes
 with equal keys are routed identically up to the prefix label, so one
-representative is solved and the others share its rows.  A prefix whose
+representative is solved and the others share its record.  A prefix whose
 key is None is solved on its own.  Callers that read only some prefixes
 (attacks.run_scenario) pass only those.
 
-The Rib keeps the solve's rows per prefix and builds its per-AS view,
-Rib.per_as, only when that is read; the dump, scenario and audit readers
-read the rows of the prefixes they need, and a lookup reads one row.  The
-dump builds a row's text once per best Route object, which rows share.
+A solve keeps each AS's best Route alone; the tables are dropped.  The
+same edge rule holds at the fixpoint: each AS's candidates are its own
+originations and what each neighbor's best yields after export, loop
+check and import.  So Rib.candidates replays one AS's edges from the
+neighbors' bests (_replay), ranked as the solve ranks them, with the
+stored best first; the hooks are called again, which is why they must be
+functions of their arguments.  The Rib keeps per prefix what the replay
+needs and builds its per-AS view, Rib.per_as, only when that is read; the
+dump, scenario and audit readers read the bests of the prefixes they
+need, and a lookup reads one.  The dump builds a row's text once per best
+Route object, which holders share.  Replayed at any state, the edge rule
+is a stability check: a state is a fixpoint exactly where each holder's
+best is its top replayed candidate and every other AS replays nothing.
 
 Hooks can drop or transform routes on import (community edits), replace the
 per-AS preference order, and force an export the economic rule refuses (a
@@ -224,6 +233,8 @@ class PolicyHooks:
     exporter's best, unchanged, anyway (a route leak).  The default never
     does, so under it propagate does not visit refused edges at all.  The
     order of export_route calls within one exporter's walk is unspecified.
+    Both hooks must be functions of their arguments: Rib.candidates (and
+    so Rib.per_as and ==) calls them again on the fixpoint's bests.
     prefix_class(prefix, originations) is called once per prefix.  It
     returns a hashable class key, or None to have the prefix solved on
     its own (the default).  Prefixes with equal keys must be routed alike
@@ -267,14 +278,17 @@ class RibEntry:
 
 
 class Rib:
-    """Route state at the propagation fixpoint, kept per prefix as the solve
-    leaves it: prefixes in _prefix_sort_key order, each with its rows {ASN:
-    candidates, best first}.  A class member shares its representative's
-    rows, relabelled only when read.  best and candidates read one row.
-    per_as, {ASN: {prefix: RibEntry}} over every ASN of the topology (or of
-    the mapping given), is a view built on first read and cached; == reads
-    it.  Rib(per_as) maps such a mapping into the per-prefix layout; each
-    entry's best must be its first candidate.
+    """Route state at the propagation fixpoint, kept per prefix: prefixes in
+    _prefix_sort_key order, each with its record, which a class's members
+    share.  A record holds the representative prefix, bests {ASN: best
+    Route} of the ASes holding one, and answers candidates(asn), best
+    first: a solved record replays the AS's edges, a Rib(per_as) record
+    returns what it was given.  Routes carry the representative's prefix
+    and are relabelled when read.  best reads one dict entry; candidates
+    replays one AS.  per_as, {ASN: {prefix: RibEntry}} over every ASN of
+    the topology (or of the mapping given), is a view built on first read
+    and cached; == reads it.  Rib(per_as) keeps such a mapping's
+    candidates per prefix; each entry's best must be its first candidate.
     """
 
     def __init__(self, per_as: Mapping[int, Mapping[Prefix, RibEntry]]):
@@ -285,42 +299,77 @@ class Rib:
                     raise RoutingError(f"AS{asn} {prefix}: best is not the first candidate")
                 rows.setdefault(prefix, {})[asn] = entry.candidates
         self._asns = list(per_as)
-        self._rows = {p: (p, rows[p]) for p in sorted(rows, key=_prefix_sort_key)}
+        self._records = {p: _Given(p, rows[p]) for p in sorted(rows, key=_prefix_sort_key)}
 
-    def _prefixes(self, address=None) -> Iterator[tuple[Prefix, dict[int, tuple[Route, ...]]]]:
+    def _prefixes(self, address=None) -> Iterator[tuple[Prefix, dict[int, Route]]]:
         # Each prefix, or each holding address (shortest first: a prefix
-        # sorts before those inside it), with its rows; their routes may
+        # sorts before those inside it), with its bests; their routes may
         # carry the class representative's prefix, which _bests relabels.
-        for prefix, (_, rows) in self._rows.items():
+        for prefix, record in self._records.items():
             if address is None or (prefix.version == address.version and address in prefix):
-                yield prefix, rows
+                yield prefix, record.bests
 
     def _bests(self, prefix: Prefix, asns: Iterable[int] | None = None) -> dict[int, Route]:
         # The best route for prefix of each AS of asns (all by default) holding it.
-        rep, rows = self._rows[prefix]
-        holders = rows.keys() if asns is None else rows.keys() & asns
-        return {asn: _labelled(prefix, rep, rows[asn][:1])[0] for asn in holders}
+        record = self._records[prefix]
+        bests = record.bests
+        holders = bests.keys() if asns is None else bests.keys() & asns
+        return {asn: _labelled(prefix, record.rep, bests[asn]) for asn in holders}
 
     @cached_property
     def per_as(self) -> dict[int, dict[Prefix, RibEntry]]:
         per_as: dict[int, dict[Prefix, RibEntry]] = {asn: {} for asn in self._asns}
-        for prefix, (rep, rows) in self._rows.items():
-            for asn, ranked in rows.items():
-                ranked = _labelled(prefix, rep, ranked)
+        for prefix, record in self._records.items():
+            for asn in record.bests:
+                ranked = self.candidates(asn, prefix)
                 per_as[asn][prefix] = RibEntry(ranked[0], ranked)
         return per_as
 
     def best(self, asn: int, prefix: Prefix) -> Route | None:
-        return (self.candidates(asn, prefix) or (None,))[0]
+        record = self._records.get(prefix)
+        route = None if record is None else record.bests.get(asn)
+        return None if route is None else _labelled(prefix, record.rep, route)
 
     def candidates(self, asn: int, prefix: Prefix) -> tuple[Route, ...]:
-        rep, rows = self._rows.get(prefix, (prefix, {}))
-        return _labelled(prefix, rep, rows.get(asn, ()))
+        record = self._records.get(prefix)
+        if record is None:
+            return ()
+        return tuple([_labelled(prefix, record.rep, r) for r in record.candidates(asn)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Rib):
             return NotImplemented
         return self.per_as == other.per_as
+
+
+@dataclass(slots=True)
+class _Solved:
+    """A solved class: its representative prefix, the bests of the ASes
+    holding one, and the network and originations it was solved with,
+    which candidates(asn) replays."""
+
+    rep: Prefix
+    bests: dict[int, Route]
+    net: _Network
+    origs: list[Origination]
+
+    def candidates(self, asn: int) -> tuple[Route, ...]:
+        if asn not in self.bests:
+            return ()
+        return _replay(self.net, self.rep, self.origs, self.bests, asn)
+
+
+class _Given:
+    """A prefix of Rib(per_as): the candidates given, best first."""
+
+    __slots__ = ("rep", "bests", "_given")
+
+    def __init__(self, prefix: Prefix, rows: dict[int, tuple[Route, ...]]):
+        self.rep, self._given = prefix, rows
+        self.bests = {asn: ranked[0] for asn, ranked in rows.items()}
+
+    def candidates(self, asn: int) -> tuple[Route, ...]:
+        return self._given.get(asn, ())
 
 
 def _normalize_originations(
@@ -413,46 +462,41 @@ def propagate(
         classes.setdefault(("prefix", prefix) if key is None else ("class", key), []).append(prefix)
 
     net = _Network(topo, hooks)
-    asns = net.asns
-    # solved[prefix]: its class representative and the representative's
-    # rows {ASN: candidates, best first}, or the ASNs still changing if the
+    # solved[prefix]: its class's record, or the ASNs still changing if the
     # class did not converge.
     solved = {}
     for members in classes.values():
         rep = members[0]
-        best, learned, _, stuck = _propagate_prefix(net, rep, by_prefix[rep])
-        rows = {}
-        for asn, selected in best.items():
-            if selected is None:
-                continue
-            cands = learned[asn].values()
-            rows[asn] = (selected[1],) if len(cands) == 1 else tuple(
-                map(_second, sorted(cands, key=_first, reverse=True)))
+        best, _, _, stuck = _propagate_prefix(net, rep, by_prefix[rep])
+        record = stuck or _Solved(
+            rep, {asn: pair[1] for asn, pair in best.items() if pair is not None},
+            net, by_prefix[rep],
+        )
         for prefix in members:
-            solved[prefix] = rep, stuck or rows
+            solved[prefix] = record
 
-    oscillating = {p: solved[p][1] for p in prefixes if isinstance(solved[p][1], tuple)}
+    oscillating = {p: solved[p] for p in prefixes if isinstance(solved[p], tuple)}
     if oscillating:
         raise NonConvergenceError(oscillating)
     rib = _new(Rib)
-    rib._asns, rib._rows = asns, {p: solved[p] for p in prefixes}
+    rib._asns, rib._records = net.asns, {p: solved[p] for p in prefixes}
     return rib
 
 
 def _merged_rib(*ribs: Rib) -> Rib:
-    """One Rib holding the rows of solves over one topology that share no
-    prefix, prefixes in _prefix_sort_key order."""
-    rows = {}
+    """One Rib holding the records of solves over one topology that share
+    no prefix, prefixes in _prefix_sort_key order; each record keeps its
+    own solve's network and hooks."""
+    records = {}
     for rib in ribs:
-        rows.update(rib._rows)
+        records.update(rib._records)
     merged = _new(Rib)
     merged._asns = ribs[0]._asns
-    merged._rows = {p: rows[p] for p in sorted(rows, key=_prefix_sort_key)}
+    merged._records = {p: records[p] for p in sorted(records, key=_prefix_sort_key)}
     return merged
 
 
 _first = itemgetter(0)
-_second = itemgetter(1)
 _new = object.__new__
 _set_prefix, _set_path, _set_communities, _set_learned_rel = (
     Route.__dict__[name].__set__ for name in ("prefix", "as_path", "communities", "learned_rel")
@@ -470,11 +514,11 @@ def _route(prefix, as_path, communities, learned_rel) -> Route:
     return route
 
 
-def _labelled(prefix: Prefix, rep: Prefix, ranked: tuple[Route, ...]) -> tuple[Route, ...]:
-    # A class member's routes: its representative's, relabelled.
+def _labelled(prefix: Prefix, rep: Prefix, route: Route) -> Route:
+    # A class member's route: its representative's, relabelled.
     if prefix is rep:
-        return ranked
-    return tuple([_route(prefix, r.as_path, r.communities, r.learned_rel) for r in ranked])
+        return route
+    return _route(prefix, route.as_path, route.communities, route.learned_rel)
 
 
 def _propagate_prefix(
@@ -600,6 +644,56 @@ def _diverged(watch, touched, best, learned) -> Iterator[int]:
             yield asn
 
 
+def _replay(
+    net: _Network,
+    prefix: Prefix,
+    origs: Sequence[Origination],
+    bests: Mapping[int, Route],
+    asn: int,
+) -> tuple[Route, ...]:
+    """AS asn's candidates for prefix at the state bests, {ASN: best Route},
+    ranked as _propagate_prefix ranks them: asn's own originations, keyed
+    by orders[asn].key, then what each neighbor's best yields after the
+    export rule (or the export hook on an edge the rule refuses), the loop
+    check and the import hook, keyed by ranks[asn].  If the first equals
+    bests[asn], the stored object stands in for it.  At a fixpoint the
+    first always equals bests[asn], and an AS without a best replays
+    nothing."""
+    order, rank = net.orders[asn], net.ranks[asn]
+    import_route, export_route = net.import_route, net.export_route
+    asks = export_route is not _default_export
+    cands = [(order.key(r), r) for r in dict.fromkeys(o.route() for o in origs if o.asn == asn)]
+    # rel: what a neighbor in this map is to asn; rel_back: what asn is to it.
+    for adjacency, rel, rel_back in net.every:
+        for neighbor in adjacency[asn]:
+            held = bests.get(neighbor)
+            if held is None:
+                continue
+            sent = held.learned_rel
+            if not (
+                sent is _CUSTOMER or sent is _SELF or rel_back is _CUSTOMER
+                or asks and export_route(neighbor, asn, rel_back, held)
+            ):
+                continue
+            path = held.as_path
+            if asn in path:
+                continue
+            offer = _route(
+                prefix, path if path[0] == neighbor else (neighbor,) + path, held.communities, rel
+            )
+            admitted = import_route(asn, neighbor, rel, offer)
+            if admitted is not None:
+                cands.append((rank(admitted), admitted))
+    # Stable, as the solve's max and sort are: equal keys (only equal local
+    # routes can tie) keep the originations' order.
+    cands.sort(key=_first, reverse=True)
+    ranked = [route for _, route in cands]
+    best = bests.get(asn)
+    if ranked and ranked[0] == best:
+        ranked[0] = best
+    return tuple(ranked)
+
+
 class TraceOutcome(enum.Enum):
     DELIVERED = "delivered"
     NO_ROUTE = "no_route"
@@ -618,13 +712,13 @@ def data_plane_trace(
     """
     if isinstance(dst, str):
         dst = ipaddress.ip_address(dst)
-    covering = [rows for _, rows in rib._prefixes(dst)][::-1]
+    covering = [bests for _, bests in rib._prefixes(dst)][::-1]
     hops = [src]
     seen = {src}
     current = src
     while True:
         # The longest match: the first covering prefix the AS holds.
-        route = next((rows[current][0] for rows in covering if current in rows), None)
+        route = next((bests[current] for bests in covering if current in bests), None)
         if route is None:
             return hops, TraceOutcome.NO_ROUTE
         if route.learned_rel is Rel.SELF:
@@ -651,14 +745,13 @@ def dump_rib(rib: Rib) -> str:
     A member's route-collector view is this dump filtered to its own rows.
     """
     # after[id(route)]: the row text after the prefix, once per best Route (holders
-    # share offers, class members rows); rib keeps each alive, so no id is reused.
+    # share offers, class members bests); rib keeps each alive, so no id is reused.
     after: dict[int, str] = {}
     # lines[asn]: its rows without the ASN, filled prefix by prefix in order.
     lines: dict[int, list[str]] = {asn: [] for asn in sorted(rib._asns)}
-    for prefix, rows in rib._prefixes():
+    for prefix, bests in rib._prefixes():
         text = f"{prefix}|"
-        for asn, ranked in rows.items():
-            route = ranked[0]
+        for asn, route in bests.items():
             shown = after.get(id(route))
             if shown is None:
                 # Rel is a str enum: join reads its value without a .value call.
@@ -671,31 +764,47 @@ def dump_rib(rib: Rib) -> str:
 
 
 def parse_rib_dump(
-    text: str, prefixes: dict[str, Prefix] | None = None
+    text: str,
+    prefixes: dict[str, Prefix] | None = None,
+    tails: dict[str, tuple] | None = None,
 ) -> list[tuple[int, Route]]:
     """Parse dump lines back into (holder asn, Route) rows.
 
-    Each distinct prefix text is parsed once.  prefixes maps texts already
-    parsed to their Prefix and gains the new ones; pass one dict to share
-    that work across the dumps of one run (member views repeat prefixes).
+    Each distinct prefix text, and each distinct row text after the prefix
+    (path, communities, relationship), is parsed once.  prefixes maps
+    prefix texts already parsed to their Prefix, tails maps row tails to
+    their (path, communities, Rel), and both gain the new ones; pass the
+    same dicts to share that work across the dumps of one run (member
+    views repeat prefixes and routes).
     """
     known = {} if prefixes is None else prefixes
+    parsed = {} if tails is None else tails
 
     def parse_row(line: str) -> tuple[int, Route]:
-        parts = line.split("|")
-        if len(parts) != 5:
+        head = line.split("|", 2)
+        if len(head) != 3:
             raise RoutingError(f"malformed RIB row {line!r}")
-        path = tuple(map(int, parts[2].split()))
-        if not path:
-            raise RoutingError("empty AS path")
-        rel = Rel(parts[4])
-        communities = frozenset(c for c in parts[3].split(";") if c)
-        prefix = known.get(parts[1])
+        tail = parsed.get(head[2])
+        if tail is None:
+            fields = head[2].split("|")
+            if len(fields) != 3:
+                raise RoutingError(f"malformed RIB row {line!r}")
+            path = tuple(map(int, fields[0].split()))
+            if not path:
+                raise RoutingError("empty AS path")
+            # Rel(text) only to word the error for an unknown relationship.
+            rel = _RELS.get(fields[2]) or Rel(fields[2])
+            communities = frozenset(c for c in fields[1].split(";") if c)
+            tail = parsed[head[2]] = (path, communities, rel)
+        prefix = known.get(head[1])
         if prefix is None:
-            prefix = known[parts[1]] = parse_prefix(parts[1])
-        return int(parts[0]), Route(prefix, path, communities, rel)
+            prefix = known[head[1]] = parse_prefix(head[1])
+        return int(head[0]), _route(prefix, *tail)
 
     return read_lines(text, parse_row, RoutingError)
+
+
+_RELS = {rel.value: rel for rel in Rel}
 
 
 def load_originations(text: str) -> list[Origination]:

@@ -9,6 +9,11 @@ oracle: an AS only ever exports its selected best, so a path can be
 economically valid yet unavailable because some hop on it preferred a
 different route.  The consistency iteration restores exactly that
 export-the-best constraint without reusing any engine code.)
+
+Two references are earlier versions of the engine's own code, kept so
+that their replacements can be compared with them: ranked_rows_oracle (a
+solve that stored every AS's ranked candidate table) and
+parse_rib_dump_oracle (the dump parser before row tails were memoized).
 """
 
 from __future__ import annotations
@@ -23,7 +28,11 @@ from zonesim.routing import (
     PolicyHooks,
     PreferenceOrder,
     Route,
+    RoutingError,
     TraceOutcome,
+    _Network,
+    _normalize_originations,
+    _propagate_prefix,
     data_plane_trace,
     gao_rexford_hooks,
 )
@@ -581,3 +590,47 @@ def exceptions_by_two_solves(topo: Topology, cfg, member: int):
         ):
             exceptions.append(dest)
     return RoutingExceptions(member, len(exceptions), tuple(exceptions))
+
+
+def ranked_rows_oracle(topo: Topology, originations, hooks: PolicyHooks):
+    """Every holder's candidates, best first, as propagate stored them
+    before it kept only bests: each prefix solved on its own by
+    routing._propagate_prefix, then each AS's learned table sorted by
+    preference key.  Returns {(asn, prefix): ranked tuple} over the
+    holders, or None if a prefix does not converge."""
+    net = _Network(topo, hooks)
+    by_prefix: dict = {}
+    for orig in _normalize_originations(topo, originations):
+        by_prefix.setdefault(orig.prefix, []).append(orig)
+    cells = {}
+    for prefix, origs in by_prefix.items():
+        best, learned, _, stuck = _propagate_prefix(net, prefix, origs)
+        if stuck:
+            return None
+        for asn, selected in best.items():
+            if selected is not None:
+                ranked = sorted(learned[asn].values(), key=lambda pair: pair[0], reverse=True)
+                cells[(asn, prefix)] = tuple(route for _, route in ranked)
+    return cells
+
+
+def parse_rib_dump_oracle(text: str, prefixes: dict | None = None) -> list[tuple[int, Route]]:
+    """routing.parse_rib_dump before row tails were memoized: every row's
+    path, communities and relationship parsed anew, prefix texts once."""
+    known = {} if prefixes is None else prefixes
+
+    def parse_row(line: str) -> tuple[int, Route]:
+        parts = line.split("|")
+        if len(parts) != 5:
+            raise RoutingError(f"malformed RIB row {line!r}")
+        path = tuple(map(int, parts[2].split()))
+        if not path:
+            raise RoutingError("empty AS path")
+        rel = Rel(parts[4])
+        communities = frozenset(c for c in parts[3].split(";") if c)
+        prefix = known.get(parts[1])
+        if prefix is None:
+            prefix = known[parts[1]] = parse_prefix(parts[1])
+        return int(parts[0]), Route(prefix, path, communities, rel)
+
+    return read_lines(text, parse_row, RoutingError)

@@ -36,6 +36,7 @@ from zonesim.routing import (
     Route,
     RoutingError,
     TraceOutcome,
+    _replay,
     data_plane_trace,
     dump_rib,
     gao_rexford_hooks,
@@ -54,11 +55,13 @@ from oracles import (
     dump_rib_oracle,
     exceptions_by_two_solves,
     oracle_fixpoint,
+    parse_rib_dump_oracle,
     random_connected_members,
     random_originations,
     random_registry,
     random_topology,
     random_zone_instance,
+    ranked_rows_oracle,
     rib_as_cells,
 )
 
@@ -1011,9 +1014,10 @@ class TestSharedOffers:
         rib = propagate(topo, [(1, PFX)], PolicyHooks(preference_for=lambda asn: shared))
         assert len(calls) == 2  # the local route and the one offer
         calls.clear()
-        assert rib == propagate(topo, [(1, PFX)], PolicyHooks(preference_for=lambda asn: Counting()))
+        fresh = propagate(topo, [(1, PFX)], PolicyHooks(preference_for=lambda asn: Counting()))
         assert len(calls) == 4
-        assert rib == propagate(topo, [(1, PFX)])
+        # Compared after counting: == replays candidates, keying them again.
+        assert rib == fresh == propagate(topo, [(1, PFX)])
 
 
 class TestTrace:
@@ -1118,10 +1122,10 @@ class TestDump:
             rib = _solve(topo, origs, zone_policy(topo, cfg, reg))
             if not isinstance(rib, Rib):
                 continue
-            for prefix, (rep, rows) in rib._rows.items():
-                holders = Counter(id(ranked[0]) for ranked in rows.values())
+            for prefix, record in rib._records.items():
+                holders = Counter(map(id, record.bests.values()))
                 held = max(held, *holders.values())
-                relabelled += rep is not prefix
+                relabelled += record.rep is not prefix
             assert dump_rib(rib) == dump_rib_oracle(rib)
         assert held >= 3 and relabelled > 0
         # Hand-built: one Route object under two prefixes and at two ASes,
@@ -1164,6 +1168,59 @@ class TestDump:
                     per_as[asn][prefix] = RibEntry(route, (route,))
             rib = Rib(per_as)
             assert dump_rib(rib) == dump_rib_oracle(rib)
+
+    def test_parse_matches_oracle(self):
+        # Member views cut from solved dumps, parsed in turn with shared
+        # memos, as an audit parses them; rows are copied, re-spaced, and
+        # some replaced by malformed ones, which must fail on the same line
+        # with the same reason.  A malformed row may reuse a parsed tail or
+        # prefix text.
+        bad = [
+            "no pipes", "1|10.0.0.0/24|1|self", "1|10.0.0.0/24|1||self|x",
+            "x|10.0.0.0/24|1||self", "1|10.0.0.0/24|1 y||self", "1|10.0.0.0/24|||self",
+            "1|10.0.0.0/24| ||self", "1|10.0.0.0/24|1||sibling", "1|10.0.0.0/24|1||Self",
+            "1|10.0.0.300/24|1||self", "1|10.0.0.1/24|1||self", "1||1||self", "|10.0.0.0/24|1||self",
+            # Several faults in one row: the first one checked is reported.
+            "x|10.0.0.300/24|1 y||sibling", "x|10.0.0.300/24|||sibling",
+            "x|10.0.0.300/24|1||sibling", "x|10.0.0.300/24|1||self",
+        ]
+        parsed = failed = 0
+        for rng, topo, cfg, origs, reg in _class_corpus(707, 60):
+            rib = _solve(topo, origs, zone_policy(topo, cfg, reg))
+            if not isinstance(rib, Rib):
+                continue
+            lines = dump_rib(rib).splitlines()
+            views = {}
+            for line in lines:
+                views.setdefault(line.split("|", 1)[0], []).append(line)
+            memos, oracle_prefixes = ({}, {}), {}
+            for rows in views.values():
+                rows = list(rows)
+                for _ in range(rng.randint(0, 3)):
+                    rows.insert(rng.randint(0, len(rows)), rng.choice(lines))
+                if rng.random() < 0.3:
+                    rows.insert(rng.randint(0, len(rows)), rng.choice(["", "# note", "  "]))
+                if rng.random() < 0.3:
+                    row = rng.choice(lines)
+                    head, _, tail = row.partition("|")
+                    rows.insert(rng.randint(0, len(rows)), rng.choice([
+                        rng.choice(bad), "x|" + tail, head + "|10.0.0.1/24|" + tail.split("|", 1)[1],
+                        row.replace(" ", "  "), row + "|",
+                    ]))
+                text = rng.choice(["\n", "\r\n"]).join(rows) + rng.choice(["", "\n"])
+                try:
+                    expected = parse_rib_dump_oracle(text, oracle_prefixes)
+                except RoutingError as exc:
+                    with pytest.raises(RoutingError) as excinfo:
+                        parse_rib_dump(text, *memos)
+                    assert str(excinfo.value) == str(exc)
+                    failed += 1
+                    continue
+                got = parse_rib_dump(text, *memos)
+                assert got == expected
+                assert all(route.prefix is memos[0][str(route.prefix)] for _, route in got)
+                parsed += 1
+        assert parsed >= 200 and failed >= 20
 
     def test_prefix_texts_parsed_once(self):
         known = {}
@@ -1247,9 +1304,9 @@ def _scenarios(topo, victim):
 
 class TestRibLayout:
     """propagate keeps the RIB per prefix, a class member sharing its
-    representative's rows, and builds per_as only when it is read: best
-    and candidates read one row.  Rib(per_as) maps that view back into an
-    equal RIB."""
+    representative's record, and builds per_as only when it is read: best
+    reads one stored route, candidates replays one AS.  Rib(per_as) maps
+    that view back into an equal RIB."""
 
     def test_view_round_trips_and_readers_leave_it_unbuilt(self):
         ribs = shared = 0
@@ -1267,10 +1324,10 @@ class TestRibLayout:
             lookups = {
                 (asn, prefix): (rib.best(asn, prefix), rib.candidates(asn, prefix))
                 for asn in [*sorted(topo.asns), max(topo.asns) + 1]
-                for prefix in [*rib._rows, P("203.0.113.0/24")]
+                for prefix in [*rib._records, P("203.0.113.0/24")]
             }
             assert "per_as" not in vars(rib)
-            shared += sum(p is not rep for p, (rep, _) in rib._rows.items())
+            shared += sum(p is not record.rep for p, record in rib._records.items())
 
             copy = Rib(rib.per_as)
             assert copy == rib and set(rib.per_as) == topo.asns
@@ -1302,3 +1359,108 @@ class TestRibLayout:
         assert Rib(per_as).per_as == per_as
         with pytest.raises(RoutingError, match="AS1 10.0.0.0/24: best is not the first candidate"):
             Rib({1: {PFX: RibEntry(a, (b, a))}})
+
+
+def _replay_cases():
+    """Converged RIBs with their reference rows (ranked_rows_oracle) and
+    their kind: class members, duplicate and forged-path originations and
+    opted-in stubs (the class corpus), half of them with an origination
+    repeated with another community, which ties with it in rank; every
+    non-member opted in at random, transit ones too; merged leak RIBs,
+    whose victim prefix replays under the leak hooks."""
+    for rng, topo, cfg, origs, reg in _class_corpus(708, 120):
+        if rng.random() < 0.5:
+            twin = rng.choice(origs)
+            origs = origs + [replace(twin, communities=twin.communities | {"65000:1"})]
+        hooks = zone_policy(topo, cfg, reg)
+        rib = _solve(topo, origs, hooks)
+        if isinstance(rib, Rib):
+            yield "class", topo, rib, ranked_rows_oracle(topo, origs, hooks)
+    for rng, topo, members, origs, reg in _differential_corpus(709, 120):
+        honor = frozenset(a for a in sorted(topo.asns - members) if rng.random() < 0.4)
+        hooks = zone_policy(topo, ZoneConfig(members=members, honor_verified_non_members=honor), reg)
+        rib = _solve(topo, origs, hooks)
+        if isinstance(rib, Rib):
+            yield "honor" if honor else "zone", topo, rib, ranked_rows_oracle(topo, origs, hooks)
+    for rng, topo, cfg, origs, reg in _class_corpus(710, 120):
+        leakers = sorted(a for a in topo.asns if len(topo.providers_of(a)) >= 2)
+        if not leakers:
+            continue
+        victim, leaker = origs[0], rng.choice(leakers)
+        scenario = AttackScenario(
+            AttackKind.ROUTE_LEAK, leaker, victim.prefix, victim.asn,
+            leaked_from=rng.choice(sorted(topo.providers_of(leaker))),
+        )
+        try:
+            rib = scenario_rib(topo, reg, cfg, origs, scenario)
+        except NonConvergenceError:
+            continue
+        base = zone_policy(topo, cfg, reg)
+        cells = ranked_rows_oracle(
+            topo, [o for o in origs if o.prefix == victim.prefix], _leak_hooks(topo, base, scenario)
+        )
+        cells.update(ranked_rows_oracle(topo, [o for o in origs if o.prefix != victim.prefix], base))
+        yield "leak", topo, rib, cells
+
+
+def _unstable(topo, record):
+    # The ASes at which a solved record's bests are not a fixpoint: a
+    # holder whose top replayed candidate is not its stored best, or an AS
+    # without a best that replays any candidate.
+    unstable = []
+    for asn in sorted(topo.asns):
+        replayed = _replay(record.net, record.rep, record.origs, record.bests, asn)
+        best = record.bests.get(asn)
+        stable = not replayed if best is None else bool(replayed) and replayed[0] is best
+        if not stable:
+            unstable.append(asn)
+    return unstable
+
+
+class TestReplay:
+    """A solve keeps each AS's best alone; candidates are replayed from the
+    fixpoint.  They equal the ranked tables the solve used to store, and
+    the stored bests are a fixpoint of the replay."""
+
+    def test_matches_ranked_rows_oracle(self):
+        kinds = Counter()
+        relabelled = forged = tied = 0
+        for kind, topo, rib, cells in _replay_cases():
+            assert cells is not None
+            missing = P("203.0.113.0/24")
+            for asn in [*sorted(topo.asns), max(topo.asns) + 1]:
+                for prefix in [*rib._records, missing]:
+                    expected = cells.get((asn, prefix), ())
+                    assert rib.candidates(asn, prefix) == expected
+                    assert rib.best(asn, prefix) == (expected[0] if expected else None)
+            for entries in rib.per_as.values():
+                for entry in entries.values():
+                    assert entry.best is entry.candidates[0]
+            kinds[kind] += 1
+            relabelled += sum(p is not record.rep for p, record in rib._records.items())
+            local = [[r for r in ranked if r.learned_rel is Rel.SELF] for ranked in cells.values()]
+            forged += any(len(r.as_path) > 1 for routes in local for r in routes)
+            tied += any(len({r.as_path for r in routes}) < len(routes) for routes in local)
+        assert kinds["class"] >= 100 and kinds["honor"] >= 80 and kinds["leak"] >= 80
+        assert relabelled >= 150 and forged >= 80 and tied >= 40
+
+    def test_stored_bests_are_a_fixpoint(self):
+        checked = perturbed = 0
+        cases = [(topo, rib) for _, topo, rib, _ in _replay_cases()]
+        cases += [(topo, rib) for topo, _, _, rib in _layout_cases()]
+        for topo, rib in cases:
+            records = {id(record): record for record in rib._records.values()}.values()
+            for record in records:
+                assert _unstable(topo, record) == []
+                checked += 1
+                # The check is not vacuous: a holder that keeps its second
+                # candidate, or drops its best, is caught.
+                holder = next((a for a in record.bests if len(record.candidates(a)) > 1), None)
+                if holder is not None:
+                    second = record.candidates(holder)[1]
+                    moved = replace(record, bests={**record.bests, holder: second})
+                    assert holder in _unstable(topo, moved)
+                    dropped = {a: r for a, r in record.bests.items() if a != holder}
+                    assert holder in _unstable(topo, replace(record, bests=dropped))
+                    perturbed += 1
+        assert checked >= 1200 and perturbed >= 1000
