@@ -1,4 +1,4 @@
-"""The line format shared by every input file.
+"""The line format shared by every input file and every output table.
 
 Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, the line ends ``open()``
 translates; other characters ``str.splitlines`` breaks on (form feed,
@@ -6,12 +6,14 @@ translates; other characters ``str.splitlines`` breaks on (form feed,
 stripped of surrounding whitespace; blank lines and lines starting with
 ``#`` carry no data.  A CSV header, if any, is the first data line.  A
 ``ValueError`` raised while data line N is handled is re-raised as the
-loader's own error class as ``line N: <reason>``.
+loader's own error class as ``line N: <reason>``.  An output table is a
+CSV header line, then one line per row, each ended by ``\\n``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, TypeVar
+import json
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 
@@ -58,3 +60,17 @@ def read_lines(
     if expect_header and header_required:
         raise error(f"expected header {header!r}, found no data lines")
     return results
+
+
+def table(header: str, rows: Iterable[str]) -> str:
+    """An output table: `header`, then each row, one per line."""
+    return "\n".join([header, *rows]) + "\n"
+
+
+def json_rows(text: str) -> str:
+    """A table as JSON objects keyed by its header.  Rows end at ``\\n`` alone;
+    only the last column (a waiver note) may hold commas or other line breaks."""
+    header, *lines = text.removesuffix("\n").split("\n")
+    keys = header.split(",")
+    rows = [dict(zip(keys, line.split(",", len(keys) - 1))) for line in lines]
+    return json.dumps(rows, indent=2, sort_keys=True) + "\n"

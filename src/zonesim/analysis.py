@@ -17,14 +17,14 @@ import enum
 import heapq
 import ipaddress
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from ._lines import read_lines
+from ._lines import read_lines, table
 from .registry import Prefix, RegistrySet, Roa
 from .routing import (
     _PLAIN_ORDER, NonConvergenceError, Origination, _Network, _propagate_prefix,
 )
-from .topology import Rel, Topology, _gc_paused
+from .topology import Rel, Topology, _cone_avoiding, _gc_paused
 from .vipzone import ZoneConfig, zone_policy
 
 
@@ -138,9 +138,9 @@ def zone_growth_curve(
 
     BY_CONE_SIZE admits ASes in descending cone-size order.
     GREEDY_PROTECTED_GAIN admits, at each step, the AS with the largest
-    marginal protected count (ties: larger cone, then lower ASN).
-    Sizes must be non-negative and ascending; sizes beyond the AS count
-    are clamped.
+    marginal protected count (ties: larger cone, then lower ASN).  Any
+    other order is an error.  Sizes must be non-negative and ascending;
+    sizes beyond the AS count are clamped.
 
     Both orders grow one protected set, members plus their customers,
     whose size is protected_count of the zone so far.  The greedy order is
@@ -148,6 +148,8 @@ def zone_growth_curve(
     keyed (-gain, -cone size, ASN) hold upper bounds, and the top entry
     whose re-scored gain is unchanged is the exact maximum.
     """
+    if not isinstance(order, GrowthOrder):
+        raise AnalysisError(f"unknown growth order {order!r}")
     steps = list(steps)
     if steps != sorted(steps):
         raise AnalysisError("zone sizes must be ascending")
@@ -260,21 +262,6 @@ def _region(
     return region
 
 
-def _cone_avoiding(
-    customers: Mapping[int, frozenset[int]], members: frozenset[int], root: int
-) -> frozenset[int]:
-    # root's customer cone, less the members and what lies only below them.
-    seen: set[int] = set()
-    stack = [c for c in customers[root] if c not in members]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.extend(c for c in customers[node] if c not in members and c not in seen)
-    return frozenset(seen)
-
-
 @dataclass(frozen=True)
 class RegionSummary:
     zone_size: int
@@ -303,6 +290,7 @@ def local_region_distribution(
 
     To count IX peering, pass the result of augment_with_ix_peering.
     """
+    zone_sizes = list(zone_sizes)
     if any(size < 0 for size in zone_sizes):
         raise AnalysisError("zone sizes must be non-negative")
     ranked = cone_size_order(topo)
@@ -419,32 +407,20 @@ def _routing_exceptions(
 
 
 def growth_csv(curve: Sequence[tuple[int, int]]) -> str:
-    lines = ["zone_size,protected_count"]
-    lines += [f"{size},{count}" for size, count in curve]
-    return "\n".join(lines) + "\n"
+    return table("zone_size,protected_count", (f"{size},{count}" for size, count in curve))
 
 
 def region_rows_csv(dist: LocalRegionDistribution) -> str:
-    lines = ["zone_size,customer_asn,region_size"]
-    lines += [f"{z},{c},{s}" for z, c, s in dist.rows]
-    return "\n".join(lines) + "\n"
+    return table("zone_size,customer_asn,region_size", (f"{z},{c},{s}" for z, c, s in dist.rows))
 
 
 def region_summary_csv(dist: LocalRegionDistribution) -> str:
     # region_size excludes the customer itself; the common convention that
     # counts the AS too reads these as size+1.
-    lines = ["zone_size,p10,p50,p90,frac_leq_1"]
-    lines += [
-        f"{s.zone_size},{s.p10:g},{s.p50:g},{s.p90:g},{s.frac_leq_1:g}"
-        for s in dist.summaries
-    ]
-    return "\n".join(lines) + "\n"
+    rows = (f"{s.zone_size},{s.p10:g},{s.p50:g},{s.p90:g},{s.frac_leq_1:g}" for s in dist.summaries)
+    return table("zone_size,p10,p50,p90,frac_leq_1", rows)
 
 
 def exceptions_csv(results: Sequence[RoutingExceptions]) -> str:
-    lines = ["member,exception_count,destination_asns"]
-    lines += [
-        f"{r.member},{r.count},{';'.join(str(d) for d in r.destinations)}"
-        for r in results
-    ]
-    return "\n".join(lines) + "\n"
+    rows = (f"{r.member},{r.count},{';'.join(map(str, r.destinations))}" for r in results)
+    return table("member,exception_count,destination_asns", rows)

@@ -34,7 +34,7 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
-from ._lines import read_lines
+from ._lines import read_lines, table
 from .registry import Prefix, RegistrySet, parse_prefix
 from .routing import (
     NonConvergenceError,
@@ -368,9 +368,7 @@ def sweep_attackers(
 
 
 def harm_csv(reports: Sequence[HarmReport]) -> str:
-    lines = [HARM_CSV_HEADER]
-    lines += [r.csv_row() for r in reports]
-    return "\n".join(lines) + "\n"
+    return table(HARM_CSV_HEADER, (r.csv_row() for r in reports))
 
 
 # Scenario file keys, named after the AttackScenario fields they set.

@@ -28,7 +28,7 @@ import logging
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from ._lines import read_lines
+from ._lines import read_lines, table
 from .registry import (
     Prefix, RegistrySet, RovState, AspaState, aspa_pair_valid, parse_prefix, rov_validate,
 )
@@ -261,6 +261,4 @@ def audit_views(
 
 
 def findings_csv(findings: Sequence[AuditFinding]) -> str:
-    lines = [FINDINGS_CSV_HEADER]
-    lines += [f.csv_row() for f in findings]
-    return "\n".join(lines) + "\n"
+    return table(FINDINGS_CSV_HEADER, (f.csv_row() for f in findings))

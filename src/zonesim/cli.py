@@ -33,7 +33,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, analysis, attacks, audit, registry, routing, topology, vipzone
-from ._lines import data_lines, read_lines
+from ._lines import data_lines, json_rows, read_lines, table
 
 
 def _sha256(data: bytes) -> str:
@@ -144,17 +144,9 @@ def _load_zone(run: _Run, topo: topology.Topology, path: Path) -> vipzone.ZoneCo
     return cfg
 
 
-def _json_rows(csv_text: str) -> str:
-    """CSV text as a JSON list of objects keyed by its header line."""
-    header, *lines = csv_text.splitlines()
-    keys = header.split(",")
-    rows = [dict(zip(keys, line.split(",", len(keys) - 1))) for line in lines]
-    return json.dumps(rows, indent=2, sort_keys=True) + "\n"
-
-
 def _emit(run: _Run, stem: str, csv_text: str, fmt: str) -> None:
     if fmt == "json":
-        run.write(f"{stem}.json", _json_rows(csv_text))
+        run.write(f"{stem}.json", json_rows(csv_text))
     else:
         run.write(f"{stem}.csv", csv_text)
 
@@ -188,10 +180,9 @@ def cmd_zone(run: _Run, args, topo: topology.Topology) -> int:
         run, args.roster, analysis.load_roster, lambda roster: [topo._require(a) for a in roster]
     )
     derivation = analysis.derive_connected_zone(topo, roster)
-    rows = ["asn,role"]
-    rows += [f"{a},member" for a in sorted(derivation.connected_members)]
+    rows = [f"{a},member" for a in sorted(derivation.connected_members)]
     rows += [f"{a},attached_customer" for a in sorted(derivation.attached_customers)]
-    _emit(run, "zone_report", "\n".join(rows) + "\n", args.format)
+    _emit(run, "zone_report", table("asn,role", rows), args.format)
     print(
         f"roster {len(derivation.input_roster)} ASNs; "
         f"connected members {len(derivation.connected_members)}; "

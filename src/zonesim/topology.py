@@ -342,14 +342,21 @@ def customer_cone(topo: Topology, asn: int) -> frozenset[int]:
     Excludes `asn` itself.
     """
     topo._require(asn)
+    return _cone_avoiding(topo.customers, _EMPTY, asn)
+
+
+def _cone_avoiding(
+    customers: Mapping[int, frozenset[int]], avoid: frozenset[int], root: int
+) -> frozenset[int]:
+    # root's customer cone, less the ASes in `avoid` and what lies only below them.
     seen: set[int] = set()
-    stack = list(topo.customers[asn])
+    stack = [c for c in customers[root] if c not in avoid]
     while stack:
         node = stack.pop()
         if node in seen:
             continue
         seen.add(node)
-        stack.extend(topo.customers[node] - seen)
+        stack.extend(c for c in customers[node] if c not in avoid and c not in seen)
     return frozenset(seen)
 
 

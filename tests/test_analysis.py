@@ -152,6 +152,17 @@ class TestGrowthCurve:
             zone_growth_curve(topo, order, [-2, 1])
         assert zone_growth_curve(topo, order, [0]) == [(0, 0)]
 
+    @pytest.mark.parametrize("order", [o.value for o in GrowthOrder] + [None])
+    def test_order_must_be_a_member(self, order):
+        # The two orders' curves differ on this graph, so reading a value
+        # that is not a member as either order could give a wrong curve.
+        topo = load_topology("1|2|-1\n2|3|-1\n2|4|-1\n5|6|-1\n5|7|-1")
+        assert zone_growth_curve(topo, GrowthOrder.BY_CONE_SIZE, [1, 2]) != (
+            zone_growth_curve(topo, GrowthOrder.GREEDY_PROTECTED_GAIN, [1, 2])
+        )
+        with pytest.raises(AnalysisError, match="unknown growth order"):
+            zone_growth_curve(topo, order, [1, 2])
+
 
 def tied_topology(rng: random.Random) -> Topology:
     """A random hierarchy of 50-400 ASes plus groups of identical hub-and-stub
@@ -359,6 +370,12 @@ class TestLocalRegionDistribution:
         topo = load_topology("1|2|-1\n2|3|-1\n1|4|-1")
         with pytest.raises(AnalysisError, match="non-negative"):
             local_region_distribution(topo, [1, -1])
+
+    def test_sizes_may_be_an_iterator(self):
+        topo = random_topology(random.Random(5), 40, 12)
+        dist = local_region_distribution(topo, [1, 2])
+        assert len(dist.summaries) == 2 and dist.rows
+        assert local_region_distribution(topo, iter([1, 2])) == dist
 
     def test_zone_sizes_use_cone_order(self):
         topo = load_topology("1|2|-1\n2|3|-1\n1|4|-1")

@@ -749,6 +749,51 @@ def test_manifest_records_every_flag(inputs, tmp_path, command):
     assert manifest["parameters"] == expected
 
 
+# A command line per table a subcommand writes, and the tables it writes.
+# Member 3's view lost the tag that member 1 exported to it, and the waiver
+# note for it holds commas and a form feed, so the findings table's last
+# column does too; only "\n" ends a table row.
+JSON_TABLES = {
+    "simulate": (SIMULATE + ["--zone", "zone.txt", "--roas", "roas.csv",
+                             "--scenario", "scenario.txt"], ["harm"]),
+    "zone": (["zone", "--topology", "topo.txt", "--roster", "roster.txt"], ["zone_report"]),
+    "curve": (["curve", "--topology", "topo.txt", "--sizes", "1,2"], ["growth"]),
+    "local-region": (["local-region", "--topology", "topo.txt", "--sizes", "1,2"],
+                     ["regions", "region_summary"]),
+    "exceptions": (["exceptions", "--topology", "topo.txt", "--zone", "zone.txt"],
+                   ["exceptions"]),
+    "audit": (AUDIT + ["--roas", "roas.csv", "--views", "view.txt", "view3.txt",
+                       "--waivers", "waivers.csv"], ["findings"]),
+}
+JSON_FILES = {
+    "roster.txt": "1\n2\n",
+    "view3.txt": "3|192.0.2.0/24|1 2 20||provider\n",
+    "waivers.csv": "member,prefix,note\n3,192.0.2.0/24,maintenance, window 3,\fticket 7\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSON_TABLES))
+def test_json_rows_are_the_csv_rows_keyed_by_header(inputs, tmp_path, command):
+    paths = dict(inputs)
+    for name, text in JSON_FILES.items():
+        (tmp_path / name).write_text(text)
+        paths[name] = str(tmp_path / name)
+    argv, stems = JSON_TABLES[command]
+    argv = [paths.get(a, a) for a in argv]
+    for fmt in ("csv", "json"):
+        assert run(argv + ["--format", fmt, "--out-dir", str(tmp_path / fmt)]) == 0
+    for stem in stems:
+        header, *lines = (tmp_path / "csv" / f"{stem}.csv").read_text().split("\n")[:-1]
+        keys = header.split(",")
+        rows = json.loads((tmp_path / "json" / f"{stem}.json").read_text())
+        assert lines and len(rows) == len(lines)
+        for row, line in zip(rows, lines):
+            assert sorted(row) == sorted(keys)
+            assert ",".join(row[k] for k in keys) == line
+    if command == "audit":
+        assert [r["note"] for r in rows] == ["maintenance, window 3,\fticket 7"]
+
+
 class TestAudit:
     def make_views(self, tmp_path, inputs, strip=False):
         # Build views from a simulation; optionally corrupt member 3's
