@@ -24,7 +24,7 @@ from .registry import Prefix, RegistrySet, Roa
 from .routing import (
     _PLAIN_ORDER, NonConvergenceError, Origination, _Network, _propagate_prefix,
 )
-from .topology import Rel, Topology, _cone_avoiding, _gc_paused
+from .topology import Rel, Topology, _cone_avoiding, _gc_paused, customer_cone
 from .vipzone import ZoneConfig, zone_policy
 
 
@@ -346,11 +346,15 @@ def routing_exceptions(topo: Topology, cfg: ZoneConfig, member: int) -> RoutingE
     provider route while plain economic preference would have used a
     customer or peer route.
 
-    Every AS originates a synthetic probe prefix backed by a matching ROA
-    so perimeter verification succeeds wherever the zone rules allow it.
-    The member's best under the cold synchronous solve of the zone is
-    diffed against its best under the cold synchronous solve in which this
-    member alone ranks plain, still applying the zone import rules.
+    Each destination in the member's reach (its customer cone, each peer
+    and each peer's cone) originates a synthetic probe prefix backed by a
+    matching ROA, so perimeter verification succeeds wherever the zone
+    rules allow it.  Under the Gao-Rexford export rule, customers and peers
+    send the member only customer-learned or local routes, so no other
+    destination can be an exception in any state, and none is solved.  The
+    member's best under the cold synchronous solve of the zone is diffed
+    against its best under the cold synchronous solve in which this member
+    alone ranks plain, still applying the zone import rules.
     """
     return _routing_exceptions(topo, cfg, [member])[0]
 
@@ -360,26 +364,37 @@ def _routing_exceptions(
     topo: Topology, cfg: ZoneConfig, members: Sequence[int]
 ) -> list[RoutingExceptions]:
     """routing_exceptions for each of `members` in order: one solve per
-    probe prefix watches every member's plain-order pick, and only where
-    that pick diverged is the prefix solved again, cold, with the member
-    ranking plain (README, Model notes).  Failed verified solves raise
-    before any mixed solve runs; failed mixed solves raise once every
-    member's have run, naming them all in member order.  The cyclic
-    collector is paused, as in propagate."""
+    probe prefix in the union of the members' reaches watches the
+    plain-order pick of each member whose reach holds that destination,
+    and only where that pick diverged is the prefix solved again, cold,
+    with the member ranking plain (README, Model notes).  A destination
+    outside every member's reach is not solved, so its oscillation raises
+    nothing.  Failed verified solves raise before any mixed solve runs;
+    failed mixed solves raise once every member's have run, naming them
+    all in member order.  The cyclic collector is paused, as in propagate."""
     for member in members:
         if member not in cfg.members:
             raise AnalysisError(f"AS{member} is not a zone member")
     if not members:
         return []
-    reg = RegistrySet(roas=[Roa(synthetic_prefix(a), a) for a in sorted(topo.asns)])
+    # watchers[dest]: the members whose reach holds dest, each watched
+    # under the plain order.
+    watchers: dict[int, dict] = {}
+    for member in members:
+        peers = topo.peers[member]
+        reach = customer_cone(topo, member).union(peers, *(customer_cone(topo, p) for p in peers))
+        for dest in reach:
+            watchers.setdefault(dest, {})[member] = _PLAIN_ORDER
+    prefixes = {dest: synthetic_prefix(dest) for dest in sorted(watchers)}
+    reg = RegistrySet(roas=[Roa(prefix, dest) for dest, prefix in prefixes.items()])
     net = _Network(topo, zone_policy(topo, cfg, reg))
     # diverged[member]: (destination, verified best is provider-learned).
     diverged: dict[int, list[tuple[int, bool]]] = {member: [] for member in members}
-    watch = dict.fromkeys(members, _PLAIN_ORDER)
     oscillating = {}
-    for dest in net.asns:
-        prefix = synthetic_prefix(dest)
-        best, *_, flips, stuck = _propagate_prefix(net, prefix, [Origination(dest, prefix)], watch)
+    for dest, prefix in prefixes.items():
+        best, *_, flips, stuck = _propagate_prefix(
+            net, prefix, [Origination(dest, prefix)], watchers[dest]
+        )
         if stuck:
             oscillating[prefix] = stuck
         for member in flips:
@@ -392,7 +407,7 @@ def _routing_exceptions(
         mixed = net.with_order(member, _PLAIN_ORDER)
         exceptions = []
         for dest, provider in diverged[member]:
-            prefix = synthetic_prefix(dest)
+            prefix = prefixes[dest]
             best, *_, stuck = _propagate_prefix(mixed, prefix, [Origination(dest, prefix)])
             if stuck:
                 oscillating[prefix] = stuck

@@ -100,6 +100,17 @@ class KycEntry:
     allowed_prefixes: frozenset[Prefix] = frozenset()
 
 
+class _RovMemo:
+    """rov_validate's memo: `states`, the ROV states by prefix and then
+    origin; `last`, the prefix asked about last, paired with its states."""
+
+    __slots__ = ("states", "last")
+
+    def __init__(self):
+        self.states: dict[Prefix, dict[int, RovState]] = {}
+        self.last: tuple = (None, None)
+
+
 @dataclass(frozen=True)
 class RegistrySet:
     """Bundle of all verification sources used during a run, immutable
@@ -110,7 +121,7 @@ class RegistrySet:
     irr_prefixes: Mapping[int, frozenset[Prefix]] = field(default_factory=dict)
     kyc: Mapping[tuple[int, int], KycEntry] = field(default_factory=dict)
     _index: _RoaIndex = field(init=False, repr=False, compare=False)
-    _rov: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _rov: _RovMemo = field(default_factory=_RovMemo, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "roas", tuple(self.roas))
@@ -160,9 +171,20 @@ def rov_validate(reg: RegistrySet, prefix: Prefix, origin: int) -> RovState:
     NOT_FOUND when no ROA prefix contains the announced prefix; VALID when
     any covering ROA matches the origin and the announced length does not
     exceed that ROA's effective maxLength; INVALID otherwise.  Results are
-    memoized on the registry.
+    memoized on the registry, per prefix and then per origin.
     """
-    state = reg._rov.get((prefix, origin))
+    # A solve asks about one prefix object throughout, so the last prefix's
+    # states are found by identity, which implies equality, without hashing
+    # the network.  The pair is read and replaced as one tuple, so a caller
+    # on another thread never pairs one prefix with another's states.
+    memo = reg._rov
+    last, states = memo.last
+    if last is not prefix:
+        states = memo.states.get(prefix)
+        if states is None:
+            states = memo.states[prefix] = {}
+        memo.last = prefix, states
+    state = states.get(origin)
     if state is None:
         covered = False
         for roa in reg._index.covering(prefix):
@@ -172,7 +194,7 @@ def rov_validate(reg: RegistrySet, prefix: Prefix, origin: int) -> RovState:
                 break
         else:
             state = RovState.INVALID if covered else RovState.NOT_FOUND
-        reg._rov[(prefix, origin)] = state
+        states[origin] = state
     return state
 
 

@@ -6,6 +6,7 @@ import pytest
 from zonesim.analysis import (
     AnalysisError,
     GrowthOrder,
+    RoutingExceptions,
     _routing_exceptions,
     attached_customers,
     cone_size_order,
@@ -454,12 +455,16 @@ class TestRoutingExceptions:
         result = routing_exceptions(topo, ZoneConfig(members=members), member)
         assert result.destinations == destinations
 
-    @pytest.mark.parametrize("seed", [*range(60), 75, 148, 226])
+    @pytest.mark.parametrize("seed", [*range(60), 63, 68, 75, 80, 148, 226])
     def test_matches_two_full_solves(self, seed):
         # Seeds 24 and 33 have mixed solves that do not converge, and 148
         # has two members whose do; 75 and 226 have exceptions only the
-        # mixed solve finds.  One all-members call gives the per-member
-        # answers, or every failing member's prefixes, merged.
+        # mixed solve finds.  On 63, 68, 75 and 80 (24, 31, 53 and 18
+        # pairs), and on 0, 7, 8, 9 and others below 60, watching every
+        # member at every destination flags (member, destination) pairs
+        # outside the member's reach, whose mixed solves the bound skips.
+        # One all-members call gives the per-member answers, or every
+        # failing member's prefixes, merged.
         topo, members = random_zone_instance(seed)
         cfg = ZoneConfig(members=members)
 
@@ -501,6 +506,33 @@ class TestRoutingExceptions:
         assert excinfo.value.oscillating == {synthetic_prefix(10): (1, 2)}
         assert len(verified) == 3
         assert mixed == []
+
+    def test_oscillation_outside_the_reach_is_not_solved(self, monkeypatch):
+        # The DISAGREE gadget under PeerFirst, plus stub 3 below member 1.
+        # Member 3 has no customers and no peers, so no state of 10's
+        # oscillating probe prefix can hold an exception of 3: that prefix
+        # is not solved and 3 gets 0 exceptions, where the unbounded
+        # two-solve oracle raises.  Member 1 reaches 10 and still raises.
+        import zonesim.analysis as analysis
+        import zonesim.vipzone as vipzone
+
+        real = vipzone.zone_policy
+
+        def peer_first_policy(topo, cfg, reg):
+            return replace(real(topo, cfg, reg), preference_for=lambda asn: PeerFirst())
+
+        monkeypatch.setattr(analysis, "zone_policy", peer_first_policy)
+        monkeypatch.setattr(vipzone, "zone_policy", peer_first_policy)
+        topo = load_topology(DISAGREE + "\n1|3|-1")
+        cfg = ZoneConfig(members=frozenset({1, 2, 3}))
+        with pytest.raises(NonConvergenceError) as excinfo:
+            exceptions_by_two_solves(topo, cfg, 3)
+        assert synthetic_prefix(10) in excinfo.value.oscillating
+        assert routing_exceptions(topo, cfg, 3) == RoutingExceptions(3, 0, ())
+        for asked in ([1], [1, 3], [3, 1]):
+            with pytest.raises(NonConvergenceError) as excinfo:
+                _routing_exceptions(topo, cfg, asked)
+            assert excinfo.value.oscillating == {synthetic_prefix(10): (1, 2, 3)}
 
     def test_matches_double_oracle_recomputation(self):
         # Recompute both runs with the independent path-universe solver

@@ -568,9 +568,10 @@ class TestExceptions:
 
     @pytest.mark.parametrize("seed", sorted(ALL_MEMBERS))
     def test_all_members_share_one_verified_solve(self, tmp_path, monkeypatch, seed):
-        # Per-prefix solves: each probe prefix once under the zone policy,
-        # watching the members, then once more per (member, destination)
-        # whose pick under the plain order diverged.
+        # Per-prefix solves: each probe prefix in the union of the asked
+        # members' reaches (customer cone, peers and their cones) once under
+        # the zone policy, watching the members, then once more per
+        # (member, destination) whose pick under the plain order diverged.
         import zonesim.analysis as analysis
         from zonesim.vipzone import ZoneConfig
 
@@ -595,7 +596,14 @@ class TestExceptions:
         argv = ["exceptions", "--topology", str(topo_file), "--zone", str(zone)]
         assert run(argv + ["--out-dir", str(out)]) == 0
         assert (out / "exceptions.csv").read_text() == self.ALL_MEMBERS[seed]
-        assert len(verified) == len(topo.asns)
+
+        def reach(member):
+            peers = topo.peers_of(member)
+            return topology.customer_cone(topo, member).union(
+                peers, *(topology.customer_cone(topo, p) for p in peers)
+            )
+
+        assert len(verified) == len(set().union(*map(reach, members)))
         assert len(mixed) == sum(diverged)
         assert len(verified) + len(mixed) < len(members) * len(topo.asns)
         expected = analysis.exceptions_csv(
@@ -608,7 +616,7 @@ class TestExceptions:
             solves.clear()
         member = sorted(members)[0]
         assert run(argv + ["--member", str(member), "--out-dir", str(out)]) == 0
-        assert len(verified) == len(topo.asns)
+        assert len(verified) == len(reach(member)) < len(topo.asns)
         assert len(mixed) == sum(diverged)
 
     @pytest.mark.parametrize("seed,member", [(33, 2), (24, 17)])

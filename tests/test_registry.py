@@ -1,5 +1,6 @@
 import ipaddress
 import random
+import threading
 
 import pytest
 
@@ -159,6 +160,35 @@ class TestRegistrySet:
         assert rov_validate(reg, prefix, 30) is RovState.INVALID
         assert rov_validate(reg, prefix, 20) is RovState.VALID
         assert reg == RegistrySet(roas=(Roa(prefix, 20),))
+
+    def test_memo_answers_as_a_fresh_registry(self):
+        # Repeated, interleaved and equal-but-distinct prefix objects, from
+        # several threads at once, each get the state a registry that has
+        # never been asked before gives.
+        roas = [Roa(P("10.0.0.0/16"), 20, 24), Roa(P("10.0.0.0/24"), 30)]
+        queries = [
+            (P(text), origin)
+            for text in ("10.0.0.0/24", "10.0.0.0/25", "10.0.1.0/24", "10.1.0.0/24")
+            for origin in (20, 30, 40)
+        ]
+        want = [rov_validate(RegistrySet(roas=roas), p, o) for p, o in queries]
+        rng = random.Random(3)
+        order = [rng.randrange(len(queries)) for _ in range(4000)]
+        reg = RegistrySet(roas=roas)
+        wrong = []
+
+        def ask(shift):
+            for i in order[shift:] + order[:shift]:
+                prefix, origin = queries[i]
+                if rov_validate(reg, P(str(prefix)) if i % 2 else prefix, origin) is not want[i]:
+                    wrong.append(i)
+
+        threads = [threading.Thread(target=ask, args=(shift,)) for shift in (0, 1, 2, 3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert wrong == []
 
 
 class TestAspa:

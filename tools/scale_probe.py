@@ -23,11 +23,14 @@ customer cones; the prefix is the synthetic probe prefix of the lowest-numbered
 stub AS, with a matching ROA.
 
 With --exceptions the probe times one routing_exceptions call instead of
-the solves: every AS's probe prefix, for the lowest-numbered zone member
-that has a provider (a transit member; the provider-free tier-1 members
-can have no exception).  It prints the load time, load_rss_mb,
-exceptions_s, exception_count and the peak resident set, which here is
-that call's.
+the solves, for the lowest-numbered zone member that has a provider (a
+transit member; the provider-free tier-1 members can have no exception).
+It prints the load time, load_rss_mb, exceptions_s, exception_count, the
+peak resident set, which here is that call's, and the call's
+verified_solves (the probe prefixes of the member's reach, each solved
+under the zone policy) and mixed_solves (those solved again with the
+member ranking plain), counted by a wrapper around
+analysis._propagate_prefix.
 
 With --cli the probe times one command end to end instead: it writes the
 graph to a temporary directory and runs ``zonesim.cli.main`` once on it,
@@ -45,8 +48,9 @@ regions.csv data rows) and the peak resident set.
 This probe is not part of the benchmark or the tests.  CI parses only its
 JSON line.  At 2000 ASes it requires every AS loaded, reported load and
 dump times, rib_rows 2000, refused_edge_checks 15998 and imports 4416; with
---cones 30 --exceptions at 500 ASes, every AS loaded and exception_count 11;
-with --cli at 2000 ASes, exit code 0 and a positive region_rows.
+--cones 30 --exceptions at 500 ASes, every AS loaded, exception_count 11,
+verified_solves 75 and mixed_solves 11; with --cli at 2000 ASes, exit code 0
+and a positive region_rows.
 """
 
 from __future__ import annotations
@@ -126,7 +130,16 @@ def main(argv: list[str] | None = None) -> int:
 
     members = derive_connected_zone(topo, cone_size_order(topo)[:args.cones]).connected_members
     if args.exceptions:
+        from zonesim import analysis
+
         member = min(a for a in members if topo.providers_of(a))
+        solves = {"verified_solves": 0, "mixed_solves": 0}
+
+        def counting(net, prefix, origs, watch=None, inner=analysis._propagate_prefix):
+            solves["verified_solves" if watch else "mixed_solves"] += 1
+            return inner(net, prefix, origs, watch)
+
+        analysis._propagate_prefix = counting
         t = perf_counter()
         result = routing_exceptions(topo, ZoneConfig(members=members), member)
         exceptions_s = perf_counter() - t
@@ -138,6 +151,7 @@ def main(argv: list[str] | None = None) -> int:
             "load_rss_mb": load_rss_mb,
             "exceptions_s": round(exceptions_s, 3),
             "exception_count": result.count,
+            **solves,
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
             "python": platform.python_version(),
         }))
