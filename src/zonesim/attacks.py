@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 from ._lines import read_lines, table
-from .registry import Prefix, RegistrySet, parse_prefix
+from .registry import Prefix, RegistrySet, _prefix_reader, parse_prefix
 from .routing import (
     NonConvergenceError,
     Origination,
@@ -392,17 +392,19 @@ def load_scenario(source: str) -> AttackScenario:
     return _scenario(_scenario_fields(source))
 
 
-def _scenario_fields(source: str) -> dict:
+def _scenario_fields(source: str, prefixes: dict[str, Prefix] | None = None) -> dict:
     """A scenario file's fields by key; each line is parsed on its own, and
-    the last line naming a key wins."""
+    the last line naming a key wins.  prefixes is parse_rib_dump's optional
+    memo of parsed prefix texts, for the victim prefix."""
     fields = {}
+    parsers = {**_SCENARIO_FIELDS, "victim_prefix": _prefix_reader(prefixes)}
 
     def parse(line: str) -> None:
         key, sep, value = line.partition("=")
         key = key.strip()
-        if not sep or key not in _SCENARIO_FIELDS:
+        if not sep or key not in parsers:
             raise ScenarioError(f"malformed scenario line {line!r}")
-        fields[key] = _SCENARIO_FIELDS[key](value.strip())
+        fields[key] = parsers[key](value.strip())
 
     read_lines(source, parse, ScenarioError)
     return fields

@@ -18,7 +18,13 @@ path contains no member, the view's owner introduced the route itself.  A
 member's exported view is evidence against that member (it advertised the
 route), so R1/R2 findings may rest on the culprit's own view; R3 always
 needs both sides of the member-member edge, and missing views degrade to a
-logged coverage warning rather than an accusation.
+logged coverage warning rather than an accusation: one per (view owner,
+missing witness) pair, naming how many routes went unchecked.
+
+The audit's cost follows what the views share, not their route count: the
+entry member and R1 are decided once per distinct AS path, and R2 once per
+distinct (prefix, origin) when the views are parsed with one prefix memo
+(``load_member_view``'s ``prefixes``, which ``load_waivers`` also takes).
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Iterable, Sequence
 
 from ._lines import read_lines, table
 from .registry import (
-    Prefix, RegistrySet, RovState, AspaState, aspa_pair_valid, parse_prefix, rov_validate,
+    Prefix, RegistrySet, RovState, AspaState, _prefix_reader, aspa_pair_valid, rov_validate,
 )
 from .routing import VERIFIED, Rib, Route, _prefix_sort_key, parse_rib_dump
 from .topology import Rel, Topology
@@ -102,15 +108,19 @@ def register_exception(cfg: ZoneConfig, member: int, prefix: Prefix, note: str =
     return Waiver(member, prefix, note)
 
 
-def load_waivers(source: str, cfg: ZoneConfig) -> list[Waiver]:
-    """Parse waiver CSV ``member,prefix,note``; the note may hold commas."""
+def load_waivers(
+    source: str, cfg: ZoneConfig, prefixes: dict[str, Prefix] | None = None
+) -> list[Waiver]:
+    """Parse waiver CSV ``member,prefix,note``; the note may hold commas.
+    prefixes is parse_rib_dump's optional memo of parsed prefix texts."""
+    read_prefix = _prefix_reader(prefixes)
 
     def parse(line: str) -> Waiver:
         parts = [p.strip() for p in line.split(",", 2)]
         if len(parts) < 2:
             raise AuditError("expected member,prefix[,note]")
         note = parts[2] if len(parts) > 2 else ""
-        return register_exception(cfg, int(parts[0]), parse_prefix(parts[1]), note)
+        return register_exception(cfg, int(parts[0]), read_prefix(parts[1]), note)
 
     return read_lines(source, parse, AuditError, header="member,prefix,note")
 
@@ -150,18 +160,18 @@ def check_owner(cfg: ZoneConfig, view: MemberView) -> None:
         raise AuditError(f"view owner AS{view.member} is not a zone member")
 
 
-def _entry_member(path: Sequence[int], members: frozenset[int], owner: int) -> tuple[int, tuple[int, ...]]:
+def _entry_member(path: Sequence[int], members: frozenset[int]) -> tuple[int | None, tuple[int, ...]]:
     """The member closest to the origin, and the unique pre-entry ASNs.
 
     Scanning from the origin end, the first member in the path introduced
-    the route; if none appears, the view's owner imported it directly and
-    the whole path is pre-entry.
+    the route; if none appears, the entry is None (the view's owner
+    imported the route directly) and the whole path is pre-entry.
     """
     for i in range(len(path) - 1, -1, -1):
         if path[i] in members:
             tail = path[i + 1 :]
             return path[i], tuple(dict.fromkeys(tail))
-    return owner, tuple(dict.fromkeys(path))
+    return None, tuple(dict.fromkeys(path))
 
 
 def _tagged_by_path(view: MemberView) -> dict[tuple[int, ...], list[Prefix]]:
@@ -185,6 +195,13 @@ def audit_views(
     Findings are deduplicated per underlying announcement (the same tagged
     route seen in several views yields one finding, observed at the lowest
     ASN) and sorted by (rule, culprit, prefix, path).
+
+    The entry member, the pre-entry ASNs and R1's limit are worked out once
+    per distinct AS path, and R2's ROV verdict once per distinct (prefix
+    object, origin): parse the views with one shared prefix memo
+    (load_member_view's prefixes) and that is once per (prefix, origin).
+    One warning is logged per (view owner, missing witness) pair whose R3
+    checks could not run, with the number of routes affected.
     """
     if not views:
         return []
@@ -198,6 +215,14 @@ def audit_views(
     by_member = {v.member: v for v in views}
     # R3 witnesses' _tagged_by_path indexes, built on first consultation.
     tagged: dict[int, dict[tuple[int, ...], list[Prefix]]] = {}
+    # paths[as_path]: (entry member or None, pre-entry ASNs, whether a
+    # VERIFIED route on the path breaks R1); none of it depends on the view.
+    paths: dict[tuple[int, ...], tuple[int | None, tuple[int, ...], bool]] = {}
+    # invalid[(id(prefix), origin)]: whether ROV finds the pair INVALID.  The
+    # views hold every route's prefix for the whole call, so no id is reused.
+    invalid: dict[tuple[int, int], bool] = {}
+    # uncovered[(owner, witness)]: routes whose R3 check needed a missing view.
+    uncovered: dict[tuple[int, int], int] = {}
     # keyed by (rule, culprit, prefix, canonical evidence path)
     found: dict[tuple, AuditFinding] = {}
 
@@ -208,39 +233,50 @@ def audit_views(
             found[key] = AuditFinding(rule, culprit, observed_at, route)
 
     for view in views:
+        owner = view.member
         for route in view.routes:
-            entry, pre = _entry_member(route.as_path, members, view.member)
-
-            if VERIFIED in route.communities:
+            path = route.as_path
+            facts = paths.get(path)
+            if facts is None:
+                entry, pre = _entry_member(path, members)
                 limit = 1
                 if cfg.aspa_extension and len(pre) == 2:
                     if aspa_pair_valid(reg, pre[-1], pre[0]) is AspaState.CONFIRMED:
                         limit = 2
-                if len(pre) > limit:
-                    record(AuditRule.R1_FALSE_VERIFIED, entry, view.member, route, pre)
+                facts = paths[path] = entry, pre, len(pre) > limit
+            entry, pre, false_verified = facts
+            if entry is None:
+                entry = owner
+            verified = VERIFIED in route.communities
 
-            if rov_validate(reg, route.prefix, route.origin) is RovState.INVALID:
-                record(AuditRule.R2_INVALID_ORIGIN, entry, view.member, route, pre)
+            if verified and false_verified:
+                record(AuditRule.R1_FALSE_VERIFIED, entry, owner, route, pre)
 
-            neighbor = route.as_path[0]
-            if (
-                route.learned_rel is not Rel.SELF
-                and neighbor in members
-                and VERIFIED not in route.communities
-            ):
-                witness = by_member.get(neighbor)
-                if witness is None:
-                    log.warning(
-                        "no view from AS%d; cannot audit tag forwarding at AS%d",
-                        neighbor,
-                        view.member,
-                    )
-                    continue
+            prefix = route.prefix
+            pair = (id(prefix), path[-1])
+            bad = invalid.get(pair)
+            if bad is None:
+                bad = invalid[pair] = rov_validate(reg, prefix, path[-1]) is RovState.INVALID
+            if bad:
+                record(AuditRule.R2_INVALID_ORIGIN, entry, owner, route, pre)
+
+            neighbor = path[0]
+            if route.learned_rel is not Rel.SELF and neighbor in members and not verified:
                 index = tagged.get(neighbor)
                 if index is None:
+                    witness = by_member.get(neighbor)
+                    if witness is None:
+                        uncovered[owner, neighbor] = uncovered.get((owner, neighbor), 0) + 1
+                        continue
                     index = tagged[neighbor] = _tagged_by_path(witness)
-                if route.prefix in index.get(route.as_path[1:], ()):
-                    record(AuditRule.R3_TAG_STRIPPED, view.member, neighbor, route, route.as_path)
+                if prefix in index.get(path[1:], ()):
+                    record(AuditRule.R3_TAG_STRIPPED, owner, neighbor, route, path)
+
+    for (owner, neighbor), count in sorted(uncovered.items()):
+        log.warning(
+            "no view from AS%d; cannot audit tag forwarding at AS%d on %d routes",
+            neighbor, owner, count,
+        )
 
     waiver_keys = {(w.member, w.prefix): w for w in waivers}
     findings = []

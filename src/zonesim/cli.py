@@ -30,6 +30,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__, analysis, attacks, audit, registry, routing, topology, vipzone
@@ -47,6 +48,10 @@ def _set_flags(args: argparse.Namespace) -> dict:
 
 class _Run:
     """Collects input/output digests and writes the manifest last.
+
+    prefixes is the run's memo of parsed prefix texts, passed to every
+    loader that reads prefixes, so each distinct text is parsed once per
+    run; it lives as long as the run, and nothing outlives main().
 
     The manifest's parameters are the parsed flags, less the output
     directory and those left unset (None, or False for a switch).  File
@@ -67,6 +72,7 @@ class _Run:
         self.out_dir = args.out_dir
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
+        self.prefixes: dict[str, registry.Prefix] = {}
         self.out_dir.mkdir(parents=True, exist_ok=True)
         (self.out_dir / "manifest.json").unlink(missing_ok=True)
 
@@ -104,11 +110,14 @@ class _Run:
 
 
 def _load_registries(run: _Run, args, check_kyc=lambda kyc: None) -> registry.RegistrySet:
+    def memo(load):
+        return partial(load, prefixes=run.prefixes)
+
     return registry.RegistrySet(
-        roas=run.parse(args.roas, registry.load_roas) if args.roas else (),
+        roas=run.parse(args.roas, memo(registry.load_roas)) if args.roas else (),
         aspas=run.parse(args.aspas, registry.load_aspas) if args.aspas else {},
-        irr_prefixes=run.parse(args.irr, registry.load_irr) if args.irr else {},
-        kyc=_parse_checked(run, args.kyc, registry.load_kyc, check_kyc) if args.kyc else {},
+        irr_prefixes=run.parse(args.irr, memo(registry.load_irr)) if args.irr else {},
+        kyc=_parse_checked(run, args.kyc, memo(registry.load_kyc), check_kyc) if args.kyc else {},
     )
 
 
@@ -154,7 +163,7 @@ def _emit(run: _Run, stem: str, csv_text: str, fmt: str) -> None:
 def cmd_simulate(run: _Run, args, topo: topology.Topology) -> int:
     reg = _load_registries(run, args, lambda kyc: registry.check_kyc_adjacency(kyc, topo))
     origs = _parse_checked(
-        run, args.originations, routing.load_originations,
+        run, args.originations, partial(routing.load_originations, prefixes=run.prefixes),
         lambda origs: routing._normalize_originations(topo, origs),
     )
     cfg = _load_zone(run, topo, args.zone) if args.zone else vipzone.ZoneConfig(frozenset())
@@ -165,7 +174,7 @@ def cmd_simulate(run: _Run, args, topo: topology.Topology) -> int:
     # The ASNs are checked on the fields, before they are built into a
     # scenario, so that an unknown one names its line.
     scenario = _parse_checked(
-        run, args.scenario, attacks._scenario_fields,
+        run, args.scenario, partial(attacks._scenario_fields, prefixes=run.prefixes),
         lambda fields: attacks._check_asns(topo, fields), attacks._scenario,
     )
     rib = attacks.scenario_rib(topo, reg, cfg, origs, scenario)
@@ -239,18 +248,19 @@ def cmd_exceptions(run: _Run, args, topo: topology.Topology) -> int:
 def cmd_audit(run: _Run, args, topo: topology.Topology) -> int:
     reg = _load_registries(run, args)
     cfg = _load_zone(run, topo, args.zone)
-    prefixes: dict = {}
     tails: dict = {}
     views = [
         _parse_checked(
-            run, p, lambda text: audit.load_member_view(text, prefixes=prefixes, tails=tails),
+            run, p, partial(audit.load_member_view, prefixes=run.prefixes, tails=tails),
             lambda view: audit.check_owner(cfg, view),
         )
         for p in args.views
     ]
     waivers = []
     if args.waivers:
-        waivers = run.parse(args.waivers, lambda text: audit.load_waivers(text, cfg))
+        waivers = run.parse(
+            args.waivers, partial(audit.load_waivers, cfg=cfg, prefixes=run.prefixes)
+        )
     findings = audit.audit_views(cfg, topo, reg, views, waivers)
     _emit(run, "findings", audit.findings_csv(findings), args.format)
     return 3 if any(not f.waived for f in findings) else 0

@@ -3,6 +3,12 @@
 These stores are modeled as already-authenticated data; no cryptography.
 All lookups are total functions over a :class:`RegistrySet`, which is
 immutable apart from its memo of ROV verdicts.
+
+The loaders that read prefixes (``load_roas``, ``load_irr``, ``load_kyc``)
+take an optional ``prefixes`` dict, the memo of parsed prefix texts that
+``routing.parse_rib_dump`` also takes: each text not yet in it is parsed
+once and added, so the files of one run share one Prefix per text.  Without
+it, every occurrence is parsed.  Nothing is cached at module level.
 """
 
 from __future__ import annotations
@@ -30,6 +36,21 @@ def parse_prefix(text: str) -> Prefix:
         return ipaddress.ip_network(text.strip())
     except ValueError as exc:
         raise RegistryError(f"invalid prefix {text!r}: {exc}") from exc
+
+
+def _prefix_reader(prefixes: dict[str, Prefix] | None) -> Callable[[str], Prefix]:
+    """parse_prefix, or, given a memo of parsed prefix texts, a parser that
+    parses each text not in it once and adds it."""
+    if prefixes is None:
+        return parse_prefix
+
+    def read(text: str) -> Prefix:
+        prefix = prefixes.get(text)
+        if prefix is None:
+            prefix = prefixes[text] = parse_prefix(text)
+        return prefix
+
+    return read
 
 
 class RovState(enum.Enum):
@@ -259,11 +280,13 @@ def _load_csv(source: str, header: str, parse: Callable[[list[str]], object]) ->
     return read_lines(source, row, RegistryError, header, header_required=True)
 
 
-def load_roas(source: str) -> tuple[Roa, ...]:
-    """Parse ROA CSV: ``prefix,maxlen,asn``; empty maxlen means absent."""
+def load_roas(source: str, prefixes: dict[str, Prefix] | None = None) -> tuple[Roa, ...]:
+    """Parse ROA CSV: ``prefix,maxlen,asn``; empty maxlen means absent.
+    prefixes is the optional memo of parsed prefix texts (module docstring)."""
+    read = _prefix_reader(prefixes)
 
     def roa(row: list[str]) -> Roa:
-        return Roa(parse_prefix(row[0]), int(row[2]), int(row[1]) if row[1] else None)
+        return Roa(read(row[0]), int(row[2]), int(row[1]) if row[1] else None)
 
     return tuple(_load_csv(source, "prefix,maxlen,asn", roa))
 
@@ -282,21 +305,29 @@ def load_aspas(source: str) -> dict[int, frozenset[int]]:
     return records
 
 
-def load_irr(source: str) -> dict[int, frozenset[Prefix]]:
-    """Parse IRR CSV: ``asn,prefix``."""
+def load_irr(
+    source: str, prefixes: dict[str, Prefix] | None = None
+) -> dict[int, frozenset[Prefix]]:
+    """Parse IRR CSV: ``asn,prefix``.  prefixes is the optional memo of
+    parsed prefix texts (module docstring)."""
+    read = _prefix_reader(prefixes)
     irr: dict[int, set[Prefix]] = {}
     for asn, prefix in _load_csv(
-        source, "asn,prefix", lambda row: (int(row[0]), parse_prefix(row[1]))
+        source, "asn,prefix", lambda row: (int(row[0]), read(row[1]))
     ):
         irr.setdefault(asn, set()).add(prefix)
     return {a: frozenset(s) for a, s in irr.items()}
 
 
-def load_kyc(source: str) -> dict[tuple[int, int], KycEntry]:
+def load_kyc(
+    source: str, prefixes: dict[str, Prefix] | None = None
+) -> dict[tuple[int, int], KycEntry]:
     """Parse KYC CSV: ``member_asn,neighbor_asn,allowed_asns,allowed_prefixes``.
 
     The list fields are ``;``-separated; an empty list means absent.
+    prefixes is the optional memo of parsed prefix texts (module docstring).
     """
+    read = _prefix_reader(prefixes)
     kyc: dict[tuple[int, int], KycEntry] = {}
 
     def entry(row: list[str]) -> None:
@@ -305,7 +336,7 @@ def load_kyc(source: str) -> dict[tuple[int, int], KycEntry]:
             raise RegistryError(f"duplicate entry for {key}")
         kyc[key] = KycEntry(
             frozenset(int(a) for a in row[2].split(";") if a),
-            frozenset(parse_prefix(p) for p in row[3].split(";") if p),
+            frozenset(read(p) for p in row[3].split(";") if p),
         )
 
     _load_csv(source, "member_asn,neighbor_asn,allowed_asns,allowed_prefixes", entry)

@@ -91,7 +91,7 @@ from operator import itemgetter, neg
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from ._lines import read_lines
-from .registry import Prefix, parse_prefix
+from .registry import Prefix, _prefix_reader, parse_prefix
 from .topology import Rel, Topology, _gc_paused
 
 
@@ -775,9 +775,10 @@ def parse_rib_dump(
     prefix texts already parsed to their Prefix, tails maps row tails to
     their (path, communities, Rel), and both gain the new ones; pass the
     same dicts to share that work across the dumps of one run (member
-    views repeat prefixes and routes).
+    views repeat prefixes and routes).  The registry loaders and
+    load_originations take the same prefixes dict.
     """
-    known = {} if prefixes is None else prefixes
+    read_prefix = _prefix_reader({} if prefixes is None else prefixes)
     parsed = {} if tails is None else tails
 
     def parse_row(line: str) -> tuple[int, Route]:
@@ -796,9 +797,7 @@ def parse_rib_dump(
             rel = _RELS.get(fields[2]) or Rel(fields[2])
             communities = frozenset(c for c in fields[1].split(";") if c)
             tail = parsed[head[2]] = (path, communities, rel)
-        prefix = known.get(head[1])
-        if prefix is None:
-            prefix = known[head[1]] = parse_prefix(head[1])
+        prefix = read_prefix(head[1])
         return int(head[0]), _route(prefix, *tail)
 
     return read_lines(text, parse_row, RoutingError)
@@ -807,13 +806,17 @@ def parse_rib_dump(
 _RELS = {rel.value: rel for rel in Rel}
 
 
-def load_originations(text: str) -> list[Origination]:
-    """Parse originations CSV: ``asn,prefix`` with an optional header."""
-    return read_lines(text, _parse_origination, RoutingError, header="asn,prefix")
+def load_originations(
+    text: str, prefixes: dict[str, Prefix] | None = None
+) -> list[Origination]:
+    """Parse originations CSV: ``asn,prefix`` with an optional header.
+    prefixes is parse_rib_dump's optional memo of parsed prefix texts."""
+    read_prefix = _prefix_reader(prefixes)
 
+    def parse(line: str) -> Origination:
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 2:
+            raise RoutingError("expected asn,prefix")
+        return Origination(int(parts[0]), read_prefix(parts[1]))
 
-def _parse_origination(line: str) -> Origination:
-    parts = [p.strip() for p in line.split(",")]
-    if len(parts) != 2:
-        raise RoutingError("expected asn,prefix")
-    return Origination(int(parts[0]), parse_prefix(parts[1]))
+    return read_lines(text, parse, RoutingError, header="asn,prefix")

@@ -10,16 +10,20 @@ economically valid yet unavailable because some hop on it preferred a
 different route.  The consistency iteration restores exactly that
 export-the-best constraint without reusing any engine code.)
 
-Two references are earlier versions of the engine's own code, kept so
+Three references are earlier versions of the package's own code, kept so
 that their replacements can be compared with them: ranked_rows_oracle (a
-solve that stored every AS's ranked candidate table) and
-parse_rib_dump_oracle (the dump parser before row tails were memoized).
+solve that stored every AS's ranked candidate table),
+parse_rib_dump_oracle (the dump parser before row tails were memoized) and
+audit_views_oracle (the audit before its per-path and per-(prefix, origin)
+memos, which logged one coverage warning per route).
 """
 
 from __future__ import annotations
 
+import logging
 import random
 from collections import defaultdict
+from dataclasses import replace
 
 from zonesim._lines import read_lines
 from zonesim.registry import parse_prefix
@@ -634,3 +638,104 @@ def parse_rib_dump_oracle(text: str, prefixes: dict | None = None) -> list[tuple
         return int(parts[0]), Route(prefix, path, communities, rel)
 
     return read_lines(text, parse_row, RoutingError)
+
+
+def _entry_member_oracle(path, members, owner):
+    # audit._entry_member before it left the member-less case to its caller.
+    for i in range(len(path) - 1, -1, -1):
+        if path[i] in members:
+            tail = path[i + 1 :]
+            return path[i], tuple(dict.fromkeys(tail))
+    return owner, tuple(dict.fromkeys(path))
+
+
+def _tagged_by_path_oracle(view):
+    from zonesim.routing import VERIFIED
+
+    index = {}
+    for route in view.routes:
+        if VERIFIED in route.communities:
+            index.setdefault(route.as_path, []).append(route.prefix)
+    return index
+
+
+def audit_views_oracle(cfg, topo, reg, views, waivers=()):
+    """audit.audit_views before its memos: the entry member, R1 and R2
+    worked out on every route (rov_validate asked once per route), and one
+    coverage warning logged per route whose R3 check lacks the witness's
+    view."""
+    from zonesim.audit import AuditError, AuditFinding, AuditRule, check_owner
+    from zonesim.registry import AspaState, RovState, aspa_pair_valid, rov_validate
+    from zonesim.routing import VERIFIED, _prefix_sort_key
+
+    log = logging.getLogger(__name__)
+    if not views:
+        return []
+    snapshots = {v.snapshot_id for v in views}
+    if len(snapshots) != 1:
+        raise AuditError(f"views span multiple snapshots: {sorted(snapshots)}")
+    members = cfg.members
+    for view in views:
+        check_owner(cfg, view)
+
+    by_member = {v.member: v for v in views}
+    tagged = {}
+    found = {}
+
+    def record(rule, culprit, observed_at, route, canonical):
+        key = (rule, culprit, _prefix_sort_key(route.prefix), canonical)
+        existing = found.get(key)
+        if existing is None or observed_at < existing.observed_at:
+            found[key] = AuditFinding(rule, culprit, observed_at, route)
+
+    for view in views:
+        for route in view.routes:
+            entry, pre = _entry_member_oracle(route.as_path, members, view.member)
+
+            if VERIFIED in route.communities:
+                limit = 1
+                if cfg.aspa_extension and len(pre) == 2:
+                    if aspa_pair_valid(reg, pre[-1], pre[0]) is AspaState.CONFIRMED:
+                        limit = 2
+                if len(pre) > limit:
+                    record(AuditRule.R1_FALSE_VERIFIED, entry, view.member, route, pre)
+
+            if rov_validate(reg, route.prefix, route.origin) is RovState.INVALID:
+                record(AuditRule.R2_INVALID_ORIGIN, entry, view.member, route, pre)
+
+            neighbor = route.as_path[0]
+            if (
+                route.learned_rel is not Rel.SELF
+                and neighbor in members
+                and VERIFIED not in route.communities
+            ):
+                witness = by_member.get(neighbor)
+                if witness is None:
+                    log.warning(
+                        "no view from AS%d; cannot audit tag forwarding at AS%d",
+                        neighbor,
+                        view.member,
+                    )
+                    continue
+                index = tagged.get(neighbor)
+                if index is None:
+                    index = tagged[neighbor] = _tagged_by_path_oracle(witness)
+                if route.prefix in index.get(route.as_path[1:], ()):
+                    record(AuditRule.R3_TAG_STRIPPED, view.member, neighbor, route, route.as_path)
+
+    waiver_keys = {(w.member, w.prefix): w for w in waivers}
+    findings = []
+    for finding in found.values():
+        waiver = waiver_keys.get((finding.culprit, finding.evidence.prefix))
+        if waiver is not None:
+            finding = replace(finding, waived=True, note=waiver.note)
+        findings.append(finding)
+    findings.sort(
+        key=lambda f: (
+            f.rule.value,
+            f.culprit,
+            _prefix_sort_key(f.evidence.prefix),
+            f.evidence.as_path,
+        )
+    )
+    return findings

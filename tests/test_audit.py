@@ -1,12 +1,15 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from zonesim.analysis import synthetic_prefix
 from zonesim.audit import (
     AuditError,
     AuditRule,
     MemberView,
+    Waiver,
     audit_views,
     findings_csv,
     load_member_view,
@@ -27,6 +30,7 @@ from fault_injection import (
 )
 from oracles import (
     PREFIX_POOL,
+    audit_views_oracle,
     r3_witness_scan,
     random_connected_members,
     random_originations,
@@ -134,6 +138,32 @@ class TestSeededFaults:
             findings = audit_views(CFG, TOPO, REG, without_witness)
         assert findings == []
         assert any("no view from AS1" in r.message for r in caplog.records)
+
+
+class TestCoverageWarnings:
+    def test_one_warning_per_owner_and_missing_witness(self, caplog):
+        # A seeded zone with every AS announcing its probe prefix under a
+        # matching ROA, and about half of the views dropped: 37 routes lose
+        # their R3 check, over 4 (owner, missing witness) pairs.
+        rng = random.Random(24)
+        topo = random_topology(rng, 30, 12)
+        cfg = ZoneConfig(members=random_connected_members(rng, topo))
+        origs = [Origination(a, synthetic_prefix(a)) for a in sorted(topo.asns)]
+        reg = RegistrySet(roas=[Roa(o.prefix, o.asn) for o in origs])
+        views = views_from_rib(propagate(topo, origs, zone_policy(topo, cfg, reg)), cfg)
+        kept = [v for v in views if rng.random() < 0.5]
+        with caplog.at_level("WARNING"):
+            assert audit_views_oracle(cfg, topo, reg, kept) == []
+        per_route = Counter(r.args for r in caplog.records)  # (witness, owner): routes
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert audit_views(cfg, topo, reg, kept) == []
+        assert sum(per_route.values()) == 37
+        assert len(caplog.records) == len(per_route) == 4
+        assert {r.args[:2]: r.args[2] for r in caplog.records} == per_route
+        for r in caplog.records:
+            assert r.getMessage().startswith(f"no view from AS{r.args[0]};")
+            assert r.getMessage().endswith(f" on {r.args[2]} routes")
 
 
 TWIN = P("203.0.113.0/24")
@@ -360,3 +390,99 @@ class TestViewsPlumbing:
         a = audit_views(CFG, TOPO, REG, views)
         b = audit_views(CFG, TOPO, REG, list(reversed(views)))
         assert a == b
+
+
+def _oracle_case(seed: int):
+    """A seeded zone audited against a registry drawn apart from the one it
+    was solved under, so that routes the members accepted can be
+    ROV-invalid (R2) and ASPA can lift R1's limit.  One member may run a
+    fault injector; views are cut from the dump and parsed, about half
+    of them with one shared prefix memo and the rest each with their own,
+    so equal prefixes arrive as distinct objects; some views are dropped
+    and some routes gain or lose VERIFIED (R1 and R3); a second origin may
+    announce a prefix already announced.  Returns None for a zone with
+    fewer than two members."""
+    rng = random.Random(seed)
+    topo = random_topology(rng, rng.randint(6, 16), rng.randint(0, 6))
+    members = random_connected_members(rng, topo)
+    if len(members) < 2:
+        return None
+    cfg = ZoneConfig(members=members, aspa_extension=rng.random() < 0.5)
+    origs = random_originations(rng, topo)
+    if rng.random() < 0.6:
+        origs.append(Origination(rng.choice(sorted(topo.asns)), origs[0].prefix))
+    solve_reg = random_registry(rng, topo, members, origs)
+    audit_reg = random_registry(rng, topo, members, origs)
+    hooks = zone_policy(topo, cfg, solve_reg)
+    inject = rng.choice([None, false_verified_hooks, accept_invalid_hooks, strip_tag_hooks])
+    member, prefix = rng.choice(sorted(members)), rng.choice(origs).prefix
+    if inject is strip_tag_hooks:
+        hooks = inject(topo, cfg, solve_reg, member, rng.choice(sorted(members)), prefix)
+    elif inject is not None:
+        hooks = inject(topo, cfg, solve_reg, member, prefix)
+    dump = dump_rib(propagate(topo, origs, hooks))
+    shared: dict = {}
+    views = []
+    for owner in sorted(members):
+        rows = "".join(line + "\n" for line in dump.splitlines() if line.startswith(f"{owner}|"))
+        if not rows or rng.random() < 0.15:
+            continue
+        view = load_member_view(rows, prefixes=shared if rng.random() < 0.5 else None)
+        routes = tuple(
+            replace(r, communities=r.communities ^ {VERIFIED}) if rng.random() < 0.15 else r
+            for r in view.routes
+        )
+        views.append(MemberView(view.member, routes))
+    waivers = [
+        Waiver(rng.choice(sorted(members)), rng.choice(PREFIX_POOL), f"note {k}")
+        for k in range(rng.randint(0, 3))
+    ]
+    return cfg, topo, audit_reg, views, waivers
+
+
+def _finding_rows(findings):
+    return [
+        (f.rule, f.culprit, f.observed_at, f.evidence, f.waived, f.note) for f in findings
+    ]
+
+
+class TestAuditViewsOracle:
+    """audit_views against audit_views_oracle, its form before the per-path
+    and per-(prefix, origin) memos: the same findings, field by field, in
+    the same order."""
+
+    def test_findings_match_the_oracle(self):
+        seen = dict.fromkeys(
+            ["R1", "R2", "R3", "waived", "shared_memberless_path", "split_prefix", "moas"], 0
+        )
+        rules = {AuditRule.R1_FALSE_VERIFIED: "R1", AuditRule.R2_INVALID_ORIGIN: "R2",
+                 AuditRule.R3_TAG_STRIPPED: "R3"}
+        for seed in range(200):
+            case = _oracle_case(seed)
+            if case is None:
+                continue
+            cfg, topo, reg, views, waivers = case
+            expected = audit_views_oracle(cfg, topo, reg, views, waivers)
+            # Waive some real findings as well as the random picks.
+            waivers += [
+                Waiver(f.culprit, f.evidence.prefix, "planted") for f in expected[::3]
+            ]
+            expected = audit_views_oracle(cfg, topo, reg, views, waivers)
+            got = audit_views(cfg, topo, reg, views, waivers)
+            assert _finding_rows(got) == _finding_rows(expected), seed
+            for f in expected:
+                seen[rules[f.rule]] += 1
+                seen["waived"] += f.waived
+            owners_by_path: dict = {}
+            objects_by_prefix: dict = {}
+            origins_by_prefix: dict = {}
+            for view in views:
+                for r in view.routes:
+                    if not set(r.as_path) & cfg.members:
+                        owners_by_path.setdefault(r.as_path, set()).add(view.member)
+                    objects_by_prefix.setdefault(r.prefix, set()).add(id(r.prefix))
+                    origins_by_prefix.setdefault(r.prefix, set()).add(r.origin)
+            seen["shared_memberless_path"] += any(len(o) > 1 for o in owners_by_path.values())
+            seen["split_prefix"] += any(len(o) > 1 for o in objects_by_prefix.values())
+            seen["moas"] += any(len(o) > 1 for o in origins_by_prefix.values())
+        assert all(count >= 15 for count in seen.values()), seen

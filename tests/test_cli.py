@@ -1,7 +1,12 @@
 import gc
 import hashlib
+import ipaddress
 import json
+import os
 import random
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -1075,3 +1080,123 @@ def test_zone_less_simulate_matches_the_plain_solve(tmp_path):
         expected = dump_rib(propagate(topo, origs, gao_rexford_hooks()))
         assert (tmp_path / f"out{seed}" / "rib.txt").read_text() == expected
     assert all(seen.values()), seen
+
+
+class TestPrefixMemo:
+    """A CLI run parses each distinct prefix text once, into a memo that
+    the run owns and drops when main() returns."""
+
+    TEXT = re.compile(r"[0-9a-f.:]+/[0-9]+")
+    REGISTRIES = ["--roas", "--aspas", "--irr", "--kyc"]
+    SIMULATE = ["--topology", "--zone", "--originations", *REGISTRIES, "--scenario"]
+    AUDIT = ["--topology", "--zone", *REGISTRIES, "--views", "--waivers"]
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        # (text, Prefix) per ipaddress.ip_network call.
+        calls = []
+        real = ipaddress.ip_network
+
+        def counting(text, *args, **kwargs):
+            prefix = real(text, *args, **kwargs)
+            calls.append((text, prefix))
+            return prefix
+
+        monkeypatch.setattr(ipaddress, "ip_network", counting)
+        return calls
+
+    @staticmethod
+    def write_inputs(tmp_path) -> tuple[dict[str, Path], list[int]]:
+        # A seeded zone whose registries and originations name the same
+        # prefix texts in several files.
+        rng = random.Random(10)
+        topo, members = random_zone_instance(10)
+        origs = random_originations(rng, topo)
+        reg = random_registry(rng, topo, members, origs)
+        victim = origs[0]
+        attacker = min(topo.asns - members - {victim.asn})
+        files = {
+            "--topology": serialize_topology(topo),
+            "--zone": "".join(f"{m}\n" for m in sorted(members)),
+            "--originations": "asn,prefix\n" + "".join(f"{o.asn},{o.prefix}\n" for o in origs),
+            "--scenario": (
+                f"kind=OriginHijack\nattacker={attacker}\n"
+                f"victim_prefix={victim.prefix}\nvictim_origin={victim.asn}\n"
+            ),
+            **_registry_csvs(reg),
+        }
+        paths = {}
+        for flag, text in files.items():
+            paths[flag] = tmp_path / f"{flag[2:]}.txt"
+            paths[flag].write_text(text)
+        return paths, sorted(members)
+
+    def texts(self, *paths) -> list[str]:
+        return [t for p in paths for t in self.TEXT.findall(Path(p).read_text())]
+
+    @staticmethod
+    def argv(command, paths, flags, out) -> list[str]:
+        argv = [command, "--out-dir", str(out)]
+        for flag in flags:
+            argv += [flag, *map(str, paths[flag])] if flag == "--views" else [flag, str(paths[flag])]
+        return argv
+
+    def audit_inputs(self, tmp_path, paths, members) -> None:
+        # Views cut from the unattacked solve, and a waiver for one prefix.
+        assert main(self.argv("simulate", paths, self.SIMULATE[:-1], tmp_path / "rib")) == 0
+        dump = (tmp_path / "rib" / "rib.txt").read_text().splitlines()
+        paths["--views"] = []
+        for member in members:
+            rows = [line for line in dump if line.startswith(f"{member}|")]
+            if rows:
+                paths["--views"].append(tmp_path / f"view{member}.txt")
+                paths["--views"][-1].write_text("\n".join(rows) + "\n")
+        prefix = dump[0].split("|")[1]
+        paths["--waivers"] = tmp_path / "waivers.txt"
+        paths["--waivers"].write_text(f"member,prefix,note\n{members[0]},{prefix},kept\n")
+
+    def test_each_text_parsed_once_per_command(self, tmp_path, parsed):
+        paths, members = self.write_inputs(tmp_path)
+        parsed.clear()
+        assert main(self.argv("simulate", paths, self.SIMULATE, tmp_path / "sim")) == 0
+        texts = self.texts(*(paths[f] for f in self.SIMULATE))
+        assert len(texts) > len(set(texts))
+        assert sorted(t for t, _ in parsed) == sorted(set(texts))
+
+        self.audit_inputs(tmp_path, paths, members)
+        parsed.clear()
+        assert main(self.argv("audit", paths, self.AUDIT, tmp_path / "audit")) in (0, 3)
+        texts = self.texts(*(paths[f] for f in self.AUDIT if f != "--views"), *paths["--views"])
+        assert len(texts) > len(set(texts))
+        assert sorted(t for t, _ in parsed) == sorted(set(texts))
+
+    def test_runs_share_nothing(self, tmp_path, parsed):
+        # The second run reads a ROA file that binds every ROA to another
+        # origin: it must answer as a fresh process does, re-parse every
+        # text, and hold none of the first run's Prefix objects.
+        paths, members = self.write_inputs(tmp_path)
+        self.audit_inputs(tmp_path, paths, members)
+        roas = paths["--roas"].read_text().splitlines()
+        rebound = tmp_path / "rebound.txt"
+        rebound.write_text(
+            "\n".join([roas[0]] + [r.rsplit(",", 1)[0] + ",999999" for r in roas[1:]]) + "\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        prefixes, outputs = [], []
+        for k, roa_file in enumerate((paths["--roas"], rebound)):
+            paths["--roas"] = roa_file
+            parsed.clear()
+            code = main(self.argv("audit", paths, self.AUDIT, tmp_path / f"run{k}"))
+            prefixes.append([p for _, p in parsed])
+            fresh = subprocess.run(
+                [sys.executable, "-m", "zonesim.cli",
+                 *self.argv("audit", paths, self.AUDIT, tmp_path / f"fresh{k}")],
+                env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=120,
+            )
+            assert code == fresh.returncode
+            findings = (tmp_path / f"run{k}" / "findings.csv").read_bytes()
+            assert findings == (tmp_path / f"fresh{k}" / "findings.csv").read_bytes()
+            outputs.append(findings)
+        assert outputs[0] != outputs[1]
+        assert sorted(map(str, prefixes[0])) == sorted(map(str, prefixes[1]))
+        assert not {id(p) for p in prefixes[0]} & {id(p) for p in prefixes[1]}

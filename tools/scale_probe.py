@@ -32,6 +32,16 @@ under the zone policy) and mixed_solves (those solved again with the
 member ranking plain), counted by a wrapper around
 analysis._propagate_prefix.
 
+With --audit the probe times one audit_views call instead: it solves the
+probe prefixes of 50 stubs (a fixed sample, seeded), each with a matching
+ROA, under the zone policy, cuts every member's honest view with
+``audit.views_from_rib`` and audits them.  It prints the load time,
+load_rss_mb, audit_s, view_routes (the routes of all views), findings (an
+honest zone is never accused, so 0), prefix_origins (the distinct (prefix,
+origin) pairs of the views), rov_validations (the audit's rov_validate
+calls, counted by a wrapper around audit.rov_validate; one per distinct
+pair) and the peak resident set.
+
 With --cli the probe times one command end to end instead: it writes the
 graph to a temporary directory and runs ``zonesim.cli.main`` once on it,
 ``local-region --sizes N`` with N the --cones value (the region-size
@@ -43,14 +53,16 @@ regions.csv data rows) and the peak resident set.
     python3 tools/scale_probe.py            # 75k ASes
     python3 tools/scale_probe.py --ases 2000
     python3 tools/scale_probe.py --ases 500 --cones 30 --exceptions
+    python3 tools/scale_probe.py --ases 2000 --audit
     python3 tools/scale_probe.py --ases 2000 --cli
 
 This probe is not part of the benchmark or the tests.  CI parses only its
 JSON line.  At 2000 ASes it requires every AS loaded, reported load and
 dump times, rib_rows 2000, refused_edge_checks 15998 and imports 4416; with
 --cones 30 --exceptions at 500 ASes, every AS loaded, exception_count 11,
-verified_solves 75 and mixed_solves 11; with --cli at 2000 ASes, exit code 0
-and a positive region_rows.
+verified_solves 75 and mixed_solves 11; with --audit at 2000 ASes,
+view_routes 15000, findings 0 and rov_validations equal to prefix_origins;
+with --cli at 2000 ASes, exit code 0 and a positive region_rows.
 """
 
 from __future__ import annotations
@@ -109,6 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cones", type=int, default=300, help="zone: core of the N largest cones")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--exceptions", action="store_true", help="time routing_exceptions")
+    mode.add_argument("--audit", action="store_true", help="time audit_views on honest views")
     mode.add_argument("--cli", action="store_true", help="time one local-region command")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
@@ -152,6 +165,38 @@ def main(argv: list[str] | None = None) -> int:
             "exceptions_s": round(exceptions_s, 3),
             "exception_count": result.count,
             **solves,
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+            "python": platform.python_version(),
+        }))
+        return 0
+    if args.audit:
+        from zonesim import audit
+
+        stubs = sorted(a for a in topo.asns if not topo.customers[a])
+        origs = [Origination(a, synthetic_prefix(a)) for a in sorted(Random(1).sample(stubs, 50))]
+        reg = RegistrySet(roas=[Roa(o.prefix, o.asn) for o in origs])
+        cfg = ZoneConfig(members=members)
+        views = audit.views_from_rib(propagate(topo, origs, zone_policy(topo, cfg, reg)), cfg)
+        counts = {"rov_validations": 0}
+
+        def counting(reg, prefix, origin, inner=audit.rov_validate):
+            counts["rov_validations"] += 1
+            return inner(reg, prefix, origin)
+
+        audit.rov_validate = counting
+        t = perf_counter()
+        findings = audit.audit_views(cfg, topo, reg, views)
+        audit_s = perf_counter() - t
+        print(json.dumps({
+            "ases": len(topo.asns),
+            "members": len(members),
+            "load_s": round(load_s, 3),
+            "load_rss_mb": load_rss_mb,
+            "audit_s": round(audit_s, 3),
+            "view_routes": sum(len(v.routes) for v in views),
+            "findings": len(findings),
+            "prefix_origins": len({(r.prefix, r.origin) for v in views for r in v.routes}),
+            **counts,
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
             "python": platform.python_version(),
         }))
