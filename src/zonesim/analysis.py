@@ -69,13 +69,14 @@ def derive_connected_zone(topo: Topology, roster: Iterable[int]) -> ZoneDerivati
 
 
 def attached_customers(topo: Topology, members: Iterable[int]) -> frozenset[int]:
-    """Non-members having at least one transit provider in the member set."""
+    """Non-members having at least one transit provider in the member set.
+
+    The members' customers, less the members; a member outside the graph
+    has no customers.
+    """
     member_set = frozenset(members)
-    return frozenset(
-        a
-        for a in topo.asns
-        if a not in member_set and topo.providers[a] & member_set
-    )
+    customers = topo.customers
+    return frozenset().union(*(customers.get(m, ()) for m in member_set)) - member_set
 
 
 def protected_count(topo: Topology, members: Iterable[int]) -> int:

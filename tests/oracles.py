@@ -10,12 +10,13 @@ economically valid yet unavailable because some hop on it preferred a
 different route.  The consistency iteration restores exactly that
 export-the-best constraint without reusing any engine code.)
 
-Three references are earlier versions of the package's own code, kept so
+Four references are earlier versions of the package's own code, kept so
 that their replacements can be compared with them: ranked_rows_oracle (a
 solve that stored every AS's ranked candidate table),
-parse_rib_dump_oracle (the dump parser before row tails were memoized) and
+parse_rib_dump_oracle (the dump parser before row tails were memoized),
 audit_views_oracle (the audit before its per-path and per-(prefix, origin)
-memos, which logged one coverage warning per route).
+memos, which logged one coverage warning per route) and
+attached_customers_oracle (one provider-set intersection per AS).
 """
 
 from __future__ import annotations
@@ -114,6 +115,16 @@ def random_connected_members(rng: random.Random, topo: Topology) -> frozenset[in
     roster = {a for a in asns if rng.random() < 0.4}
     roster |= {a for a in asns if not topo.providers_of(a) and rng.random() < 0.8}
     return derive_connected_zone(topo, roster).connected_members
+
+
+def attached_customers_oracle(topo: Topology, members) -> frozenset[int]:
+    """Non-members with a transit provider among `members`, one AS at a time."""
+    member_set = frozenset(members)
+    return frozenset(
+        a
+        for a in topo.asns
+        if a not in member_set and topo.providers[a] & member_set
+    )
 
 
 def random_zone_instance(seed: int) -> tuple[Topology, frozenset[int]]:

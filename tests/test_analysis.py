@@ -27,6 +27,7 @@ from zonesim.vipzone import ZoneConfig, zone_policy
 from oracles import (
     DISAGREE,
     PeerFirst,
+    attached_customers_oracle,
     brute_force_local_region,
     dfs_cone_order,
     exceptions_by_two_solves,
@@ -89,6 +90,18 @@ class TestDeriveConnectedZone:
             d_small = derive_connected_zone(topo, small)
             d_large = derive_connected_zone(topo, large)
             assert d_small.connected_members <= d_large.connected_members
+
+    def test_attached_customers_matches_per_as_oracle(self):
+        # Member sets of any shape, with ASNs the graph lacks (ignored).
+        rng = random.Random(31)
+        for _ in range(60):
+            topo = random_topology(rng, rng.randint(2, 60), rng.randint(0, 40))
+            asns = sorted(topo.asns)
+            members = {a for a in asns if rng.random() < rng.random()}
+            members |= set(rng.sample(range(len(asns) + 1, len(asns) + 50), rng.randint(0, 3)))
+            want = attached_customers_oracle(topo, members)
+            assert attached_customers(topo, members) == want
+            assert attached_customers(topo, iter(members)) == want
 
 
 class TestGrowthCurve:

@@ -17,6 +17,11 @@ comparison, which replays every AS's candidates, is not counted.  A
 wrapped export hook is not the default, so the counting solve visits every
 refused edge; the timed solve, under the zone policy's default export
 hook, does not, so refused_edge_checks counts the edge visits it skips.
+Last, after every other reading, it loads the text once more, untimed,
+under ``tracemalloc``, and reports the graph that load returns
+(``load_traced_mb``) and the load's traced peak (``load_traced_peak_mb``).
+The process's peak resident set cannot give the load's own peak, since it
+also counts the graph generation.
 
 The zone is the connected core of the 300 ASes (--cones) with the largest
 customer cones; the prefix is the synthetic probe prefix of the lowest-numbered
@@ -58,7 +63,8 @@ regions.csv data rows) and the peak resident set.
 
 This probe is not part of the benchmark or the tests.  CI parses only its
 JSON line.  At 2000 ASes it requires every AS loaded, reported load and
-dump times, rib_rows 2000, refused_edge_checks 15998 and imports 4416; with
+dump times, rib_rows 2000, refused_edge_checks 15998, imports 4416 and
+load_traced_peak_mb at most 1.6 times load_traced_mb; with
 --cones 30 --exceptions at 500 ASes, every AS loaded, exception_count 11,
 verified_solves 75 and mixed_solves 11; with --audit at 2000 ASes,
 view_routes 15000, findings 0 and rov_validations equal to prefix_origins;
@@ -73,6 +79,7 @@ import platform
 import resource
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from random import Random
@@ -89,6 +96,23 @@ def rss_mb() -> float | None:
     except OSError:
         return None
     return round(pages * resource.getpagesize() / 2**20, 1)
+
+
+def traced_load(text: str) -> dict[str, float]:
+    """Load `text` under tracemalloc: the graph's traced MB and the load's traced peak."""
+    from zonesim import load_topology
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        topo = load_topology(text)  # held while the traced sizes are read
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return {
+        "load_traced_mb": round((current - base) / 2**20, 2),
+        "load_traced_peak_mb": round((peak - base) / 2**20, 2),
+    }
 
 
 def probe_cli(text: str, ases: int, cones: int) -> int:
@@ -230,6 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     solve_counts = dict(counts)
     if counted_rib != rib:
         raise SystemExit("the counting solve disagrees with the timed solve")
+    traced = traced_load(text)
 
     print(json.dumps({
         "ases": len(topo.asns),
@@ -243,6 +268,7 @@ def main(argv: list[str] | None = None) -> int:
         "rib_rows": dumped.count("\n"),
         **solve_counts,
         "peak_rss_mb": peak_rss_mb,
+        **traced,
         "python": platform.python_version(),
     }))
     return 0
