@@ -15,6 +15,10 @@ into --out-dir, and signals findings through the exit code:
 Outputs are deterministic: identical inputs produce byte-identical files.
 `main` reads --topology for every subcommand and writes the manifest last,
 so a run that fails leaves none in --out-dir; it records every flag given.
+Each output is encoded, written and hashed as its text arrives: simulate
+writes rib.txt one AS's rows at a time as dump_rib forms them, so neither
+the dump's text nor its bytes exist whole in memory.  A run that fails
+midway may leave a partial output beside no manifest.
 
 `main` runs each command, from the first input read to the manifest, with
 the cyclic garbage collector paused, and restores the collector's previous
@@ -30,8 +34,10 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
+from typing import Callable, Iterator
 
 from . import __version__, analysis, attacks, audit, registry, routing, topology, vipzone
 from ._lines import data_lines, json_rows, read_lines, table
@@ -93,10 +99,25 @@ class _Run:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
+    @contextmanager
+    def output(self, name: str) -> Iterator[Callable[[str], None]]:
+        """Open output name and yield its writer: each text chunk it is
+        given is encoded, written and hashed as it arrives.  The digest is
+        recorded when the block ends; a block that raises leaves what was
+        written and records none."""
+        digest = hashlib.sha256()
+        with open(self.out_dir / name, "wb") as out:
+            def put(text: str) -> None:
+                data = text.encode("utf-8")
+                out.write(data)
+                digest.update(data)
+
+            yield put
+        self.outputs[name] = digest.hexdigest()
+
     def write(self, name: str, text: str) -> None:
-        data = text.encode("utf-8")
-        (self.out_dir / name).write_bytes(data)
-        self.outputs[name] = _sha256(data)
+        with self.output(name) as put:
+            put(text)
 
     def finish(self) -> None:
         manifest = {
@@ -169,7 +190,8 @@ def cmd_simulate(run: _Run, args, topo: topology.Topology) -> int:
     cfg = _load_zone(run, topo, args.zone) if args.zone else vipzone.ZoneConfig(frozenset())
     if not args.scenario:
         rib = routing.propagate(topo, origs, vipzone.zone_policy(topo, cfg, reg))
-        run.write("rib.txt", routing.dump_rib(rib))
+        with run.output("rib.txt") as put:
+            routing.dump_rib(rib, put)
         return 0
     # The ASNs are checked on the fields, before they are built into a
     # scenario, so that an unknown one names its line.
@@ -179,7 +201,8 @@ def cmd_simulate(run: _Run, args, topo: topology.Topology) -> int:
     )
     rib = attacks.scenario_rib(topo, reg, cfg, origs, scenario)
     report = attacks.classify_harm(topo, rib, scenario)
-    run.write("rib.txt", routing.dump_rib(rib))
+    with run.output("rib.txt") as put:
+        routing.dump_rib(rib, put)
     _emit(run, "harm", attacks.harm_csv([report]), args.format)
     return 2 if args.fail_on_harm and report.misdirected else 0
 

@@ -73,11 +73,12 @@ with the neighbor it was learned from.  The default hook set implements
 plain economic routing with no community handling.
 
 The cyclic garbage collector is paused for each propagate and dump_rib
-call: nothing a solve or a dump builds holds a reference cycle, so a
-collection midway frees nothing and only re-walks the growing RIB or its
-per-AS line lists; cyclic garbage a hook makes waits until the call ends.
-The pause is process-wide, so other threads also run without the
-collector while a solve or a dump is in progress.
+call, a dump's sink calls included: nothing a solve or a dump builds
+holds a reference cycle, so a collection midway frees nothing and only
+re-walks the growing RIB or the dump's row-text memo; cyclic garbage a
+hook or a sink makes waits until the call ends.  The pause is
+process-wide, so other threads also run without the collector while a
+solve or a dump is in progress.
 """
 
 from __future__ import annotations
@@ -737,21 +738,33 @@ def _prefix_sort_key(prefix: Prefix):
 
 
 @_gc_paused()
-def dump_rib(rib: Rib) -> str:
+def dump_rib(rib: Rib, sink: Callable[[str], object] | None = None) -> str | None:
     """Serialize best routes, one line per (asn, prefix), sorted.
 
     Line format: ``asn|prefix|as_path|communities|learned_rel`` with the
     path space-separated (origin last) and communities ``;``-separated.
     A member's route-collector view is this dump filtered to its own rows.
+
+    The rows are formed one AS at a time, ASNs ascending, by a walk of the
+    prefix records for each AS, and each AS's rows are passed to sink as
+    one text as soon as they are formed; an AS holding no route passes
+    nothing.  A sink that writes each text out keeps the whole dump from
+    ever existing at once.  Without a sink the texts are joined and
+    returned.
     """
+    chunks: list[str] = []
+    put = chunks.append if sink is None else sink
     # after[id(route)]: the row text after the prefix, once per best Route (holders
     # share offers, class members bests); rib keeps each alive, so no id is reused.
     after: dict[int, str] = {}
-    # lines[asn]: its rows without the ASN, filled prefix by prefix in order.
-    lines: dict[int, list[str]] = {asn: [] for asn in sorted(rib._asns)}
-    for prefix, bests in rib._prefixes():
-        text = f"{prefix}|"
-        for asn, route in bests.items():
+    # Each prefix's text and its bests' lookup, in prefix order.
+    held = [(f"{prefix}|", bests.get) for prefix, bests in rib._prefixes()]
+    for asn in sorted(rib._asns):
+        rows = []
+        for text, best in held:
+            route = best(asn)
+            if route is None:
+                continue
             shown = after.get(id(route))
             if shown is None:
                 # Rel is a str enum: join reads its value without a .value call.
@@ -759,8 +772,11 @@ def dump_rib(rib: Rib) -> str:
                     " ".join(map(str, route.as_path)), ";".join(sorted(route.communities)),
                     route.learned_rel,
                 ))
-            lines[asn].append(text + shown)
-    return "".join(f"{asn}|" + f"\n{asn}|".join(rows) + "\n" for asn, rows in lines.items() if rows)
+            rows.append(text + shown)
+        if rows:
+            head = f"{asn}|"
+            put(head + f"\n{head}".join(rows) + "\n")
+    return "".join(chunks) if sink is None else None
 
 
 def parse_rib_dump(

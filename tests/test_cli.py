@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import gc
 import hashlib
 import ipaddress
@@ -7,15 +9,18 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from zonesim import analysis, cli, topology
+from zonesim import analysis, cli, routing, topology
+from zonesim.attacks import AttackKind, AttackScenario, scenario_rib
 from zonesim.cli import main
-from zonesim.registry import RovState, rov_validate
-from zonesim.routing import dump_rib, gao_rexford_hooks, propagate
+from zonesim.registry import RovState, parse_prefix, rov_validate
+from zonesim.routing import Origination, Rib, dump_rib, gao_rexford_hooks, propagate
 from zonesim.topology import serialize_topology
+from zonesim.vipzone import ZoneConfig, zone_policy
 
 from oracles import (
     random_originations, random_registry, random_topology, random_zone_instance,
@@ -1200,3 +1205,172 @@ class TestPrefixMemo:
         assert outputs[0] != outputs[1]
         assert sorted(map(str, prefixes[0])) == sorted(map(str, prefixes[1]))
         assert not {id(p) for p in prefixes[0]} & {id(p) for p in prefixes[1]}
+
+
+ROOT = Path(__file__).resolve().parents[1]
+FLAGS = {
+    "topology.txt": "--topology", "zone.txt": "--zone", "originations.csv": "--originations",
+    "roas.csv": "--roas", "aspas.csv": "--aspas", "irr.csv": "--irr", "kyc.csv": "--kyc",
+    "scenario.txt": "--scenario",
+}
+SIMULATE_FIXTURES = sorted(p.parent.name for p in (ROOT / "fixtures").glob("*/originations.csv"))
+
+
+def _dump_corpus():
+    """Seeded (what it shows, Rib) pairs of every shape simulate dumps: zone
+    solves whose prefixes share classes, route leaks' merged RIBs, Rib(per_as)
+    mappings, and ASes holding no route."""
+    for seed in range(30):
+        rng = random.Random(seed)
+        topo, members = random_zone_instance(seed)
+        origs = random_originations(rng, topo)
+        # One origin's own /24s: under an empty registry they share a class.
+        origin = rng.choice(sorted(topo.asns))
+        origs += [Origination(origin, parse_prefix(f"10.9.{i}.0/24")) for i in range(3)]
+        reg = random_registry(rng, topo, members, origs)
+        cfg = ZoneConfig(members=members)
+        rib = propagate(topo, origs, zone_policy(topo, cfg, reg))
+        shows = {"solve"}
+        if any(record.rep is not prefix for prefix, record in rib._records.items()):
+            shows.add("class-sharing")
+        if any(not entries for entries in rib.per_as.values()):
+            shows.add("no route")
+        yield shows, rib
+        per_as = dict(rib.per_as)
+        per_as[min(per_as)] = {}
+        yield {"per_as", "no route"}, Rib(per_as)
+        leakers = sorted(a for a in topo.asns if len(topo.providers_of(a)) >= 2)
+        if leakers:
+            leaker = rng.choice(leakers)
+            victim = origs[0]
+            scenario = AttackScenario(
+                AttackKind.ROUTE_LEAK, leaker, victim.prefix, victim.asn,
+                leaked_from=min(topo.providers_of(leaker)),
+            )
+            yield {"leak"}, scenario_rib(topo, reg, cfg, origs, scenario)
+
+
+class TestStreamedOutput:
+    """simulate writes rib.txt as dump_rib forms it: the file is the dump's
+    text, its manifest digest the SHA-256 of the file's bytes, the run's
+    traced peak stays within a small multiple of the file, and a write
+    failing midway leaves no manifest."""
+
+    @staticmethod
+    def fixture_argv(name, out):
+        argv = ["simulate", "--out-dir", str(out)]
+        for path in sorted((ROOT / "fixtures" / name).iterdir()):
+            if path.name in FLAGS:
+                argv += [FLAGS[path.name], str(path)]
+        return argv
+
+    @staticmethod
+    def new_run(out_dir):
+        return cli._Run(argparse.Namespace(command="simulate", out_dir=out_dir))
+
+    @staticmethod
+    def check_digests(out):
+        manifest = json.loads((out / "manifest.json").read_text())
+        for name, digest in manifest["outputs"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("name", SIMULATE_FIXTURES)
+    def test_fixture_rib_is_the_dump(self, name, tmp_path, monkeypatch):
+        ribs = []
+        real = routing.dump_rib
+
+        def capturing(rib, sink=None):
+            ribs.append(rib)
+            return real(rib, sink)
+
+        monkeypatch.setattr(routing, "dump_rib", capturing)
+        out = tmp_path / "out"
+        assert main(self.fixture_argv(name, out)) == 0
+        assert len(ribs) == 1
+        assert (out / "rib.txt").read_bytes() == real(ribs[0]).encode()
+        self.check_digests(out)
+
+    def test_corpus_streams_the_dump(self, tmp_path):
+        seen = set()
+        for k, (shows, rib) in enumerate(_dump_corpus()):
+            seen |= shows
+            run_ = self.new_run(tmp_path / str(k))
+            with run_.output("rib.txt") as put:
+                dump_rib(rib, put)
+            data = (tmp_path / str(k) / "rib.txt").read_bytes()
+            assert data == dump_rib(rib).encode()
+            assert run_.outputs == {"rib.txt": hashlib.sha256(data).hexdigest()}
+        assert seen == {"solve", "class-sharing", "no route", "per_as", "leak"}
+
+    def test_one_and_many_chunks_write_the_same(self, tmp_path):
+        rng = random.Random(3)
+        text = "".join(rng.choice(["1|10.0.0.0/24|1 2||self\n", "é;", "∅", "\n", "x"])
+                       for _ in range(5000))
+        cuts = sorted(rng.sample(range(1, len(text)), 300))
+        one, many = self.new_run(tmp_path / "one"), self.new_run(tmp_path / "many")
+        one.write("rib.txt", text)
+        with many.output("rib.txt") as put:
+            for a, b in zip([0, *cuts], [*cuts, None]):
+                put(text[a:b])
+        data = text.encode()
+        assert (tmp_path / "one" / "rib.txt").read_bytes() == data
+        assert (tmp_path / "many" / "rib.txt").read_bytes() == data
+        assert one.outputs == many.outputs == {"rib.txt": hashlib.sha256(data).hexdigest()}
+
+    def test_simulate_peak_within_three_times_the_dump(self, tmp_path, monkeypatch):
+        # The CAIDA-like benchmark graph at 2000 ASes, 20 stub /24s: every AS
+        # holds every prefix.  Held whole, the dump's rows, text and bytes
+        # alone come to about 4 times rib.txt.
+        monkeypatch.syspath_prepend(str(ROOT))
+        from perfbench.gen import build_graph
+
+        graph = build_graph(random.Random(7), 2000, 16)
+        stubs = sorted(a for a, customers in zip(graph.asns, graph.customers) if not customers)
+        topo_file, orig_file = tmp_path / "topology.txt", tmp_path / "originations.csv"
+        topo_file.write_text("".join(f"{a}|{b}|{c}\n" for a, b, c in graph.records()))
+        orig_file.write_text("asn,prefix\n" + "".join(
+            f"{asn},10.0.{i}.0/24\n" for i, asn in enumerate(sorted(random.Random(1).sample(stubs, 20)))
+        ))
+        del graph
+        argv = ["simulate", "--topology", str(topo_file), "--originations", str(orig_file),
+                "--out-dir", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        rib = (tmp_path / "out" / "rib.txt").read_bytes()
+        assert rib.count(b"\n") == 2000 * 20
+        assert peak <= 3 * len(rib), (peak, len(rib))
+
+    @pytest.mark.parametrize("scenario", [False, True], ids=["plain", "scenario"])
+    def test_failed_stream_leaves_no_manifest(self, scenario, inputs, tmp_path, monkeypatch, capsys):
+        real = cli._Run.output
+
+        @contextlib.contextmanager
+        def failing(self, name):
+            with real(self, name) as put:
+                if name != "rib.txt":
+                    yield put
+                    return
+                calls = []
+
+                def once(text):
+                    if calls:
+                        raise OSError("disk full")
+                    calls.append(text)
+                    put(text)
+
+                yield once
+
+        monkeypatch.setattr(cli._Run, "output", failing)
+        out = tmp_path / "out"
+        argv = SIMULATE + ["--zone", "zone.txt", "--roas", "roas.csv"]
+        argv += ["--scenario", "scenario.txt"] if scenario else []
+        assert main([inputs.get(a, a) for a in argv] + ["--out-dir", str(out)]) == 1
+        assert "error: disk full" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        partial_rib = (out / "rib.txt").read_text()
+        assert partial_rib and partial_rib.count("\n") < 5 and partial_rib.startswith("1|")

@@ -846,6 +846,22 @@ class TestCollectorPause:
         assert len(seen) == 3 and not any(seen)
         assert gc.isenabled()
 
+    def test_dump_sink_runs_paused(self):
+        rib = propagate(chain_topology(), [(3, PFX), (3, P("10.1.0.0/24"))])
+        seen = []
+
+        def failing(text):
+            raise LookupError("sink failed")
+
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            dump_rib(rib, lambda text: seen.append(gc.isenabled()))
+            assert gc.isenabled() is enabled
+            with pytest.raises(LookupError):
+                dump_rib(rib, failing)
+            assert gc.isenabled() is enabled
+        assert seen == [False] * 6
+
     def test_nested_call_leaves_collector_paused(self):
         topo = chain_topology()
         after_inner = []
@@ -1113,6 +1129,31 @@ class TestDump:
         assert {(rel, multi) for rel, multi, _ in seen} == {(r, m) for r in Rel for m in (False, True)}
         assert {version for *_, version in seen} == {4, 6}
         assert dump_rib(Rib({})) == dump_rib_oracle(Rib({})) == ""
+
+    def test_sink_gets_each_as_rows_as_one_text(self):
+        # With a sink, dump_rib passes each AS's rows, ASNs ascending, as
+        # one text and returns None; an AS holding no route passes nothing.
+        # Solved zone RIBs with shared classes, and Rib(per_as) RIBs with
+        # ASes given no entry.
+        ribs = []
+        for rng, topo, cfg, origs, reg in _class_corpus(708, 40):
+            rib = _solve(topo, origs, zone_policy(topo, cfg, reg))
+            if isinstance(rib, Rib):
+                ribs += [rib, Rib({**rib.per_as, min(topo.asns): {}, max(topo.asns) + 1: {}})]
+        idle = 0
+        for rib in ribs:
+            chunks = []
+            assert dump_rib(rib, chunks.append) is None
+            assert "".join(chunks) == dump_rib(rib)
+            heads = []
+            for chunk in chunks:
+                asns = {line.split("|", 1)[0] for line in chunk.splitlines()}
+                assert len(asns) == 1 and chunk.endswith("\n")
+                heads.append(int(asns.pop()))
+            holders = {asn for asn, entries in rib.per_as.items() if entries}
+            assert heads == sorted(holders)
+            idle += len(rib.per_as) > len(holders)
+        assert len(ribs) >= 60 and idle >= 30
 
     def test_row_text_once_per_route_object(self):
         # Solved RIBs: one best Route object held by many ASes, and class

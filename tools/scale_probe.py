@@ -55,11 +55,23 @@ fresh process.  It prints the command's exit code, cli_s (the call's
 wall-clock seconds, which include the topology parse), region_rows (the
 regions.csv data rows) and the peak resident set.
 
+With --simulate N the probe times one ``simulate`` end to end instead: it
+writes the graph and N originations, each a /24 (10.0.0.0/24, 10.0.1.0/24,
+...) from one of N stub ASes drawn with a fixed seed, to a temporary
+directory and runs ``zonesim.cli.main`` once on them, with no zone or
+registry, in this fresh process.  It prints the command's exit code,
+cli_s (the call's wall-clock seconds, which include the topology parse),
+rib_rows and rib_mb (rib.txt's lines and size), the peak resident set,
+read right after that call (it also counts the graph generation), and,
+from a second, untimed run of the same command under ``tracemalloc``,
+simulate_traced_peak_mb: that call's traced peak.
+
     python3 tools/scale_probe.py            # 75k ASes
     python3 tools/scale_probe.py --ases 2000
     python3 tools/scale_probe.py --ases 500 --cones 30 --exceptions
     python3 tools/scale_probe.py --ases 2000 --audit
     python3 tools/scale_probe.py --ases 2000 --cli
+    python3 tools/scale_probe.py --ases 2000 --simulate 20
 
 This probe is not part of the benchmark or the tests.  CI parses only its
 JSON line.  At 2000 ASes it requires every AS loaded, reported load and
@@ -68,7 +80,9 @@ load_traced_peak_mb at most 1.6 times load_traced_mb; with
 --cones 30 --exceptions at 500 ASes, every AS loaded, exception_count 11,
 verified_solves 75 and mixed_solves 11; with --audit at 2000 ASes,
 view_routes 15000, findings 0 and rov_validations equal to prefix_origins;
-with --cli at 2000 ASes, exit code 0 and a positive region_rows.
+with --cli at 2000 ASes, exit code 0 and a positive region_rows; with
+--simulate 20 at 2000 ASes, exit code 0, rib_rows 40000 (every AS holds
+every prefix) and simulate_traced_peak_mb at most 3 times rib_mb.
 """
 
 from __future__ import annotations
@@ -139,6 +153,46 @@ def probe_cli(text: str, ases: int, cones: int) -> int:
     return code
 
 
+def probe_simulate(text: str, ases: int, origins: list[int]) -> int:
+    """Time ``simulate`` of one /24 from each of `origins` on the graph text,
+    then run it again under tracemalloc; return the first nonzero exit code
+    of the two, or 0."""
+    from zonesim import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        topo_file, orig_file = Path(tmp) / "topology.txt", Path(tmp) / "originations.csv"
+        topo_file.write_text(text)
+        orig_file.write_text("asn,prefix\n" + "".join(
+            f"{asn},10.{i >> 8}.{i & 255}.0/24\n" for i, asn in enumerate(origins)
+        ))
+        argv = ["simulate", "--topology", str(topo_file), "--originations", str(orig_file)]
+        out = Path(tmp) / "out"
+        t = perf_counter()
+        code = cli.main(argv + ["--out-dir", str(out)])
+        cli_s = perf_counter() - t
+        peak_rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+        rib = (out / "rib.txt").read_bytes() if code == 0 else b""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            traced_code = cli.main(argv + ["--out-dir", str(Path(tmp) / "traced")])
+            traced_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    print(json.dumps({
+        "ases": ases,
+        "origins": len(origins),
+        "exit": code or traced_code,
+        "cli_s": round(cli_s, 3),
+        "rib_rows": rib.count(b"\n"),
+        "rib_mb": round(len(rib) / 2**20, 2),
+        "peak_rss_mb": peak_rss_mb,
+        "simulate_traced_peak_mb": round(traced_peak / 2**20, 2),
+        "python": platform.python_version(),
+    }))
+    return code or traced_code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--ases", type=int, default=75000)
@@ -147,6 +201,9 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument("--exceptions", action="store_true", help="time routing_exceptions")
     mode.add_argument("--audit", action="store_true", help="time audit_views on honest views")
     mode.add_argument("--cli", action="store_true", help="time one local-region command")
+    mode.add_argument(
+        "--simulate", type=int, metavar="N", help="time one simulate command of N stub /24s"
+    )
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from perfbench.gen import build_graph
@@ -160,6 +217,11 @@ def main(argv: list[str] | None = None) -> int:
     text = "\n".join(f"{a}|{b}|{code}" for a, b, code in graph.records()) + "\n"
     if args.cli:
         return probe_cli(text, len(graph.asns), args.cones)
+    if args.simulate is not None:
+        stubs = sorted(a for a, customers in zip(graph.asns, graph.customers) if not customers)
+        origins = sorted(Random(1).sample(stubs, args.simulate))
+        del graph
+        return probe_simulate(text, args.ases, origins)
     t = perf_counter()
     topo = load_topology(text)
     load_s = perf_counter() - t
