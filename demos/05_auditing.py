@@ -34,7 +34,7 @@ prefix = parse_prefix("192.0.2.0/24")
 reg = RegistrySet(roas=[Roa(prefix, 20)])
 
 rib = propagate(topo, [Origination(20, prefix)], zone_policy(topo, cfg, reg))
-views = views_from_rib(rib, cfg, snapshot_id="2026-08-11")
+views = views_from_rib(rib, cfg)
 
 print("conformant views:")
 print(findings_csv(audit_views(cfg, topo, reg, views)))
@@ -50,7 +50,7 @@ for view in views:
     routes = tuple(
         replace(r, communities=r.communities - {VERIFIED}) for r in view.routes
     )
-    corrupted.append(MemberView(3, routes, view.snapshot_id))
+    corrupted.append(MemberView(3, routes))
 
 findings = audit_views(cfg, topo, reg, corrupted)
 print("after member 3 drops the tag:")

@@ -204,28 +204,23 @@ def local_region(
     topo: Topology,
     cfg: ZoneConfig,
     customer: int,
-    filtered_peer_edges: frozenset[tuple[int, int]] = frozenset(),
 ) -> LocalRegion:
     """Member-avoiding reverse reachability over valid export paths.
 
     Walks upward through every non-member provider chain above the
     customer; at each rung collects the member-avoiding customer cone and
-    each non-member peer with its cone.  filtered_peer_edges names peering
-    sessions (unordered pairs) across which announcements are assumed
-    prefix-filtered and therefore ignored.
+    each non-member peer with its cone.
     """
     topo._require(customer)
     if customer in cfg.members:
         raise AnalysisError(f"AS{customer} is a zone member")
-    filtered = {frozenset(e) for e in filtered_peer_edges}
-    return LocalRegion(customer, frozenset(_region(topo, cfg.members, customer, filtered, {})))
+    return LocalRegion(customer, frozenset(_region(topo, cfg.members, customer, {})))
 
 
 def _region(
     topo: Topology,
     members: frozenset[int],
     customer: int,
-    filtered: set[frozenset[int]],
     cones: dict[int, frozenset[int]],
 ) -> set[int]:
     """local_region's walk; returns the new set it builds, which callers
@@ -247,7 +242,7 @@ def _region(
             cone = cones[node] = _cone_avoiding(customers, members, node)
         region |= cone
         for peer in peers[node]:
-            if peer in members or (filtered and frozenset((node, peer)) in filtered):
+            if peer in members:
                 continue
             region.add(peer)
             cone = cones.get(peer)
@@ -302,7 +297,7 @@ def local_region_distribution(
         cones: dict[int, frozenset[int]] = {}
         sizes = []
         for cust in sorted(attached_customers(topo, members)):
-            region_size = len(_region(topo, members, cust, set(), cones))
+            region_size = len(_region(topo, members, cust, cones))
             rows.append((size, cust, region_size))
             sizes.append(region_size)
         if sizes:

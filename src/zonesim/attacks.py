@@ -96,11 +96,11 @@ class AttackScenario:
 class HarmReport:
     """Outcome of one scenario run.
 
-    owner_harm: the attacker's announcement is someone's best route for the
-    attacked prefix within the watch set (all ASes but the attacker, unless
-    narrowed).  misdirected: ASes whose forwarding trace toward the victim
-    address is captured by the attacker.  per_as_best summarizes each AS's
-    selected route for the attacked prefix.
+    owner_harm: the attacker's announcement is the best route for the
+    attacked prefix of some AS other than the attacker.  misdirected: ASes
+    whose forwarding trace toward the victim address is captured by the
+    attacker.  per_as_best summarizes each AS's selected route for the
+    attacked prefix.
     """
 
     scenario: AttackScenario
@@ -223,8 +223,6 @@ def run_scenario(
     cfg: ZoneConfig,
     legitimate_originations: Iterable,
     scenario: AttackScenario,
-    *,
-    watch: Iterable[int] | None = None,
 ) -> HarmReport:
     """Inject the scenario, solve the network, and classify the harm.
 
@@ -233,7 +231,7 @@ def run_scenario(
     """
     legits = _holding_victim(topo, legitimate_originations, scenario.victim_prefix)
     rib = scenario_rib(topo, reg, cfg, legits, scenario)
-    return classify_harm(topo, rib, scenario, watch=watch)
+    return classify_harm(topo, rib, scenario)
 
 
 def _holding_victim(topo: Topology, originations: Iterable, victim_prefix: Prefix) -> list:
@@ -249,8 +247,6 @@ def classify_harm(
     topo: Topology,
     rib: Rib,
     scenario: AttackScenario,
-    *,
-    watch: Iterable[int] | None = None,
 ) -> HarmReport:
     """Evaluate an already-solved RIB against the scenario in one pass over
     the bests of the prefixes holding the victim address and one walk over
@@ -258,7 +254,6 @@ def classify_harm(
     from every AS but the attacker would find.
     """
     attacker = scenario.attacker
-    watch_set = None if watch is None else frozenset(watch)
     injected = _injection(scenario).route().as_path
 
     # next_hop[asn]: where the AS's longest match for the victim address
@@ -274,8 +269,7 @@ def classify_harm(
         if prefix.prefixlen == scenario.victim_prefix.prefixlen:
             per_as_best = rib._bests(prefix)
     owner_harm = any(
-        asn != attacker and (watch_set is None or asn in watch_set)
-        and _is_attacker_route(best, scenario, asn, topo, injected)
+        asn != attacker and _is_attacker_route(best, scenario, asn, topo, injected)
         for asn, best in per_as_best.items()
     )
 
@@ -318,7 +312,6 @@ def sweep_attackers(
     victim_origin: int,
     *,
     attackers: Iterable[int] | None = None,
-    watch: Iterable[int] | None = None,
 ) -> list[HarmReport]:
     """Run one scenario per candidate attacker position.
 
@@ -363,7 +356,7 @@ def sweep_attackers(
         else:
             scenario = AttackScenario(kind, attacker, victim_prefix, victim_origin)
         rib = scenario_rib(topo, reg, cfg, legits, scenario)
-        reports.append(classify_harm(topo, rib, scenario, watch=watch))
+        reports.append(classify_harm(topo, rib, scenario))
     return reports
 
 

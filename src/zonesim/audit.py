@@ -1,7 +1,7 @@
 """Off-path conformance auditing of member-exported route views.
 
-Three checks run over route-collector views, one view per member, all from
-the same snapshot:
+Three checks run over route-collector views, one view per member; the
+caller passes views of one snapshot, which the audit cannot check:
 
   R1-FalseVerified  a VERIFIED route whose path had more than one unique
       ASN before it entered the zone (more than two when the
@@ -61,7 +61,6 @@ class MemberView:
 
     member: int
     routes: tuple[Route, ...]
-    snapshot_id: str = "default"
 
 
 @dataclass(frozen=True)
@@ -125,18 +124,17 @@ def load_waivers(
     return read_lines(source, parse, AuditError, header="member,prefix,note")
 
 
-def views_from_rib(rib: Rib, cfg: ZoneConfig, snapshot_id: str = "default") -> list[MemberView]:
+def views_from_rib(rib: Rib, cfg: ZoneConfig) -> list[MemberView]:
     """Rule 7: every member exports its best routes to the collector."""
     routes: dict[int, list[Route]] = {member: [] for member in sorted(cfg.members)}
     for prefix, _ in rib._prefixes():
         for member, best in rib._bests(prefix, routes.keys()).items():
             routes[member].append(best)
-    return [MemberView(member, tuple(r), snapshot_id) for member, r in routes.items()]
+    return [MemberView(member, tuple(r)) for member, r in routes.items()]
 
 
 def load_member_view(
     text: str,
-    snapshot_id: str = "default",
     prefixes: dict[str, Prefix] | None = None,
     tails: dict[str, tuple] | None = None,
 ) -> MemberView:
@@ -151,7 +149,7 @@ def load_member_view(
     if len(owners) != 1:
         raise AuditError(f"view file mixes rows for ASes {sorted(owners)}")
     member = owners.pop()
-    return MemberView(member, tuple(r for _, r in rows), snapshot_id)
+    return MemberView(member, tuple(r for _, r in rows))
 
 
 def check_owner(cfg: ZoneConfig, view: MemberView) -> None:
@@ -190,7 +188,8 @@ def audit_views(
     views: Sequence[MemberView],
     waivers: Iterable[Waiver] = (),
 ) -> list[AuditFinding]:
-    """Run the three conformance checks over the given member views.
+    """Run the three conformance checks over the given member views, which
+    must all come from one snapshot.
 
     Findings are deduplicated per underlying announcement (the same tagged
     route seen in several views yields one finding, observed at the lowest
@@ -205,9 +204,6 @@ def audit_views(
     """
     if not views:
         return []
-    snapshots = {v.snapshot_id for v in views}
-    if len(snapshots) != 1:
-        raise AuditError(f"views span multiple snapshots: {sorted(snapshots)}")
     members = cfg.members
     for view in views:
         check_owner(cfg, view)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from ._lines import read_lines
+from .topology import MAX_ASN
 
 log = logging.getLogger(__name__)
 
@@ -267,6 +268,14 @@ def verify_customer_origin(
     return OriginVerdict.UNKNOWN
 
 
+def _asn(text: str) -> int:
+    # An ASN field; AS0 is valid here, as it is in RPKI objects.
+    asn = int(text)
+    if not 0 <= asn <= MAX_ASN:
+        raise RegistryError(f"invalid ASN {asn}: must be in 0..{MAX_ASN}")
+    return asn
+
+
 def _load_csv(source: str, header: str, parse: Callable[[list[str]], object]) -> list:
     """Parse each row of a registry CSV with a required header, fields stripped."""
     width = header.count(",") + 1
@@ -286,7 +295,7 @@ def load_roas(source: str, prefixes: dict[str, Prefix] | None = None) -> tuple[R
     read = _prefix_reader(prefixes)
 
     def roa(row: list[str]) -> Roa:
-        return Roa(read(row[0]), int(row[2]), int(row[1]) if row[1] else None)
+        return Roa(read(row[0]), _asn(row[2]), int(row[1]) if row[1] else None)
 
     return tuple(_load_csv(source, "prefix,maxlen,asn", roa))
 
@@ -296,7 +305,7 @@ def load_aspas(source: str) -> dict[int, frozenset[int]]:
     records: dict[int, frozenset[int]] = {}
 
     def record(row: list[str]) -> None:
-        rec = AspaRecord(int(row[0]), frozenset(int(p) for p in row[1].split(";") if p))
+        rec = AspaRecord(_asn(row[0]), frozenset(_asn(p) for p in row[1].split(";") if p))
         if rec.customer_asn in records:
             raise RegistryError(f"duplicate record for AS{rec.customer_asn}")
         records[rec.customer_asn] = rec.provider_asns
@@ -313,7 +322,7 @@ def load_irr(
     read = _prefix_reader(prefixes)
     irr: dict[int, set[Prefix]] = {}
     for asn, prefix in _load_csv(
-        source, "asn,prefix", lambda row: (int(row[0]), read(row[1]))
+        source, "asn,prefix", lambda row: (_asn(row[0]), read(row[1]))
     ):
         irr.setdefault(asn, set()).add(prefix)
     return {a: frozenset(s) for a, s in irr.items()}
@@ -331,11 +340,11 @@ def load_kyc(
     kyc: dict[tuple[int, int], KycEntry] = {}
 
     def entry(row: list[str]) -> None:
-        key = (int(row[0]), int(row[1]))
+        key = (_asn(row[0]), _asn(row[1]))
         if key in kyc:
             raise RegistryError(f"duplicate entry for {key}")
         kyc[key] = KycEntry(
-            frozenset(int(a) for a in row[2].split(";") if a),
+            frozenset(_asn(a) for a in row[2].split(";") if a),
             frozenset(read(p) for p in row[3].split(";") if p),
         )
 

@@ -280,27 +280,15 @@ class RibEntry:
 
 class Rib:
     """Route state at the propagation fixpoint, kept per prefix: prefixes in
-    _prefix_sort_key order, each with its record, which a class's members
-    share.  A record holds the representative prefix, bests {ASN: best
-    Route} of the ASes holding one, and answers candidates(asn), best
-    first: a solved record replays the AS's edges, a Rib(per_as) record
-    returns what it was given.  Routes carry the representative's prefix
-    and are relabelled when read.  best reads one dict entry; candidates
-    replays one AS.  per_as, {ASN: {prefix: RibEntry}} over every ASN of
-    the topology (or of the mapping given), is a view built on first read
-    and cached; == reads it.  Rib(per_as) keeps such a mapping's
-    candidates per prefix; each entry's best must be its first candidate.
+    _prefix_sort_key order, each with its solved record, which a class's
+    members share.  A record holds the representative prefix, bests {ASN:
+    best Route} of the ASes holding one, and answers candidates(asn), best
+    first, by replaying the AS's edges.  Routes carry the representative's
+    prefix and are relabelled when read.  best reads one dict entry;
+    candidates replays one AS.  per_as, {ASN: {prefix: RibEntry}} over
+    every ASN of the topology, is a view built on first read and cached;
+    == reads it.  propagate builds a Rib; _merged_rib joins several.
     """
-
-    def __init__(self, per_as: Mapping[int, Mapping[Prefix, RibEntry]]):
-        rows: dict[Prefix, dict[int, tuple[Route, ...]]] = {}
-        for asn, entries in per_as.items():
-            for prefix, entry in entries.items():
-                if entry.candidates[:1] != (entry.best,):
-                    raise RoutingError(f"AS{asn} {prefix}: best is not the first candidate")
-                rows.setdefault(prefix, {})[asn] = entry.candidates
-        self._asns = list(per_as)
-        self._records = {p: _Given(p, rows[p]) for p in sorted(rows, key=_prefix_sort_key)}
 
     def _prefixes(self, address=None) -> Iterator[tuple[Prefix, dict[int, Route]]]:
         # Each prefix, or each holding address (shortest first: a prefix
@@ -358,19 +346,6 @@ class _Solved:
         if asn not in self.bests:
             return ()
         return _replay(self.net, self.rep, self.origs, self.bests, asn)
-
-
-class _Given:
-    """A prefix of Rib(per_as): the candidates given, best first."""
-
-    __slots__ = ("rep", "bests", "_given")
-
-    def __init__(self, prefix: Prefix, rows: dict[int, tuple[Route, ...]]):
-        self.rep, self._given = prefix, rows
-        self.bests = {asn: ranked[0] for asn, ranked in rows.items()}
-
-    def candidates(self, asn: int) -> tuple[Route, ...]:
-        return self._given.get(asn, ())
 
 
 def _normalize_originations(

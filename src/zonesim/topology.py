@@ -15,7 +15,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from itertools import chain, repeat
 from operator import eq
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from ._lines import data_lines, read_lines
 
@@ -132,7 +132,9 @@ class Topology:
                 for a, c in customers.items()
             )
         ):
-            _raise_first_duplicate(zip(a_col, b_col, codes))
+            check = _pair_check()
+            for record in zip(a_col, b_col, codes):
+                check(record)
         # Kahn's count-down: an AS is released once all its providers are.
         # Only if one never is does the walk run, to name a cycle.
         left = dict(zip(providers, map(len, providers.values())))
@@ -216,17 +218,22 @@ class Topology:
         return f"Topology({len(self.asns)} ASes, {n_p2c} p2c, {n_p2p} p2p)"
 
 
-def _raise_first_duplicate(records: Iterable[tuple[int, int, int]]) -> None:
-    # Words the error for the first record whose AS pair came before: a
-    # p2c edge against an earlier reversed one is a 2-cycle.
+def _pair_check() -> Callable[[tuple[int, int, int]], tuple[int, int, int]]:
+    # A check to apply to records in order: it returns each record and
+    # raises for the first whose AS pair came before, a p2c edge against an
+    # earlier reversed one being a 2-cycle.
     seen: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for a, b, code in records:
-        pair = (a, b) if a < b else (b, a)
-        if pair in seen:
-            if code == Relationship.P2C and seen[pair] == (b, a, code):
+
+    def check(record: tuple[int, int, int]) -> tuple[int, int, int]:
+        a, b, code = record
+        first = seen.setdefault((a, b) if a < b else (b, a), record)
+        if first is not record:
+            if code == Relationship.P2C and first == (b, a, code):
                 raise TopologyError(f"provider-customer cycle through AS{a} and AS{b}")
             raise TopologyError(f"duplicate edge between AS{a} and AS{b}")
-        seen[pair] = (a, b, code)
+        return record
+
+    return check
 
 
 def _check_c2p_acyclic(asns: Iterable[int], customers: Mapping[int, Iterable[int]]) -> None:
@@ -277,7 +284,8 @@ def load_topology(source: str | bytes) -> Topology:
     Data lines are ``asnA|asnB|code`` with code -1 (asnA provider of asnB)
     or 0 (peers); fields after the third (a source tag) are ignored, and
     line ends and comments follow the shared line format (``_lines``).
-    Per-record errors report the 1-based line number.
+    Per-record errors, a repeated AS pair (or reversed p2c pair) included,
+    report the 1-based line number; a longer cycle names none.
 
     The text is read in bulk, with the cyclic garbage collector paused: the
     data lines are split once, as one text, into a flat field list whose
@@ -298,7 +306,13 @@ def load_topology(source: str | bytes) -> Topology:
         except ValueError:
             read_lines(source, _parse_record, TopologyError)  # raises for the bad line
             raise
-        return Topology._from_columns(*columns)
+        try:
+            return Topology._from_columns(*columns)
+        except TopologyError:
+            # A repeated pair is named on its line; a longer cycle has none.
+            check = _pair_check()
+            read_lines(source, lambda line: check(_parse_record(line)), TopologyError)
+            raise
 
 
 def _columns(lines: list[str]) -> tuple[dict[int, None], list[int], list[int], list[int]]:

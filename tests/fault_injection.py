@@ -90,9 +90,9 @@ def strip_tag_hooks(
     return PolicyHooks(import_route, base.export_route, base.preference_for)
 
 
-def run_with_fault(topo, cfg, origs, hooks, snapshot="snap"):
+def run_with_fault(topo, cfg, origs, hooks):
     rib = propagate(topo, origs, hooks)
-    return views_from_rib(rib, cfg, snapshot), rib
+    return views_from_rib(rib, cfg), rib
 
 
 def manifested(views, cfg, reg, rule: AuditRule, culprit: int, prefix) -> bool:

@@ -32,11 +32,13 @@ from zonesim.routing import (
     Origination,
     PolicyHooks,
     PreferenceOrder,
+    Rib,
     Route,
     RoutingError,
     TraceOutcome,
     _Network,
     _normalize_originations,
+    _prefix_sort_key,
     _propagate_prefix,
     data_plane_trace,
     gao_rexford_hooks,
@@ -199,17 +201,20 @@ def random_registry(rng: random.Random, topo: Topology, members, origs):
 
 def oracle_load_topology(source: str | bytes) -> Topology:
     """The per-line topology loader: every data line parsed and checked on
-    its own, then the records walked in order into adjacency sets, with a
-    pair set that catches the first duplicate (or 2-cycle) as it is added.
+    its own, then each added to the adjacency sets in a second pass over
+    the lines, with a pair set that catches the first duplicate (or
+    2-cycle) on its line as it is added.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8")
-    records = read_lines(source, _parse_record, TopologyError)
+    read_lines(source, _parse_record, TopologyError)
     providers: dict[int, set[int]] = defaultdict(set)
     customers: dict[int, set[int]] = defaultdict(set)
     peers: dict[int, set[int]] = defaultdict(set)
     pairs: set[tuple[int, int]] = set()
-    for a, b, code in records:
+
+    def add(line):
+        a, b, code = _parse_record(line)
         pair = (a, b) if a < b else (b, a)
         if pair in pairs:
             if code == Relationship.P2C and a in customers.get(b, ()):
@@ -222,6 +227,9 @@ def oracle_load_topology(source: str | bytes) -> Topology:
         else:
             peers[a].add(b)
             peers[b].add(a)
+        return a, b, code
+
+    records = read_lines(source, add, TopologyError)
     asns = dict.fromkeys(asn for a, b, _ in records for asn in (a, b))
     _check_c2p_acyclic(asns, customers)
 
@@ -359,7 +367,7 @@ def oracle_fixpoint(topo: Topology, originations, hooks: PolicyHooks | None = No
     return None
 
 
-def classify_harm_oracle(topo: Topology, rib, scenario, *, watch=None):
+def classify_harm_oracle(topo: Topology, rib, scenario):
     """attacks.classify_harm by brute force: one data_plane_trace per AS,
     each hop scanning that AS's whole RIB."""
     from zonesim.attacks import AttackKind, HarmReport, _injection, _is_attacker_route
@@ -367,7 +375,6 @@ def classify_harm_oracle(topo: Topology, rib, scenario, *, watch=None):
     victim_addr = scenario.victim_prefix.network_address
     attacker = scenario.attacker
     leak = scenario.kind is AttackKind.ROUTE_LEAK
-    watch_set = frozenset(watch) if watch is not None else topo.asns - {attacker}
     providers = topo.providers_of(attacker)
 
     misdirected = set()
@@ -394,11 +401,39 @@ def classify_harm_oracle(topo: Topology, rib, scenario, *, watch=None):
         if best is None:
             continue
         per_as_best[asn] = best
-        if asn in watch_set and asn != attacker and _is_attacker_route(
+        if asn != attacker and _is_attacker_route(
             best, scenario, asn, topo, injected
         ):
             owner_harm = True
     return HarmReport(scenario, owner_harm, frozenset(misdirected), per_as_best)
+
+
+class _GivenRecord:
+    """A prefix of given_rib: the candidates given, best first."""
+
+    def __init__(self, prefix, rows):
+        self.rep, self._given = prefix, rows
+        self.bests = {asn: ranked[0] for asn, ranked in rows.items()}
+
+    def candidates(self, asn):
+        return self._given.get(asn, ())
+
+
+def given_rib(per_as):
+    """A Rib holding per_as, {ASN: {prefix: RibEntry}}, as given: a test
+    double for states no solve reaches (forwarding loops, mixed snapshots,
+    any Rel at any AS) and for a solved RIB's per_as view copied back.
+    Its per_as equals the mapping, in which each entry's best must be its
+    first candidate."""
+    rows = {}
+    for asn, entries in per_as.items():
+        for prefix, entry in entries.items():
+            assert entry.candidates[:1] == (entry.best,), (asn, prefix)
+            rows.setdefault(prefix, {})[asn] = entry.candidates
+    rib = object.__new__(Rib)
+    rib._asns = list(per_as)
+    rib._records = {p: _GivenRecord(p, rows[p]) for p in sorted(rows, key=_prefix_sort_key)}
+    return rib
 
 
 def rib_as_cells(rib):
@@ -675,16 +710,13 @@ def audit_views_oracle(cfg, topo, reg, views, waivers=()):
     worked out on every route (rov_validate asked once per route), and one
     coverage warning logged per route whose R3 check lacks the witness's
     view."""
-    from zonesim.audit import AuditError, AuditFinding, AuditRule, check_owner
+    from zonesim.audit import AuditFinding, AuditRule, check_owner
     from zonesim.registry import AspaState, RovState, aspa_pair_valid, rov_validate
     from zonesim.routing import VERIFIED, _prefix_sort_key
 
     log = logging.getLogger(__name__)
     if not views:
         return []
-    snapshots = {v.snapshot_id for v in views}
-    if len(snapshots) != 1:
-        raise AuditError(f"views span multiple snapshots: {sorted(snapshots)}")
     members = cfg.members
     for view in views:
         check_owner(cfg, view)

@@ -19,6 +19,7 @@ from zonesim.vipzone import VERIFIED, ZoneConfig
 
 from oracles import (
     classify_harm_oracle,
+    given_rib,
     random_connected_members,
     random_registry,
     random_topology,
@@ -474,19 +475,6 @@ class TestLeakSweep:
         assert reports[0].misdirected == frozenset()
 
 
-class TestWatchSet:
-    def test_owner_harm_scoped_to_watch_set(self):
-        topo = load_topology("1|2|-1\n1|3|-1")
-        cfg = ZoneConfig(members=frozenset())
-        scenario = AttackScenario(AttackKind.ORIGIN_HIJACK, 2, PFX, 3)
-        full = run_scenario(topo, RegistrySet(), cfg, [(3, PFX)], scenario)
-        assert full.owner_harm is True  # 1 selects the attacker route
-        scoped = run_scenario(
-            topo, RegistrySet(), cfg, [(3, PFX)], scenario, watch={3}
-        )
-        assert scoped.owner_harm is False  # the victim itself kept its route
-
-
 # Prefixes for the differential corpora: IPv4 and IPv6, with covering and
 # more-specific pairs, so longest-prefix matches can leave the victim prefix.
 POOL = [
@@ -542,7 +530,7 @@ class TestClassifyHarmDifferential:
         # snapshot: every (AS, prefix) entry taken from the scenario solve
         # or the attack-free one, or left out.
         from zonesim.attacks import classify_harm, scenario_rib
-        from zonesim.routing import NonConvergenceError, Rib, TraceOutcome, data_plane_trace
+        from zonesim.routing import NonConvergenceError, TraceOutcome, data_plane_trace
         from zonesim.vipzone import zone_policy
 
         rng = random.Random(2024)
@@ -558,7 +546,7 @@ class TestClassifyHarmDifferential:
                 clean = propagate(topo, origs, zone_policy(topo, cfg, reg))
             except NonConvergenceError:
                 continue
-            mixed = Rib({
+            mixed = given_rib({
                 asn: {
                     prefix: entry
                     for prefix in {**rib.per_as[asn], **clean.per_as[asn]}
@@ -568,11 +556,10 @@ class TestClassifyHarmDifferential:
                 for asn in rib.per_as
             })
             for snapshot in (rib, mixed):
-                for watch in (None, rng.sample(sorted(topo.asns), k=3)):
-                    got = classify_harm(topo, snapshot, scenario, watch=watch)
-                    assert got == classify_harm_oracle(topo, snapshot, scenario, watch=watch), (
-                        topo.records(), origs, scenario
-                    )
+                got = classify_harm(topo, snapshot, scenario)
+                assert got == classify_harm_oracle(topo, snapshot, scenario), (
+                    topo.records(), origs, scenario
+                )
                 misdirected += len(got.misdirected)
                 for asn in topo.asns:
                     address = scenario.victim_prefix.network_address

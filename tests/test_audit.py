@@ -55,9 +55,9 @@ REG = RegistrySet(roas=[Roa(VICTIM, 20)])
 ORIGS = [Origination(20, VICTIM), Origination(31, ROGUE)]
 
 
-def conformant_views(snapshot="snap"):
+def conformant_views():
     rib = propagate(TOPO, ORIGS, zone_policy(TOPO, CFG, REG))
-    return views_from_rib(rib, CFG, snapshot)
+    return views_from_rib(rib, CFG)
 
 
 class TestConformantRuns:
@@ -363,15 +363,9 @@ class TestViewsPlumbing:
         with pytest.raises(AuditError, match="mixes"):
             load_member_view(dump_rib(rib))
 
-    def test_snapshot_mismatch_rejected(self):
-        views = conformant_views()
-        other = MemberView(views[0].member, views[0].routes, "different")
-        with pytest.raises(AuditError, match="snapshot"):
-            audit_views(CFG, TOPO, REG, [other] + views[1:])
-
     def test_non_member_view_rejected(self):
         views = conformant_views()
-        bogus = MemberView(40, views[0].routes, "snap")
+        bogus = MemberView(40, views[0].routes)
         with pytest.raises(AuditError, match="not a zone member"):
             audit_views(CFG, TOPO, REG, views + [bogus])
 

@@ -18,12 +18,12 @@ from zonesim import analysis, cli, routing, topology
 from zonesim.attacks import AttackKind, AttackScenario, scenario_rib
 from zonesim.cli import main
 from zonesim.registry import RovState, parse_prefix, rov_validate
-from zonesim.routing import Origination, Rib, dump_rib, gao_rexford_hooks, propagate
+from zonesim.routing import Origination, dump_rib, gao_rexford_hooks, propagate
 from zonesim.topology import serialize_topology
 from zonesim.vipzone import ZoneConfig, zone_policy
 
 from oracles import (
-    random_originations, random_registry, random_topology, random_zone_instance,
+    given_rib, random_originations, random_registry, random_topology, random_zone_instance,
 )
 
 TOPO = "1|2|-1\n1|3|-1\n2|20|-1\n3|30|-1\n3|40|-1\n"
@@ -163,6 +163,20 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "line 2" in err and "bad.txt" in err
 
+    def test_non_utf8_input_names_its_line(self, inputs, tmp_path, capsys):
+        # Lines are counted as the loaders count them, \r\n and \r each
+        # ending one, whatever the characters before the bad byte.
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"1|2|-1\r\n2|3|-1\r# caf\xc3\xa9\n3|\xff4|-1\n")
+        code = run([
+            "simulate", "--topology", str(bad), "--originations", inputs["originations.csv"],
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 4: not UTF-8 text (invalid start byte)\n"
+        )
+
     def test_missing_file_exit_1(self, inputs, tmp_path, capsys):
         code = run(
             [
@@ -266,6 +280,11 @@ UNKNOWN_ASN = {
                               "view owner AS40 is not a zone member"),
 }
 MALFORMED += [case[:5] for case in UNKNOWN_ASN.values()]
+MALFORMED += [
+    # A repeated AS pair, and a registry ASN outside 0..2**32-1.
+    ("--topology", "topo.txt", "1|2|-1\n2|3|-1\n1|2|-1\n", 3, ["curve", "--sizes", "1"]),
+    ("--roas", "roas.csv", "prefix,maxlen,asn\n192.0.2.0/24,,-1\n", 2, SIMULATE),
+]
 
 
 @pytest.mark.parametrize(
@@ -1218,8 +1237,8 @@ SIMULATE_FIXTURES = sorted(p.parent.name for p in (ROOT / "fixtures").glob("*/or
 
 def _dump_corpus():
     """Seeded (what it shows, Rib) pairs of every shape simulate dumps: zone
-    solves whose prefixes share classes, route leaks' merged RIBs, Rib(per_as)
-    mappings, and ASes holding no route."""
+    solves whose prefixes share classes, route leaks' merged RIBs, per_as
+    mappings held as given (given_rib), and ASes holding no route."""
     for seed in range(30):
         rng = random.Random(seed)
         topo, members = random_zone_instance(seed)
@@ -1238,7 +1257,7 @@ def _dump_corpus():
         yield shows, rib
         per_as = dict(rib.per_as)
         per_as[min(per_as)] = {}
-        yield {"per_as", "no route"}, Rib(per_as)
+        yield {"per_as", "no route"}, given_rib(per_as)
         leakers = sorted(a for a in topo.asns if len(topo.providers_of(a)) >= 2)
         if leakers:
             leaker = rng.choice(leakers)

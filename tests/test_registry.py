@@ -344,6 +344,39 @@ class TestLoaders:
         with pytest.raises(RegistryError, match=r"^line 3: duplicate entry for \(1, 20\)$"):
             load_kyc("member_asn,neighbor_asn,allowed_asns,allowed_prefixes\n1,20,,\n1,20,21,\n")
 
+    # ASN fields take 0..2**32-1: AS0 is meaningful in RPKI objects.
+    def test_roa_asn_range(self):
+        header = "prefix,maxlen,asn\n"
+        assert load_roas(header + "192.0.2.0/24,,0\n192.0.2.0/24,,4294967295\n") == (
+            Roa(P("192.0.2.0/24"), 0), Roa(P("192.0.2.0/24"), 2**32 - 1),
+        )
+        for asn in ("-1", "4294967296"):
+            with pytest.raises(RegistryError, match=f"^line 3: invalid ASN {asn}:"):
+                load_roas(header + f"192.0.2.0/24,,1\n192.0.2.0/24,,{asn}\n")
+
+    def test_aspa_asn_range(self):
+        header = "customer_asn,provider_asns\n"
+        assert load_aspas(header + "0,4294967295\n") == {0: frozenset({2**32 - 1})}
+        for row in ("-1,10", "20,10;-1", "4294967296,10", "20,4294967296"):
+            with pytest.raises(RegistryError, match="^line 2: invalid ASN"):
+                load_aspas(header + row + "\n")
+
+    def test_irr_asn_range(self):
+        header = "asn,prefix\n"
+        assert load_irr(header + "0,192.0.2.0/24\n") == {0: frozenset({P("192.0.2.0/24")})}
+        for asn in ("-1", "4294967296"):
+            with pytest.raises(RegistryError, match="^line 2: invalid ASN"):
+                load_irr(header + f"{asn},192.0.2.0/24\n")
+
+    def test_kyc_asn_range(self):
+        header = "member_asn,neighbor_asn,allowed_asns,allowed_prefixes\n"
+        assert load_kyc(header + "1,0,0;4294967295,\n") == {
+            (1, 0): KycEntry(frozenset({0, 2**32 - 1})),
+        }
+        for row in ("-1,20,,", "1,-1,,", "1,20,21;-1,", "4294967296,20,,", "1,20,4294967296,"):
+            with pytest.raises(RegistryError, match="^line 2: invalid ASN"):
+                load_kyc(header + row + "\n")
+
 
 class TestKycAdjacency:
     def test_adjacent_pairs_accepted(self):

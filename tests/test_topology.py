@@ -90,24 +90,35 @@ class TestLoadTopology:
             load_topology(text)
         assert str(excinfo.value) == message
 
+    # (text, line the loader names or None, message); a case's id is its
+    # text and message.
+    GRAPH_ERRORS = [
+        ("1|2|-1\n2|1|0", 2, "duplicate edge between AS2 and AS1"),
+        ("1|2|-1\n2|3|-1\n1|2|0", 3, "duplicate edge between AS1 and AS2"),
+        ("1|2|-1\n2|3|-1\n1|2|-1", 3, "duplicate edge between AS1 and AS2"),
+        ("1|2|-1\n2|1|-1", 2, "provider-customer cycle through AS2 and AS1"),
+        # a longer cycle is named on no line
+        ("1|2|-1\n2|3|-1\n3|1|-1", None, "provider-customer cycle through AS1 and AS3"),
+        # the walk starts at the first AS to appear, not the lowest
+        ("3|1|-1\n1|2|-1\n2|3|-1", None, "provider-customer cycle through AS3 and AS2"),
+    ]
+
     @pytest.mark.parametrize(
-        "text,message",
-        [
-            ("1|2|-1\n2|1|0", "duplicate edge between AS2 and AS1"),
-            ("1|2|-1\n2|3|-1\n1|2|0", "duplicate edge between AS1 and AS2"),
-            ("1|2|-1\n2|1|-1", "provider-customer cycle through AS2 and AS1"),
-            ("1|2|-1\n2|3|-1\n3|1|-1", "provider-customer cycle through AS1 and AS3"),
-            # the walk starts at the first AS to appear, not the lowest
-            ("3|1|-1\n1|2|-1\n2|3|-1", "provider-customer cycle through AS3 and AS2"),
-        ],
+        "text,line,message", GRAPH_ERRORS, ids=[f"{t}-{m}" for t, _, m in GRAPH_ERRORS]
     )
-    def test_graph_error_text(self, text, message):
-        for build in (load_topology, lambda t: Topology.from_records(
-            tuple(int(f) for f in line.split("|")) for line in t.splitlines()
-        )):
+    def test_graph_error_text(self, text, line, message):
+        # The loader names the line of a repeated pair; records have none.
+        where = "" if line is None else f"line {line}: "
+        for build, want in (
+            (load_topology, where + message),
+            (oracle_load_topology, where + message),
+            (lambda t: Topology.from_records(
+                tuple(int(f) for f in line.split("|")) for line in t.splitlines()
+            ), message),
+        ):
             with pytest.raises(TopologyError) as excinfo:
                 build(text)
-            assert str(excinfo.value) == message
+            assert str(excinfo.value) == want
 
     def test_fourth_field_and_spaces_ignored(self):
         topo = load_topology(" 1 | 2 | -1 |bgp\n2|3|0|mlp\n")
@@ -116,7 +127,8 @@ class TestLoadTopology:
     def test_matches_from_records_on_random_topologies(self):
         # Shuffled record order, either direction for peerings, and an
         # optional source field: the parsed text and the record list must
-        # build the same graph, and bad graphs must fail with the same text.
+        # build the same graph, and bad graphs must fail with the same text,
+        # the loader's on the line of the repeated pair.
         rng = random.Random(97)
         for trial in range(200):
             base = random_topology(rng, rng.randint(2, 300), rng.randint(0, 300))
@@ -138,7 +150,9 @@ class TestLoadTopology:
             except TopologyError as exc:
                 with pytest.raises(TopologyError) as excinfo:
                     load_topology(text)
-                assert str(excinfo.value) == str(exc)
+                # The text's first line is a comment.
+                line = 2 + max(i for i, r in enumerate(records) if {r[0], r[1]} == {a, b})
+                assert str(excinfo.value) == f"line {line}: {exc}"
                 continue
             got = load_topology(text)
             assert got == want
@@ -250,10 +264,14 @@ class TestLoadTopology:
     @pytest.mark.parametrize(
         "text,message",
         [
-            ("7|8|-1\n07|8|0\n", "duplicate edge between AS7 and AS8"),
+            # ids kept from before the loader named a repeated pair's line
+            pytest.param("7|8|-1\n07|8|0\n", "line 2: duplicate edge between AS7 and AS8",
+                         id="7|8|-1\n07|8|0\n-duplicate edge between AS7 and AS8"),
             ("1|2|-1\n5|05|0\n", "line 2: self-loop on AS5"),
-            ("7|8|-1\n8|+7|-1\n", "provider-customer cycle through AS8 and AS7"),
-            ("7|8|-1\n8| 07 |0\n", "duplicate edge between AS8 and AS7"),
+            pytest.param("7|8|-1\n8|+7|-1\n", "line 2: provider-customer cycle through AS8 and AS7",
+                         id="7|8|-1\n8|+7|-1\n-provider-customer cycle through AS8 and AS7"),
+            pytest.param("7|8|-1\n8| 07 |0\n", "line 2: duplicate edge between AS8 and AS7",
+                         id="7|8|-1\n8| 07 |0\n-duplicate edge between AS8 and AS7"),
         ],
     )
     def test_asn_spellings_error_text(self, text, message):
