@@ -6,7 +6,8 @@ translates; other characters ``str.splitlines`` breaks on (form feed,
 stripped of surrounding whitespace; blank lines and lines starting with
 ``#`` carry no data.  A CSV header, if any, is the first data line.  A
 ``ValueError`` raised while data line N is handled is re-raised as the
-loader's own error class as ``line N: <reason>``.  An output table is a
+loader's own error class as ``line N: <reason>``; input bytes are UTF-8,
+and ``decode`` names the line of a byte that is not.  An output table is a
 CSV header line, then one line per row, each ended by ``\\n``.
 """
 
@@ -22,6 +23,16 @@ def _split(source: str) -> list[str]:
     if "\r" in source:
         source = source.replace("\r\n", "\n").replace("\r", "\n")
     return source.split("\n")
+
+
+def decode(data: bytes, error: type[ValueError] = ValueError) -> str:
+    """`data` as UTF-8 text; a byte that is not raises `error` as ``line N:
+    not UTF-8 text (<reason>)``, N counted as the loaders count lines."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(_split(data[: exc.start].decode("utf-8")))
+        raise error(f"line {line}: not UTF-8 text ({exc.reason})") from exc
 
 
 def data_lines(source: str) -> list[str]:

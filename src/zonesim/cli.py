@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from . import __version__, analysis, attacks, audit, registry, routing, topology, vipzone
-from ._lines import _split, data_lines, json_rows, read_lines, table
+from ._lines import data_lines, decode, json_rows, read_lines, table
 
 
 def _sha256(data: bytes) -> str:
@@ -95,12 +95,7 @@ class _Run:
             name = f"{name}#{suffix}"
         self.inputs[name] = digest
         try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = len(_split(data[: exc.start].decode("utf-8")))
-            raise ValueError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from exc
-        try:
-            return parser(text)
+            return parser(decode(data))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 

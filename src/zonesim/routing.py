@@ -12,11 +12,11 @@ of iteration order, and repeated runs are bit-identical.
 
 Rounds are edge-incremental.  What an AS holds from one neighbor depends
 only on that neighbor's current best, so during a solve each AS keeps one
-table of candidates: its own originations, and one cached (preference
-key, route) entry per neighbor, the result of export, loop check and
-import over that edge.  The first round ranks the originators; each later
-round re-evaluates only the edges out of ASes whose best changed in the
-round before and re-ranks the table of each AS whose entries changed.  Under the
+table of candidates: its own originations, and one cached (preference key,
+route) entry per neighbor, the result of export, loop check and import
+over that edge.  The first round ranks the originators; each later round
+is one export step (_export_round) from the ASes whose best changed in the
+round before, then a re-rank of each AS whose entries changed.  Under the
 default export hook the edges the rule refuses are not visited: a peer- or
 provider-learned best goes down the exporter's customer edges alone, and
 every edge is walked once only when such a best replaces one that went
@@ -53,18 +53,18 @@ key is None is solved on its own.  Callers that read only some prefixes
 (attacks.run_scenario) pass only those.
 
 A solve keeps each AS's best Route alone; the tables are dropped.  The
-same edge rule holds at the fixpoint: each AS's candidates are its own
-originations and what each neighbor's best yields after export, loop
-check and import.  So Rib.candidates replays one AS's edges from the
-neighbors' bests (_replay), ranked as the solve ranks them, with the
-stored best first; the hooks are called again, which is why they must be
-functions of their arguments.  The Rib keeps per prefix what the replay
-needs and builds its per-AS view, Rib.per_as, only when that is read; the
-dump, scenario and audit readers read the bests of the prefixes they
-need, and a lookup reads one.  The dump builds a row's text once per best
-Route object, which holders share.  Replayed at any state, the edge rule
-is a stability check: a state is a fixpoint exactly where each holder's
-best is its top replayed candidate and every other AS replays nothing.
+same edge rule holds at the fixpoint, so Rib.candidates replays one AS
+(_replay): its own originations, then one export round of the solve's own
+step from every neighbor holding a best, over the edges into the AS alone,
+ranked as the solve ranks them, with the stored best first.  The hooks are
+called again, which is why they must be functions of their arguments.  The
+Rib keeps per prefix what the replay needs and builds its per-AS view,
+Rib.per_as, only when that is read; the dump, scenario and audit readers
+read the bests of the prefixes they need, and a lookup reads one.  The
+dump builds a row's text once per best Route object, which holders share.
+Replayed at any state, the edge rule is a stability check: a state is a
+fixpoint exactly where each holder's best is its top replayed candidate
+and every other AS replays nothing.
 
 Hooks can drop or transform routes on import (community edits), replace the
 per-AS preference order, and force an export the economic rule refuses (a
@@ -86,6 +86,7 @@ from __future__ import annotations
 import copy
 import enum
 import ipaddress
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter, neg
@@ -509,16 +510,13 @@ def _propagate_prefix(
     order}, whose pick under that order ever differed from their actual
     pick; and the sorted ASNs whose best still changed in round
     2*|ASes|+10, or () if it converged."""
-    asns, ranks, every, down = net.asns, net.ranks, net.every, net.down
-    import_route, export_route = net.import_route, net.export_route
-
     # Candidates are (preference key, route) pairs, keyed on admission and
     # ranked by the key alone.  learned[a][e]: what AS e's current best
     # yields at AS a after export, loop check and import, keyed by
     # ranks[a], once per offer and rank callable when admitted unchanged;
     # AS a's own originations sit first, under -1, -2, ..., which no ASN
     # takes, keyed by orders[a].key.
-    learned: dict[int, dict[int, tuple[object, Route]]] = {asn: {} for asn in asns}
+    learned: dict[int, dict[int, tuple[object, Route]]] = {asn: {} for asn in net.asns}
     for asn, route in dict.fromkeys((o.asn, o.route()) for o in origs):
         slots = learned[asn]
         slots[-1 - len(slots)] = (net.orders[asn].key(route), route)
@@ -544,69 +542,12 @@ def _propagate_prefix(
         if watch:
             diverged.update(_diverged(watch, touched, best, learned))
         rounds += 1
-        if changed and rounds == 2 * len(asns) + 10:
+        if changed and rounds == 2 * len(net.asns) + 10:
             return best, learned, diverged, tuple(sorted(changed))
         # Synchronous round: every edge out of an AS whose best changed is
         # re-evaluated against the previous round's bests, so the fixpoint
         # is independent of iteration order.
-        touched = set()
-        for exporter, replaced in changed.items():
-            current = best[exporter]
-            if current is None:
-                for adjacency, _, _ in every:
-                    for asn in adjacency[exporter]:
-                        if learned[asn].pop(exporter, None) is not None:
-                            touched.add(asn)
-                continue
-            offered = current[1]
-            # Per exporter: the economic export rule's "learned from a
-            # customer or originated" half.  No AS neighbors itself, so the
-            # loop check reads the path before the exporter is prepended.
-            rel_out = offered.learned_rel
-            anywhere = rel_out is _CUSTOMER or rel_out is _SELF
-            held = offered.as_path
-            # Peers and providers are walked only when the route may go to
-            # them, when a hook may force it there (down is every map), or
-            # to withdraw what a replaced best that went everywhere sent.
-            walk = every if anywhere or (
-                replaced is not None and replaced[1].learned_rel in (_CUSTOMER, _SELF)
-            ) else down
-            for adjacency, rel_back, rel in walk:
-                group = adjacency[exporter]
-                if not group:
-                    continue
-                # offer: the one route every neighbor in this map receives,
-                # built on first use; keyed[rank]: its entry under one
-                # order, for each importer that admits it unchanged.
-                sends = anywhere or rel_back is _CUSTOMER
-                offer = None
-                for asn in group:
-                    # rel_back is what `asn` is to `exporter`, and drives the
-                    # export rule; rel, what `exporter` is to `asn`.  The hook
-                    # is asked only about an edge the rule refuses.
-                    entry = None
-                    if (
-                        (sends or export_route(exporter, asn, rel_back, offered))
-                        and asn not in held
-                    ):
-                        if offer is None:
-                            path = held if held[0] == exporter else (exporter,) + held
-                            offer, keyed = _route(prefix, path, offered.communities, rel), {}
-                        admitted = import_route(asn, exporter, rel, offer)
-                        if admitted is offer:
-                            rank = ranks[asn]
-                            entry = keyed.get(rank)
-                            if entry is None:
-                                entry = keyed[rank] = (rank(offer), offer)
-                        elif admitted is not None:
-                            entry = (ranks[asn](admitted), admitted)
-                    slots = learned[asn]
-                    if entry is None:
-                        if slots.pop(exporter, None) is None:
-                            continue
-                    else:
-                        slots[exporter] = entry
-                    touched.add(asn)
+        touched = _export_round(net, prefix, changed, best, learned)
     return best, learned, diverged, ()
 
 
@@ -620,50 +561,101 @@ def _diverged(watch, touched, best, learned) -> Iterator[int]:
             yield asn
 
 
+def _export_round(net: _Network, prefix: Prefix, changed, best, learned) -> set[int]:
+    """A round's export step over net's maps.  Each exporter of changed,
+    {ASN: the (key, route) best it replaced, or None}, offers best[exporter]
+    to its neighbors, or withdraws if that is None, and each neighbor's
+    learned entry from it is set or dropped.  Returns those neighbors whose
+    entries changed."""
+    every, down, ranks = net.every, net.down, net.ranks
+    import_route, export_route = net.import_route, net.export_route
+    touched = set()
+    for exporter, replaced in changed.items():
+        current = best[exporter]
+        if current is None:
+            for adjacency, _, _ in every:
+                for asn in adjacency[exporter]:
+                    if learned[asn].pop(exporter, None) is not None:
+                        touched.add(asn)
+            continue
+        offered = current[1]
+        # Per exporter: the economic export rule's "learned from a
+        # customer or originated" half.  No AS neighbors itself, so the
+        # loop check reads the path before the exporter is prepended.
+        rel_out = offered.learned_rel
+        anywhere = rel_out is _CUSTOMER or rel_out is _SELF
+        held = offered.as_path
+        # Peers and providers are walked only when the route may go to
+        # them, when a hook may force it there (down is every map), or
+        # to withdraw what a replaced best that went everywhere sent.
+        walk = every if anywhere or (
+            replaced is not None and replaced[1].learned_rel in (_CUSTOMER, _SELF)
+        ) else down
+        for adjacency, rel_back, rel in walk:
+            group = adjacency[exporter]
+            if not group:
+                continue
+            # offer: the one route every neighbor in this map receives,
+            # built on first use; keyed[rank]: its entry under one
+            # order, for each importer that admits it unchanged.
+            sends = anywhere or rel_back is _CUSTOMER
+            offer = None
+            for asn in group:
+                # rel_back is what `asn` is to `exporter`, and drives the
+                # export rule; rel, what `exporter` is to `asn`.  The hook
+                # is asked only about an edge the rule refuses.
+                entry = None
+                if (
+                    (sends or export_route(exporter, asn, rel_back, offered))
+                    and asn not in held
+                ):
+                    if offer is None:
+                        path = held if held[0] == exporter else (exporter,) + held
+                        offer, keyed = _route(prefix, path, offered.communities, rel), {}
+                    admitted = import_route(asn, exporter, rel, offer)
+                    if admitted is offer:
+                        rank = ranks[asn]
+                        entry = keyed.get(rank)
+                        if entry is None:
+                            entry = keyed[rank] = (rank(offer), offer)
+                    elif admitted is not None:
+                        entry = (ranks[asn](admitted), admitted)
+                slots = learned[asn]
+                if entry is None:
+                    if slots.pop(exporter, None) is None:
+                        continue
+                else:
+                    slots[exporter] = entry
+                touched.add(asn)
+    return touched
+
+
 def _replay(
-    net: _Network,
-    prefix: Prefix,
-    origs: Sequence[Origination],
-    bests: Mapping[int, Route],
-    asn: int,
+    net: _Network, prefix: Prefix, origs: list[Origination], bests: Mapping[int, Route], asn: int
 ) -> tuple[Route, ...]:
     """AS asn's candidates for prefix at the state bests, {ASN: best Route},
-    ranked as _propagate_prefix ranks them: asn's own originations, keyed
-    by orders[asn].key, then what each neighbor's best yields after the
-    export rule (or the export hook on an edge the rule refuses), the loop
-    check and the import hook, keyed by ranks[asn].  If the first equals
-    bests[asn], the stored object stands in for it.  At a fixpoint the
-    first always equals bests[asn], and an AS without a best replays
-    nothing."""
-    order, rank = net.orders[asn], net.ranks[asn]
-    import_route, export_route = net.import_route, net.export_route
-    asks = export_route is not _default_export
-    cands = [(order.key(r), r) for r in dict.fromkeys(o.route() for o in origs if o.asn == asn)]
-    # rel: what a neighbor in this map is to asn; rel_back: what asn is to it.
-    for adjacency, rel, rel_back in net.every:
+    ranked as a solve ranks them: asn's originations, then one export round
+    from every neighbor holding a best, over the edges into asn alone.  A
+    first candidate equal to bests[asn] is that stored object."""
+    cut, held, maps = copy.copy(net), {}, []
+    # Read in reverse, net's maps give asn's neighbors of one kind, what they
+    # are to asn and what asn is to them, and the cut maps come out in net's
+    # order (down's customer map first); a cut group is (asn,) or empty.
+    for adjacency, rel, rel_back in reversed(net.every):
+        group = defaultdict(tuple)
         for neighbor in adjacency[asn]:
-            held = bests.get(neighbor)
-            if held is None:
-                continue
-            sent = held.learned_rel
-            if not (
-                sent is _CUSTOMER or sent is _SELF or rel_back is _CUSTOMER
-                or asks and export_route(neighbor, asn, rel_back, held)
-            ):
-                continue
-            path = held.as_path
-            if asn in path:
-                continue
-            offer = _route(
-                prefix, path if path[0] == neighbor else (neighbor,) + path, held.communities, rel
-            )
-            admitted = import_route(asn, neighbor, rel, offer)
-            if admitted is not None:
-                cands.append((rank(admitted), admitted))
-    # Stable, as the solve's max and sort are: equal keys (only equal local
-    # routes can tie) keep the originations' order.
-    cands.sort(key=_first, reverse=True)
-    ranked = [route for _, route in cands]
+            if neighbor in bests:
+                group[neighbor], held[neighbor] = (asn,), (None, bests[neighbor])
+        maps.append((group, rel_back, rel))
+    cut.every = tuple(maps)
+    cut.down = cut.every if net.down is net.every else cut.every[:1]
+    slots = {}
+    for route in dict.fromkeys(o.route() for o in origs if o.asn == asn):
+        slots[-1 - len(slots)] = (net.orders[asn].key(route), route)
+    _export_round(cut, prefix, dict.fromkeys(held), held, {asn: slots})
+    # Stable, as the solve's max is: equal keys (only equal local routes
+    # can tie) keep the originations' order.
+    ranked = [route for _, route in sorted(slots.values(), key=_first, reverse=True)]
     best = bests.get(asn)
     if ranked and ranked[0] == best:
         ranked[0] = best

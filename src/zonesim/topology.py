@@ -17,7 +17,7 @@ from itertools import chain, repeat
 from operator import eq
 from typing import Callable, Iterable, Iterator, Mapping
 
-from ._lines import data_lines, read_lines
+from ._lines import data_lines, decode, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -285,7 +285,8 @@ def load_topology(source: str | bytes) -> Topology:
     or 0 (peers); fields after the third (a source tag) are ignored, and
     line ends and comments follow the shared line format (``_lines``).
     Per-record errors, a repeated AS pair (or reversed p2c pair) included,
-    report the 1-based line number; a longer cycle names none.
+    report the 1-based line number, and so does a byte of a bytes source
+    that is not UTF-8; a longer cycle names none.
 
     The text is read in bulk, with the cyclic garbage collector paused: the
     data lines are split once, as one text, into a flat field list whose
@@ -299,7 +300,7 @@ def load_topology(source: str | bytes) -> Topology:
     line-by-line reader would.
     """
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        source = decode(source, TopologyError)
     with _gc_paused():
         try:
             columns = _columns(data_lines(source))

@@ -26,7 +26,7 @@ import random
 from collections import defaultdict
 from dataclasses import replace
 
-from zonesim._lines import read_lines
+from zonesim._lines import decode, read_lines
 from zonesim.registry import parse_prefix
 from zonesim.routing import (
     Origination,
@@ -206,7 +206,7 @@ def oracle_load_topology(source: str | bytes) -> Topology:
     2-cycle) on its line as it is added.
     """
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        source = decode(source, TopologyError)
     read_lines(source, _parse_record, TopologyError)
     providers: dict[int, set[int]] = defaultdict(set)
     customers: dict[int, set[int]] = defaultdict(set)

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from zonesim.vipzone import ZoneConfig, zone_policy
 from oracles import (
     given_rib, random_originations, random_registry, random_topology, random_zone_instance,
 )
+from test_acceptance import FIXTURE_COMMANDS
 
 TOPO = "1|2|-1\n1|3|-1\n2|20|-1\n3|30|-1\n3|40|-1\n"
 ZONE = "aspa_extension=false\n1\n2\n3\n"
@@ -287,11 +289,47 @@ MALFORMED += [
 ]
 
 
-@pytest.mark.parametrize(
-    "flag,name,text,lineno,command",
-    MALFORMED,
-    ids=[f"{flag[2:]}-{i}" for i, (flag, *_) in enumerate(MALFORMED)],
-)
+# The test ids recorded while ids were each case's position in MALFORMED;
+# those cases keep them, so results stay comparable across runs.
+RECORDED_IDS = {
+    "topology-curve-line6": "topology-0", "topology-curve-line3": "topology-1",
+    "topology-curve-line2": "topology-2", "ix-local-region-line2": "ix-3",
+    "zone-exceptions-line2": "zone-4", "scenario-simulate-line2": "scenario-5",
+    "originations-simulate-line3": "originations-6", "roster-zone-line3": "roster-7",
+    "roas-simulate-line2": "roas-8", "aspas-simulate-line3": "aspas-9",
+    "irr-simulate-line2": "irr-10", "kyc-simulate-line2": "kyc-11",
+    "views-audit-line2": "views-12", "waivers-audit-line2": "waivers-13",
+    "waivers-audit-line1": "waivers-14", "originations-simulate-line5": "originations-15",
+    "zone-simulate-line4": "zone-16", "zone-local-region-line4": "zone-17",
+    "zone-exceptions-line4": "zone-18", "zone-audit-line4": "zone-19",
+    "zone-simulate-line3": "zone-20", "zone-local-region-line3": "zone-21",
+    "zone-exceptions-line3": "zone-22", "zone-audit-line3": "zone-23",
+    "roster-zone-line3-2": "roster-24", "kyc-simulate-line3": "kyc-25",
+    "scenario-simulate-line2-2": "scenario-26", "scenario-simulate-line4": "scenario-27",
+    "scenario-simulate-line5": "scenario-28", "views-audit-line1": "views-29",
+    "views-audit-line1-2": "views-30", "topology-curve-line3-2": "topology-31",
+    "roas-simulate-line2-2": "roas-32",
+}
+
+
+def malformed_ids(cases):
+    """Each case's test id, from the case alone, so inserting a case renames
+    no other: the flag, the command and the malformed line, with -2, -3, ...
+    on the second and later of identical ones; a recorded id where there is
+    one."""
+    seen = Counter()
+    ids = []
+    for flag, _, _, lineno, command in cases:
+        case_id = f"{flag[2:]}-{command[0]}-line{lineno}"
+        seen[case_id] += 1
+        if seen[case_id] > 1:
+            case_id += f"-{seen[case_id]}"
+        ids.append(RECORDED_IDS.get(case_id, case_id))
+    assert len(set(ids)) == len(ids)
+    return ids
+
+
+@pytest.mark.parametrize("flag,name,text,lineno,command", MALFORMED, ids=malformed_ids(MALFORMED))
 def test_malformed_line_exit_1(inputs, tmp_path, capsys, flag, name, text, lineno, command):
     bad = tmp_path / "bad" / name
     bad.parent.mkdir()
@@ -301,6 +339,72 @@ def test_malformed_line_exit_1(inputs, tmp_path, capsys, flag, name, text, linen
     assert code == 1
     assert f"{name}: line {lineno}: " in capsys.readouterr().err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+# Seeded mutations of one fixture input each, run through main: whatever the
+# bytes, a command exits 0, 1 or 4, and a failure is one error line, without
+# a traceback or a manifest.
+_BIG_NUMBERS = [b"0", b"-1", b"4294967296", b"18446744073709551616", b"1" + b"0" * 30]
+
+
+def _mutate(data: bytes, rng: random.Random) -> bytes:
+    lines = data.split(b"\n")
+    at = rng.randrange(len(lines))
+    kind = rng.choice(["delete", "duplicate", "truncate", "reverse", "flip", "number",
+                       "separator", "prefix", "empty"])
+    if kind == "delete":
+        del lines[at]
+    elif kind == "duplicate":
+        lines.insert(at, lines[at])
+    elif kind == "truncate":
+        lines[at] = lines[at][:rng.randrange(len(lines[at]) + 1)]
+    elif kind == "reverse":
+        lines.reverse()
+    elif kind == "flip" and data:
+        flipped = bytearray(data)
+        flipped[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        return bytes(flipped)
+    elif kind == "number":
+        numbers = list(re.finditer(rb"\d+", data))
+        if numbers:
+            number = rng.choice(numbers)
+            return data[:number.start()] + rng.choice(_BIG_NUMBERS) + data[number.end():]
+    elif kind == "separator":
+        lines[at] += rng.choice([b"|", b",", b";", b"="])
+    elif kind == "prefix":
+        return rng.choice([b"\xef\xbb\xbf", b"\x00", b"\r"]) + data
+    elif kind == "empty":
+        return b""
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURE_COMMANDS))
+def test_mutated_fixture_inputs_fail_cleanly(fixture, tmp_path, capsys):
+    rng = random.Random(f"fuzz-{fixture}")
+    argv = FIXTURE_COMMANDS[fixture]
+    files = [i for i, arg in enumerate(argv) if argv[i - 1][:2] == "--" and Path(arg).is_file()]
+    for case in range(25):
+        at = rng.choice(files)
+        data = Path(argv[at]).read_bytes()
+        for _ in range(rng.randint(1, 3)):
+            data = _mutate(data, rng)
+        mutated = tmp_path / f"{case}" / Path(argv[at]).name
+        mutated.parent.mkdir()
+        mutated.write_bytes(data)
+        out = tmp_path / f"{case}" / "out"
+        code = run([*argv[:at], str(mutated), *argv[at + 1:], "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 4), (case, data)
+        if code:
+            errors = [line for line in err.splitlines() if line.startswith("error: ")]
+            assert len(errors) == 1 and "Traceback" not in err, (case, data, err)
+            assert not (out / "manifest.json").exists(), (case, data)
+
+
+def test_malformed_ids_do_not_depend_on_position():
+    ids = malformed_ids(MALFORMED)
+    new = ("--roster", "roster.txt", "1\n2\n\nx\n", 4, ["zone", "--topology", "topo.txt"])
+    assert malformed_ids([new, *MALFORMED]) == ["roster-zone-line4", *ids]
 
 
 @pytest.mark.parametrize(

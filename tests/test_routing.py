@@ -36,6 +36,7 @@ from zonesim.routing import (
     Route,
     RoutingError,
     TraceOutcome,
+    _Network,
     _replay,
     data_plane_trace,
     dump_rib,
@@ -1451,10 +1452,63 @@ def _unstable(topo, record):
     return unstable
 
 
+def _counting_net(topo, net, calls):
+    # net's hooks and orders, with each hook call counted by its edge into
+    # the importer; the export hook is no longer the default, so a replay
+    # asks it about every refused edge it walks.
+    def import_route(importer, neighbor, rel, route):
+        calls["import", importer, neighbor] += 1
+        return net.import_route(importer, neighbor, rel, route)
+
+    def export_route(exporter, neighbor, rel, route):
+        calls["export", neighbor, exporter] += 1
+        return net.export_route(exporter, neighbor, rel, route)
+
+    return _Network(topo, PolicyHooks(import_route, export_route, net.orders.__getitem__))
+
+
 class TestReplay:
     """A solve keeps each AS's best alone; candidates are replayed from the
     fixpoint.  They equal the ranked tables the solve used to store, and
     the stored bests are a fixpoint of the replay."""
+
+    def test_hook_calls_are_the_edges_into_the_as(self):
+        # Replaying AS a imports once over each edge into a from a neighbor
+        # holding a best that the export rule (or the export hook) and the
+        # loop check pass, and asks the export hook once about each refused
+        # edge into a; no other edge is walked.
+        replays = imports = refused = 0
+        for _, topo, rib, _ in _replay_cases():
+            for record in {id(r): r for r in rib._records.values()}.values():
+                calls = Counter()
+                net = _counting_net(topo, record.net, calls)
+                for asn in sorted(topo.asns):
+                    expected = Counter()
+                    # What asn is to its providers, peers and customers.
+                    for rel_back, neighbors in (
+                        (Rel.CUSTOMER, topo.providers[asn]), (Rel.PEER, topo.peers[asn]),
+                        (Rel.PROVIDER, topo.customers[asn]),
+                    ):
+                        for neighbor in neighbors:
+                            best = record.bests.get(neighbor)
+                            if best is None:
+                                continue
+                            sends = (
+                                best.learned_rel in (Rel.CUSTOMER, Rel.SELF)
+                                or rel_back is Rel.CUSTOMER
+                            )
+                            if not sends:
+                                expected["export", asn, neighbor] += 1
+                                sends = record.net.export_route(neighbor, asn, rel_back, best)
+                            if sends and asn not in best.as_path:
+                                expected["import", asn, neighbor] += 1
+                    calls.clear()
+                    _replay(net, record.rep, record.origs, record.bests, asn)
+                    assert calls == expected, (asn, record.rep)
+                    replays += 1
+                    imports += sum(n for (kind, *_), n in expected.items() if kind == "import")
+                    refused += sum(n for (kind, *_), n in expected.items() if kind == "export")
+        assert replays >= 10000 and imports >= 12000 and refused >= 10000
 
     def test_matches_ranked_rows_oracle(self):
         kinds = Counter()

@@ -83,12 +83,17 @@ class TestLoadTopology:
             ("1|2|-1\rbogus\r", "line 2: malformed record 'bogus'"),
             ("1|2|-1\r\r\n\nbogus\n", "line 4: malformed record 'bogus'"),
             ("# x\x0cy\x85z\n1|2|-1\nbogus\n", "line 3: malformed record 'bogus'"),
+            # bytes that are not UTF-8, lines counted alike
+            (b"1|2|-1\n2|\xff3|-1\n", "line 2: not UTF-8 text (invalid start byte)"),
+            (b"1|2|-1\r\n2|3|-1\r# caf\xc3\xa9\n3|4|-1\xe2\x82",
+             "line 4: not UTF-8 text (unexpected end of data)"),
         ],
     )
     def test_per_line_error_text(self, text, message):
-        with pytest.raises(TopologyError) as excinfo:
-            load_topology(text)
-        assert str(excinfo.value) == message
+        for load in (load_topology, oracle_load_topology):
+            with pytest.raises(TopologyError) as excinfo:
+                load(text)
+            assert str(excinfo.value) == message
 
     # (text, line the loader names or None, message); a case's id is its
     # text and message.

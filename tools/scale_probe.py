@@ -12,11 +12,16 @@ the peak resident set, read before the dump.
 After the timed solve it solves once more with counting wrappers around
 the import and export hooks, checks that this RIB equals the timed one,
 and reports refused_edge_checks (export hook calls: edges the valley-free
-rule refuses) and imports (import hook calls) of that solve alone; the
-comparison, which replays every AS's candidates, is not counted.  A
+rule refuses) and imports (import hook calls) of that solve alone.  A
 wrapped export hook is not the default, so the counting solve visits every
 refused edge; the timed solve, under the zone policy's default export
 hook, does not, so refused_edge_checks counts the edge visits it skips.
+The comparison replays every holder's candidates in both RIBs, the
+counting RIB's through the counting hooks; their calls during it are
+reported apart, as replay_imports and replay_refused_edge_checks.  A
+replay walks only the edges into its AS from neighbors holding a best, so
+these count those edges that pass the export rule (or hook) and the loop
+check, and those the rule refuses.
 Last, after every other reading, it loads the text once more, untimed,
 under ``tracemalloc``, and reports the graph that load returns
 (``load_traced_mb``) and the load's traced peak (``load_traced_peak_mb``).
@@ -312,10 +317,12 @@ def main(argv: list[str] | None = None) -> int:
 
     counted = replace(hooks, export_route=export_route, import_route=import_route)
     counted_rib = propagate(topo, [Origination(origin, prefix)], counted)
-    # Copied first: comparing RIBs replays their candidates through the hooks.
+    # Copied first: comparing RIBs replays every holder's candidates, the
+    # counting RIB's through the counting hooks.
     solve_counts = dict(counts)
     if counted_rib != rib:
         raise SystemExit("the counting solve disagrees with the timed solve")
+    replay_counts = {f"replay_{name}": counts[name] - solve_counts[name] for name in counts}
     traced = traced_load(text)
 
     print(json.dumps({
@@ -329,6 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         "dump_s": round(dump_s, 3),
         "rib_rows": dumped.count("\n"),
         **solve_counts,
+        **replay_counts,
         "peak_rss_mb": peak_rss_mb,
         **traced,
         "python": platform.python_version(),
