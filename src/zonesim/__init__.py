@@ -17,7 +17,6 @@ from .topology import (
     customer_cone,
     load_ix_memberships,
     load_topology,
-    serialize_topology,
     tier1_clique,
     tier1_mesh_gaps,
 )

@@ -47,7 +47,7 @@ from .routing import (
     _prefix_sort_key,
     propagate,
 )
-from .topology import Rel, Topology
+from .topology import MAX_ASN, Rel, Topology
 from .vipzone import ZoneConfig, zone_policy
 
 
@@ -79,6 +79,7 @@ class AttackScenario:
     leaked_from: int | None = None
 
     def __post_init__(self):
+        _check_forged_path(self.forged_path or ())
         if self.kind is AttackKind.FORGED_ORIGIN_PATH_HIJACK:
             if not self.forged_path:
                 raise ScenarioError("forged path hijack requires forged_path")
@@ -90,6 +91,14 @@ class AttackScenario:
             raise ScenarioError("route leak requires leaked_from")
         if self.kind is not AttackKind.ROUTE_LEAK and self.attacker == self.victim_origin:
             raise ScenarioError("attacker and victim origin must differ")
+
+
+def _check_forged_path(path: Sequence[int]) -> Sequence[int]:
+    # A forged path's ASNs, as an AS path may hold them: 1..2**32-1 (RFC 7607).
+    for asn in path:
+        if not 0 < asn <= MAX_ASN:
+            raise ScenarioError(f"invalid ASN {asn} in forged_path: must be in 1..{MAX_ASN}")
+    return path
 
 
 @dataclass(frozen=True)
@@ -370,7 +379,7 @@ _SCENARIO_FIELDS = {
     "attacker": int,
     "victim_prefix": parse_prefix,
     "victim_origin": int,
-    "forged_path": lambda v: tuple(int(a) for a in v.split()) or None,
+    "forged_path": lambda v: _check_forged_path(tuple(map(int, v.split()))) or None,
     "leaked_from": int,
 }
 _REQUIRED_FIELDS = ("kind", "attacker", "victim_prefix", "victim_origin")

@@ -20,6 +20,15 @@ writes rib.txt one AS's rows at a time as dump_rib forms them, so neither
 the dump's text nor its bytes exist whole in memory.  A run that fails
 midway may leave a partial output beside no manifest.
 
+The topology is the one input read through a cache: `main` hands its
+bytes and SHA-256 (the manifest's digest) to `topology._load_cached`,
+which keeps each parsed graph under $XDG_CACHE_HOME/zonesim (or
+~/.cache/zonesim), so a later call on the same text rebuilds the graph
+from that entry instead of parsing it.  Outputs, the manifest, stderr and
+the exit code are the same whether the graph came from the cache or not,
+and whether or not the entry could be written.  Every other input is
+parsed afresh on each call.
+
 `main` runs each command, from the first input read to the manifest, with
 the cyclic garbage collector paused, and restores the collector's previous
 state on return or error.  What a command builds holds no reference cycles,
@@ -82,9 +91,10 @@ class _Run:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         (self.out_dir / "manifest.json").unlink(missing_ok=True)
 
-    def parse(self, path: Path, parser):
+    def parse(self, path: Path, parser, raw: bool = False):
         """Read, record and parse one input, annotating errors with the file
-        path so messages read file: line N: ..."""
+        path so messages read file: line N: ...  The parser is given the
+        text, or with raw the bytes and their SHA-256."""
         data = path.read_bytes()
         name = path.name
         digest = _sha256(data)
@@ -95,7 +105,7 @@ class _Run:
             name = f"{name}#{suffix}"
         self.inputs[name] = digest
         try:
-            return parser(decode(data))
+            return parser(data, digest) if raw else parser(decode(data))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
@@ -381,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with topology._gc_paused():
             run = _Run(args)
-            code = args.func(run, args, run.parse(args.topology, topology.load_topology))
+            code = args.func(run, args, run.parse(args.topology, topology._load_cached, raw=True))
             run.finish()
         return code
     except (ValueError, OSError) as exc:

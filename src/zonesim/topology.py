@@ -4,19 +4,30 @@ The graph is loaded from the standard serial-1 AS-relationship format:
 ``<asnA>|<asnB>|-1`` records that asnA is a transit provider of asnB, and
 ``<asnA>|<asnB>|0`` records a settlement-free peering.  Provider chains must
 be acyclic; the propagation engine relies on that to converge.
+
+This module also owns the on-disk graph cache the command line reads
+through (``_load_cached``): a parsed graph's three adjacency maps in
+``marshal`` format, one file per distinct topology text.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import gc
+import hashlib
 import logging
+import marshal
+import os
+import sys
 from collections import defaultdict
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from itertools import chain, repeat
 from operator import eq
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
+from . import _lines
 from ._lines import data_lines, decode, read_lines
 
 log = logging.getLogger(__name__)
@@ -155,11 +166,20 @@ class Topology:
             # half the time of a pass over sets made in another order.
             return dict(zip(asns, map(frozenset, map(adjacency.pop, asns, repeat(_EMPTY)))))
 
-        # The fresh maps are the graph's own; `__init__` would copy them.
+        return cls._own(freeze(providers), freeze(customers), freeze(peers))
+
+    @classmethod
+    def _own(
+        cls,
+        providers: dict[int, frozenset[int]],
+        customers: dict[int, frozenset[int]],
+        peers: dict[int, frozenset[int]],
+    ) -> "Topology":
+        # A graph over fresh maps with one key set, which become its own;
+        # `__init__` would copy them.
         topo = cls.__new__(cls)
-        topo.providers, topo.customers, topo.peers = (
-            freeze(providers), freeze(customers), freeze(peers))
-        topo.asns = frozenset(asns)
+        topo.providers, topo.customers, topo.peers = providers, customers, peers
+        topo.asns = frozenset(providers)
         return topo
 
     def providers_of(self, asn: int) -> frozenset[int]:
@@ -370,9 +390,84 @@ def _parse_record(line: str) -> tuple[int, int, int]:
     return a, b, code
 
 
-def serialize_topology(topo: Topology) -> str:
-    """Render the edge set back to serial-1 text; inverse of load_topology."""
-    return "\n".join("|".join(str(f) for f in rec) for rec in topo.records()) + "\n"
+def _load_cached(data: bytes, digest: str) -> Topology:
+    """``load_topology(data)``, through the on-disk graph cache.
+
+    `digest` is the SHA-256 of `data`, hex.  An entry is the ``marshal`` of
+    the graph's three adjacency maps, named by a key over that digest, the
+    interpreter's bytecode tag, the marshal format version and this
+    loader's own source, so an entry that a loader which parses text
+    differently wrote is never read.  A hit makes the maps the graph's own,
+    as ``_from_columns`` does; marshal keeps shared objects shared, so each
+    ASN stays one int.  The maps keep their key order, but a frozenset may
+    iterate in another order than the parsed one (since Python 3.11,
+    marshal writes a frozenset's elements sorted), and nothing that reads
+    the graph depends on that order.  Anything else is a miss: no entry,
+    an error reading or unmarshalling it, or a wrong shape (not three dicts
+    with one key set and frozenset values).  A miss parses `data` exactly
+    as ``load_topology`` does, errors included, and only a graph that
+    passed its checks is written, to a temporary file moved into place; a
+    write that fails with ``OSError`` is let go, so the graph returned is
+    the same on a hit, a miss or a failed write.
+    """
+    try:
+        path = _cache_path(digest)
+    except (OSError, RuntimeError):  # no loader source, or no home directory
+        return load_topology(data)
+    topo = _read_cached(path)
+    if topo is None:
+        topo = load_topology(data)
+        _write_cached(path, topo)
+    return topo
+
+
+@functools.cache
+def _loader_digest() -> str:
+    # The loader's source: this module and the shared line format.
+    digest = hashlib.sha256()
+    for source in (__file__, _lines.__file__):
+        digest.update(Path(source).read_bytes())
+    return digest.hexdigest()
+
+
+def _cache_path(digest: str) -> Path:
+    # $XDG_CACHE_HOME/zonesim, or ~/.cache/zonesim, resolved per call.
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    key = "\0".join(
+        (digest, str(sys.implementation.cache_tag), str(marshal.version), _loader_digest()))
+    return Path(base) / "zonesim" / f"{hashlib.sha256(key.encode()).hexdigest()}.graph"
+
+
+def _read_cached(path: Path) -> Topology | None:
+    # The graph a well-formed entry holds, else None.
+    try:
+        maps = marshal.loads(path.read_bytes())
+    except (OSError, EOFError, ValueError, TypeError):
+        return None
+    if not (
+        type(maps) is tuple and len(maps) == 3 and all(type(m) is dict for m in maps)
+        and maps[0].keys() == maps[1].keys() == maps[2].keys()
+        and {*map(type, chain.from_iterable(m.values() for m in maps))} <= {frozenset}
+    ):
+        return None
+    return Topology._own(*maps)
+
+
+def _write_cached(path: Path, topo: Topology) -> None:
+    # Written whole under a name no other writer picks, then moved into
+    # place, so a reader never sees a partial entry.  (`tempfile` would add
+    # its imports to every command's start.)
+    tmp = path.with_name(f".{os.urandom(8).hex()}.tmp")
+    with suppress(OSError):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(tmp, "xb") as out:
+                marshal.dump((topo.providers, topo.customers, topo.peers), out)
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(OSError):
+                tmp.unlink()
+            raise
 
 
 def load_ix_memberships(source: str) -> dict[str, frozenset[int]]:

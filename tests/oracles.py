@@ -70,6 +70,11 @@ class PeerFirst(PreferenceOrder):
         )
 
 
+def serialize_topology(topo: Topology) -> str:
+    """Render the edge set back to serial-1 text; inverse of load_topology."""
+    return "\n".join("|".join(str(f) for f in rec) for rec in topo.records()) + "\n"
+
+
 def random_topology(rng: random.Random, n: int, extra_peer_edges: int = 0) -> Topology:
     """Random acyclic transit hierarchy with optional extra peering.
 

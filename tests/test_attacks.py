@@ -46,6 +46,17 @@ class TestScenarioShapes:
                 AttackKind.FORGED_ORIGIN_PATH_HIJACK, 30, PFX, 20, forged_path=(30, 20)
             )
 
+    @pytest.mark.parametrize("asn", [0, -1, 2**32, 10**30])
+    def test_forged_path_asns_in_range(self, asn):
+        # As in an AS path: 1..2**32-1, AS0 excluded (RFC 7607).
+        with pytest.raises(ScenarioError, match=f"^invalid ASN {asn} in forged_path"):
+            AttackScenario(
+                AttackKind.FORGED_ORIGIN_PATH_HIJACK, 30, PFX, 20, forged_path=(asn, 20)
+            )
+        assert AttackScenario(
+            AttackKind.FORGED_ORIGIN_PATH_HIJACK, 30, PFX, 20, forged_path=(2**32 - 1, 20)
+        ).forged_path == (2**32 - 1, 20)
+
     def test_leak_requires_source(self):
         with pytest.raises(ScenarioError, match="leaked_from"):
             AttackScenario(AttackKind.ROUTE_LEAK, 10, PFX, 20)

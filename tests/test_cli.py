@@ -20,11 +20,11 @@ from zonesim.attacks import AttackKind, AttackScenario, scenario_rib
 from zonesim.cli import main
 from zonesim.registry import RovState, parse_prefix, rov_validate
 from zonesim.routing import Origination, dump_rib, gao_rexford_hooks, propagate
-from zonesim.topology import serialize_topology
 from zonesim.vipzone import ZoneConfig, zone_policy
 
 from oracles import (
     given_rib, random_originations, random_registry, random_topology, random_zone_instance,
+    serialize_topology,
 )
 from test_acceptance import FIXTURE_COMMANDS
 
@@ -286,6 +286,11 @@ MALFORMED += [
     # A repeated AS pair, and a registry ASN outside 0..2**32-1.
     ("--topology", "topo.txt", "1|2|-1\n2|3|-1\n1|2|-1\n", 3, ["curve", "--sizes", "1"]),
     ("--roas", "roas.csv", "prefix,maxlen,asn\n192.0.2.0/24,,-1\n", 2, SIMULATE),
+    # A forged path ASN outside 1..2**32-1.
+    ("--scenario", "scenario.txt", SCENARIO.replace("forged_path=20", "forged_path=-1 20"), 5,
+     SIMULATE),
+    ("--scenario", "scenario.txt",
+     SCENARIO.replace("forged_path=20", f"forged_path={10**30} 20"), 5, SIMULATE),
 ]
 
 

@@ -12,12 +12,13 @@ from zonesim.topology import (
     customer_cone,
     load_ix_memberships,
     load_topology,
-    serialize_topology,
     tier1_clique,
     tier1_mesh_gaps,
 )
 
-from oracles import dfs_customer_cone, oracle_load_topology, random_topology
+from oracles import (
+    dfs_customer_cone, oracle_load_topology, random_topology, serialize_topology,
+)
 
 
 class TestLoadTopology:

@@ -53,12 +53,17 @@ calls, counted by a wrapper around audit.rov_validate; one per distinct
 pair) and the peak resident set.
 
 With --cli the probe times one command end to end instead: it writes the
-graph to a temporary directory and runs ``zonesim.cli.main`` once on it,
+graph to a temporary directory and runs ``zonesim.cli.main`` twice on it,
 ``local-region --sizes N`` with N the --cones value (the region-size
 distribution of the attached customers of the N largest cones), in this
-fresh process.  It prints the command's exit code, cli_s (the call's
-wall-clock seconds, which include the topology parse), region_rows (the
-regions.csv data rows) and the peak resident set.
+fresh process.  The CLI's graph cache (XDG_CACHE_HOME) is a new empty
+directory inside the temporary one, so the first call is cold: it parses
+the topology and writes the cache entry.  The second call reads that
+entry.  It prints the first call's exit code, cli_s and cli_warm_s (the
+two calls' wall-clock seconds), region_rows (the regions.csv data rows),
+outputs_identical (whether the two calls wrote byte-identical files),
+cache_entries (the entries in the cache afterwards) and the peak resident
+set.
 
 With --simulate N the probe times one ``simulate`` end to end instead: it
 writes the graph and N originations, each a /24 (10.0.0.0/24, 10.0.1.0/24,
@@ -69,7 +74,8 @@ cli_s (the call's wall-clock seconds, which include the topology parse),
 rib_rows and rib_mb (rib.txt's lines and size), the peak resident set,
 read right after that call (it also counts the graph generation), and,
 from a second, untimed run of the same command under ``tracemalloc``,
-simulate_traced_peak_mb: that call's traced peak.
+simulate_traced_peak_mb: that call's traced peak.  Each of the two runs
+has its own new empty graph cache, so both parse the topology.
 
     python3 tools/scale_probe.py            # 75k ASes
     python3 tools/scale_probe.py --ases 2000
@@ -85,15 +91,17 @@ load_traced_peak_mb at most 1.6 times load_traced_mb; with
 --cones 30 --exceptions at 500 ASes, every AS loaded, exception_count 11,
 verified_solves 75 and mixed_solves 11; with --audit at 2000 ASes,
 view_routes 15000, findings 0 and rov_validations equal to prefix_origins;
-with --cli at 2000 ASes, exit code 0 and a positive region_rows; with
---simulate 20 at 2000 ASes, exit code 0, rib_rows 40000 (every AS holds
-every prefix) and simulate_traced_peak_mb at most 3 times rib_mb.
+with --cli at 2000 ASes, exit code 0, a positive region_rows, identical
+outputs and one cache entry; with --simulate 20 at 2000 ASes, exit code 0,
+rib_rows 40000 (every AS holds every prefix) and simulate_traced_peak_mb
+at most 3 times rib_mb.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import resource
 import sys
@@ -134,24 +142,45 @@ def traced_load(text: str) -> dict[str, float]:
     }
 
 
+def new_graph_cache(path: Path) -> Path:
+    """Point the CLI's graph cache at `path`, an empty directory, for what
+    runs next in this process; return the cache's own directory."""
+    os.environ["XDG_CACHE_HOME"] = str(path)
+    return path / "zonesim"
+
+
+def outputs(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
 def probe_cli(text: str, ases: int, cones: int) -> int:
-    """Time ``local-region --sizes cones`` on the graph text; return its exit code."""
+    """Time ``local-region --sizes cones`` on the graph text, cold and then
+    from the graph cache; return the cold call's exit code."""
     from zonesim import cli
 
     with tempfile.TemporaryDirectory() as tmp:
-        topo_file, out = Path(tmp) / "topology.txt", Path(tmp) / "out"
+        topo_file, cold, warm = Path(tmp) / "topology.txt", Path(tmp) / "cold", Path(tmp) / "warm"
         topo_file.write_text(text)
+        cache = new_graph_cache(Path(tmp) / "cache")
         argv = ["local-region", "--topology", str(topo_file), "--sizes", str(cones)]
         t = perf_counter()
-        code = cli.main(argv + ["--out-dir", str(out)])
+        code = cli.main(argv + ["--out-dir", str(cold)])
         cli_s = perf_counter() - t
-        rows = (out / "regions.csv").read_text().count("\n") - 1 if code == 0 else None
+        t = perf_counter()
+        warm_code = cli.main(argv + ["--out-dir", str(warm)])
+        cli_warm_s = perf_counter() - t
+        rows = (cold / "regions.csv").read_text().count("\n") - 1 if code == 0 else None
+        identical = warm_code == code and outputs(warm) == outputs(cold)
+        entries = len(list(cache.glob("*.graph")))
     print(json.dumps({
         "ases": ases,
         "cones": cones,
         "exit": code,
         "cli_s": round(cli_s, 3),
+        "cli_warm_s": round(cli_warm_s, 3),
         "region_rows": rows,
+        "outputs_identical": identical,
+        "cache_entries": entries,
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "python": platform.python_version(),
     }))
@@ -172,11 +201,13 @@ def probe_simulate(text: str, ases: int, origins: list[int]) -> int:
         ))
         argv = ["simulate", "--topology", str(topo_file), "--originations", str(orig_file)]
         out = Path(tmp) / "out"
+        new_graph_cache(Path(tmp) / "cache")
         t = perf_counter()
         code = cli.main(argv + ["--out-dir", str(out)])
         cli_s = perf_counter() - t
         peak_rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
         rib = (out / "rib.txt").read_bytes() if code == 0 else b""
+        new_graph_cache(Path(tmp) / "cache-traced")
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
