@@ -6,9 +6,10 @@ count.  A customer's local region is every AS that could deliver an
 announcement to it without the announcement crossing a zone member --
 its residual attack surface.
 
-Zone derivation and cone sizes are single passes over the graph (cone
-sizes as bottom-up bitsets), and the greedy growth curve is a lazy heap:
-nothing rescans every AS at every step.
+Zone derivation is a single pass over the graph, cone sizes are read
+from the graph (``Topology.cone_sizes``: one bottom-up pass of set unions,
+kept with the graph and in the CLI's graph cache), and the greedy growth
+curve is a lazy heap: nothing rescans every AS at every step.
 """
 
 from __future__ import annotations
@@ -89,47 +90,9 @@ class GrowthOrder(enum.Enum):
     GREEDY_PROTECTED_GAIN = "greedy_protected_gain"
 
 
-def _cone_sizes(topo: Topology) -> dict[int, int]:
-    """Every AS's customer-cone size, from one bottom-up pass.
-
-    ASes are numbered in topological order, each after all of its customers,
-    so a cone is the union of its customers' bits and cones: a Python-int
-    bitset no wider than the AS's own number.  A cone is dropped once every
-    provider has read it; no per-AS set is built.
-    """
-    customers, providers = topo.customers, topo.providers
-    waiting = {a: len(c) for a, c in customers.items()}  # customers not yet numbered
-    ready = [a for a, n in waiting.items() if not n]
-    number: dict[int, int] = {}
-    cones: dict[int, int] = {}
-    unread: dict[int, int] = {}  # providers that have not yet read a kept cone
-    sizes: dict[int, int] = {}
-    while ready:
-        asn = ready.pop()
-        number[asn] = len(number)
-        cone = 0
-        for cust in customers[asn]:
-            cone |= 1 << number[cust]
-            if cust in cones:
-                cone |= cones[cust]
-                unread[cust] -= 1
-                if not unread[cust]:
-                    del cones[cust], unread[cust]
-        sizes[asn] = cone.bit_count()
-        if cone and providers[asn]:
-            cones[asn] = cone
-            unread[asn] = len(providers[asn])
-        for prov in providers[asn]:
-            waiting[prov] -= 1
-            if not waiting[prov]:
-                ready.append(prov)
-    return sizes
-
-
 def cone_size_order(topo: Topology) -> list[int]:
     """All ASNs by descending customer-cone size, ties broken by lower ASN."""
-    sizes = _cone_sizes(topo)
-    return sorted(sorted(topo.asns), key=sizes.__getitem__, reverse=True)
+    return sorted(sorted(topo.asns), key=topo.cone_sizes.__getitem__, reverse=True)
 
 
 def zone_growth_curve(
@@ -172,7 +135,7 @@ def zone_growth_curve(
             curve.append((size, len(protected)))
         return curve
 
-    sizes = _cone_sizes(topo)
+    sizes = topo.cone_sizes
     heap = [(-1 - len(customers[a]), -sizes[a], a) for a in topo.asns]
     heapq.heapify(heap)
     admitted = 0

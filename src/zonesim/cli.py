@@ -44,7 +44,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -381,8 +381,14 @@ _NEEDS = (
 )
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing reads the parser and never changes it.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     given = {"--" + key.replace("_", "-") for key in _set_flags(args)}
     for command, flag, needed in _NEEDS:

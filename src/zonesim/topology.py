@@ -5,9 +5,13 @@ The graph is loaded from the standard serial-1 AS-relationship format:
 ``<asnA>|<asnB>|0`` records a settlement-free peering.  Provider chains must
 be acyclic; the propagation engine relies on that to converge.
 
+Every AS's customer-cone size is one bottom-up pass of set unions
+(``_cone_sizes``), run on a graph's first read of ``Topology.cone_sizes``
+and kept with the graph.
+
 This module also owns the on-disk graph cache the command line reads
-through (``_load_cached``): a parsed graph's three adjacency maps in
-``marshal`` format, one file per distinct topology text.
+through (``_load_cached``): a parsed graph's three adjacency maps and its
+cone sizes in ``marshal`` format, one file per distinct topology text.
 """
 
 from __future__ import annotations
@@ -181,6 +185,12 @@ class Topology:
         topo.providers, topo.customers, topo.peers = providers, customers, peers
         topo.asns = frozenset(providers)
         return topo
+
+    @functools.cached_property
+    def cone_sizes(self) -> dict[int, int]:
+        """Every AS's customer-cone size, ``len(customer_cone(self, asn))``,
+        from one pass on first read; the dict is the graph's, not a copy."""
+        return _cone_sizes(self.customers, self.providers)
 
     def providers_of(self, asn: int) -> frozenset[int]:
         self._require(asn)
@@ -394,21 +404,24 @@ def _load_cached(data: bytes, digest: str) -> Topology:
     """``load_topology(data)``, through the on-disk graph cache.
 
     `digest` is the SHA-256 of `data`, hex.  An entry is the ``marshal`` of
-    the graph's three adjacency maps, named by a key over that digest, the
-    interpreter's bytecode tag, the marshal format version and this
-    loader's own source, so an entry that a loader which parses text
-    differently wrote is never read.  A hit makes the maps the graph's own,
-    as ``_from_columns`` does; marshal keeps shared objects shared, so each
-    ASN stays one int.  The maps keep their key order, but a frozenset may
-    iterate in another order than the parsed one (since Python 3.11,
-    marshal writes a frozenset's elements sorted), and nothing that reads
-    the graph depends on that order.  Anything else is a miss: no entry,
-    an error reading or unmarshalling it, or a wrong shape (not three dicts
-    with one key set and frozenset values).  A miss parses `data` exactly
-    as ``load_topology`` does, errors included, and only a graph that
-    passed its checks is written, to a temporary file moved into place; a
-    write that fails with ``OSError`` is let go, so the graph returned is
-    the same on a hit, a miss or a failed write.
+    the graph's three adjacency maps and its cone sizes, named by a key
+    over that digest, the interpreter's bytecode tag, the marshal format
+    version and this loader's own source (which holds the cone-size pass),
+    so an entry that a loader which parses text or sizes cones differently
+    wrote is never read.  A hit makes the maps the graph's own, as
+    ``_from_columns`` does, and presets its ``cone_sizes``; marshal keeps
+    shared objects shared, so each ASN stays one int.  The maps keep their
+    key order, but a frozenset may iterate in another order than the
+    parsed one (since Python 3.11, marshal writes a frozenset's elements
+    sorted), and nothing that reads the graph depends on that order.
+    Anything else is a miss: no entry, an error reading or unmarshalling
+    it, or a wrong shape (not three dicts with one key set and frozenset
+    values, then a dict over that key set with int values).  A miss parses
+    `data` exactly as ``load_topology`` does, errors included, and only a
+    graph that passed its checks is written, to a temporary file moved
+    into place; the cone sizes are computed for the entry only once that
+    file is open.  A write that fails with ``OSError`` is let go, so the
+    graph returned is the same on a hit, a miss or a failed write.
     """
     try:
         path = _cache_path(digest)
@@ -439,30 +452,38 @@ def _cache_path(digest: str) -> Path:
 
 
 def _read_cached(path: Path) -> Topology | None:
-    # The graph a well-formed entry holds, else None.
+    # The graph a well-formed entry holds, with its cone sizes, else None.
     try:
-        maps = marshal.loads(path.read_bytes())
+        entry = marshal.loads(path.read_bytes())
     except (OSError, EOFError, ValueError, TypeError):
         return None
+    if not (type(entry) is tuple and len(entry) == 4):
+        return None
+    *maps, sizes = entry
     if not (
-        type(maps) is tuple and len(maps) == 3 and all(type(m) is dict for m in maps)
-        and maps[0].keys() == maps[1].keys() == maps[2].keys()
+        all(type(m) is dict for m in entry)
+        and maps[0].keys() == maps[1].keys() == maps[2].keys() == sizes.keys()
         and {*map(type, chain.from_iterable(m.values() for m in maps))} <= {frozenset}
+        and {*map(type, sizes.values())} <= {int}
     ):
         return None
-    return Topology._own(*maps)
+    topo = Topology._own(*maps)
+    topo.cone_sizes = sizes
+    return topo
 
 
 def _write_cached(path: Path, topo: Topology) -> None:
     # Written whole under a name no other writer picks, then moved into
     # place, so a reader never sees a partial entry.  (`tempfile` would add
-    # its imports to every command's start.)
+    # its imports to every command's start.)  The cone sizes are read only
+    # once the file is open, so a cache that cannot be written costs no
+    # cone pass.
     tmp = path.with_name(f".{os.urandom(8).hex()}.tmp")
     with suppress(OSError):
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
             with open(tmp, "xb") as out:
-                marshal.dump((topo.providers, topo.customers, topo.peers), out)
+                marshal.dump((topo.providers, topo.customers, topo.peers, topo.cone_sizes), out)
             os.replace(tmp, path)
         except BaseException:
             with suppress(OSError):
@@ -492,6 +513,37 @@ def customer_cone(topo: Topology, asn: int) -> frozenset[int]:
     """
     topo._require(asn)
     return _cone_avoiding(topo.customers, _EMPTY, asn)
+
+
+def _cone_sizes(
+    customers: Mapping[int, frozenset[int]], providers: Mapping[int, frozenset[int]]
+) -> dict[int, int]:
+    # Bottom-up: an AS is taken once all its customers are, and its cone is
+    # its customers plus their kept cones.  A cone is kept only for an AS
+    # with providers, and dropped once every provider has read it.
+    waiting = {a: len(c) for a, c in customers.items()}  # customers not yet taken
+    ready = [a for a, n in waiting.items() if not n]
+    cones: dict[int, frozenset[int]] = {}
+    unread: dict[int, int] = {}  # providers that have not yet read a kept cone
+    sizes: dict[int, int] = {}
+    while ready:
+        asn = ready.pop()
+        below = customers[asn]
+        kept = [c for c in below if c in cones]
+        cone = below.union(*map(cones.__getitem__, kept)) if kept else below
+        for cust in kept:
+            unread[cust] -= 1
+            if not unread[cust]:
+                del cones[cust], unread[cust]
+        sizes[asn] = len(cone)
+        if cone and providers[asn]:
+            cones[asn] = cone
+            unread[asn] = len(providers[asn])
+        for prov in providers[asn]:
+            waiting[prov] -= 1
+            if not waiting[prov]:
+                ready.append(prov)
+    return sizes
 
 
 def _cone_avoiding(

@@ -21,10 +21,10 @@ zone policy forces none, so customers of members can see which routes were
 verified on entry.  Rule 7 (route-collector export) is realized by the RIB
 dump in the routing module.
 
-Only R2 and R5 read a route's prefix, and only through the ROV state of its
-origin and the R5 verdict at a member adjacent to the origin.  The zone
-policy's class key is built from those, so prefixes that agree on them are
-solved once (see routing.propagate).
+Only R2 and R5 read a route's prefix, and only through whether its origin
+is RPKI-invalid and the R5 verdict at a member adjacent to the origin.  The
+zone policy's class key is built from those, so prefixes that agree on them
+are solved once (see routing.propagate).
 """
 
 from __future__ import annotations
@@ -199,21 +199,22 @@ def zone_policy(topo: Topology, cfg: ZoneConfig, reg: RegistrySet) -> PolicyHook
         return member_preference(cfg, asn)
 
     def prefix_class(prefix, originations: list[Origination]) -> tuple:
-        # Per origination: its announcement, the ROV state R2 reads, and
-        # the verdict R5 would reach at each member adjacent to the origin
-        # (none if R2 drops an invalid origin first, or if a forged path's
-        # origin is outside the topology).
+        # Per origination: its announcement, whether R2 drops its origin
+        # as RPKI-invalid (R2 reads no more of the ROV state), and the
+        # verdict R5 would reach at each member adjacent to the origin
+        # (none if R2 drops the origin first, or if a forged path's origin
+        # is outside the topology).
         key = []
         for orig in originations:
             route = orig.route()
             origin = route.origin
-            rov = rov_validate(reg, prefix, origin)
+            invalid = rov_validate(reg, prefix, origin) is RovState.INVALID
             adjacent = topo.neighbors_of(origin) & members if origin in topo.asns else ()
-            verdicts = () if rov is RovState.INVALID else tuple(
+            verdicts = () if invalid else tuple(
                 verify_customer_origin(reg, member, origin, prefix, origin)
                 for member in sorted(adjacent)
             )
-            key.append((orig.asn, route.as_path, route.communities, rov, verdicts))
+            key.append((orig.asn, route.as_path, route.communities, invalid, verdicts))
         return tuple(key)
 
     return PolicyHooks(import_route, preference_for=preference_for, prefix_class=prefix_class)

@@ -33,17 +33,28 @@ def _no_parse(monkeypatch):
     monkeypatch.setattr(topology, "load_topology", parse)
 
 
+def _no_cone_pass(monkeypatch):
+    def cone_sizes(customers, providers):
+        raise AssertionError("cone sizes computed")
+
+    monkeypatch.setattr(topology, "_cone_sizes", cone_sizes)
+
+
 def _entries(cache):
     return sorted(cache.glob("*.graph")) if cache.is_dir() else []
 
 
 def test_miss_writes_one_entry_and_the_next_call_hits(graph_cache, monkeypatch):
     parsed = topology.load_topology(TEXT)
+    sizes = parsed.cone_sizes
     assert topology._load_cached(TEXT, _digest(TEXT)) == parsed
     [entry] = _entries(graph_cache)
     assert not [p for p in graph_cache.iterdir() if p != entry]  # no temporary file left
     _no_parse(monkeypatch)
-    assert topology._load_cached(TEXT, _digest(TEXT)) == parsed
+    _no_cone_pass(monkeypatch)
+    hit = topology._load_cached(TEXT, _digest(TEXT))
+    assert hit == parsed
+    assert hit.cone_sizes == sizes
 
 
 def test_entry_keeps_one_int_per_asn(monkeypatch):
@@ -54,28 +65,48 @@ def test_entry_keeps_one_int_per_asn(monkeypatch):
     neighbors = {id(a) for m in (topo.providers, topo.customers, topo.peers)
                  for s in m.values() for a in s}
     assert neighbors <= keys == {id(a) for a in topo.customers} == {id(a) for a in topo.asns}
+    assert {id(a) for a in topo.cone_sizes} == keys
+
+
+def _with_sizes(change):
+    # The good entry with its cone sizes (the fourth element) changed.
+    def bad(good):
+        *maps, sizes = marshal.loads(good)
+        return marshal.dumps((*maps, change(sizes)))
+
+    return bad
 
 
 @pytest.mark.parametrize("bad", [
     lambda good: good[: len(good) // 2],  # truncated
     lambda good: b"\x00not a marshalled graph\xff" * 3,  # garbage
     lambda good: b"",
-    lambda good: marshal.dumps([{}, {}, {}]),  # a list, not a tuple
-    lambda good: marshal.dumps(({1: frozenset()}, {1: frozenset()})),  # two maps
-    lambda good: marshal.dumps(({1: frozenset()}, {1: frozenset()}, {2: frozenset()})),
-    lambda good: marshal.dumps(({1: frozenset()}, {1: set()}, {1: frozenset()})),
-    lambda good: marshal.dumps(({1: frozenset()}, {1: frozenset()}, [1])),
+    lambda good: marshal.dumps([{}, {}, {}, {}]),  # a list, not a tuple
+    lambda good: marshal.dumps(({1: frozenset()}, {1: frozenset()}, {1: 0})),  # two maps
+    lambda good: marshal.dumps(({1: frozenset()}, {1: frozenset()}, {2: frozenset()}, {1: 0})),
+    lambda good: marshal.dumps(({1: frozenset()}, {1: set()}, {1: frozenset()}, {1: 0})),
+    lambda good: marshal.dumps(({1: frozenset()}, {1: frozenset()}, [1], {1: 0})),
+    lambda good: marshal.dumps(marshal.loads(good)[:3]),  # no cone sizes
+    _with_sizes(lambda sizes: list(sizes.items())),
+    _with_sizes(lambda sizes: {**sizes, 99: 0}),
+    _with_sizes(lambda sizes: dict(list(sizes.items())[1:])),
+    _with_sizes(lambda sizes: {a: float(n) for a, n in sizes.items()}),
+    _with_sizes(lambda sizes: {**sizes, 1: None}),
 ], ids=["truncated", "garbage", "empty", "list", "two-maps", "key-sets", "set-value",
-        "not-a-dict"])
+        "not-a-dict", "no-sizes", "sizes-not-a-dict", "sizes-extra-asn", "sizes-missing-asn",
+        "sizes-float", "sizes-none"])
 def test_bad_entry_is_a_miss_and_is_rewritten(graph_cache, monkeypatch, bad):
     parsed = topology.load_topology(TEXT)
+    sizes = parsed.cone_sizes
     topology._load_cached(TEXT, _digest(TEXT))
     [entry] = _entries(graph_cache)
     entry.write_bytes(bad(entry.read_bytes()))
     assert topology._load_cached(TEXT, _digest(TEXT)) == parsed
     assert _entries(graph_cache) == [entry]
     _no_parse(monkeypatch)
-    assert topology._load_cached(TEXT, _digest(TEXT)) == parsed
+    _no_cone_pass(monkeypatch)
+    hit = topology._load_cached(TEXT, _digest(TEXT))
+    assert hit == parsed and hit.cone_sizes == sizes
 
 
 def test_changed_loader_source_is_a_miss(graph_cache, monkeypatch):
@@ -115,6 +146,49 @@ def test_unwritable_cache_gives_the_same_outputs(name, tmp_path, monkeypatch, ca
         assert run_fixture(name, tmp_path / run) == expected_outputs(name)
         assert capsys.readouterr().err == ""
     assert blocker.read_text() == ""
+
+
+def _outputs(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_warm_cone_commands_run_no_cone_pass(graph_cache, tmp_path, monkeypatch):
+    # The cold call writes the cone sizes into the entry; the warm calls of
+    # every command that reads them take them from there.
+    topo = tmp_path / "topo.txt"
+    topo.write_bytes(TEXT)
+    commands = {
+        "curve": ["curve", "--sizes", "0,1,3,9"],
+        "greedy": ["curve", "--order", "greedy", "--sizes", "0,1,3,9"],
+        "regions": ["local-region", "--sizes", "0,1,3"],
+    }
+
+    def run(name, out):
+        argv = commands[name] + ["--topology", str(topo), "--out-dir", str(tmp_path / out)]
+        assert main(argv) == 0
+        return _outputs(tmp_path / out)
+
+    cold = {name: run(name, f"cold-{name}") for name in commands}
+    assert len(_entries(graph_cache)) == 1
+    _no_parse(monkeypatch)
+    _no_cone_pass(monkeypatch)
+    assert {name: run(name, f"warm-{name}") for name in commands} == cold
+
+
+def test_unwritable_cache_runs_no_cone_pass(tmp_path, monkeypatch, capsys):
+    # zone reads no cone size, and an entry that cannot be written asks for none.
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    _no_cone_pass(monkeypatch)
+    topo, roster = tmp_path / "topo.txt", tmp_path / "roster.txt"
+    topo.write_bytes(TEXT)
+    roster.write_text("1\n2\n")
+    for run in ("a", "b"):
+        assert main(["zone", "--topology", str(topo), "--roster", str(roster),
+                     "--out-dir", str(tmp_path / run)]) == 0
+    assert _outputs(tmp_path / "a") == _outputs(tmp_path / "b")
+    assert capsys.readouterr().err == ""
 
 
 def test_malformed_topology_writes_no_entry(graph_cache, tmp_path, capsys):

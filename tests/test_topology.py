@@ -1,6 +1,7 @@
 import gc
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,8 @@ from zonesim.topology import (
 from oracles import (
     dfs_customer_cone, oracle_load_topology, random_topology, serialize_topology,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestLoadTopology:
@@ -448,6 +451,20 @@ class TestCustomerCone:
             topo = random_topology(rng, 12, rng.randint(0, 6))
             for asn in topo.asns:
                 assert customer_cone(topo, asn) == dfs_customer_cone(topo, asn)
+
+    def test_cone_sizes_match_the_cones(self):
+        # The one-pass set unions against a walk per AS, on random graphs
+        # and on every fixture's topology.
+        rng = random.Random(44)
+        topos = [random_topology(rng, n, rng.randint(0, n))
+                 for n in [rng.randint(1, 300) for _ in range(40)]]
+        topos += [load_topology(path.read_text())
+                  for path in sorted(FIXTURES.glob("*/topology.txt"))]
+        assert len(topos) > 40
+        for topo in topos:
+            sizes = topo.cone_sizes
+            assert sizes == {a: len(customer_cone(topo, a)) for a in topo.asns}
+            assert topo.cone_sizes is sizes  # computed once per graph
 
 
 class TestTier1:

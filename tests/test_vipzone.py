@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,7 @@ from zonesim.registry import (
     parse_prefix,
     verify_customer_origin,
 )
-from zonesim.routing import Origination, Route, propagate
+from zonesim.routing import Origination, PolicyHooks, Route, dump_rib, propagate
 from zonesim.topology import Rel, load_topology
 from zonesim.vipzone import (
     VERIFIED,
@@ -495,6 +496,24 @@ class TestZonePropagation:
             Route(PFX, (40,) + outside.as_path, outside.communities, Rel.CUSTOMER),
         )
         assert VERIFIED not in admitted.communities
+
+    def test_valid_and_unknown_rov_share_a_class(self):
+        # R2 reads only whether an origin is RPKI-invalid: a prefix with a
+        # valid ROA and one with none, both on AS2's prefix list for AS20,
+        # route alike, so they are solved once.
+        other = P("198.51.100.0/24")
+        reg = RegistrySet(
+            roas=[Roa(PFX, 20)],
+            kyc={(2, 20): KycEntry(allowed_prefixes=frozenset({PFX, other}))},
+        )
+        origs = [Origination(20, PFX), Origination(20, other)]
+        hooks = zone_policy(self.TOPO, self.CFG, reg)
+        rib = propagate(self.TOPO, origs, hooks)
+        assert rib._records[PFX] is rib._records[other]
+        alone = propagate(self.TOPO, origs, replace(hooks, prefix_class=PolicyHooks.prefix_class))
+        assert alone._records[PFX] is not alone._records[other]
+        assert rib == alone and dump_rib(rib) == dump_rib(alone)
+        assert VERIFIED in rib.best(1, other).communities
 
 
 class TestZoneHygiene:

@@ -52,18 +52,22 @@ origin) pairs of the views), rov_validations (the audit's rov_validate
 calls, counted by a wrapper around audit.rov_validate; one per distinct
 pair) and the peak resident set.
 
-With --cli the probe times one command end to end instead: it writes the
-graph to a temporary directory and runs ``zonesim.cli.main`` twice on it,
-``local-region --sizes N`` with N the --cones value (the region-size
-distribution of the attached customers of the N largest cones), in this
-fresh process.  The CLI's graph cache (XDG_CACHE_HOME) is a new empty
-directory inside the temporary one, so the first call is cold: it parses
-the topology and writes the cache entry.  The second call reads that
-entry.  It prints the first call's exit code, cli_s and cli_warm_s (the
-two calls' wall-clock seconds), region_rows (the regions.csv data rows),
-outputs_identical (whether the two calls wrote byte-identical files),
-cache_entries (the entries in the cache afterwards) and the peak resident
-set.
+With --cli the probe times two commands end to end instead: it writes
+the graph to a temporary directory and runs ``zonesim.cli.main`` twice on
+``local-region --sizes N``, with N the --cones value (the region-size
+distribution of the attached customers of the N largest cones), and then
+twice on ``curve --sizes N`` (the protected count of the N largest cones),
+in this fresh process.  Each command's pair has its own new empty graph
+cache (XDG_CACHE_HOME) inside the temporary directory, so its first call
+is cold: it parses the topology, runs the cone-size pass and writes the
+cache entry.  The second call reads the graph and its cone sizes from that
+entry.  It prints the first nonzero exit code of the cold calls (or 0);
+cli_s and cli_warm_s (the two local-region calls' wall-clock seconds),
+region_rows (the regions.csv data rows), outputs_identical (whether the
+two wrote byte-identical files) and cache_entries (the entries in their
+cache afterwards); curve_s, curve_warm_s, curve_outputs_identical and
+curve_cache_entries, the same for the two curve calls; and the peak
+resident set.
 
 With --simulate N the probe times one ``simulate`` end to end instead: it
 writes the graph and N originations, each a /24 (10.0.0.0/24, 10.0.1.0/24,
@@ -91,10 +95,11 @@ load_traced_peak_mb at most 1.6 times load_traced_mb; with
 --cones 30 --exceptions at 500 ASes, every AS loaded, exception_count 11,
 verified_solves 75 and mixed_solves 11; with --audit at 2000 ASes,
 view_routes 15000, findings 0 and rov_validations equal to prefix_origins;
-with --cli at 2000 ASes, exit code 0, a positive region_rows, identical
-outputs and one cache entry; with --simulate 20 at 2000 ASes, exit code 0,
-rib_rows 40000 (every AS holds every prefix) and simulate_traced_peak_mb
-at most 3 times rib_mb.
+with --cli at 2000 ASes, exit code 0, a positive region_rows, and for the
+local-region pair and the curve pair each, identical outputs and one
+cache entry; with --simulate 20 at 2000 ASes, exit code 0, rib_rows 40000
+(every AS holds every prefix) and simulate_traced_peak_mb at most 3 times
+rib_mb.
 """
 
 from __future__ import annotations
@@ -153,34 +158,50 @@ def outputs(out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
-def probe_cli(text: str, ases: int, cones: int) -> int:
-    """Time ``local-region --sizes cones`` on the graph text, cold and then
-    from the graph cache; return the cold call's exit code."""
+def cold_and_warm(tmp: Path, name: str, argv: list[str]) -> dict:
+    """Run ``zonesim.cli.main`` on argv twice over a new empty graph cache
+    under tmp: the first call cold, the second from the entry it wrote."""
     from zonesim import cli
 
+    cache = new_graph_cache(tmp / f"cache-{name}")
+    runs = []
+    for out in (tmp / f"{name}-cold", tmp / f"{name}-warm"):
+        t = perf_counter()
+        code = cli.main(argv + ["--out-dir", str(out)])
+        runs.append((code, perf_counter() - t, outputs(out) if out.is_dir() else {}))
+    (code, cold_s, cold), (warm_code, warm_s, warm) = runs
+    return {
+        "exit": code, "cold_s": cold_s, "warm_s": warm_s, "cold": cold,
+        "identical": warm_code == code and warm == cold,
+        "entries": len(list(cache.glob("*.graph"))),
+    }
+
+
+def probe_cli(text: str, ases: int, cones: int) -> int:
+    """Time ``local-region --sizes cones`` and then ``curve --sizes cones``
+    on the graph text, each cold and then from the graph cache; return the
+    first nonzero exit code of the cold calls, or 0."""
     with tempfile.TemporaryDirectory() as tmp:
-        topo_file, cold, warm = Path(tmp) / "topology.txt", Path(tmp) / "cold", Path(tmp) / "warm"
+        topo_file = Path(tmp) / "topology.txt"
         topo_file.write_text(text)
-        cache = new_graph_cache(Path(tmp) / "cache")
-        argv = ["local-region", "--topology", str(topo_file), "--sizes", str(cones)]
-        t = perf_counter()
-        code = cli.main(argv + ["--out-dir", str(cold)])
-        cli_s = perf_counter() - t
-        t = perf_counter()
-        warm_code = cli.main(argv + ["--out-dir", str(warm)])
-        cli_warm_s = perf_counter() - t
-        rows = (cold / "regions.csv").read_text().count("\n") - 1 if code == 0 else None
-        identical = warm_code == code and outputs(warm) == outputs(cold)
-        entries = len(list(cache.glob("*.graph")))
+        common = ["--topology", str(topo_file), "--sizes", str(cones)]
+        region = cold_and_warm(Path(tmp), "region", ["local-region", *common])
+        curve = cold_and_warm(Path(tmp), "curve", ["curve", *common])
+    code = region["exit"] or curve["exit"]
+    regions = region["cold"]["regions.csv"] if region["exit"] == 0 else None
     print(json.dumps({
         "ases": ases,
         "cones": cones,
         "exit": code,
-        "cli_s": round(cli_s, 3),
-        "cli_warm_s": round(cli_warm_s, 3),
-        "region_rows": rows,
-        "outputs_identical": identical,
-        "cache_entries": entries,
+        "cli_s": round(region["cold_s"], 3),
+        "cli_warm_s": round(region["warm_s"], 3),
+        "region_rows": None if regions is None else regions.count(b"\n") - 1,
+        "outputs_identical": region["identical"],
+        "cache_entries": region["entries"],
+        "curve_s": round(curve["cold_s"], 3),
+        "curve_warm_s": round(curve["warm_s"], 3),
+        "curve_outputs_identical": curve["identical"],
+        "curve_cache_entries": curve["entries"],
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "python": platform.python_version(),
     }))
@@ -236,7 +257,9 @@ def main(argv: list[str] | None = None) -> int:
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--exceptions", action="store_true", help="time routing_exceptions")
     mode.add_argument("--audit", action="store_true", help="time audit_views on honest views")
-    mode.add_argument("--cli", action="store_true", help="time one local-region command")
+    mode.add_argument(
+        "--cli", action="store_true", help="time local-region and curve, cold and warm"
+    )
     mode.add_argument(
         "--simulate", type=int, metavar="N", help="time one simulate command of N stub /24s"
     )
