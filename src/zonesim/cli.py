@@ -24,10 +24,12 @@ The topology is the one input read through a cache: `main` hands its
 bytes and SHA-256 (the manifest's digest) to `topology._load_cached`,
 which keeps each parsed graph under $XDG_CACHE_HOME/zonesim (or
 ~/.cache/zonesim), so a later call on the same text rebuilds the graph
-from that entry instead of parsing it.  Outputs, the manifest, stderr and
-the exit code are the same whether the graph came from the cache or not,
-and whether or not the entry could be written.  Every other input is
-parsed afresh on each call.
+from that entry instead of parsing it.  A command that reads the graph's
+customer-cone sizes (curve, and local-region --sizes without --ix) has
+them kept in the entry too, and reads them from there on later calls.
+Outputs, the manifest, stderr and the exit code are the same whether the
+graph came from the cache or not, and whether or not the entry could be
+written.  Every other input is parsed afresh on each call.
 
 `main` runs each command, from the first input read to the manifest, with
 the cyclic garbage collector paused, and restores the collector's previous
@@ -44,7 +46,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -381,14 +383,15 @@ _NEEDS = (
 )
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    # Built once per process: parsing reads the parser and never changes it.
-    return build_parser()
+def _reads_cone_sizes(args) -> bool:
+    # Whether the command reads the loaded graph's cone sizes, which the
+    # graph cache then keeps; an IX-augmented graph is another graph.
+    return args.command == "curve" or (
+        args.command == "local-region" and args.sizes is not None and args.ix is None)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
+    parser = build_parser()
     args = parser.parse_args(argv)
     given = {"--" + key.replace("_", "-") for key in _set_flags(args)}
     for command, flag, needed in _NEEDS:
@@ -397,7 +400,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with topology._gc_paused():
             run = _Run(args)
-            code = args.func(run, args, run.parse(args.topology, topology._load_cached, raw=True))
+            load = partial(topology._load_cached, cone_sizes=_reads_cone_sizes(args))
+            code = args.func(run, args, run.parse(args.topology, load, raw=True))
             run.finish()
         return code
     except (ValueError, OSError) as exc:

@@ -10,8 +10,9 @@ Every AS's customer-cone size is one bottom-up pass of set unions
 and kept with the graph.
 
 This module also owns the on-disk graph cache the command line reads
-through (``_load_cached``): a parsed graph's three adjacency maps and its
-cone sizes in ``marshal`` format, one file per distinct topology text.
+through (``_load_cached``): a parsed graph's three adjacency maps in
+``marshal`` format, one file per distinct topology text, with the cone
+sizes once a command that reads them has loaded it.
 """
 
 from __future__ import annotations
@@ -400,37 +401,48 @@ def _parse_record(line: str) -> tuple[int, int, int]:
     return a, b, code
 
 
-def _load_cached(data: bytes, digest: str) -> Topology:
+def _load_cached(data: bytes, digest: str, cone_sizes: bool = False) -> Topology:
     """``load_topology(data)``, through the on-disk graph cache.
 
     `digest` is the SHA-256 of `data`, hex.  An entry is the ``marshal`` of
-    the graph's three adjacency maps and its cone sizes, named by a key
-    over that digest, the interpreter's bytecode tag, the marshal format
-    version and this loader's own source (which holds the cone-size pass),
-    so an entry that a loader which parses text or sizes cones differently
-    wrote is never read.  A hit makes the maps the graph's own, as
-    ``_from_columns`` does, and presets its ``cone_sizes``; marshal keeps
-    shared objects shared, so each ASN stays one int.  The maps keep their
-    key order, but a frozenset may iterate in another order than the
-    parsed one (since Python 3.11, marshal writes a frozenset's elements
-    sorted), and nothing that reads the graph depends on that order.
-    Anything else is a miss: no entry, an error reading or unmarshalling
-    it, or a wrong shape (not three dicts with one key set and frozenset
-    values, then a dict over that key set with int values).  A miss parses
-    `data` exactly as ``load_topology`` does, errors included, and only a
-    graph that passed its checks is written, to a temporary file moved
-    into place; the cone sizes are computed for the entry only once that
-    file is open.  A write that fails with ``OSError`` is let go, so the
-    graph returned is the same on a hit, a miss or a failed write.
+    the graph's three adjacency maps and, if a caller that read them wrote
+    it, its cone sizes.  It is named by a key over that digest, the
+    interpreter's bytecode tag, the marshal format version and this
+    loader's own source (which holds the cone-size pass), so an entry that
+    a loader which parses text or sizes cones differently wrote is never
+    read.  A hit makes the maps the graph's own, as ``_from_columns`` does;
+    marshal keeps shared objects shared, so each ASN stays one int.  The
+    maps keep their key order, but a frozenset may iterate in another
+    order than the parsed one (since Python 3.11, marshal writes a
+    frozenset's elements sorted), and nothing that reads the graph depends
+    on that order.  Anything else is a miss: no entry, an error reading or
+    unmarshalling it, or a wrong shape (not three dicts with one key set
+    and frozenset values, then None or bytes).  A miss parses `data`
+    exactly as ``load_topology`` does, errors included, and only a graph
+    that passed its checks is written, to a temporary file moved into
+    place.  A write that fails with ``OSError`` is let go, so the graph
+    returned is the same on a hit, a miss or a failed write.
+
+    With `cone_sizes`, for a caller that reads ``Topology.cone_sizes``, a
+    hit presets them from the entry, and an entry without them (or with
+    sizes that do not unmarshal to one int per AS) is written again with
+    them; a miss writes them too.  They are computed for an entry only
+    once its file is open, so a cache that cannot be written costs no
+    cone pass.  Without it, the sizes are neither computed, nor decoded,
+    nor written.
     """
     try:
         path = _cache_path(digest)
     except (OSError, RuntimeError):  # no loader source, or no home directory
         return load_topology(data)
-    topo = _read_cached(path)
-    if topo is None:
+    cached = _read_cached(path)
+    if cached is None:
         topo = load_topology(data)
-        _write_cached(path, topo)
+    else:
+        topo, sizes = cached
+        if not cone_sizes or _preset_cone_sizes(topo, sizes):
+            return topo
+    _write_cached(path, topo, cone_sizes)
     return topo
 
 
@@ -451,8 +463,9 @@ def _cache_path(digest: str) -> Path:
     return Path(base) / "zonesim" / f"{hashlib.sha256(key.encode()).hexdigest()}.graph"
 
 
-def _read_cached(path: Path) -> Topology | None:
-    # The graph a well-formed entry holds, with its cone sizes, else None.
+def _read_cached(path: Path) -> tuple[Topology, bytes | None] | None:
+    # The graph a well-formed entry holds and its cone sizes, still
+    # marshalled, else None.
     try:
         entry = marshal.loads(path.read_bytes())
     except (OSError, EOFError, ValueError, TypeError):
@@ -461,18 +474,31 @@ def _read_cached(path: Path) -> Topology | None:
         return None
     *maps, sizes = entry
     if not (
-        all(type(m) is dict for m in entry)
-        and maps[0].keys() == maps[1].keys() == maps[2].keys() == sizes.keys()
+        all(type(m) is dict for m in maps)
+        and maps[0].keys() == maps[1].keys() == maps[2].keys()
         and {*map(type, chain.from_iterable(m.values() for m in maps))} <= {frozenset}
-        and {*map(type, sizes.values())} <= {int}
+        and (sizes is None or type(sizes) is bytes)
     ):
         return None
-    topo = Topology._own(*maps)
-    topo.cone_sizes = sizes
-    return topo
+    return Topology._own(*maps), sizes
 
 
-def _write_cached(path: Path, topo: Topology) -> None:
+def _preset_cone_sizes(topo: Topology, sizes: bytes | None) -> bool:
+    # An entry's sizes are one int per AS in the maps' key order, so the
+    # dict's keys are the graph's own ints.  False if there are none, or
+    # not that many ints.
+    try:
+        values = marshal.loads(sizes)
+    except (EOFError, ValueError, TypeError):  # TypeError: None, no sizes
+        return False
+    if not (type(values) is tuple and len(values) == len(topo.providers)
+            and {*map(type, values)} <= {int}):
+        return False
+    topo.cone_sizes = dict(zip(topo.providers, values))
+    return True
+
+
+def _write_cached(path: Path, topo: Topology, cone_sizes: bool) -> None:
     # Written whole under a name no other writer picks, then moved into
     # place, so a reader never sees a partial entry.  (`tempfile` would add
     # its imports to every command's start.)  The cone sizes are read only
@@ -483,7 +509,10 @@ def _write_cached(path: Path, topo: Topology) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
             with open(tmp, "xb") as out:
-                marshal.dump((topo.providers, topo.customers, topo.peers, topo.cone_sizes), out)
+                sizes = None
+                if cone_sizes:
+                    sizes = marshal.dumps(tuple(map(topo.cone_sizes.__getitem__, topo.providers)))
+                marshal.dump((topo.providers, topo.customers, topo.peers, sizes), out)
             os.replace(tmp, path)
         except BaseException:
             with suppress(OSError):

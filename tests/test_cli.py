@@ -823,22 +823,6 @@ class TestUsageErrors:
         assert err.startswith("usage: zonesim")
         assert "\nerror: " in err and message in err
 
-    def test_usage_error_after_a_call_reads_the_same(self, capsys, inputs, tmp_path):
-        # main builds its parser once per process; a call that used it
-        # leaves nothing behind that a later usage error would show.
-        cli._parser.cache_clear()
-        bad = ["curve", "--topology", inputs["topo.txt"], "--out-dir", str(tmp_path / "o"),
-               "--sizes", "1", "--order", "z"]
-        errors = []
-        for _ in range(2):
-            with pytest.raises(SystemExit) as exc:
-                run(bad)
-            assert exc.value.code == 1
-            errors.append(capsys.readouterr().err)
-            assert run(bad[:-2]) == 0
-        assert errors[0] == errors[1] and "--order: invalid choice" in errors[0]
-        assert cli._parser.cache_info().misses == 1  # one parser for the four calls
-
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["simulate", "--help"]])
     def test_help_and_version_exit_0(self, argv):
         with pytest.raises(SystemExit) as exc:

@@ -44,23 +44,51 @@ def _entries(cache):
     return sorted(cache.glob("*.graph")) if cache.is_dir() else []
 
 
+def _count_cone_passes(monkeypatch):
+    passes = []
+    cone_sizes = topology._cone_sizes
+    monkeypatch.setattr(
+        topology, "_cone_sizes", lambda customers, providers:
+        passes.append(1) or cone_sizes(customers, providers))
+    return passes
+
+
 def test_miss_writes_one_entry_and_the_next_call_hits(graph_cache, monkeypatch):
+    # A caller that reads no cone sizes has none computed or written.
+    _no_cone_pass(monkeypatch)
     parsed = topology.load_topology(TEXT)
-    sizes = parsed.cone_sizes
     assert topology._load_cached(TEXT, _digest(TEXT)) == parsed
     [entry] = _entries(graph_cache)
     assert not [p for p in graph_cache.iterdir() if p != entry]  # no temporary file left
+    assert marshal.loads(entry.read_bytes())[3] is None
     _no_parse(monkeypatch)
-    _no_cone_pass(monkeypatch)
-    hit = topology._load_cached(TEXT, _digest(TEXT))
-    assert hit == parsed
-    assert hit.cone_sizes == sizes
+    assert topology._load_cached(TEXT, _digest(TEXT)) == parsed
+
+
+def test_cone_sizes_are_added_once_and_then_read(graph_cache, monkeypatch):
+    sizes = topology.load_topology(TEXT).cone_sizes
+    passes = _count_cone_passes(monkeypatch)
+    topology._load_cached(TEXT, _digest(TEXT))
+    [entry] = _entries(graph_cache)
+    _no_parse(monkeypatch)
+    assert topology._load_cached(TEXT, _digest(TEXT), cone_sizes=True).cone_sizes == sizes
+    assert passes == [1]  # the hit had none, so the entry was written again with them
+    assert list(graph_cache.iterdir()) == [entry]
+    assert topology._load_cached(TEXT, _digest(TEXT), cone_sizes=True).cone_sizes == sizes
+    assert passes == [1]
+
+    def preset(topo, sizes):
+        raise AssertionError("cone sizes decoded")
+
+    monkeypatch.setattr(topology, "_preset_cone_sizes", preset)
+    topology._load_cached(TEXT, _digest(TEXT))  # a caller that reads none decodes none
 
 
 def test_entry_keeps_one_int_per_asn(monkeypatch):
-    topology._load_cached(TEXT, _digest(TEXT))
+    topology._load_cached(TEXT, _digest(TEXT), cone_sizes=True)
     _no_parse(monkeypatch)
-    topo = topology._load_cached(TEXT, _digest(TEXT))
+    _no_cone_pass(monkeypatch)
+    topo = topology._load_cached(TEXT, _digest(TEXT), cone_sizes=True)
     keys = {id(a) for a in topo.providers}
     neighbors = {id(a) for m in (topo.providers, topo.customers, topo.peers)
                  for s in m.values() for a in s}
@@ -69,7 +97,8 @@ def test_entry_keeps_one_int_per_asn(monkeypatch):
 
 
 def _with_sizes(change):
-    # The good entry with its cone sizes (the fourth element) changed.
+    # The good entry with its fourth element, the marshalled cone sizes,
+    # changed.
     def bad(good):
         *maps, sizes = marshal.loads(good)
         return marshal.dumps((*maps, change(sizes)))
@@ -81,32 +110,61 @@ def _with_sizes(change):
     lambda good: good[: len(good) // 2],  # truncated
     lambda good: b"\x00not a marshalled graph\xff" * 3,  # garbage
     lambda good: b"",
-    lambda good: marshal.dumps([{}, {}, {}, {}]),  # a list, not a tuple
-    lambda good: marshal.dumps(({1: frozenset()}, {1: frozenset()}, {1: 0})),  # two maps
-    lambda good: marshal.dumps(({1: frozenset()}, {1: frozenset()}, {2: frozenset()}, {1: 0})),
-    lambda good: marshal.dumps(({1: frozenset()}, {1: set()}, {1: frozenset()}, {1: 0})),
-    lambda good: marshal.dumps(({1: frozenset()}, {1: frozenset()}, [1], {1: 0})),
-    lambda good: marshal.dumps(marshal.loads(good)[:3]),  # no cone sizes
-    _with_sizes(lambda sizes: list(sizes.items())),
-    _with_sizes(lambda sizes: {**sizes, 99: 0}),
-    _with_sizes(lambda sizes: dict(list(sizes.items())[1:])),
-    _with_sizes(lambda sizes: {a: float(n) for a, n in sizes.items()}),
-    _with_sizes(lambda sizes: {**sizes, 1: None}),
+    lambda good: marshal.dumps([{}, {}, {}, None]),  # a list, not a tuple
+    lambda good: marshal.dumps(({1: frozenset()}, {1: frozenset()}, None)),  # two maps
+    lambda good: marshal.dumps(({1: frozenset()}, {1: frozenset()}, {2: frozenset()}, None)),
+    lambda good: marshal.dumps(({1: frozenset()}, {1: set()}, {1: frozenset()}, None)),
+    lambda good: marshal.dumps(({1: frozenset()}, {1: frozenset()}, [1], None)),
+    lambda good: marshal.dumps(marshal.loads(good)[:3]),  # no fourth element
+    _with_sizes(marshal.loads),  # the sizes' tuple itself, not its bytes
+    _with_sizes(lambda sizes: 0),
 ], ids=["truncated", "garbage", "empty", "list", "two-maps", "key-sets", "set-value",
-        "not-a-dict", "no-sizes", "sizes-not-a-dict", "sizes-extra-asn", "sizes-missing-asn",
-        "sizes-float", "sizes-none"])
+        "not-a-dict", "no-sizes", "sizes-not-bytes", "sizes-int"])
 def test_bad_entry_is_a_miss_and_is_rewritten(graph_cache, monkeypatch, bad):
     parsed = topology.load_topology(TEXT)
     sizes = parsed.cone_sizes
-    topology._load_cached(TEXT, _digest(TEXT))
+    topology._load_cached(TEXT, _digest(TEXT), cone_sizes=True)
     [entry] = _entries(graph_cache)
     entry.write_bytes(bad(entry.read_bytes()))
-    assert topology._load_cached(TEXT, _digest(TEXT)) == parsed
+    assert topology._load_cached(TEXT, _digest(TEXT), cone_sizes=True) == parsed
     assert _entries(graph_cache) == [entry]
     _no_parse(monkeypatch)
     _no_cone_pass(monkeypatch)
-    hit = topology._load_cached(TEXT, _digest(TEXT))
+    hit = topology._load_cached(TEXT, _digest(TEXT), cone_sizes=True)
     assert hit == parsed and hit.cone_sizes == sizes
+
+
+def _sizes_as(change):
+    # The good entry with its unmarshalled cone sizes changed.
+    return _with_sizes(lambda sizes: marshal.dumps(change(marshal.loads(sizes))))
+
+
+@pytest.mark.parametrize("bad", [
+    _with_sizes(lambda sizes: b"\x00not marshalled\xff"),
+    _with_sizes(lambda sizes: sizes[:-1]),
+    _sizes_as(list),
+    _sizes_as(lambda sizes: sizes[1:]),
+    _sizes_as(lambda sizes: sizes + (0,)),
+    _sizes_as(lambda sizes: tuple(map(float, sizes))),
+    _sizes_as(lambda sizes: (None, *sizes[1:])),
+], ids=["garbage", "truncated", "list", "one-short", "one-over", "float", "none"])
+def test_bad_cone_sizes_are_computed_and_rewritten(graph_cache, monkeypatch, bad):
+    # The graph is still a hit; a caller that reads the sizes computes them
+    # and writes the entry again.
+    parsed = topology.load_topology(TEXT)
+    sizes = parsed.cone_sizes
+    topology._load_cached(TEXT, _digest(TEXT), cone_sizes=True)
+    [entry] = _entries(graph_cache)
+    entry.write_bytes(bad(entry.read_bytes()))
+    _no_parse(monkeypatch)
+    passes = _count_cone_passes(monkeypatch)
+    assert topology._load_cached(TEXT, _digest(TEXT)) == parsed
+    assert passes == []
+    hit = topology._load_cached(TEXT, _digest(TEXT), cone_sizes=True)
+    assert hit == parsed and hit.cone_sizes == sizes and passes == [1]
+    assert _entries(graph_cache) == [entry]
+    assert topology._load_cached(TEXT, _digest(TEXT), cone_sizes=True).cone_sizes == sizes
+    assert passes == [1]
 
 
 def test_changed_loader_source_is_a_miss(graph_cache, monkeypatch):
@@ -153,11 +211,14 @@ def _outputs(out):
 
 
 def test_warm_cone_commands_run_no_cone_pass(graph_cache, tmp_path, monkeypatch):
-    # The cold call writes the cone sizes into the entry; the warm calls of
-    # every command that reads them take them from there.
-    topo = tmp_path / "topo.txt"
+    # zone writes the entry without cone sizes; the first command that
+    # reads them adds them, and the warm calls of every such command take
+    # them from there.
+    topo, roster = tmp_path / "topo.txt", tmp_path / "roster.txt"
     topo.write_bytes(TEXT)
+    roster.write_text("1\n2\n")
     commands = {
+        "zone": ["zone", "--roster", str(roster)],
         "curve": ["curve", "--sizes", "0,1,3,9"],
         "greedy": ["curve", "--order", "greedy", "--sizes", "0,1,3,9"],
         "regions": ["local-region", "--sizes", "0,1,3"],
@@ -168,19 +229,21 @@ def test_warm_cone_commands_run_no_cone_pass(graph_cache, tmp_path, monkeypatch)
         assert main(argv) == 0
         return _outputs(tmp_path / out)
 
+    passes = _count_cone_passes(monkeypatch)
     cold = {name: run(name, f"cold-{name}") for name in commands}
-    assert len(_entries(graph_cache)) == 1
+    assert passes == [1] and len(_entries(graph_cache)) == 1
     _no_parse(monkeypatch)
     _no_cone_pass(monkeypatch)
     assert {name: run(name, f"warm-{name}") for name in commands} == cold
 
 
-def test_unwritable_cache_runs_no_cone_pass(tmp_path, monkeypatch, capsys):
-    # zone reads no cone size, and an entry that cannot be written asks for none.
+def test_unwritable_cache_runs_no_extra_cone_pass(tmp_path, monkeypatch, capsys):
+    # An entry that cannot be written asks for no cone sizes: zone, which
+    # reads none, runs no pass, and curve runs the one it reads.
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-    _no_cone_pass(monkeypatch)
+    passes = _count_cone_passes(monkeypatch)
     topo, roster = tmp_path / "topo.txt", tmp_path / "roster.txt"
     topo.write_bytes(TEXT)
     roster.write_text("1\n2\n")
@@ -188,6 +251,10 @@ def test_unwritable_cache_runs_no_cone_pass(tmp_path, monkeypatch, capsys):
         assert main(["zone", "--topology", str(topo), "--roster", str(roster),
                      "--out-dir", str(tmp_path / run)]) == 0
     assert _outputs(tmp_path / "a") == _outputs(tmp_path / "b")
+    assert passes == []
+    assert main(["curve", "--topology", str(topo), "--sizes", "1,3",
+                 "--out-dir", str(tmp_path / "c")]) == 0
+    assert passes == [1]
     assert capsys.readouterr().err == ""
 
 
