@@ -78,7 +78,6 @@ from .analysis import (
     derive_connected_zone,
     local_region,
     local_region_distribution,
-    protected_count,
     routing_exceptions,
     synthetic_prefix,
     zone_growth_curve,

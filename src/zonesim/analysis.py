@@ -80,11 +80,6 @@ def attached_customers(topo: Topology, members: Iterable[int]) -> frozenset[int]
     return frozenset().union(*(customers.get(m, ()) for m in member_set)) - member_set
 
 
-def protected_count(topo: Topology, members: Iterable[int]) -> int:
-    member_set = frozenset(members)
-    return len(member_set) + len(attached_customers(topo, member_set))
-
-
 class GrowthOrder(enum.Enum):
     BY_CONE_SIZE = "by_cone_size"
     GREEDY_PROTECTED_GAIN = "greedy_protected_gain"
@@ -106,11 +101,11 @@ def zone_growth_curve(
     other order is an error.  Sizes must be non-negative and ascending;
     sizes beyond the AS count are clamped.
 
-    Both orders grow one protected set, members plus their customers,
-    whose size is protected_count of the zone so far.  The greedy order is
-    lazy (CELF): a gain only shrinks as the zone grows, so heap entries
-    keyed (-gain, -cone size, ASN) hold upper bounds, and the top entry
-    whose re-scored gain is unchanged is the exact maximum.
+    Both orders grow one protected set, members plus their customers:
+    the zone so far and its attached customers.  The greedy order is lazy
+    (CELF): a gain only shrinks as the zone grows, so heap entries keyed
+    (-gain, -cone size, ASN) hold upper bounds, and the top entry whose
+    re-scored gain is unchanged is the exact maximum.
     """
     if not isinstance(order, GrowthOrder):
         raise AnalysisError(f"unknown growth order {order!r}")

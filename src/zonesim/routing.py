@@ -16,7 +16,11 @@ table of candidates: its own originations, and one cached (preference key,
 route) entry per neighbor, the result of export, loop check and import
 over that edge.  The first round ranks the originators; each later round
 is one export step (_export_round) from the ASes whose best changed in the
-round before, then a re-rank of each AS whose entries changed.  Under the
+round before, then a selection at each AS whose entries changed.  Such an
+AS compares only the entries that arrived that round with its best, which
+no other entry outranks.  It re-ranks its whole table only when its best
+entry was dropped or replaced by one not ranked strictly above it, or when
+two keys tie, which the table's order settles as max does.  Under the
 default export hook the edges the rule refuses are not visited: a peer- or
 provider-learned best goes down the exporter's customer edges alone, and
 every edge is walked once only when such a best replaces one that went
@@ -474,6 +478,8 @@ def _merged_rib(*ribs: Rib) -> Rib:
 
 
 _first = itemgetter(0)
+# The hint (_export_round) of an AS whose whole table a round re-ranks.
+_RERANK = object()
 _new = object.__new__
 _set_prefix, _set_path, _set_communities, _set_learned_rel = (
     Route.__dict__[name].__set__ for name in ("prefix", "as_path", "communities", "learned_rel")
@@ -524,18 +530,30 @@ def _propagate_prefix(
     best: dict[int, tuple[object, Route] | None] = net.unset.copy()
     diverged = set()
 
-    # Round 1 ranks the originators; each later round first re-evaluates
-    # the edges out of the ASes whose best changed.
-    touched = {o.asn for o in origs}
+    # touched[a]: AS a's hint (_export_round); round 1 ranks the
+    # originators, and each later round first re-evaluates the edges out of
+    # the ASes whose best changed.
+    touched = dict.fromkeys((o.asn for o in origs), _RERANK)
     rounds = 0
     while touched:
         # Bests are replaced only after every edge has read the old ones;
         # changed[e]: the best AS e replaced.
         changed = {}
-        for asn in touched:
+        for asn, hint in touched.items():
+            if hint is None:
+                continue
+            old_best = best[asn]
+            if hint is not _RERANK:
+                # Every entry that did not arrive ranks at most old_best.
+                if old_best is None or hint[0] > old_best[0]:
+                    changed[asn] = old_best
+                    best[asn] = hint
+                    continue
+                if old_best[0] > hint[0]:
+                    continue
+            # A re-rank, or a tie that table order settles.
             new_best = max(learned[asn].values(), key=_first, default=None)
             # Routes are compared only when their keys tie.
-            old_best = best[asn]
             if new_best is not old_best and new_best != old_best:
                 changed[asn] = old_best
                 best[asn] = new_best
@@ -561,22 +579,30 @@ def _diverged(watch, touched, best, learned) -> Iterator[int]:
             yield asn
 
 
-def _export_round(net: _Network, prefix: Prefix, changed, best, learned) -> set[int]:
+def _export_round(net: _Network, prefix: Prefix, changed, best, learned) -> dict:
     """A round's export step over net's maps.  Each exporter of changed,
     {ASN: the (key, route) best it replaced, or None}, offers best[exporter]
     to its neighbors, or withdraws if that is None, and each neighbor's
-    learned entry from it is set or dropped.  Returns those neighbors whose
-    entries changed."""
+    learned entry from it is set or dropped.  Returns {ASN: hint} over
+    those neighbors whose entries changed.  A hint is read against the
+    AS's best, its pick from its entries before the round: _RERANK if that
+    best's entry was dropped or replaced by one not ranked strictly above
+    it, or if two arrivals' keys tied; else the highest-keyed entry that
+    arrived, or None if entries were only dropped."""
     every, down, ranks = net.every, net.down, net.ranks
     import_route, export_route = net.import_route, net.export_route
-    touched = set()
+    touched = {}
     for exporter, replaced in changed.items():
         current = best[exporter]
         if current is None:
             for adjacency, _, _ in every:
                 for asn in adjacency[exporter]:
-                    if learned[asn].pop(exporter, None) is not None:
-                        touched.add(asn)
+                    gone = learned[asn].pop(exporter, None)
+                    if gone is not None:
+                        if gone is best[asn]:
+                            touched[asn] = _RERANK
+                        else:
+                            touched.setdefault(asn, None)
             continue
         offered = current[1]
         # Per exporter: the economic export rule's "learned from a
@@ -622,11 +648,30 @@ def _export_round(net: _Network, prefix: Prefix, changed, best, learned) -> set[
                         entry = (ranks[asn](admitted), admitted)
                 slots = learned[asn]
                 if entry is None:
-                    if slots.pop(exporter, None) is None:
+                    gone = slots.pop(exporter, None)
+                    if gone is None:
                         continue
-                else:
-                    slots[exporter] = entry
-                touched.add(asn)
+                    if gone is best[asn]:
+                        touched[asn] = _RERANK
+                    else:
+                        touched.setdefault(asn, None)
+                    continue
+                # An entry replacing asn's best forces a re-rank unless it
+                # ranks strictly above it.  (No best is _RERANK, and no slot
+                # holds None.)
+                selected = best[asn]
+                if slots.get(exporter, _RERANK) is selected and not entry[0] > selected[0]:
+                    slots[exporter], touched[asn] = entry, _RERANK
+                    continue
+                slots[exporter] = entry
+                hint = touched.get(asn)
+                if hint is None:
+                    touched[asn] = entry
+                elif hint is not _RERANK:
+                    if entry[0] > hint[0]:
+                        touched[asn] = entry
+                    elif not hint[0] > entry[0]:
+                        touched[asn] = _RERANK
     return touched
 
 
@@ -652,7 +697,10 @@ def _replay(
     slots = {}
     for route in dict.fromkeys(o.route() for o in origs if o.asn == asn):
         slots[-1 - len(slots)] = (net.orders[asn].key(route), route)
-    _export_round(cut, prefix, dict.fromkeys(held), held, {asn: slots})
+    # The round reads asn's best too: none, since asn's entries are ranked below.
+    changed = dict.fromkeys(held)
+    held[asn] = None
+    _export_round(cut, prefix, changed, held, {asn: slots})
     # Stable, as the solve's max is: equal keys (only equal local routes
     # can tie) keep the originations' order.
     ranked = [route for _, route in sorted(slots.values(), key=_first, reverse=True)]

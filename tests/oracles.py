@@ -1,22 +1,25 @@
 """Independent brute-force oracles and random-instance generators.
 
-Nothing here calls the engine's propagation internals: routes are rebuilt
-by enumerating export-rule-compatible simple paths from every origination
-and replaying the policy hooks along each path, then solving for the
-stable selection by iterating neighbor-consistency over that path
-universe.  (A plain max over all valley-free paths is NOT the right
-oracle: an AS only ever exports its selected best, so a path can be
-economically valid yet unavailable because some hop on it preferred a
-different route.  The consistency iteration restores exactly that
-export-the-best constraint without reusing any engine code.)
+Apart from the references below, nothing here calls the engine's
+propagation internals: routes are rebuilt by enumerating
+export-rule-compatible simple paths from every origination and replaying
+the policy hooks along each path, then solving for the stable selection
+by iterating neighbor-consistency over that path universe.  (A plain max
+over all valley-free paths is NOT the right oracle: an AS only ever
+exports its selected best, so a path can be economically valid yet
+unavailable because some hop on it preferred a different route.  The
+consistency iteration restores exactly that export-the-best constraint
+without reusing any engine code.)
 
-Four references are earlier versions of the package's own code, kept so
+Five references are earlier versions of the package's own code, kept so
 that their replacements can be compared with them: ranked_rows_oracle (a
-solve that stored every AS's ranked candidate table),
-parse_rib_dump_oracle (the dump parser before row tails were memoized),
-audit_views_oracle (the audit before its per-path and per-(prefix, origin)
-memos, which logged one coverage warning per route) and
-attached_customers_oracle (one provider-set intersection per AS).
+solve that stored every AS's ranked candidate table), full_rerank_prefix
+(a solve's rounds as they re-ranked every touched AS's whole table, over
+the engine's own export step), parse_rib_dump_oracle (the dump parser
+before row tails were memoized), audit_views_oracle (the audit before its
+per-path and per-(prefix, origin) memos, which logged one coverage warning
+per route) and attached_customers_oracle (one provider-set intersection
+per AS).
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from zonesim.routing import (
     RoutingError,
     TraceOutcome,
     _Network,
+    _export_round,
     _normalize_originations,
     _prefix_sort_key,
     _propagate_prefix,
@@ -132,6 +136,12 @@ def attached_customers_oracle(topo: Topology, members) -> frozenset[int]:
         for a in topo.asns
         if a not in member_set and topo.providers[a] & member_set
     )
+
+
+def protected_count(topo: Topology, members) -> int:
+    """The members plus their attached customers (attached_customers_oracle)."""
+    member_set = frozenset(members)
+    return len(member_set) + len(attached_customers_oracle(topo, member_set))
 
 
 def random_zone_instance(seed: int) -> tuple[Topology, frozenset[int]]:
@@ -667,6 +677,33 @@ def ranked_rows_oracle(topo: Topology, originations, hooks: PolicyHooks):
                 ranked = sorted(learned[asn].values(), key=lambda pair: pair[0], reverse=True)
                 cells[(asn, prefix)] = tuple(route for _, route in ranked)
     return cells
+
+
+def full_rerank_prefix(net: _Network, prefix, origs):
+    """One prefix solved as routing._propagate_prefix solved it before
+    rounds read the arrivals' hints: each round re-ranks the whole table of
+    every AS the export step touched (the keys of its result), in the order
+    they were touched.  Returns (best, stuck) as _propagate_prefix does."""
+    learned = {asn: {} for asn in net.asns}
+    for asn, route in dict.fromkeys((o.asn, o.route()) for o in origs):
+        slots = learned[asn]
+        slots[-1 - len(slots)] = (net.orders[asn].key(route), route)
+    best = net.unset.copy()
+    touched = dict.fromkeys(o.asn for o in origs)
+    rounds = 0
+    while touched:
+        changed = {}
+        for asn in touched:
+            new_best = max(learned[asn].values(), key=lambda pair: pair[0], default=None)
+            old_best = best[asn]
+            if new_best is not old_best and new_best != old_best:
+                changed[asn] = old_best
+                best[asn] = new_best
+        rounds += 1
+        if changed and rounds == 2 * len(net.asns) + 10:
+            return best, tuple(sorted(changed))
+        touched = _export_round(net, prefix, changed, best, learned).keys()
+    return best, ()
 
 
 def parse_rib_dump_oracle(text: str, prefixes: dict | None = None) -> list[tuple[int, Route]]:

@@ -13,7 +13,6 @@ from zonesim.analysis import (
     derive_connected_zone,
     local_region,
     local_region_distribution,
-    protected_count,
     region_summary_csv,
     routing_exceptions,
     synthetic_prefix,
@@ -33,6 +32,7 @@ from oracles import (
     exceptions_by_two_solves,
     greedy_curve_oracle,
     oracle_fixpoint,
+    protected_count,
     random_connected_members,
     random_topology,
     random_zone_instance,

@@ -36,7 +36,9 @@ from zonesim.routing import (
     Route,
     RoutingError,
     TraceOutcome,
+    _PLAIN_ORDER,
     _Network,
+    _propagate_prefix,
     _replay,
     data_plane_trace,
     dump_rib,
@@ -55,6 +57,7 @@ from oracles import (
     PeerFirst,
     dump_rib_oracle,
     exceptions_by_two_solves,
+    full_rerank_prefix,
     given_rib,
     oracle_fixpoint,
     parse_rib_dump_oracle,
@@ -379,6 +382,154 @@ class TestEdgeIncrementalDifferential:
             if _check_against_oracle(topo, list(origs) + extra, hooks):
                 solved += 1
         assert solved >= 200
+
+
+def _probe_solves(seed):
+    """One-destination solves on random_zone_instance(seed), as the
+    exceptions pass runs them: probe prefixes of 8 sampled destinations,
+    under a random registry, solved under the zone policy (members rank
+    VERIFIED first) and under the same with the ASPA extension and half the
+    non-members, transit ones too, opted in to VERIFIED, which some of
+    these prefixes never settle under."""
+    topo, members = random_zone_instance(seed)
+    rng = random.Random(seed)
+    origs = [Origination(d, synthetic_prefix(d)) for d in sorted(topo.asns)]
+    reg = random_registry(rng, topo, members, origs)
+    honor = frozenset(a for a in sorted(topo.asns - members) if rng.random() < 0.5)
+    for cfg in (
+        ZoneConfig(members=members),
+        ZoneConfig(members=members, aspa_extension=True, honor_verified_non_members=honor),
+    ):
+        net = _Network(topo, zone_policy(topo, cfg, reg))
+        for orig in rng.sample(origs, min(8, len(origs))):
+            yield net, orig.prefix, [orig]
+
+
+class TestRoundSelection:
+    """A round compares an AS's arrivals with its best, and re-ranks its
+    whole table only when that best's entry is dropped or displaced by one
+    not ranked strictly above it, or when keys tie.  The bests, and the
+    ASes still changing when a solve is cut, equal those of re-ranking
+    every touched AS's whole table every round (full_rerank_prefix)."""
+
+    def test_matches_full_rerank(self):
+        solves = stuck = 0
+        for seed in range(400):
+            for net, prefix, origs in _probe_solves(seed):
+                best, _, _, still = _propagate_prefix(net, prefix, origs)
+                assert (best, still) == full_rerank_prefix(net, prefix, origs)
+                solves += 1
+                stuck += bool(still)
+        assert solves == 6400
+        assert stuck >= 3
+
+    @pytest.mark.parametrize("seed,member,destination", [(226, 14, 23), (33, 2, 14)])
+    def test_mixed_order_matches_full_rerank(self, seed, member, destination):
+        # routing_exceptions' mixed solves: member ranking plain in a zone
+        # that ranks VERIFIED first.  On 226 the member's pick is a
+        # customer or peer route only this solve finds; 33 never settles.
+        topo, members = random_zone_instance(seed)
+        prefix = synthetic_prefix(destination)
+        reg = RegistrySet(roas=[Roa(prefix, destination)])
+        net = _Network(topo, zone_policy(topo, ZoneConfig(members=members), reg))
+        mixed = net.with_order(member, _PLAIN_ORDER)
+        origs = [Origination(destination, prefix)]
+        best, _, _, stuck = _propagate_prefix(mixed, prefix, origs)
+        assert (best, stuck) == full_rerank_prefix(mixed, prefix, origs)
+        if seed == 226:
+            assert not stuck and best[member][1].learned_rel in (Rel.CUSTOMER, Rel.PEER)
+        else:
+            assert stuck
+
+
+def _tagging_hooks(origin, taggers, verified_first, order=PreferenceOrder):
+    # Each AS of taggers tags what it imports from origin; the ASes of
+    # verified_first rank tagged routes first, every other AS plain.
+    def import_route(importer, neighbor, rel, route):
+        if importer in taggers and neighbor == origin:
+            return replace(route, communities=route.communities | {VERIFIED})
+        return route
+
+    orders = {flag: order(verified_first=flag) for flag in (False, True)}
+    return PolicyHooks(
+        import_route=import_route, preference_for=lambda asn: orders[asn in verified_first]
+    )
+
+
+class _NoNeighborTiebreak(PreferenceOrder):
+    # The stock order without its neighbor and path tiebreaks: routes of
+    # one relationship and length from different neighbors tie.
+    def key(self, route):
+        rel = route.learned_rel
+        return (
+            rel is Rel.SELF,
+            self.verified_first and VERIFIED in route.communities,
+            {Rel.CUSTOMER: 3, Rel.PEER: 2, Rel.PROVIDER: 1}.get(rel, 0),
+            -len(route.as_path),
+        )
+
+
+def _turning_solve(with_b=True):
+    # 10 originates; its providers 30 and 40 tag what they import from it.
+    # 2, also 10's provider and 30's customer, ranks VERIFIED first: it
+    # holds the untagged customer route (10) in round 2, sending it to its
+    # peer 3 and its customer 60, and turns to the tagged provider route
+    # (30, 10) in round 3.  3 peers with 2 and 40 and picks 2's route (the
+    # lower neighbor); 50 is 3's customer.
+    text = "2|10|-1\n30|10|-1\n30|2|-1\n3|2|0\n2|60|-1\n3|50|-1\n"
+    if with_b:
+        text += "40|10|-1\n3|40|0\n"
+    topo = load_topology(text)
+    hooks = _tagging_hooks(10, {30, 40}, {2})
+    rib = propagate(topo, [(10, PFX)], hooks)
+    assert rib_as_cells(rib) == oracle_fixpoint(topo, [(10, PFX)], hooks)
+    return rib
+
+
+class TestRoundSelectionFallbacks:
+    """Pinned cases for each time a round re-ranks an AS's whole table."""
+
+    def test_best_entry_withdrawn_when_neighbor_turns_provider_learned(self):
+        # Once 2's best is provider-learned, 2 withdraws its route from its
+        # peer 3, whose best it was: 3 falls back to 40's tagged route.
+        rib = _turning_solve()
+        assert rib.best(3, PFX) == Route(PFX, (40, 10), frozenset({VERIFIED}), Rel.PEER)
+        # Without 40, 3 is left with nothing, and withdraws in turn what
+        # was its customer 50's best.
+        rib = _turning_solve(with_b=False)
+        assert rib.best(3, PFX) is None and rib.best(50, PFX) is None
+
+    def test_best_entry_replaced_by_one_not_ranked_above_it(self):
+        # 2's customer 60 held (2, 10); 2 now sends (2, 30, 10), longer,
+        # in the same entry.  50 held (3, 2, 10); 3 now sends (3, 40, 10),
+        # which plain 50 ranks equal, but tagged: its dump row must show
+        # the tag.
+        rib = _turning_solve()
+        rows = dump_rib(rib).splitlines()
+        assert f"60|{PFX}|2 30 10|{VERIFIED}|provider" in rows
+        assert f"50|{PFX}|3 40 10|{VERIFIED}|provider" in rows
+
+    @pytest.mark.parametrize("text,origin,taggers,verified_first,asn,path", [
+        # 1 hears (6, 4, 3) and (5, 4, 3) in one round, keyed equal.  6's
+        # arrives first, but 5's entry is first in 1's table (5 sent it
+        # (5, 3) a round before), so 5's route wins.
+        ("4|3|-1\n4|6|-1\n5|1|-1\n5|2|-1\n5|3|-1\n5|4|-1\n6|1|-1", 3, {4}, {1, 3, 5},
+         1, (5, 4, 3)),
+        # 4 holds 1's (1, 3, 2) when its entry from 5, first in its table,
+        # turns to (5, 3, 2), keyed equal: 5's route wins.
+        ("1|2|-1\n1|4|-1\n3|2|-1\n5|1|-1\n5|3|-1\n5|4|-1\n1|3|0\n2|5|0", 2, {3, 5}, {1, 2, 4},
+         4, (5, 3, 2)),
+    ], ids=["arrivals-tie", "arrival-ties-best"])
+    def test_tied_keys_pick_what_max_picks(self, text, origin, taggers, verified_first, asn, path):
+        # A key that ties across neighbors: the first tied entry in the
+        # AS's table wins, as max over the whole table picks it.
+        topo = load_topology(text)
+        hooks = _tagging_hooks(origin, taggers, verified_first, _NoNeighborTiebreak)
+        net = _Network(topo, hooks)
+        origs = [Origination(origin, PFX)]
+        best, _, _, stuck = _propagate_prefix(net, PFX, origs)
+        assert (best, stuck) == full_rerank_prefix(net, PFX, origs)
+        assert best[asn][1].as_path == path
 
 
 def _full_walk(hooks):

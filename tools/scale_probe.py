@@ -2,20 +2,24 @@
 
 Builds the benchmark generator's CAIDA-like graph
 (``perfbench.gen.build_graph(Random(7), 75000, 16)``), loads it through
-``load_topology``, solves one prefix under a zone policy and dumps the RIB
-with ``dump_rib``, then prints one JSON object: graph size, wall-clock
-seconds of the load, the solve and the dump (raw, not calibrated), RIB rows
-(the dump's lines), the resident set right after the load (``load_rss_mb``,
-read from ``/proc/self/statm``; null where that file does not exist) and
-the peak resident set, read before the dump.
+``load_topology``, solves one prefix under a zone policy three times and
+dumps the last RIB with ``dump_rib``, then prints one JSON object: graph
+size, wall-clock seconds of the load, the solve and the dump (raw, not
+calibrated; propagate_s is the median of the three solves, whose times
+propagate_runs_s lists in order), RIB rows (the dump's lines), the
+resident set right after the load (``load_rss_mb``, read from
+``/proc/self/statm``; null where that file does not exist) and the peak
+resident set, read before the dump.  Each solve drops the RIB before it
+first, so one RIB at most exists at a time.
 
-After the timed solve it solves once more with counting wrappers around
-the import and export hooks, checks that this RIB equals the timed one,
-and reports refused_edge_checks (export hook calls: edges the valley-free
-rule refuses) and imports (import hook calls) of that solve alone.  A
-wrapped export hook is not the default, so the counting solve visits every
-refused edge; the timed solve, under the zone policy's default export
-hook, does not, so refused_edge_checks counts the edge visits it skips.
+After the timed solves it solves once more with counting wrappers around
+the import and export hooks, checks that this RIB equals the last timed
+one, and reports refused_edge_checks (export hook calls: edges the
+valley-free rule refuses) and imports (import hook calls) of that solve
+alone.  A wrapped export hook is not the default, so the counting solve
+visits every refused edge; the timed solves, under the zone policy's
+default export hook, do not, so refused_edge_checks counts the edge
+visits they skip.
 The comparison replays every holder's candidates in both RIBs, the
 counting RIB's through the counting hooks; their calls during it are
 reported apart, as replay_imports and replay_refused_edge_checks.  A
@@ -115,6 +119,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from random import Random
+from statistics import median
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -350,10 +355,13 @@ def main(argv: list[str] | None = None) -> int:
     prefix = synthetic_prefix(origin)
     reg = RegistrySet(roas=[Roa(prefix, origin)])
     hooks = zone_policy(topo, ZoneConfig(members=members), reg)
-    t = perf_counter()
-    rib = propagate(topo, [Origination(origin, prefix)], hooks)
-    propagate_s = perf_counter() - t
-    # The peak of the load and the timed solve, before a second RIB exists.
+    runs = []
+    for _ in range(3):
+        rib = None
+        t = perf_counter()
+        rib = propagate(topo, [Origination(origin, prefix)], hooks)
+        runs.append(perf_counter() - t)
+    # The peak of the load and the timed solves, before a second RIB exists.
     peak_rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     t = perf_counter()
     dumped = dump_rib(rib)
@@ -386,7 +394,8 @@ def main(argv: list[str] | None = None) -> int:
         "members": len(members),
         "load_s": round(load_s, 3),
         "load_rss_mb": load_rss_mb,
-        "propagate_s": round(propagate_s, 3),
+        "propagate_s": round(median(runs), 3),
+        "propagate_runs_s": [round(run, 3) for run in runs],
         "dump_s": round(dump_s, 3),
         "rib_rows": dumped.count("\n"),
         **solve_counts,
