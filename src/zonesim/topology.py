@@ -10,9 +10,11 @@ Every AS's customer-cone size is one bottom-up pass of set unions
 and kept with the graph.
 
 This module also owns the on-disk graph cache the command line reads
-through (``_load_cached``): a parsed graph's three adjacency maps in
-``marshal`` format, one file per distinct topology text, with the cone
-sizes once a command that reads them has loaded it.
+through (``_load_cached``): one file per distinct topology text, holding
+a parsed graph's three adjacency maps as one ``marshal`` blob each, a
+SHA-256 over the blobs, and the cone sizes once a command that reads
+them has loaded it.  A graph read from an entry decodes each map on its
+first read of it, so a command pays only for the maps it reads.
 """
 
 from __future__ import annotations
@@ -171,20 +173,12 @@ class Topology:
             # half the time of a pass over sets made in another order.
             return dict(zip(asns, map(frozenset, map(adjacency.pop, asns, repeat(_EMPTY)))))
 
-        return cls._own(freeze(providers), freeze(customers), freeze(peers))
-
-    @classmethod
-    def _own(
-        cls,
-        providers: dict[int, frozenset[int]],
-        customers: dict[int, frozenset[int]],
-        peers: dict[int, frozenset[int]],
-    ) -> "Topology":
-        # A graph over fresh maps with one key set, which become its own;
+        # The fresh maps, with one key set, become the graph's own;
         # `__init__` would copy them.
         topo = cls.__new__(cls)
-        topo.providers, topo.customers, topo.peers = providers, customers, peers
-        topo.asns = frozenset(providers)
+        topo.providers, topo.customers, topo.peers = (
+            freeze(providers), freeze(customers), freeze(peers))
+        topo.asns = frozenset(topo.providers)
         return topo
 
     @functools.cached_property
@@ -405,31 +399,35 @@ def _load_cached(data: bytes, digest: str, cone_sizes: bool = False) -> Topology
     """``load_topology(data)``, through the on-disk graph cache.
 
     `digest` is the SHA-256 of `data`, hex.  An entry is the ``marshal`` of
-    the graph's three adjacency maps and, if a caller that read them wrote
-    it, its cone sizes.  It is named by a key over that digest, the
-    interpreter's bytecode tag, the marshal format version and this
-    loader's own source (which holds the cone-size pass), so an entry that
-    a loader which parses text or sizes cones differently wrote is never
-    read.  A hit makes the maps the graph's own, as ``_from_columns`` does;
-    marshal keeps shared objects shared, so each ASN stays one int.  The
-    maps keep their key order, but a frozenset may iterate in another
-    order than the parsed one (since Python 3.11, marshal writes a
-    frozenset's elements sorted), and nothing that reads the graph depends
-    on that order.  Anything else is a miss: no entry, an error reading or
-    unmarshalling it, or a wrong shape (not three dicts with one key set
-    and frozenset values, then None or bytes).  A miss parses `data`
-    exactly as ``load_topology`` does, errors included, and only a graph
-    that passed its checks is written, to a temporary file moved into
-    place.  A write that fails with ``OSError`` is let go, so the graph
-    returned is the same on a hit, a miss or a failed write.
+    a tuple: a SHA-256 over the three map blobs, the blobs themselves (each
+    adjacency map marshalled on its own), and, if a caller that read them
+    wrote it, the cone sizes with their own SHA-256.  It is named by a key
+    over that digest, the interpreter's bytecode tag, the marshal format
+    version and this loader's own source (which holds the cone-size pass),
+    so an entry that a loader which parses text or sizes cones differently
+    wrote is never read.  A hit checks the blobs against their digest, so
+    they are byte for byte what the writer wrote and unmarshal to its maps,
+    and returns a graph that decodes each map on its first read of it
+    (``_CachedTopology``); a command pays only for the maps it reads.
+    Marshal keeps shared objects shared within a blob, so each ASN is one
+    int within each decoded map.  The maps keep their key order, but a
+    frozenset may iterate in another order than the parsed one (since
+    Python 3.11, marshal writes a frozenset's elements sorted), and nothing
+    that reads the graph depends on that order.  Anything else is a miss:
+    no entry, an error reading or unmarshalling it, a wrong shape or a
+    digest that does not match.  A miss parses `data` exactly as
+    ``load_topology`` does, errors included, and only a graph that passed
+    its checks is written, to a temporary file moved into place.  A write
+    that fails with ``OSError`` is let go, so the graph returned is the
+    same on a hit, a miss or a failed write.
 
     With `cone_sizes`, for a caller that reads ``Topology.cone_sizes``, a
     hit presets them from the entry, and an entry without them (or with
-    sizes that do not unmarshal to one int per AS) is written again with
-    them; a miss writes them too.  They are computed for an entry only
-    once its file is open, so a cache that cannot be written costs no
-    cone pass.  Without it, the sizes are neither computed, nor decoded,
-    nor written.
+    sizes that do not match their digest) is written again with them, from
+    the blobs it was read from; a miss writes them too.  They are computed
+    for an entry only once its file is open, so a cache that cannot be
+    written costs no cone pass.  Without it, the sizes are neither
+    computed, nor decoded, nor written.
     """
     try:
         path = _cache_path(digest)
@@ -437,13 +435,47 @@ def _load_cached(data: bytes, digest: str, cone_sizes: bool = False) -> Topology
         return load_topology(data)
     cached = _read_cached(path)
     if cached is None:
-        topo = load_topology(data)
+        topo, maps = load_topology(data), None
     else:
-        topo, sizes = cached
+        topo, maps, sizes = cached
         if not cone_sizes or _preset_cone_sizes(topo, sizes):
             return topo
-    _write_cached(path, topo, cone_sizes)
+    _write_cached(path, topo, maps, cone_sizes)
     return topo
+
+
+_MAPS = ("providers", "customers", "peers")
+
+
+class _CachedTopology(Topology):
+    """A graph read from a graph-cache entry: each adjacency map is
+    unmarshalled from its blob on the graph's first read of it, and
+    ``asns`` is made from ``customers``; each is then a plain instance
+    attribute, read as on a parsed graph."""
+
+    def __init__(self, blobs: Iterable[bytes]):
+        self._blobs = dict(zip(_MAPS, blobs))
+
+    def _decode(self, name: str) -> dict[int, frozenset[int]]:
+        # The blob is dropped once decoded; the entry's digest was checked
+        # on read, so this cannot fail.
+        return marshal.loads(self._blobs.pop(name))
+
+    @functools.cached_property
+    def providers(self) -> dict[int, frozenset[int]]:
+        return self._decode("providers")
+
+    @functools.cached_property
+    def customers(self) -> dict[int, frozenset[int]]:
+        return self._decode("customers")
+
+    @functools.cached_property
+    def peers(self) -> dict[int, frozenset[int]]:
+        return self._decode("peers")
+
+    @functools.cached_property
+    def asns(self) -> frozenset[int]:
+        return frozenset(self.customers)
 
 
 @functools.cache
@@ -456,63 +488,76 @@ def _loader_digest() -> str:
 
 
 def _cache_path(digest: str) -> Path:
-    # $XDG_CACHE_HOME/zonesim, or ~/.cache/zonesim, resolved per call.
-    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    # $XDG_CACHE_HOME/zonesim, or ~/.cache/zonesim, resolved per call.  The
+    # XDG Base Directory spec calls a relative XDG_CACHE_HOME invalid, so
+    # it is ignored, as an unset or empty one is.
+    base = Path(os.environ.get("XDG_CACHE_HOME", ""))
+    if not base.is_absolute():
+        base = Path.home() / ".cache"
     key = "\0".join(
         (digest, str(sys.implementation.cache_tag), str(marshal.version), _loader_digest()))
-    return Path(base) / "zonesim" / f"{hashlib.sha256(key.encode()).hexdigest()}.graph"
+    return base / "zonesim" / f"{hashlib.sha256(key.encode()).hexdigest()}.graph"
 
 
-def _read_cached(path: Path) -> tuple[Topology, bytes | None] | None:
-    # The graph a well-formed entry holds and its cone sizes, still
-    # marshalled, else None.
+def _blobs_digest(*blobs: bytes) -> bytes:
+    # SHA-256 over the blobs and their lengths.
+    digest = hashlib.sha256()
+    for blob in blobs:
+        digest.update(len(blob).to_bytes(8, "little"))
+        digest.update(blob)
+    return digest.digest()
+
+
+def _read_cached(path: Path) -> tuple[Topology, tuple[bytes, ...], object] | None:
+    # The graph a well-formed entry holds, the entry's digest and map blobs
+    # (for a writer to reuse) and its cone sizes, still unchecked; else None.
     try:
         entry = marshal.loads(path.read_bytes())
     except (OSError, EOFError, ValueError, TypeError):
         return None
-    if not (type(entry) is tuple and len(entry) == 4):
+    if not (type(entry) is tuple and len(entry) == 5 and {*map(type, entry[:4])} == {bytes}):
         return None
-    *maps, sizes = entry
-    if not (
-        all(type(m) is dict for m in maps)
-        and maps[0].keys() == maps[1].keys() == maps[2].keys()
-        and {*map(type, chain.from_iterable(m.values() for m in maps))} <= {frozenset}
-        and (sizes is None or type(sizes) is bytes)
-    ):
+    digest, *blobs, sizes = entry
+    if digest != _blobs_digest(*blobs):
         return None
-    return Topology._own(*maps), sizes
+    return _CachedTopology(blobs), entry[:4], sizes
 
 
-def _preset_cone_sizes(topo: Topology, sizes: bytes | None) -> bool:
-    # An entry's sizes are one int per AS in the maps' key order, so the
-    # dict's keys are the graph's own ints.  False if there are none, or
-    # not that many ints.
-    try:
-        values = marshal.loads(sizes)
-    except (EOFError, ValueError, TypeError):  # TypeError: None, no sizes
+def _preset_cone_sizes(topo: Topology, sizes: object) -> bool:
+    # An entry's sizes are a digest and the marshalled tuple it is over,
+    # one int per AS in `customers` key order, so the dict's keys are that
+    # map's own ints.  False if there are none, or the digest does not
+    # match.
+    if not (type(sizes) is tuple and len(sizes) == 2 and {*map(type, sizes)} == {bytes}
+            and sizes[0] == _blobs_digest(sizes[1])):
         return False
-    if not (type(values) is tuple and len(values) == len(topo.providers)
-            and {*map(type, values)} <= {int}):
-        return False
-    topo.cone_sizes = dict(zip(topo.providers, values))
+    topo.cone_sizes = dict(zip(topo.customers, marshal.loads(sizes[1])))
     return True
 
 
-def _write_cached(path: Path, topo: Topology, cone_sizes: bool) -> None:
+def _write_cached(
+    path: Path, topo: Topology, maps: tuple[bytes, ...] | None, cone_sizes: bool
+) -> None:
     # Written whole under a name no other writer picks, then moved into
     # place, so a reader never sees a partial entry.  (`tempfile` would add
-    # its imports to every command's start.)  The cone sizes are read only
-    # once the file is open, so a cache that cannot be written costs no
-    # cone pass.
+    # its imports to every command's start.)  `maps` is the digest and map
+    # blobs of the entry the graph was read from, written again as they
+    # are; without it the maps are marshalled.  The maps and the cone sizes
+    # are read only once the file is open, so a cache that cannot be
+    # written costs no marshalling and no cone pass.
     tmp = path.with_name(f".{os.urandom(8).hex()}.tmp")
     with suppress(OSError):
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
             with open(tmp, "xb") as out:
+                if maps is None:
+                    blobs = [marshal.dumps(getattr(topo, name)) for name in _MAPS]
+                    maps = (_blobs_digest(*blobs), *blobs)
                 sizes = None
                 if cone_sizes:
-                    sizes = marshal.dumps(tuple(map(topo.cone_sizes.__getitem__, topo.providers)))
-                marshal.dump((topo.providers, topo.customers, topo.peers, sizes), out)
+                    values = marshal.dumps(tuple(map(topo.cone_sizes.__getitem__, topo.customers)))
+                    sizes = (_blobs_digest(values), values)
+                marshal.dump((*maps, sizes), out)
             os.replace(tmp, path)
         except BaseException:
             with suppress(OSError):

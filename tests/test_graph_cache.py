@@ -60,7 +60,7 @@ def test_miss_writes_one_entry_and_the_next_call_hits(graph_cache, monkeypatch):
     assert topology._load_cached(TEXT, _digest(TEXT)) == parsed
     [entry] = _entries(graph_cache)
     assert not [p for p in graph_cache.iterdir() if p != entry]  # no temporary file left
-    assert marshal.loads(entry.read_bytes())[3] is None
+    assert marshal.loads(entry.read_bytes())[-1] is None
     _no_parse(monkeypatch)
     assert topology._load_cached(TEXT, _digest(TEXT)) == parsed
 
@@ -85,20 +85,28 @@ def test_cone_sizes_are_added_once_and_then_read(graph_cache, monkeypatch):
 
 
 def test_entry_keeps_one_int_per_asn(monkeypatch):
+    # Each map is its own blob, so each decoded map has its own int per
+    # ASN; the ASN set and the cone sizes share customers' ints.
     topology._load_cached(TEXT, _digest(TEXT), cone_sizes=True)
     _no_parse(monkeypatch)
     _no_cone_pass(monkeypatch)
     topo = topology._load_cached(TEXT, _digest(TEXT), cone_sizes=True)
-    keys = {id(a) for a in topo.providers}
-    neighbors = {id(a) for m in (topo.providers, topo.customers, topo.peers)
-                 for s in m.values() for a in s}
-    assert neighbors <= keys == {id(a) for a in topo.customers} == {id(a) for a in topo.asns}
-    assert {id(a) for a in topo.cone_sizes} == keys
+    for adjacency in (topo.providers, topo.customers, topo.peers):
+        keys = {id(a) for a in adjacency}
+        assert {id(a) for s in adjacency.values() for a in s} <= keys
+        assert len(keys) == len(topo.asns)
+    keys = {id(a) for a in topo.customers}
+    assert {id(a) for a in topo.asns} == keys == {id(a) for a in topo.cone_sizes}
+
+
+def _entry_as(change):
+    # The good entry, (digest, providers, customers, peers, sizes), changed.
+    return lambda good: marshal.dumps(change(*marshal.loads(good)))
 
 
 def _with_sizes(change):
-    # The good entry with its fourth element, the marshalled cone sizes,
-    # changed.
+    # The good entry with its last element, the cone sizes' digest and
+    # blob, changed.
     def bad(good):
         *maps, sizes = marshal.loads(good)
         return marshal.dumps((*maps, change(sizes)))
@@ -110,13 +118,18 @@ def _with_sizes(change):
     lambda good: good[: len(good) // 2],  # truncated
     lambda good: b"\x00not a marshalled graph\xff" * 3,  # garbage
     lambda good: b"",
-    lambda good: marshal.dumps([{}, {}, {}, None]),  # a list, not a tuple
-    lambda good: marshal.dumps(({1: frozenset()}, {1: frozenset()}, None)),  # two maps
-    lambda good: marshal.dumps(({1: frozenset()}, {1: frozenset()}, {2: frozenset()}, None)),
-    lambda good: marshal.dumps(({1: frozenset()}, {1: set()}, {1: frozenset()}, None)),
-    lambda good: marshal.dumps(({1: frozenset()}, {1: frozenset()}, [1], None)),
-    lambda good: marshal.dumps(marshal.loads(good)[:3]),  # no fourth element
-    _with_sizes(marshal.loads),  # the sizes' tuple itself, not its bytes
+    lambda good: marshal.dumps(list(marshal.loads(good))),  # a list, not a tuple
+    _entry_as(lambda digest, providers, customers, peers, sizes:
+              (digest, providers, customers, sizes)),  # two maps
+    # Blobs the digest is not over: another key set, a set value, not a dict.
+    _entry_as(lambda digest, providers, customers, peers, sizes:
+              (digest, providers, customers, marshal.dumps({2: frozenset()}), sizes)),
+    _entry_as(lambda digest, providers, customers, peers, sizes:
+              (digest, providers, marshal.dumps({1: set()}), peers, sizes)),
+    _entry_as(lambda digest, providers, customers, peers, sizes:
+              (digest, providers, customers, marshal.dumps([1]), sizes)),
+    lambda good: marshal.dumps(marshal.loads(good)[:4]),  # no last element
+    _with_sizes(lambda sizes: marshal.loads(sizes[1])),  # the sizes' tuple itself
     _with_sizes(lambda sizes: 0),
 ], ids=["truncated", "garbage", "empty", "list", "two-maps", "key-sets", "set-value",
         "not-a-dict", "no-sizes", "sizes-not-bytes", "sizes-int"])
@@ -135,13 +148,14 @@ def test_bad_entry_is_a_miss_and_is_rewritten(graph_cache, monkeypatch, bad):
 
 
 def _sizes_as(change):
-    # The good entry with its unmarshalled cone sizes changed.
-    return _with_sizes(lambda sizes: marshal.dumps(change(marshal.loads(sizes))))
+    # The good entry with its unmarshalled cone sizes changed, and their
+    # digest not.
+    return _with_sizes(lambda sizes: (sizes[0], marshal.dumps(change(marshal.loads(sizes[1])))))
 
 
 @pytest.mark.parametrize("bad", [
-    _with_sizes(lambda sizes: b"\x00not marshalled\xff"),
-    _with_sizes(lambda sizes: sizes[:-1]),
+    _with_sizes(lambda sizes: (sizes[0], b"\x00not marshalled\xff")),
+    _with_sizes(lambda sizes: (sizes[0], sizes[1][:-1])),
     _sizes_as(list),
     _sizes_as(lambda sizes: sizes[1:]),
     _sizes_as(lambda sizes: sizes + (0,)),
@@ -165,6 +179,58 @@ def test_bad_cone_sizes_are_computed_and_rewritten(graph_cache, monkeypatch, bad
     assert _entries(graph_cache) == [entry]
     assert topology._load_cached(TEXT, _digest(TEXT), cone_sizes=True).cone_sizes == sizes
     assert passes == [1]
+
+
+def _count_parses(monkeypatch):
+    parses = []
+    load = topology.load_topology
+    monkeypatch.setattr(topology, "load_topology", lambda source: parses.append(1) or load(source))
+    return parses
+
+
+def _flip(blob):
+    # `blob` with its middle byte's bits flipped.
+    i = len(blob) // 2
+    return blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:]
+
+
+@pytest.mark.parametrize("where", [0, 1, 2, 3, (4, 0), (4, 1)],
+                         ids=["digest", "providers", "customers", "peers", "sizes-digest", "sizes"])
+def test_flipped_byte_is_a_miss_and_the_entry_is_rewritten(graph_cache, monkeypatch, where):
+    # A flipped map blob or digest is a miss of the graph, which is parsed
+    # again; flipped cone sizes are a miss of the sizes alone, which are
+    # computed again.  Either way the entry is written again as it was.
+    parsed = topology.load_topology(TEXT)
+    sizes = parsed.cone_sizes
+    topology._load_cached(TEXT, _digest(TEXT), cone_sizes=True)
+    [entry] = _entries(graph_cache)
+    good = entry.read_bytes()
+    bad = list(marshal.loads(good))
+    if isinstance(where, int):
+        bad[where] = _flip(bad[where])
+    else:
+        digest, values = bad[4]
+        bad[4] = (_flip(digest), values) if where[1] == 0 else (digest, _flip(values))
+    entry.write_bytes(marshal.dumps(tuple(bad)))
+    parses, passes = _count_parses(monkeypatch), _count_cone_passes(monkeypatch)
+    hit = topology._load_cached(TEXT, _digest(TEXT), cone_sizes=True)
+    assert hit == parsed and hit.cone_sizes == sizes
+    assert (parses, passes) == (([], [1]) if isinstance(where, tuple) else ([1], [1]))
+    assert _entries(graph_cache) == [entry] and entry.read_bytes() == good
+
+
+def test_entry_of_four_dicts_is_a_miss(graph_cache, monkeypatch):
+    # The layout before each map had its own blob: the three maps and the
+    # cone sizes, in one marshal.
+    parsed = topology.load_topology(TEXT)
+    topology._load_cached(TEXT, _digest(TEXT), cone_sizes=True)
+    [entry] = _entries(graph_cache)
+    good = entry.read_bytes()
+    sizes = marshal.dumps(tuple(map(parsed.cone_sizes.__getitem__, parsed.providers)))
+    entry.write_bytes(marshal.dumps((parsed.providers, parsed.customers, parsed.peers, sizes)))
+    parses = _count_parses(monkeypatch)
+    assert topology._load_cached(TEXT, _digest(TEXT), cone_sizes=True) == parsed
+    assert parses == [1] and entry.read_bytes() == good
 
 
 def test_changed_loader_source_is_a_miss(graph_cache, monkeypatch):
@@ -235,6 +301,86 @@ def test_warm_cone_commands_run_no_cone_pass(graph_cache, tmp_path, monkeypatch)
     _no_parse(monkeypatch)
     _no_cone_pass(monkeypatch)
     assert {name: run(name, f"warm-{name}") for name in commands} == cold
+
+
+def _count_decodes(monkeypatch):
+    decoded = []
+    decode = topology._CachedTopology._decode
+    monkeypatch.setattr(topology._CachedTopology, "_decode",
+                        lambda topo, name: decoded.append(name) or decode(topo, name))
+    return decoded
+
+
+@pytest.mark.parametrize("command, maps", [
+    (["curve", "--sizes", "0,1,3,9"], ["customers"]),
+    (["curve", "--order", "greedy", "--sizes", "0,1,3,9"], ["customers"]),
+    (["zone", "--roster", "{roster}"], ["customers", "providers"]),
+    (["zone", "--roster", "{unknown}"], ["customers"]),
+    (["local-region", "--sizes", "0,1,3"], ["customers", "peers", "providers"]),
+    (["simulate", "--originations", "{originations}"], ["customers", "peers", "providers"]),
+], ids=["curve", "greedy", "zone", "zone-error", "local-region", "simulate"])
+def test_hit_decodes_only_the_maps_its_command_reads(
+        graph_cache, tmp_path, monkeypatch, capsys, command, maps):
+    # Each map at most once; outputs, manifest.json, messages and the exit
+    # code are those of a call that parses.
+    files = {"topology": "1|2|-1\n1|3|-1\n2|20|-1\n3|30|-1\n3|40|-1\n2|3|0\n30|40|0\n",
+             "roster": "1\n2\n", "unknown": "1\n99\n", "originations": "asn,prefix\n20,10.0.0.0/24\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.format_map({name: tmp_path / name for name in files}) for arg in command]
+    argv += ["--topology", str(tmp_path / "topology")]
+
+    def run(out):
+        code = main(argv + ["--out-dir", str(tmp_path / out)])
+        written = _outputs(tmp_path / out) if (tmp_path / out).is_dir() else {}
+        return code, written, capsys.readouterr()
+
+    parsed = run("miss")
+    assert len(_entries(graph_cache)) == 1
+    _no_parse(monkeypatch)
+    decoded = _count_decodes(monkeypatch)
+    assert run("hit") == parsed
+    assert sorted(decoded) == maps
+
+
+def test_adding_cone_sizes_reuses_the_map_blobs(graph_cache, tmp_path, monkeypatch):
+    # The first curve on an entry that zone wrote decodes only the maps the
+    # cone pass reads, marshals no map, and writes the entry again with the
+    # blobs it read.
+    topo, roster = tmp_path / "topo.txt", tmp_path / "roster.txt"
+    topo.write_bytes(TEXT)
+    roster.write_text("1\n2\n")
+    assert main(["zone", "--topology", str(topo), "--roster", str(roster),
+                 "--out-dir", str(tmp_path / "zone")]) == 0
+    [entry] = _entries(graph_cache)
+    maps = marshal.loads(entry.read_bytes())[:4]
+    _no_parse(monkeypatch)
+    decoded = _count_decodes(monkeypatch)
+    dumped = []
+    dumps = marshal.dumps
+    monkeypatch.setattr(marshal, "dumps", lambda value: dumped.append(type(value)) or dumps(value))
+    assert main(["curve", "--topology", str(topo), "--sizes", "1,3",
+                 "--out-dir", str(tmp_path / "curve")]) == 0
+    assert sorted(decoded) == ["customers", "providers"]
+    assert dumped == [tuple]  # the cone sizes alone
+    *entry_maps, sizes = marshal.loads(entry.read_bytes())
+    assert tuple(entry_maps) == maps and sizes is not None
+
+
+def test_relative_xdg_cache_home_is_ignored(tmp_path, monkeypatch):
+    # The XDG Base Directory spec calls a relative path invalid: the cache
+    # is ~/.cache/zonesim, as when the variable is unset.
+    home, cwd = tmp_path / "home", tmp_path / "cwd"
+    cwd.mkdir()
+    (cwd / "topo.txt").write_bytes(TEXT)
+    (cwd / "roster.txt").write_text("1\n")
+    monkeypatch.setenv("XDG_CACHE_HOME", "rel")
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.chdir(cwd)
+    assert main(["zone", "--topology", "topo.txt", "--roster", "roster.txt",
+                 "--out-dir", "out"]) == 0
+    assert not (cwd / "rel").exists()
+    assert len(_entries(home / ".cache" / "zonesim")) == 1
 
 
 def test_unwritable_cache_runs_no_extra_cone_pass(tmp_path, monkeypatch, capsys):

@@ -56,21 +56,25 @@ origin) pairs of the views), rov_validations (the audit's rov_validate
 calls, counted by a wrapper around audit.rov_validate; one per distinct
 pair) and the peak resident set.
 
-With --cli the probe times two commands end to end instead: it writes
-the graph to a temporary directory and runs ``zonesim.cli.main`` twice on
-``local-region --sizes N``, with N the --cones value (the region-size
-distribution of the attached customers of the N largest cones), and then
-twice on ``curve --sizes N`` (the protected count of the N largest cones),
-in this fresh process.  Each command's pair has its own new empty graph
-cache (XDG_CACHE_HOME) inside the temporary directory, so its first call
-is cold: it parses the topology, runs the cone-size pass and writes the
-cache entry.  The second call reads the graph and its cone sizes from that
+With --cli the probe times three commands end to end instead: it writes
+the graph and a roster of the N largest cones, with N the --cones value,
+to a temporary directory and runs ``zonesim.cli.main`` twice on
+``local-region --sizes N`` (the region-size distribution of the attached
+customers of the N largest cones), then twice on ``curve --sizes N`` (the
+protected count of the N largest cones), then twice on ``zone --roster``
+with that roster, in this fresh process.  Each command's pair has its
+own new empty graph cache (XDG_CACHE_HOME) inside the temporary
+directory, so its first call is cold: it parses the topology, runs the
+cone-size pass (local-region and curve only) and writes the cache entry.
+The second call reads the graph, and its cone sizes, from that
 entry.  It prints the first nonzero exit code of the cold calls (or 0);
 cli_s and cli_warm_s (the two local-region calls' wall-clock seconds),
 region_rows (the regions.csv data rows), outputs_identical (whether the
 two wrote byte-identical files) and cache_entries (the entries in their
 cache afterwards); curve_s, curve_warm_s, curve_outputs_identical and
-curve_cache_entries, the same for the two curve calls; and the peak
+curve_cache_entries, the same for the two curve calls; zone_s,
+zone_warm_s, zone_outputs_identical and zone_cache_entries, the same for
+the two zone calls, whose cold call writes no cone sizes; and the peak
 resident set.
 
 With --simulate N the probe times one ``simulate`` end to end instead: it
@@ -100,8 +104,8 @@ load_traced_peak_mb at most 1.6 times load_traced_mb; with
 verified_solves 75 and mixed_solves 11; with --audit at 2000 ASes,
 view_routes 15000, findings 0 and rov_validations equal to prefix_origins;
 with --cli at 2000 ASes, exit code 0, a positive region_rows, and for the
-local-region pair and the curve pair each, identical outputs and one
-cache entry; with --simulate 20 at 2000 ASes, exit code 0, rib_rows 40000
+local-region pair, the curve pair and the zone pair each, identical
+outputs and one cache entry; with --simulate 20 at 2000 ASes, exit code 0, rib_rows 40000
 (every AS holds every prefix) and simulate_traced_peak_mb at most 3 times
 rib_mb.
 """
@@ -182,17 +186,22 @@ def cold_and_warm(tmp: Path, name: str, argv: list[str]) -> dict:
     }
 
 
-def probe_cli(text: str, ases: int, cones: int) -> int:
-    """Time ``local-region --sizes cones`` and then ``curve --sizes cones``
-    on the graph text, each cold and then from the graph cache; return the
-    first nonzero exit code of the cold calls, or 0."""
+def probe_cli(text: str, ases: int, roster: list[int]) -> int:
+    """Time ``local-region --sizes N`` and then ``curve --sizes N`` on the
+    graph text, N the roster's length, and then ``zone --roster`` on the
+    roster, each cold and then from the graph cache; return the first
+    nonzero exit code of the cold calls, or 0."""
+    cones = len(roster)
     with tempfile.TemporaryDirectory() as tmp:
-        topo_file = Path(tmp) / "topology.txt"
+        topo_file, roster_file = Path(tmp) / "topology.txt", Path(tmp) / "roster.txt"
         topo_file.write_text(text)
+        roster_file.write_text("".join(f"{asn}\n" for asn in roster))
         common = ["--topology", str(topo_file), "--sizes", str(cones)]
         region = cold_and_warm(Path(tmp), "region", ["local-region", *common])
         curve = cold_and_warm(Path(tmp), "curve", ["curve", *common])
-    code = region["exit"] or curve["exit"]
+        zone = cold_and_warm(Path(tmp), "zone", [
+            "zone", "--topology", str(topo_file), "--roster", str(roster_file)])
+    code = region["exit"] or curve["exit"] or zone["exit"]
     regions = region["cold"]["regions.csv"] if region["exit"] == 0 else None
     print(json.dumps({
         "ases": ases,
@@ -207,6 +216,10 @@ def probe_cli(text: str, ases: int, cones: int) -> int:
         "curve_warm_s": round(curve["warm_s"], 3),
         "curve_outputs_identical": curve["identical"],
         "curve_cache_entries": curve["entries"],
+        "zone_s": round(zone["cold_s"], 3),
+        "zone_warm_s": round(zone["warm_s"], 3),
+        "zone_outputs_identical": zone["identical"],
+        "zone_cache_entries": zone["entries"],
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "python": platform.python_version(),
     }))
@@ -263,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument("--exceptions", action="store_true", help="time routing_exceptions")
     mode.add_argument("--audit", action="store_true", help="time audit_views on honest views")
     mode.add_argument(
-        "--cli", action="store_true", help="time local-region and curve, cold and warm"
+        "--cli", action="store_true", help="time local-region, curve and zone, cold and warm"
     )
     mode.add_argument(
         "--simulate", type=int, metavar="N", help="time one simulate command of N stub /24s"
@@ -280,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     graph = build_graph(Random(7), args.ases, 16)
     text = "\n".join(f"{a}|{b}|{code}" for a, b, code in graph.records()) + "\n"
     if args.cli:
-        return probe_cli(text, len(graph.asns), args.cones)
+        return probe_cli(text, len(graph.asns), cone_size_order(load_topology(text))[:args.cones])
     if args.simulate is not None:
         stubs = sorted(a for a, customers in zip(graph.asns, graph.customers) if not customers)
         origins = sorted(Random(1).sample(stubs, args.simulate))
