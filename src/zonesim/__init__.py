@@ -48,6 +48,7 @@ from .routing import (
     RibEntry,
     Route,
     RoutingError,
+    ScopedImport,
     TraceOutcome,
     data_plane_trace,
     dump_rib,

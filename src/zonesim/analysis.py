@@ -352,7 +352,8 @@ def _routing_exceptions(
         if stuck:
             oscillating[prefix] = stuck
         for member in flips:
-            provider = best[member] is not None and best[member][1].learned_rel is Rel.PROVIDER
+            pair = best[net.index[member]]
+            provider = pair is not None and pair[1].learned_rel is Rel.PROVIDER
             diverged[member].append((dest, provider))
     if oscillating:
         raise NonConvergenceError(oscillating)
@@ -363,11 +364,10 @@ def _routing_exceptions(
         for dest, provider in diverged[member]:
             prefix = prefixes[dest]
             best, *_, stuck = _propagate_prefix(mixed, prefix, [Origination(dest, prefix)])
+            pair = best[net.index[member]]
             if stuck:
                 oscillating[prefix] = stuck
-            elif provider and best[member] and (
-                best[member][1].learned_rel in (Rel.CUSTOMER, Rel.PEER)
-            ):
+            elif provider and pair and pair[1].learned_rel in (Rel.CUSTOMER, Rel.PEER):
                 exceptions.append(dest)
         results.append(RoutingExceptions(member, len(exceptions), tuple(exceptions)))
     if oscillating:

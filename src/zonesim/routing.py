@@ -30,17 +30,23 @@ refused edge.  A preference key is computed once per offer and order
 changes no best; a prefix still changing after 2*|ASes|+10 rounds is
 reported with the ASes that changed in the last round.
 
-A solve walks the topology's own adjacency sets, customers, peers and
-providers, as they are: per prefix, bests and cached entries are dicts
-keyed by ASN, and nothing is built per edge.  The export rule's half that
+A solve runs over the graph's dense view (Topology.dense), built once per
+graph: the ASes are numbered 0..n-1 in ascending ASN order and each
+adjacency map is a list of sorted index tuples, so an exporter walks its
+neighbors in ascending ASN order whatever order the graph's sets iterate
+in.  Per prefix, bests and cached entries are lists and dicts indexed by
+AS number, and nothing is built per edge.  The export rule's half that
 depends only on the exporter is computed once per exporter.  In one round
 an exporter offers at most three routes, one per relationship it has to
 its neighbors; each, with the exporter prepended to its path, is built on
 first use and the same frozen Route is handed to every importer it goes
-to, and an exporter with no neighbor to walk builds none.  When the import
-hook returns that very object, the entry's key is computed once per offer
-and preference order (ASes sharing an order object share it); a route the
-hook replaces is keyed on its own.  Hooks still see ASNs and Routes, and
+to, and an exporter with no neighbor to walk builds none.  The import hook
+is called only at the ASes where it can change a route: every AS for a
+plain function, the scope of a ScopedImport, and none for the default
+hook; every other AS admits the offer unchanged.  When the hook returns
+that very object, the entry's key is computed once per offer and
+preference order (ASes sharing an order object share it); a route the
+hook replaces is keyed on its own.  Hooks, paths and outputs keep ASNs;
 routes in flight keep their prefix, because import hooks may read it.
 Learned routes at one AS each come from a different neighbor, so the stock
 preference order ranks them without its final path tiebreak.
@@ -93,6 +99,7 @@ import ipaddress
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from operator import itemgetter, neg
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -202,6 +209,21 @@ def _default_import(importer: int, neighbor: int, rel: Rel, route: Route) -> Rou
     return route
 
 
+@dataclass(frozen=True)
+class ScopedImport:
+    """An import hook paired with the ASes where it can act: at an importer
+    outside scope, hook returns the very route it is given.  propagate
+    calls hook only at the ASes of scope and admits every other AS's offers
+    unchanged without a call.  Called directly, it is hook itself, at any
+    AS.  A hook that wraps it in a plain function is called everywhere."""
+
+    hook: ImportHook
+    scope: frozenset[int]
+
+    def __call__(self, importer: int, neighbor: int, rel: Rel, route: Route) -> Route | None:
+        return self.hook(importer, neighbor, rel, route)
+
+
 def _default_export(exporter: int, neighbor: int, rel: Rel, route: Route) -> bool:
     return False
 
@@ -230,7 +252,10 @@ class PolicyHooks:
     import_route(importer, neighbor, rel-of-neighbor, route) returns the
     route to admit as a candidate (possibly with other communities) or
     None to drop; it keeps the route's as_path and learned_rel, which
-    learned_from is read from.  The same frozen Route may be handed to
+    learned_from is read from.  A plain function is called at every AS; a
+    ScopedImport only at the ASes of its scope, so a policy that changes
+    routes at a few ASes alone (the zone's members and opted-in ASes)
+    costs no call elsewhere.  The same frozen Route may be handed to
     several importers, and the preference key of a route returned
     unchanged is computed once per order object, so a key must depend on
     the route alone.
@@ -380,31 +405,55 @@ def _normalize_originations(
 
 
 class _Network:
-    """What every prefix solve over (topology, hooks) shares: the hooks;
-    `every`, the topology's three adjacency maps (not copies), each with
-    what its neighbors are to the exporter and what it is to them; `down`,
-    the maps a peer- or provider-learned best walks (customers alone under
-    the default export hook, else every map, so a leak hook sees each
-    refused edge); the ASNs in ascending order and `unset`, the all-None
-    bests a solve copies; and per-ASN orders and ranks, shared per order."""
+    """What every prefix solve over (topology, hooks) shares, over the
+    graph's dense view: the hooks; the ASNs in ascending order (asns[i] is
+    AS i's) and index, {ASN: i}; `every`, the view's three adjacency lists
+    (not copies), each with what its neighbors are to the exporter and
+    what it is to them; `down`, the maps a peer- or provider-learned best
+    walks (customers alone under the default export hook, else every map,
+    so a leak hook sees each refused edge); `unset`, the all-None bests a
+    solve copies; and per AS i, orders[i] and ranks[i], shared per order,
+    and imports[i], the import hook to call there or None to admit offers
+    unchanged (_import_hooks)."""
 
     def __init__(self, topo: Topology, hooks: PolicyHooks):
+        view = topo.dense
         self.import_route, self.export_route = hooks.import_route, hooks.export_route
-        customers = (topo.customers, _CUSTOMER, _PROVIDER)
-        self.every = (customers, (topo.peers, _PEER, _PEER), (topo.providers, _PROVIDER, _CUSTOMER))
+        self.asns, self.index = view.asns, view.index
+        customers = (view.customers, _CUSTOMER, _PROVIDER)
+        self.every = (customers, (view.peers, _PEER, _PEER), (view.providers, _PROVIDER, _CUSTOMER))
         self.down = (customers,) if hooks.export_route is _default_export else self.every
-        self.asns = sorted(topo.asns)
-        self.unset = dict.fromkeys(self.asns)
-        self.orders = {asn: hooks.preference_for(asn) for asn in self.asns}
-        rank_of = {id(order): _rank_of(order) for order in self.orders.values()}
-        self.ranks = {asn: rank_of[id(order)] for asn, order in self.orders.items()}
+        self.unset = [None] * len(self.asns)
+        self.orders = list(map(hooks.preference_for, self.asns))
+        # One rank callable per distinct order object.
+        distinct = dict(zip(map(id, self.orders), self.orders))
+        rank_of = {key: _rank_of(order) for key, order in distinct.items()}
+        self.ranks = list(map(rank_of.__getitem__, map(id, self.orders)))
+        self.imports = _import_hooks(hooks.import_route, view.index)
 
     def with_order(self, asn: int, order: PreferenceOrder) -> _Network:
         """This network, maps and hooks shared, with AS asn ranking by order."""
         net = copy.copy(self)
         net.orders, net.ranks = self.orders.copy(), self.ranks.copy()
-        net.orders[asn], net.ranks[asn] = order, _rank_of(order)
+        i = self.index[asn]
+        net.orders[i], net.ranks[i] = order, _rank_of(order)
         return net
+
+
+def _import_hooks(hook: ImportHook, index: Mapping[int, int]) -> list[ImportHook | None]:
+    # Per AS index, the hook a solve calls there: None everywhere for the
+    # default hook, a ScopedImport's own hook within its scope (ASNs outside
+    # the graph are ignored) and None elsewhere, and any other hook everywhere.
+    if hook is _default_import:
+        return [None] * len(index)
+    if not isinstance(hook, ScopedImport):
+        return [hook] * len(index)
+    imports = [None] * len(index)
+    for asn in hook.scope:
+        i = index.get(asn)
+        if i is not None:
+            imports[i] = hook.hook
+    return imports
 
 
 def _rank_of(order: PreferenceOrder) -> Callable[[Route], object]:
@@ -449,8 +498,9 @@ def propagate(
     for members in classes.values():
         rep = members[0]
         best, _, _, stuck = _propagate_prefix(net, rep, by_prefix[rep])
+        # The holders' ASNs, each with the route of its (key, route) best.
         record = stuck or _Solved(
-            rep, {asn: pair[1] for asn, pair in best.items() if pair is not None},
+            rep, dict(zip(compress(net.asns, best), map(_second, filter(None, best)))),
             net, by_prefix[rep],
         )
         for prefix in members:
@@ -477,7 +527,7 @@ def _merged_rib(*ribs: Rib) -> Rib:
     return merged
 
 
-_first = itemgetter(0)
+_first, _second = itemgetter(0), itemgetter(1)
 # The hint (_export_round) of an AS whose whole table a round re-ranks.
 _RERANK = object()
 _new = object.__new__
@@ -509,31 +559,34 @@ def _propagate_prefix(
     prefix: Prefix,
     origs: list[Origination],
     watch: Mapping[int, PreferenceOrder] | None = None,
-) -> tuple[dict, dict[int, dict], set[int], tuple[int, ...]]:
-    """Solve one prefix over net, walking the topology's adjacency sets in
-    their own iteration order.  Returns best and learned (below), both
-    keyed by ASN in ascending order; the ASes of watch, {ASN: alternative
-    order}, whose pick under that order ever differed from their actual
-    pick; and the sorted ASNs whose best still changed in round
-    2*|ASes|+10, or () if it converged."""
+) -> tuple[list, list[dict], set[int], tuple[int, ...]]:
+    """Solve one prefix over net, walking each AS's neighbors in ascending
+    ASN order.  Returns best and learned (below), both indexed by AS
+    number (net.asns[i] is AS i's ASN); the ASNs of watch, {ASN:
+    alternative order}, whose pick under that order ever differed from
+    their actual pick; and the sorted ASNs whose best still changed in
+    round 2*|ASes|+10, or () if it converged."""
     # Candidates are (preference key, route) pairs, keyed on admission and
     # ranked by the key alone.  learned[a][e]: what AS e's current best
     # yields at AS a after export, loop check and import, keyed by
     # ranks[a], once per offer and rank callable when admitted unchanged;
-    # AS a's own originations sit first, under -1, -2, ..., which no ASN
-    # takes, keyed by orders[a].key.
-    learned: dict[int, dict[int, tuple[object, Route]]] = {asn: {} for asn in net.asns}
+    # AS a's own originations sit first, under -1, -2, ..., which no AS
+    # number takes, keyed by orders[a].key.
+    asns, index = net.asns, net.index
+    learned: list[dict[int, tuple[object, Route]]] = [{} for _ in asns]
     for asn, route in dict.fromkeys((o.asn, o.route()) for o in origs):
-        slots = learned[asn]
-        slots[-1 - len(slots)] = (net.orders[asn].key(route), route)
+        i = index[asn]
+        slots = learned[i]
+        slots[-1 - len(slots)] = (net.orders[i].key(route), route)
     # best[a]: AS a's selected (preference key, route) pair, or None.
-    best: dict[int, tuple[object, Route] | None] = net.unset.copy()
+    best: list[tuple[object, Route] | None] = net.unset.copy()
+    watched = {index[asn]: order for asn, order in watch.items()} if watch else None
     diverged = set()
 
     # touched[a]: AS a's hint (_export_round); round 1 ranks the
     # originators, and each later round first re-evaluates the edges out of
     # the ASes whose best changed.
-    touched = dict.fromkeys((o.asn for o in origs), _RERANK)
+    touched = dict.fromkeys((index[o.asn] for o in origs), _RERANK)
     rounds = 0
     while touched:
         # Bests are replaced only after every edge has read the old ones;
@@ -557,21 +610,22 @@ def _propagate_prefix(
             if new_best is not old_best and new_best != old_best:
                 changed[asn] = old_best
                 best[asn] = new_best
-        if watch:
-            diverged.update(_diverged(watch, touched, best, learned))
+        if watched:
+            diverged.update(_diverged(watched, touched, best, learned))
         rounds += 1
-        if changed and rounds == 2 * len(net.asns) + 10:
-            return best, learned, diverged, tuple(sorted(changed))
+        if changed and rounds == 2 * len(asns) + 10:
+            stuck = tuple(map(asns.__getitem__, sorted(changed)))
+            return best, learned, {asns[i] for i in diverged}, stuck
         # Synchronous round: every edge out of an AS whose best changed is
         # re-evaluated against the previous round's bests, so the fixpoint
         # is independent of iteration order.
         touched = _export_round(net, prefix, changed, best, learned)
-    return best, learned, diverged, ()
+    return best, learned, {asns[i] for i in diverged}, ()
 
 
 def _diverged(watch, touched, best, learned) -> Iterator[int]:
-    # The watched ASes of `touched` whose pick under their watched order,
-    # made as a round makes it, is not their best route.
+    # The watched ASes of `touched`, {AS number: order}, whose pick under
+    # their watched order, made as a round makes it, is not their best route.
     for asn in watch.keys() & touched:
         order, rank = watch[asn], _rank_of(watch[asn])
         cands = [((order.key if e < 0 else rank)(r), r) for e, (_, r) in learned[asn].items()]
@@ -580,17 +634,18 @@ def _diverged(watch, touched, best, learned) -> Iterator[int]:
 
 
 def _export_round(net: _Network, prefix: Prefix, changed, best, learned) -> dict:
-    """A round's export step over net's maps.  Each exporter of changed,
-    {ASN: the (key, route) best it replaced, or None}, offers best[exporter]
-    to its neighbors, or withdraws if that is None, and each neighbor's
-    learned entry from it is set or dropped.  Returns {ASN: hint} over
-    those neighbors whose entries changed.  A hint is read against the
-    AS's best, its pick from its entries before the round: _RERANK if that
-    best's entry was dropped or replaced by one not ranked strictly above
-    it, or if two arrivals' keys tied; else the highest-keyed entry that
-    arrived, or None if entries were only dropped."""
-    every, down, ranks = net.every, net.down, net.ranks
-    import_route, export_route = net.import_route, net.export_route
+    """A round's export step over net's maps, by AS number.  Each exporter
+    of changed, {exporter: the (key, route) best it replaced, or None},
+    offers best[exporter] to its neighbors, or withdraws if that is None,
+    and each neighbor's learned entry from it is set or dropped.  Returns
+    {AS: hint} over those neighbors whose entries changed.  A hint is read
+    against the AS's best, its pick from its entries before the round:
+    _RERANK if that best's entry was dropped or replaced by one not ranked
+    strictly above it, or if two arrivals' keys tied; else the
+    highest-keyed entry that arrived, or None if entries were only
+    dropped.  Hooks, paths and the loop check read ASNs (net.asns)."""
+    every, down, ranks, imports, asns = net.every, net.down, net.ranks, net.imports, net.asns
+    export_route = net.export_route
     touched = {}
     for exporter, replaced in changed.items():
         current = best[exporter]
@@ -605,9 +660,10 @@ def _export_round(net: _Network, prefix: Prefix, changed, best, learned) -> dict
                             touched.setdefault(asn, None)
             continue
         offered = current[1]
-        # Per exporter: the economic export rule's "learned from a
-        # customer or originated" half.  No AS neighbors itself, so the
-        # loop check reads the path before the exporter is prepended.
+        # Per exporter: its ASN, and the economic export rule's "learned
+        # from a customer or originated" half.  No AS neighbors itself, so
+        # the loop check reads the path before the exporter is prepended.
+        sender = asns[exporter]
         rel_out = offered.learned_rel
         anywhere = rel_out is _CUSTOMER or rel_out is _SELF
         held = offered.as_path
@@ -628,17 +684,20 @@ def _export_round(net: _Network, prefix: Prefix, changed, best, learned) -> dict
             offer = None
             for asn in group:
                 # rel_back is what `asn` is to `exporter`, and drives the
-                # export rule; rel, what `exporter` is to `asn`.  The hook
-                # is asked only about an edge the rule refuses.
+                # export rule; rel, what `exporter` is to `asn`.  The export
+                # hook is asked only about an edge the rule refuses, and the
+                # import hook only where imports holds one.
                 entry = None
+                receiver = asns[asn]
                 if (
-                    (sends or export_route(exporter, asn, rel_back, offered))
-                    and asn not in held
+                    (sends or export_route(sender, receiver, rel_back, offered))
+                    and receiver not in held
                 ):
                     if offer is None:
-                        path = held if held[0] == exporter else (exporter,) + held
+                        path = held if held[0] == sender else (sender,) + held
                         offer, keyed = _route(prefix, path, offered.communities, rel), {}
-                    admitted = import_route(asn, exporter, rel, offer)
+                    hook = imports[asn]
+                    admitted = offer if hook is None else hook(receiver, sender, rel, offer)
                     if admitted is offer:
                         rank = ranks[asn]
                         entry = keyed.get(rank)
@@ -664,14 +723,15 @@ def _export_round(net: _Network, prefix: Prefix, changed, best, learned) -> dict
                     slots[exporter], touched[asn] = entry, _RERANK
                     continue
                 slots[exporter] = entry
-                hint = touched.get(asn)
-                if hint is None:
+                # An AS gets one entry per exporter in a round, so a hint
+                # that is this entry was just set.
+                hint = touched.setdefault(asn, entry)
+                if hint is entry or hint is _RERANK:
+                    continue
+                if hint is None or entry[0] > hint[0]:
                     touched[asn] = entry
-                elif hint is not _RERANK:
-                    if entry[0] > hint[0]:
-                        touched[asn] = entry
-                    elif not hint[0] > entry[0]:
-                        touched[asn] = _RERANK
+                elif not hint[0] > entry[0]:
+                    touched[asn] = _RERANK
     return touched
 
 
@@ -683,24 +743,26 @@ def _replay(
     from every neighbor holding a best, over the edges into asn alone.  A
     first candidate equal to bests[asn] is that stored object."""
     cut, held, maps = copy.copy(net), {}, []
+    asns, i = net.asns, net.index[asn]
     # Read in reverse, net's maps give asn's neighbors of one kind, what they
     # are to asn and what asn is to them, and the cut maps come out in net's
-    # order (down's customer map first); a cut group is (asn,) or empty.
+    # order (down's customer map first); a cut group is (i,) or empty.
     for adjacency, rel, rel_back in reversed(net.every):
         group = defaultdict(tuple)
-        for neighbor in adjacency[asn]:
-            if neighbor in bests:
-                group[neighbor], held[neighbor] = (asn,), (None, bests[neighbor])
+        for neighbor in adjacency[i]:
+            route = bests.get(asns[neighbor])
+            if route is not None:
+                group[neighbor], held[neighbor] = (i,), (None, route)
         maps.append((group, rel_back, rel))
     cut.every = tuple(maps)
     cut.down = cut.every if net.down is net.every else cut.every[:1]
     slots = {}
     for route in dict.fromkeys(o.route() for o in origs if o.asn == asn):
-        slots[-1 - len(slots)] = (net.orders[asn].key(route), route)
+        slots[-1 - len(slots)] = (net.orders[i].key(route), route)
     # The round reads asn's best too: none, since asn's entries are ranked below.
     changed = dict.fromkeys(held)
-    held[asn] = None
-    _export_round(cut, prefix, changed, held, {asn: slots})
+    held[i] = None
+    _export_round(cut, prefix, changed, held, {i: slots})
     # Stable, as the solve's max is: equal keys (only equal local routes
     # can tie) keep the originations' order.
     ranked = [route for _, route in sorted(slots.values(), key=_first, reverse=True)]

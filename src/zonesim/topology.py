@@ -7,7 +7,9 @@ be acyclic; the propagation engine relies on that to converge.
 
 Every AS's customer-cone size is one bottom-up pass of set unions
 (``_cone_sizes``), run on a graph's first read of ``Topology.cone_sizes``
-and kept with the graph.
+and kept with the graph.  So is the graph's dense view
+(``Topology.dense``), the routing engine's numbering of the ASes, built on
+first read.
 
 This module also owns the on-disk graph cache the command line reads
 through (``_load_cached``): one file per distinct topology text, holding
@@ -32,7 +34,7 @@ from contextlib import contextmanager, suppress
 from itertools import chain, repeat
 from operator import eq
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import _lines
 from ._lines import data_lines, decode, read_lines
@@ -182,6 +184,12 @@ class Topology:
         return topo
 
     @functools.cached_property
+    def dense(self) -> DenseView:
+        """The graph's dense view, from one pass on first read; the view is
+        the graph's, not a copy."""
+        return _dense_view(self)
+
+    @functools.cached_property
     def cone_sizes(self) -> dict[int, int]:
         """Every AS's customer-cone size, ``len(customer_cone(self, asn))``,
         from one pass on first read; the dict is the graph's, not a copy."""
@@ -303,6 +311,34 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
+class DenseView(NamedTuple):
+    """The ASes numbered 0..n-1 in ascending ASN order: asns[i] is AS i's
+    ASN and index maps each ASN back to i.  customers, peers and providers
+    hold, per index, that AS's neighbors of one kind as a sorted tuple of
+    indices, so a walk of them visits neighbors in ascending ASN order."""
+
+    asns: list[int]
+    index: dict[int, int]
+    customers: list[tuple[int, ...]]
+    peers: list[tuple[int, ...]]
+    providers: list[tuple[int, ...]]
+
+
+@_gc_paused()
+def _dense_view(topo: Topology) -> DenseView:
+    # Index tuples of ints from one range share those int objects; the
+    # collector is paused, since the tuples hold ints alone.
+    asns = sorted(topo.asns)
+    index = dict(zip(asns, range(len(asns))))
+    number = index.__getitem__
+
+    def indexed(adjacency: Mapping[int, frozenset[int]]) -> list[tuple[int, ...]]:
+        return [tuple(sorted(map(number, adjacency[asn]))) for asn in asns]
+
+    return DenseView(asns, index, indexed(topo.customers), indexed(topo.peers),
+                     indexed(topo.providers))
+
+
 def load_topology(source: str | bytes) -> Topology:
     """Parse AS-relationship text into a validated Topology.
 
@@ -412,8 +448,11 @@ def _load_cached(data: bytes, digest: str, cone_sizes: bool = False) -> Topology
     Marshal keeps shared objects shared within a blob, so each ASN is one
     int within each decoded map.  The maps keep their key order, but a
     frozenset may iterate in another order than the parsed one (since
-    Python 3.11, marshal writes a frozenset's elements sorted), and nothing
-    that reads the graph depends on that order.  Anything else is a miss:
+    Python 3.11, marshal writes a frozenset's elements sorted).  The
+    routing engine does not see that order: it walks the graph's dense
+    view (``Topology.dense``), whose neighbor tuples are sorted, so a
+    solve under a preference order whose keys tie picks the same routes on
+    a hit as on a parse.  Anything else is a miss:
     no entry, an error reading or unmarshalling it, a wrong shape or a
     digest that does not match.  A miss parses `data` exactly as
     ``load_topology`` does, errors included, and only a graph that passed

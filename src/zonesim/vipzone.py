@@ -18,7 +18,10 @@ inside the zone.  The import rules applied at each member, in order:
 
 Tags change only on import: the engine sends each export unchanged and the
 zone policy forces none, so customers of members can see which routes were
-verified on entry.  Rule 7 (route-collector export) is realized by the RIB
+verified on entry.  The rules run only where they can act: the zone's
+import hook is scoped (routing.ScopedImport) to the members and the
+opted-in non-members, and every other AS routes on plain economics with no
+hook call.  Rule 7 (route-collector export) is realized by the RIB
 dump in the routing module.
 
 Only R2 and R5 read a route's prefix, and only through whether its origin
@@ -44,7 +47,8 @@ from .registry import (
     verify_customer_origin,
 )
 from .routing import (
-    _PLAIN_ORDER, VERIFIED, Origination, PolicyHooks, PreferenceOrder, Route, _route,
+    _PLAIN_ORDER, VERIFIED, Origination, PolicyHooks, PreferenceOrder, Route, ScopedImport,
+    _route,
 )
 from .topology import Rel, Topology
 
@@ -217,7 +221,10 @@ def zone_policy(topo: Topology, cfg: ZoneConfig, reg: RegistrySet) -> PolicyHook
             key.append((orig.asn, route.as_path, route.communities, invalid, verdicts))
         return tuple(key)
 
-    return PolicyHooks(import_route, preference_for=preference_for, prefix_class=prefix_class)
+    # The rules change routes only at members and opted-in non-members;
+    # everywhere else the hook admits each route unchanged.
+    scoped = ScopedImport(import_route, members | honor)
+    return PolicyHooks(scoped, preference_for=preference_for, prefix_class=prefix_class)
 
 
 def load_zone_config(source: str) -> ZoneConfig:

@@ -672,10 +672,10 @@ def ranked_rows_oracle(topo: Topology, originations, hooks: PolicyHooks):
         best, learned, _, stuck = _propagate_prefix(net, prefix, origs)
         if stuck:
             return None
-        for asn, selected in best.items():
+        for i, selected in enumerate(best):
             if selected is not None:
-                ranked = sorted(learned[asn].values(), key=lambda pair: pair[0], reverse=True)
-                cells[(asn, prefix)] = tuple(route for _, route in ranked)
+                ranked = sorted(learned[i].values(), key=lambda pair: pair[0], reverse=True)
+                cells[(net.asns[i], prefix)] = tuple(route for _, route in ranked)
     return cells
 
 
@@ -683,13 +683,15 @@ def full_rerank_prefix(net: _Network, prefix, origs):
     """One prefix solved as routing._propagate_prefix solved it before
     rounds read the arrivals' hints: each round re-ranks the whole table of
     every AS the export step touched (the keys of its result), in the order
-    they were touched.  Returns (best, stuck) as _propagate_prefix does."""
-    learned = {asn: {} for asn in net.asns}
+    they were touched.  Returns (best, stuck) as _propagate_prefix does:
+    best indexed by AS number (net.asns), stuck as sorted ASNs."""
+    learned = [{} for _ in net.asns]
     for asn, route in dict.fromkeys((o.asn, o.route()) for o in origs):
-        slots = learned[asn]
-        slots[-1 - len(slots)] = (net.orders[asn].key(route), route)
+        i = net.index[asn]
+        slots = learned[i]
+        slots[-1 - len(slots)] = (net.orders[i].key(route), route)
     best = net.unset.copy()
-    touched = dict.fromkeys(o.asn for o in origs)
+    touched = dict.fromkeys(net.index[o.asn] for o in origs)
     rounds = 0
     while touched:
         changed = {}
@@ -701,7 +703,7 @@ def full_rerank_prefix(net: _Network, prefix, origs):
                 best[asn] = new_best
         rounds += 1
         if changed and rounds == 2 * len(net.asns) + 10:
-            return best, tuple(sorted(changed))
+            return best, tuple(sorted(net.asns[i] for i in changed))
         touched = _export_round(net, prefix, changed, best, learned).keys()
     return best, ()
 

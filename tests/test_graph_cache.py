@@ -11,13 +11,14 @@ from zonesim import analysis, topology
 from zonesim.analysis import GrowthOrder
 from zonesim.cli import main
 from zonesim.registry import RegistrySet, Roa
-from zonesim.routing import NonConvergenceError, dump_rib, propagate
+from zonesim.routing import NonConvergenceError, Origination, PolicyHooks, dump_rib, propagate
 from zonesim.vipzone import ZoneConfig, zone_policy
 
 from oracles import (
     random_connected_members, random_originations, random_topology, serialize_topology,
 )
 from test_acceptance import FIXTURE_COMMANDS, expected_outputs, run_fixture
+from test_routing import _NoNeighborTiebreak
 
 TEXT = b"1|2|-1\n1|3|-1\n2|20|-1\n3|30|-1\n3|40|-1\n2|3|0\n"
 
@@ -453,3 +454,48 @@ def test_cached_graph_gives_the_parsed_graphs_results(seed, monkeypatch):
     for maps in ("providers", "customers", "peers", "asns"):
         assert list(getattr(cached, maps)) == list(getattr(parsed, maps))
     assert _results(cached, random.Random(seed)) == _results(parsed, random.Random(seed))
+
+
+def _tied_solve(topo, origs):
+    # Routes of one relationship and length from different neighbors tie,
+    # and a tied pick follows the order entries reach a table.
+    hooks = PolicyHooks(preference_for=lambda asn, order=_NoNeighborTiebreak(): order)
+    try:
+        return propagate(topo, origs, hooks)
+    except NonConvergenceError as exc:
+        return exc.oscillating
+
+
+def test_tied_picks_do_not_follow_set_order(monkeypatch):
+    # Under an order whose keys tie, a solve on a cached graph, whose
+    # frozensets may iterate in another order than the parsed graph's,
+    # picks what the parsed graph's solve picks: the engine walks each AS's
+    # neighbors in ascending ASN order.  Large random ASNs make the two set
+    # orders differ.
+    reordered = tied = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(20, 120)
+        base = random_topology(rng, n, rng.randint(0, n))
+        big = dict(zip(sorted(base.asns), rng.sample(range(1, 2**32), n)))
+        data = "".join(f"{big[a]}|{big[b]}|{code}\n" for a, b, code in base.records()).encode()
+        parsed = topology.load_topology(data)
+        topology._load_cached(data, _digest(data))
+        with monkeypatch.context() as patch:
+            _no_parse(patch)
+            cached = topology._load_cached(data, _digest(data))
+        reordered += any(
+            list(getattr(cached, maps)[asn]) != list(getattr(parsed, maps)[asn])
+            for maps in ("providers", "customers", "peers") for asn in parsed.asns
+        )
+        origs = [Origination(asn, analysis.synthetic_prefix(asn))
+                 for asn in rng.sample(sorted(parsed.asns), 4)]
+        rib = _tied_solve(parsed, origs)
+        assert _tied_solve(cached, origs) == rib
+        order = _NoNeighborTiebreak()
+        tied += any(
+            len(ranked) > 1 and order.key(ranked[0]) == order.key(ranked[1])
+            for orig in origs for asn in sorted(parsed.asns)
+            for ranked in (rib.candidates(asn, orig.prefix),)
+        )
+    assert reordered >= 30 and tied >= 30

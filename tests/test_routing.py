@@ -35,6 +35,7 @@ from zonesim.routing import (
     RibEntry,
     Route,
     RoutingError,
+    ScopedImport,
     TraceOutcome,
     _PLAIN_ORDER,
     _Network,
@@ -384,13 +385,9 @@ class TestEdgeIncrementalDifferential:
         assert solved >= 200
 
 
-def _probe_solves(seed):
-    """One-destination solves on random_zone_instance(seed), as the
-    exceptions pass runs them: probe prefixes of 8 sampled destinations,
-    under a random registry, solved under the zone policy (members rank
-    VERIFIED first) and under the same with the ASPA extension and half the
-    non-members, transit ones too, opted in to VERIFIED, which some of
-    these prefixes never settle under."""
+def _probe_policies(seed):
+    """The policies and destinations of _probe_solves(seed): (topology,
+    zone config, registry, the 8 sampled probe originations) per config."""
     topo, members = random_zone_instance(seed)
     rng = random.Random(seed)
     origs = [Origination(d, synthetic_prefix(d)) for d in sorted(topo.asns)]
@@ -400,8 +397,19 @@ def _probe_solves(seed):
         ZoneConfig(members=members),
         ZoneConfig(members=members, aspa_extension=True, honor_verified_non_members=honor),
     ):
+        yield topo, cfg, reg, rng.sample(origs, min(8, len(origs)))
+
+
+def _probe_solves(seed):
+    """One-destination solves on random_zone_instance(seed), as the
+    exceptions pass runs them: probe prefixes of 8 sampled destinations,
+    under a random registry, solved under the zone policy (members rank
+    VERIFIED first) and under the same with the ASPA extension and half the
+    non-members, transit ones too, opted in to VERIFIED, which some of
+    these prefixes never settle under."""
+    for topo, cfg, reg, sample in _probe_policies(seed):
         net = _Network(topo, zone_policy(topo, cfg, reg))
-        for orig in rng.sample(origs, min(8, len(origs))):
+        for orig in sample:
             yield net, orig.prefix, [orig]
 
 
@@ -437,9 +445,48 @@ class TestRoundSelection:
         best, _, _, stuck = _propagate_prefix(mixed, prefix, origs)
         assert (best, stuck) == full_rerank_prefix(mixed, prefix, origs)
         if seed == 226:
-            assert not stuck and best[member][1].learned_rel in (Rel.CUSTOMER, Rel.PEER)
+            assert not stuck
+            assert best[net.index[member]][1].learned_rel in (Rel.CUSTOMER, Rel.PEER)
         else:
             assert stuck
+
+
+class TestScopedImport:
+    """The zone's import hook is a ScopedImport over the members and the
+    opted-in non-members: a solve calls it there alone and admits every
+    other AS's offers unchanged without a call.  That is exact: the same
+    hooks with the import wrapped in a plain function, which a solve calls
+    at every AS, give equal RIBs (replayed candidates included) and the
+    same oscillating ASes, over _probe_solves' corpus."""
+
+    def test_matches_the_unscoped_hook(self):
+        solves = stuck = outside = 0
+        for seed in range(400):
+            for topo, cfg, reg, sample in _probe_policies(seed):
+                hooks = zone_policy(topo, cfg, reg)
+                scoped = hooks.import_route
+                assert isinstance(scoped, ScopedImport)
+                assert scoped.scope == cfg.members | cfg.honor_verified_non_members
+                importers, everywhere = set(), set()
+
+                def counted(importer, neighbor, rel, route, inner=scoped.hook, seen=importers):
+                    seen.add(importer)
+                    return inner(importer, neighbor, rel, route)
+
+                def plain(importer, neighbor, rel, route, inner=scoped, seen=everywhere):
+                    seen.add(importer)
+                    return inner(importer, neighbor, rel, route)
+
+                within = replace(hooks, import_route=replace(scoped, hook=counted))
+                unscoped = replace(hooks, import_route=plain)
+                for orig in sample:
+                    rib = _solve(topo, [orig], within)
+                    assert rib == _solve(topo, [orig], unscoped)
+                    solves += 1
+                    stuck += not isinstance(rib, Rib)
+                assert importers <= scoped.scope
+                outside += bool(everywhere - scoped.scope)
+        assert solves == 6400 and stuck >= 3 and outside >= 700
 
 
 def _tagging_hooks(origin, taggers, verified_first, order=PreferenceOrder):
@@ -529,7 +576,7 @@ class TestRoundSelectionFallbacks:
         origs = [Origination(origin, PFX)]
         best, _, _, stuck = _propagate_prefix(net, PFX, origs)
         assert (best, stuck) == full_rerank_prefix(net, PFX, origs)
-        assert best[asn][1].as_path == path
+        assert best[net.index[asn]][1].as_path == path
 
 
 def _full_walk(hooks):
@@ -1615,7 +1662,10 @@ def _counting_net(topo, net, calls):
         calls["export", neighbor, exporter] += 1
         return net.export_route(exporter, neighbor, rel, route)
 
-    return _Network(topo, PolicyHooks(import_route, export_route, net.orders.__getitem__))
+    def preference_for(asn):
+        return net.orders[net.index[asn]]
+
+    return _Network(topo, PolicyHooks(import_route, export_route, preference_for))
 
 
 class TestReplay:

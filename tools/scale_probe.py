@@ -10,16 +10,23 @@ propagate_runs_s lists in order), RIB rows (the dump's lines), the
 resident set right after the load (``load_rss_mb``, read from
 ``/proc/self/statm``; null where that file does not exist) and the peak
 resident set, read before the dump.  Each solve drops the RIB before it
-first, so one RIB at most exists at a time.
+first, so one RIB at most exists at a time.  Before the timed solves it
+builds the graph's dense view (``Topology.dense``), which every solve on
+the graph shares, and reports that one-time build apart as network_s.
+After the dump it solves once more with the zone's scoped import hook
+counting the calls of the hook inside it, and reports them as hook_calls:
+the import decisions the timed solves leave to the zone's rules, which
+run only at members and opted-in ASes.
 
-After the timed solves it solves once more with counting wrappers around
-the import and export hooks, checks that this RIB equals the last timed
-one, and reports refused_edge_checks (export hook calls: edges the
-valley-free rule refuses) and imports (import hook calls) of that solve
-alone.  A wrapped export hook is not the default, so the counting solve
-visits every refused edge; the timed solves, under the zone policy's
-default export hook, do not, so refused_edge_checks counts the edge
-visits they skip.
+Then it solves once more with counting wrappers around the import and
+export hooks, checks that this RIB equals the last timed one, and reports
+refused_edge_checks (export hook calls: edges the valley-free rule
+refuses) and imports (import hook calls) of that solve alone.  The
+counting import wrapper is a plain function, so it drops the zone hook's
+scope and counts every import decision, at every AS.  A wrapped export
+hook is not the default, so the counting solve visits every refused edge;
+the timed solves, under the zone policy's default export hook, do not, so
+refused_edge_checks counts the edge visits they skip.
 The comparison replays every holder's candidates in both RIBs, the
 counting RIB's through the counting hooks; their calls during it are
 reported apart, as replay_imports and replay_refused_edge_checks.  A
@@ -98,8 +105,8 @@ has its own new empty graph cache, so both parse the topology.
 
 This probe is not part of the benchmark or the tests.  CI parses only its
 JSON line.  At 2000 ASes it requires every AS loaded, reported load and
-dump times, rib_rows 2000, refused_edge_checks 15998, imports 4416 and
-load_traced_peak_mb at most 1.6 times load_traced_mb; with
+dump times, rib_rows 2000, refused_edge_checks 15998, imports 4416,
+hook_calls 675 and load_traced_peak_mb at most 1.6 times load_traced_mb; with
 --cones 30 --exceptions at 500 ASes, every AS loaded, exception_count 11,
 verified_solves 75 and mixed_solves 11; with --audit at 2000 ASes,
 view_routes 15000, findings 0 and rov_validations equal to prefix_origins;
@@ -368,6 +375,9 @@ def main(argv: list[str] | None = None) -> int:
     prefix = synthetic_prefix(origin)
     reg = RegistrySet(roas=[Roa(prefix, origin)])
     hooks = zone_policy(topo, ZoneConfig(members=members), reg)
+    t = perf_counter()
+    topo.dense
+    network_s = perf_counter() - t
     runs = []
     for _ in range(3):
         rib = None
@@ -379,6 +389,15 @@ def main(argv: list[str] | None = None) -> int:
     t = perf_counter()
     dumped = dump_rib(rib)
     dump_s = perf_counter() - t
+
+    scoped = {"hook_calls": 0}
+
+    def zone_hook(importer, neighbor, rel, route, inner=hooks.import_route.hook):
+        scoped["hook_calls"] += 1
+        return inner(importer, neighbor, rel, route)
+
+    propagate(topo, [Origination(origin, prefix)],
+              replace(hooks, import_route=replace(hooks.import_route, hook=zone_hook)))
 
     counts = {"refused_edge_checks": 0, "imports": 0}
 
@@ -407,10 +426,12 @@ def main(argv: list[str] | None = None) -> int:
         "members": len(members),
         "load_s": round(load_s, 3),
         "load_rss_mb": load_rss_mb,
+        "network_s": round(network_s, 3),
         "propagate_s": round(median(runs), 3),
         "propagate_runs_s": [round(run, 3) for run in runs],
         "dump_s": round(dump_s, 3),
         "rib_rows": dumped.count("\n"),
+        **scoped,
         **solve_counts,
         **replay_counts,
         "peak_rss_mb": peak_rss_mb,
